@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a scenario and write outputs")
     run.add_argument("--scenario", required=True, help="scenario JSON file")
     run.add_argument("--until", required=True, type=float,
-                     help="virtual horizon in seconds")
+                     help="virtual horizon in seconds (finite)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
     run.add_argument("--out", default="out",
@@ -147,6 +147,8 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     budget = link_budget(config, args.src, args.dst)
     sensitivity = config.node(args.dst).radio.sensitivity_dbm
     connected = is_connected(budget, sensitivity)
+    logger.debug("link %d -> %d: received %.2f dBm, sensitivity %.2f dBm",
+                  args.src, args.dst, budget.received_power, sensitivity)
     if args.json:
         doc = {"from": args.src, "to": args.dst,
                "distance_m": budget.distance,

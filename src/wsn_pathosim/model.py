@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .power import ConsumptionProfile
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Signal, Sinusoid
@@ -160,6 +161,41 @@ class NodeSpec:
         return self.sensors[0] if self.sensors else None
 
 
+class _IndexedObstacle(NamedTuple):
+    """An obstacle as obstacles_on_path scans it: its bounding box, its
+    endpoints, its position in `ScenarioConfig.obstacles` and the crossing it
+    contributes."""
+
+    xmin: float
+    xmax: float
+    ymin: float
+    ymax: float
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+    position: int
+    crossing: ObstacleCrossing
+
+
+def _index_nodes(nodes: tuple[NodeSpec, ...]) -> dict[int, NodeSpec]:
+    index: dict[int, NodeSpec] = {}
+    for node in nodes:
+        index.setdefault(node.id, node)
+    return index
+
+
+def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_IndexedObstacle, ...]]:
+    by_floor: dict[int, list[_IndexedObstacle]] = {}
+    for position, obstacle in enumerate(obstacles):
+        start, end = obstacle.start, obstacle.end
+        by_floor.setdefault(start.floor, []).append(_IndexedObstacle(
+            min(start.x, end.x), max(start.x, end.x), min(start.y, end.y),
+            max(start.y, end.y), start.x, start.y, end.x, end.y, position,
+            ObstacleCrossing(kind=obstacle.kind, loss_db=obstacle.loss_db)))
+    return {floor: tuple(entries) for floor, entries in by_floor.items()}
+
+
 @dataclass
 class ScenarioConfig:
     nodes: tuple[NodeSpec, ...]
@@ -175,13 +211,33 @@ class ScenarioConfig:
     consumption: ConsumptionProfile = field(default_factory=ConsumptionProfile)
 
     def node(self, node_id: int) -> NodeSpec:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise UnknownNodeError(f"no node with id {node_id}")
+        node = self._nodes_by_id().get(node_id)
+        if node is None:
+            raise UnknownNodeError(f"no node with id {node_id}")
+        return node
 
     def has_node(self, node_id: int) -> bool:
-        return any(node.id == node_id for node in self.nodes)
+        return node_id in self._nodes_by_id()
+
+    def _nodes_by_id(self) -> dict[int, NodeSpec]:
+        """Id index over `nodes`; the first node wins when ids repeat."""
+        return self._derived("_node_index", self.nodes, _index_nodes)
+
+    def _obstacles_by_floor(self) -> dict[int, tuple[_IndexedObstacle, ...]]:
+        """Obstacles grouped by floor, each with its bounding box."""
+        return self._derived("_obstacle_index", self.obstacles, _index_obstacles)
+
+    def _derived(self, slot: str, source, build):
+        """build(source), kept in `slot` with the object it was built from,
+        so reassigning the field rebuilds it. A field that is not a tuple may
+        be mutated in place and is rebuilt on every call."""
+        cached = self.__dict__.get(slot)
+        if cached is not None and cached[0] is source:
+            return cached[1]
+        value = build(source)
+        if type(source) is tuple:
+            self.__dict__[slot] = (source, value)
+        return value
 
     def coordinator(self) -> NodeSpec:
         for node in self.nodes:
@@ -760,26 +816,34 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
 
     An obstacle participates when its floor lies within the endpoints' floor
     range and its segment properly crosses the 2-D projection of the path.
-    One FloorCrossing (at floor_loss_db each) is appended per unit of floor
-    difference. Swapping a and b permutes only the ordering.
+    Crossings at the same point along the path keep the order of
+    `config.obstacles`. One FloorCrossing (at floor_loss_db each) is appended
+    per unit of floor difference. Swapping a and b permutes only the ordering.
+
+    Only the floors in range are visited, and an obstacle whose bounding box
+    misses the path's is never segment-tested: a proper crossing is an
+    interior point of both segments, so it lies in both boxes.
     """
-    node_a = config.node(a)
-    node_b = config.node(b)
-    pa, pb = node_a.position, node_b.position
+    pa = config.node(a).position
+    pb = config.node(b).position
     lo, hi = min(pa.floor, pb.floor), max(pa.floor, pb.floor)
+    ax, ay, bx, by = pa.x, pa.y, pb.x, pb.y
+    xmin, xmax = min(ax, bx), max(ax, bx)
+    ymin, ymax = min(ay, by), max(ay, by)
 
-    hits: list[tuple[float, ObstacleCrossing]] = []
-    for obstacle in config.obstacles:
-        if not lo <= obstacle.start.floor <= hi:
-            continue
-        t = _crossing_param(pa.x, pa.y, pb.x, pb.y,
-                            obstacle.start.x, obstacle.start.y,
-                            obstacle.end.x, obstacle.end.y)
-        if t is not None:
-            hits.append((t, ObstacleCrossing(kind=obstacle.kind, loss_db=obstacle.loss_db)))
-    hits.sort(key=lambda item: item[0])
+    by_floor = config._obstacles_by_floor()
+    hits: list[tuple[float, int, ObstacleCrossing]] = []
+    for floor in range(lo, hi + 1):
+        for oxmin, oxmax, oymin, oymax, cx, cy, dx, dy, position, crossing in \
+                by_floor.get(floor, ()):
+            if oxmax < xmin or oxmin > xmax or oymax < ymin or oymin > ymax:
+                continue
+            t = _crossing_param(ax, ay, bx, by, cx, cy, dx, dy)
+            if t is not None:
+                hits.append((t, position, crossing))
+    hits.sort()
 
-    crossings: list[Crossing] = [crossing for _, crossing in hits]
+    crossings: list[Crossing] = [crossing for _, _, crossing in hits]
     crossings.extend(FloorCrossing(loss_db=config.floor_loss_db)
                      for _ in range(hi - lo))
     return crossings

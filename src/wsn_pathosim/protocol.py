@@ -14,6 +14,7 @@ nothing.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from enum import Enum, IntEnum
 from .engine import RngStream, Ticks, ticks_from_seconds
 from .model import NodeRole, NodeSpec, ScenarioConfig
 from .power import PowerState
-from .propagation import PathLossTable, DEFAULT_PATH_LOSS_TABLE, is_connected, link_budget
+from .propagation import (PathLossTable, DEFAULT_PATH_LOSS_TABLE, free_space_loss, is_connected,
+                          link_budget)
 from .sensors import GaugeNotHeatedError, GaugeState, SensorKind, sample
 
 logger = logging.getLogger(__name__)
@@ -547,6 +549,21 @@ class ParentTable:
         return path
 
 
+# Absorbs the rounding between the loss bound and link_budget's own sum.
+LOSS_BOUND_SLACK_DB = 1e-9
+
+
+def _out_of_range(config: ScenarioConfig, parent: NodeSpec, child: NodeSpec,
+                  table: PathLossTable) -> bool:
+    """True when even the free-space and floor losses alone put the parent's
+    transmission below the child's sensitivity."""
+    pa, pb = parent.position, child.position
+    distance = math.hypot(pb.x - pa.x, pb.y - pa.y)
+    bound = free_space_loss(distance, table) + abs(pb.floor - pa.floor) * config.floor_loss_db
+    return (parent.radio.tx_power_dbm - bound
+            < child.radio.sensitivity_dbm - LOSS_BOUND_SLACK_DB)
+
+
 def build_parent_table(config: ScenarioConfig,
                        table: PathLossTable = DEFAULT_PATH_LOSS_TABLE) -> ParentTable:
     """Choose each node's parent from downlink budgets.
@@ -556,18 +573,32 @@ def build_parent_table(config: ScenarioConfig,
     strictly fewer hops from the coordinator (best received power, then lowest
     id); End Devices attach to the best connected reachable coordinator/router.
     End Devices never appear as parents, so the result is a tree.
+
+    Before a full budget, a pair's loss is bounded below by its free-space
+    loss plus its floor crossings. When no obstacle loss is negative, that
+    bound never exceeds the true loss, so a pair that the bound already puts
+    below the child's sensitivity (by more than LOSS_BOUND_SLACK_DB) cannot
+    connect and gets no budget. Only connected pairs' received power is ever
+    read, so the table is the same as with every budget computed.
     """
     coordinator = config.coordinator()
-    budgets: dict[tuple[int, int], float] = {}
+    prune = all(o.loss_db >= 0 for o in config.obstacles)
+    budgets: dict[tuple[int, int], float | None] = {}
 
-    def received_at(child: NodeSpec, parent: NodeSpec) -> float:
+    def received_at(child: NodeSpec, parent: NodeSpec) -> float | None:
+        """Downlink received power, or None when the loss bound rules the
+        pair out."""
         key = (parent.id, child.id)
         if key not in budgets:
-            budgets[key] = link_budget(config, parent.id, child.id, table).received_power
+            if prune and _out_of_range(config, parent, child, table):
+                budgets[key] = None
+            else:
+                budgets[key] = link_budget(config, parent.id, child.id, table).received_power
         return budgets[key]
 
     def connected(child: NodeSpec, parent: NodeSpec) -> bool:
-        return received_at(child, parent) >= child.radio.sensitivity_dbm
+        power = received_at(child, parent)
+        return power is not None and power >= child.radio.sensitivity_dbm
 
     infrastructure = [coordinator] + config.routers()
     hops: dict[int, int] = {coordinator.id: 0}

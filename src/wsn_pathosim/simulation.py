@@ -9,6 +9,7 @@ virtual time is integer microseconds.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_seed,
@@ -167,6 +168,8 @@ class Simulation:
     def run_until(self, horizon_s: float) -> RunStats:
         """Process every event up to the horizon (virtual seconds), then
         advance the clock to it and return the statistics snapshot."""
+        if not math.isfinite(horizon_s):
+            raise ValueError(f"horizon must be a finite number of seconds, got {horizon_s}")
         limit = ticks_from_seconds(horizon_s)
         if limit < self.queue.now:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")

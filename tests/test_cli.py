@@ -96,6 +96,25 @@ def test_malformed_scenario_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_run_until_a_horizon_that_is_not_finite_is_a_usage_error(tmp_path, capsys, horizon):
+    code = main(["run", "--scenario", THREE_NODE, "--until", horizon,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: horizon must be a finite number of seconds, got {horizon}\n"
+
+
+def test_repl_reports_a_horizon_that_is_not_finite_and_carries_on(monkeypatch, capsys):
+    code = _run_repl(monkeypatch, ["run-until inf", "run-until nan", "run-until 100", "quit"],
+                     ["--scenario", THREE_NODE])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "error: horizon must be a finite number of seconds, got inf" in out
+    assert "error: horizon must be a finite number of seconds, got nan" in out
+    assert "clock 100.000000 s" in out
+
+
 def test_invalid_scenario_reports_violations(tmp_path, capsys):
     doc = two_node_doc(sample_period_s=10.0, poll_period_s=28.0)
     path = tmp_path / "short.json"
@@ -202,4 +221,7 @@ def test_console_script_smoke(tmp_path):
         env={"PATH": "/usr/local/bin:/usr/bin:/bin", "PATHOSIM_LOG": "debug",
              "PYTHONPATH": str(package_root)})
     assert result.returncode == 0
+    # the subcommand logs at debug level, so a log handler pointed at stdout
+    # would break the JSON below
+    assert "DEBUG wsn_pathosim.cli: link 0 -> 1" in result.stderr
     assert json.loads(result.stdout)["received_power_dbm"] == pytest.approx(-29.53)

@@ -1,13 +1,18 @@
+import inspect
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, two_node_doc
-from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, FloorCrossing, NodeRole,
+from topology_reference import (buildings, reference_link_budget,
+                                reference_obstacles_on_path, scan_node)
+from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, FloorCrossing, NodeRole, NodeSpec,
                                 Obstacle, ObstacleCrossing, ObstacleKind, Position,
-                                ScenarioSyntaxError, SchemaError, UnknownNodeError,
-                                obstacles_on_path, parse_scenario, serialize_scenario,
-                                validate_scenario)
+                                RadioConfig, ScenarioConfig, ScenarioSyntaxError,
+                                SchemaError, UnknownNodeError, obstacles_on_path,
+                                parse_scenario, serialize_scenario, validate_scenario)
+from wsn_pathosim.propagation import NonPositiveDistanceError, link_budget
 from wsn_pathosim.sensors import SensorKind
 
 
@@ -209,6 +214,20 @@ def test_validator_rejects_unordered_consumption_profile():
     assert any("consumption" in rule for rule in _rules(make_config(doc)))
 
 
+def test_validator_accepts_equal_consumption_currents():
+    doc = two_node_doc(defaults={"consumption_profile": {
+        "sleeping_ma": 20.0, "awake_idle_ma": 20.0, "transmitting_ma": 20.0}})
+    assert validate_scenario(make_config(doc)) == []
+
+
+def test_validator_accepts_an_end_device_without_sensors():
+    doc = two_node_doc()
+    doc["nodes"][1]["sensors"] = []
+    config = make_config(doc)
+    assert config.node(1).sensors == ()
+    assert validate_scenario(config) == []
+
+
 def test_violation_renders_location():
     doc = two_node_doc()
     doc["nodes"][1]["battery"] = {"capacity_mah": -5.0}
@@ -296,3 +315,84 @@ def test_obstacle_on_intermediate_floor_participates():
     obstacle_hits = [c for c in crossings if isinstance(c, ObstacleCrossing)]
     assert len(obstacle_hits) == 1  # floor 7 wall is outside the 0..2 range
     assert sum(isinstance(c, FloorCrossing) for c in crossings) == 2
+
+
+# ---------------------------------------------------------------------------
+# Indexed topology against the brute-force scans
+# ---------------------------------------------------------------------------
+
+
+def _pairs(config):
+    ids = [node.id for node in config.nodes]
+    return [(a, b) for a in ids for b in ids]
+
+
+@settings(max_examples=150, deadline=None)
+@given(buildings())
+def test_obstacles_on_path_matches_the_full_scan(config):
+    for a, b in _pairs(config):
+        assert obstacles_on_path(config, a, b) == reference_obstacles_on_path(config, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(buildings())
+def test_link_budget_is_bit_identical_to_the_full_scan(config):
+    for a, b in _pairs(config):
+        try:
+            expected = reference_link_budget(config, a, b)
+        except NonPositiveDistanceError:
+            with pytest.raises(NonPositiveDistanceError):
+                link_budget(config, a, b)
+            continue
+        # repr shows every bit of a float, the sign of zero included
+        assert repr(link_budget(config, a, b)) == repr(expected)
+
+
+def test_stacked_walls_crossed_at_one_point_keep_the_obstacle_order():
+    # the same segment on floors 2, 0 and 1, listed in that order
+    wall = [(2, ObstacleKind.BRICK_WALL, 0.1), (0, ObstacleKind.WALL_OPEN_DOOR, 0.2),
+            (1, ObstacleKind.WINDOW_OPEN_BLINDS, 0.3)]
+    config = ScenarioConfig(
+        nodes=(NodeSpec(0, NodeRole.COORDINATOR, Position(0.0, 0.0, 0), RadioConfig(-40.0)),
+               NodeSpec(1, NodeRole.ROUTER, Position(10.0, 0.0, 2), RadioConfig(-40.0))),
+        obstacles=tuple(Obstacle(kind, Position(5.0, -1.0, floor), Position(5.0, 1.0, floor),
+                                 attenuation_db=db) for floor, kind, db in wall))
+    crossings = obstacles_on_path(config, 0, 1)
+    assert [c.kind for c in crossings[:3]] == [kind for _, kind, _ in wall]
+    assert crossings == reference_obstacles_on_path(config, 0, 1)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 8))
+def test_node_lookup_returns_the_first_node_with_an_id(ids, wanted):
+    nodes = tuple(NodeSpec(node_id, NodeRole.ROUTER, Position(float(i), 0.0),
+                           RadioConfig(-40.0)) for i, node_id in enumerate(ids))
+    config = ScenarioConfig(nodes=nodes)
+    if wanted in ids:
+        assert config.node(wanted) is scan_node(config, wanted)
+        assert config.has_node(wanted)
+    else:
+        with pytest.raises(UnknownNodeError, match=f"no node with id {wanted}"):
+            config.node(wanted)
+        assert not config.has_node(wanted)
+
+
+def test_indexes_follow_reassigned_nodes_and_obstacles():
+    config = _walled_doc([
+        {"kind": "brick_wall", "from": {"x": 5.0, "y": -1.0}, "to": {"x": 5.0, "y": 1.0}},
+    ])
+    assert len(obstacles_on_path(config, 0, 1)) == 1
+    config.obstacles = ()
+    assert obstacles_on_path(config, 0, 1) == []
+    assert config.node(1).position.x == 10.0
+    moved = NodeSpec(1, NodeRole.END_DEVICE, Position(3.0, 0.0), config.node(1).radio)
+    config.nodes = (config.node(0), moved)
+    assert config.node(1) is moved
+    config.nodes = (config.node(0),)
+    assert not config.has_node(1)
+    with pytest.raises(UnknownNodeError):
+        config.node(1)
+
+
+def test_node_lookup_stays_a_plain_method():
+    # callers, and tools that wrap it, look it up on the class
+    assert inspect.isfunction(vars(ScenarioConfig)["node"])

@@ -1,9 +1,15 @@
+import dataclasses
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, two_node_doc
+from topology_reference import buildings, reference_parent_table
+from wsn_pathosim import protocol
 from wsn_pathosim.engine import RngStream, ticks_from_seconds
 from wsn_pathosim.power import PowerState
+from wsn_pathosim.propagation import NonPositiveDistanceError, free_space_loss
 from wsn_pathosim.protocol import (BadMagicError, ChecksumError, CoordinatorSession,
                                    DeliveredFrame, DevicePhase, EndDeviceState,
                                    ErrorReason, ExternalWakeStimulus, FRAME_OVERHEAD,
@@ -563,3 +569,59 @@ def test_route_to_unreachable_node_is_none(router_off_config):
     table = build_parent_table(router_off_config)
     assert route_path(table, 0, 2) is None
     assert route_path(table, 2, 0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(buildings())
+def test_parent_table_matches_the_unpruned_search(config):
+    try:
+        expected = reference_parent_table(config)
+    except NonPositiveDistanceError as exc:
+        with pytest.raises(NonPositiveDistanceError, match=re.escape(str(exc))):
+            build_parent_table(config)
+        return
+    table = build_parent_table(config)
+    assert table.parent == expected.parent
+    assert table.unreachable == expected.unreachable
+    # repr shows every bit of each received power
+    assert repr(table.received_power) == repr(expected.received_power)
+
+
+def test_parent_search_skips_budgets_the_loss_bound_rules_out(monkeypatch):
+    doc = two_node_doc()
+    doc["nodes"].append({
+        "id": 2, "role": "end_device", "position": {"x": 500.0, "y": 0.0},
+        "sample_period_s": 120.0,
+        "sensors": [{"kind": "displacement", "signal": {"shape": "constant", "level": 0.0}}]})
+    config = make_config(doc)
+    budgeted = []
+    real_link_budget = protocol.link_budget
+
+    def counting_link_budget(config, a, b, table):
+        budgeted.append((a, b))
+        return real_link_budget(config, a, b, table)
+
+    monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
+    table = build_parent_table(config)
+    assert table.parent == {0: None, 1: 0}
+    assert table.unreachable == (2,)
+    assert budgeted == [(0, 1)]  # 500 m away: free-space loss alone is too much
+
+
+def test_a_negative_obstacle_loss_turns_the_loss_bound_off():
+    # unvalidated: a wall with a 100 dB gain brings a 500 m link into range,
+    # which a bound of free-space loss alone would have ruled out
+    doc = two_node_doc(ed_position={"x": 500.0, "y": 0.0})
+    doc["obstacles"] = [{"kind": "brick_wall", "from": {"x": 250.0, "y": -1.0},
+                         "to": {"x": 250.0, "y": 1.0}, "attenuation_db": -100.0}]
+    table = build_parent_table(make_config(doc))
+    assert table.parent == {0: None, 1: 0}
+    assert table.received_power[1] == pytest.approx(3.0 + 100.0 - free_space_loss(500.0))
+
+
+def test_zero_distance_pair_still_raises(three_node_config):
+    nodes = list(three_node_config.nodes)
+    nodes[1] = dataclasses.replace(nodes[1], position=nodes[0].position)
+    three_node_config.nodes = tuple(nodes)
+    with pytest.raises(NonPositiveDistanceError, match="got 0.0"):
+        build_parent_table(three_node_config)

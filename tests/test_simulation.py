@@ -78,6 +78,26 @@ def test_run_until_can_be_resumed(three_node_config):
         staged.run_until(100.0)
 
 
+@pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), float("nan")])
+def test_run_until_rejects_a_horizon_that_is_not_finite(three_node_config, horizon):
+    sim = Simulation(three_node_config)
+    sim.run_until(100.0)
+    with pytest.raises(ValueError, match="horizon must be a finite number of seconds"):
+        sim.run_until(horizon)
+    assert sim.now == ticks_from_seconds(100.0)
+    assert sim.run_until(7200.0) == Simulation(three_node_config).run_until(7200.0)
+
+
+def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
+    doc = two_node_doc()
+    doc["nodes"][1]["sensors"] = []
+    stats = Simulation(make_config(doc)).run_until(600.0)
+    assert stats.rounds[1]["completed"] == 0
+    assert stats.rounds[1]["aborted"] > 0
+    assert stats.errors_seen["no_sensor"] > 0
+    assert stats.samples_per_node == {}
+
+
 def test_stepping_visits_the_same_events_as_run_until(three_node_config):
     reference = Simulation(three_node_config, trace=True)
     reference.run_until(7200.0)
