@@ -214,6 +214,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def _repl_status(sim: Simulation) -> str:
+    stats = sim.stats()
     lines = [f"clock {sim.now / 1e6:.6f} s, {sim.events_processed} events processed,"
              f" {len(sim.queue)} pending"]
     for node_id, runtime in sim.runtimes.items():
@@ -223,10 +224,10 @@ def _repl_status(sim: Simulation) -> str:
             state = runtime.device_state
             assert state is not None
             parts.append(f"phase={state.phase.value}")
-            ledger = runtime.ledger
-            if ledger.battery_capacity_mah is not None:
-                parts.append(f"battery={ledger.battery_remaining_mah:.3f}"
-                             f"/{ledger.battery_capacity_mah:.1f} mAh")
+            energy = stats.energy[node_id]
+            if energy.battery_capacity_mah is not None:
+                parts.append(f"battery={energy.remaining_mah:.3f}"
+                             f"/{energy.battery_capacity_mah:.1f} mAh")
             parts.append(f"period={state.sample_period_s} s")
             if state.pending_period_s is not None:
                 parts.append(f"pending={state.pending_period_s} s")

@@ -41,8 +41,11 @@ class EventKind(Enum):
 
 @dataclass(slots=True)
 class SimEvent:
-    """A scheduled occurrence. (at, seq) is unique; seq is the insertion counter,
-    so simultaneous events execute in scheduling order."""
+    """A scheduled occurrence. seq is the insertion counter; events of one
+    tick execute in scheduling order unless scheduled with an explicit order.
+
+    made_at is the clock when the event was scheduled. cause is the event
+    whose handling scheduled it, when the caller records one."""
 
     at: Ticks
     seq: int
@@ -50,6 +53,8 @@ class SimEvent:
     node: int | None = None
     payload: object = None
     cancelled: bool = False
+    made_at: Ticks = 0
+    cause: "SimEvent | None" = None
 
 
 class SchedulingInPastError(ValueError):
@@ -57,28 +62,43 @@ class SchedulingInPastError(ValueError):
 
 
 class EventQueue:
-    """Min-heap of SimEvents ordered by (at, seq), with tombstone cancellation."""
+    """Min-heap of SimEvents ordered by (at, order), with tombstone cancellation.
+
+    An event's order is its seq unless schedule() was given one: a number that
+    places the event among those of its tick. Equal orders run by seq.
+    """
 
     def __init__(self, start: Ticks = 0) -> None:
         self.now: Ticks = start
-        self._heap: list[tuple[Ticks, int, SimEvent]] = []
+        self._heap: list[tuple[Ticks, float, int, SimEvent]] = []
         self._next_seq = 0
         self._pending = 0
 
     def __len__(self) -> int:
         return self._pending
 
+    @property
+    def next_seq(self) -> int:
+        """The seq, and default order, of the next event to be scheduled."""
+        return self._next_seq
+
     def schedule(self, at: Ticks, kind: EventKind, node: int | None = None,
-                 payload: object = None) -> SimEvent:
+                 payload: object = None, *, order: float | None = None) -> SimEvent:
         """Schedule an event and return a handle usable with cancel()."""
         if at < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule {kind.value} at {at} ticks; clock is {self.now}")
-        event = SimEvent(at=at, seq=self._next_seq, kind=kind, node=node, payload=payload)
+        event = SimEvent(at=at, seq=self._next_seq, kind=kind, node=node, payload=payload,
+                         made_at=self.now)
         self._next_seq += 1
         self._pending += 1
-        heapq.heappush(self._heap, (at, event.seq, event))
+        heapq.heappush(self._heap, (at, event.seq if order is None else order, event.seq, event))
         return event
+
+    def orders_at(self, at: Ticks) -> list[tuple[float, SimEvent]]:
+        """(order, event) of every live event due at tick `at`, in order."""
+        return [(order, event) for _, order, _, event in sorted(
+            entry for entry in self._heap if entry[0] == at and not entry[3].cancelled)]
 
     def cancel(self, event: SimEvent) -> None:
         """Mark an event so it never executes. Cancelling twice is a no-op."""
@@ -88,13 +108,13 @@ class EventQueue:
 
     def peek_time(self) -> Ticks | None:
         """Time of the earliest pending event, or None when the queue is empty."""
-        while self._heap and self._heap[0][2].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def pending(self) -> Iterator[SimEvent]:
         """Live (uncancelled) events, in no particular order."""
-        return (event for _, _, event in self._heap if not event.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def pop_due(self, limit: Ticks) -> SimEvent | None:
         """Pop the earliest pending event with at <= limit, advancing the clock.
@@ -102,7 +122,7 @@ class EventQueue:
         Returns None (clock untouched) when nothing is due.
         """
         while self._heap and self._heap[0][0] <= limit:
-            _, _, event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._pending -= 1
@@ -113,7 +133,7 @@ class EventQueue:
     def pop_next(self) -> SimEvent | None:
         """Pop the earliest pending event regardless of time (single-step use)."""
         while self._heap:
-            _, _, event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._pending -= 1

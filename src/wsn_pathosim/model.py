@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+from .engine import ticks_from_seconds
 from .power import ConsumptionProfile
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Signal, Sinusoid
 
@@ -697,9 +698,14 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if node.radio.bitrate_bps <= 0:
             violations.append(Violation(rule="bitrate must be > 0",
                                         node=prefix, field="radio.bitrate_bps"))
-        if node.radio.poll_period_s <= 0:
+        if not node.radio.poll_period_s > 0:
             violations.append(Violation(rule="poll period must be > 0",
                                         node=prefix, field="radio.poll_period_s"))
+        elif math.isfinite(node.radio.poll_period_s) and ticks_from_seconds(
+                node.radio.poll_period_s) == 0:
+            violations.append(Violation(
+                rule="poll period must round to at least one 1 us tick", node=prefix,
+                field="radio.poll_period_s", message=f"{node.radio.poll_period_s} s"))
         if not math.isfinite(node.radio.tx_power_dbm):
             violations.append(Violation(rule="tx power must be finite",
                                         node=prefix, field="radio.tx_power_dbm"))
@@ -716,6 +722,13 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                     rule="sample period must be >= poll period", node=prefix,
                     field="sample_period_s",
                     message=f"{node.sample_period_s} < {node.radio.poll_period_s}"))
+            window_s, poll_s = config.poll_wake_duration_s, node.radio.poll_period_s
+            if (math.isfinite(window_s) and math.isfinite(poll_s) and poll_s > 0
+                    and 0 < ticks_from_seconds(poll_s) <= ticks_from_seconds(window_s)):
+                violations.append(Violation(
+                    rule="poll wake duration must be shorter than the poll period",
+                    node=prefix, field="poll_wake_duration_s",
+                    message=f"{config.poll_wake_duration_s} >= {node.radio.poll_period_s}"))
         else:
             if node.battery is not None:
                 violations.append(Violation(rule="coordinator/router are mains powered (no battery)",

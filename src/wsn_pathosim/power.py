@@ -8,8 +8,10 @@ duration x current) holds by construction.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 from .engine import Ticks, ticks_from_seconds
@@ -40,6 +42,12 @@ class ConsumptionProfile:
         if state is PowerState.TRANSMITTING:
             return self.transmitting_ma
         return 0.0
+
+    @cached_property
+    def currents(self) -> dict[PowerState, float]:
+        """current_ma of every state, computed once per profile and shared
+        by the ledgers that use it."""
+        return {state: self.current_ma(state) for state in PowerState}
 
 
 class NonPositivePeriodError(ValueError):
@@ -88,7 +96,13 @@ def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[flo
 
     Polls land at k x poll_period for k >= 1; every multiplier-th poll is also
     an external wake. t = 0 is not a wake. External wakes are a subset of the
-    poll wakes by construction.
+    poll wakes by construction; the simulator keeps that true in ticks by
+    waking every multiplier x (poll period in ticks).
+
+    The simulator runs this grid without an event per poll: a poll that finds
+    nothing buffered for the sleeping device, or the device awake, only books
+    energy, and PowerLedger books it in closed form. Such polls leave no trace
+    line; the run report counts them as poll_wakes_elided.
     """
     polls: list[float] = []
     externals: list[float] = []
@@ -133,15 +147,24 @@ class PowerLedger:
 
     The ledger has its own time cursor. advance() integrates the present state
     up to a later tick; charge_slice() books a transient excursion (a frame's
-    airtime, a poll window) without disturbing the base state. Overlapping
-    excursions serialize: a slice starting before the cursor is shifted to it,
-    which keeps every microsecond single-counted. A slice books its whole span
-    at once, so the cursor may run a little ahead of the event clock when an
-    excursion straddles a run horizon.
+    airtime) without disturbing the base state. Overlapping excursions
+    serialize: a slice starting before the cursor is shifted to it, which keeps
+    every microsecond single-counted. A slice books its whole span at once, so
+    the cursor may run a little ahead of the event clock when an excursion
+    straddles a run horizon.
+
+    An End Device's ledger also carries its poll grid: ticks k x poll_ticks
+    for k >= 1, where the radio wakes for poll_window ticks to ask its parent
+    for buffered frames. Every advance books the grid polls it crosses, in
+    closed form, exactly as if each had been its own call at its own tick:
+    the span up to the poll is integrated on its own (that split is where a
+    death would be found), and a poll made while the base state is SLEEPING
+    adds a poll_window slice of AWAKE_IDLE. `polls` counts the grid polls
+    booked while the battery was alive.
 
     Mains-powered nodes pass battery capacity None and simply accumulate
     consumption. Battery nodes die the exact tick their charge crosses zero;
-    from then on the state is DEAD and nothing accrues.
+    from then on the state is DEAD and nothing accrues, polls included.
     """
 
     profile: ConsumptionProfile
@@ -151,11 +174,23 @@ class PowerLedger:
     cursor: Ticks = 0
     dead_at: Ticks | None = None
     durations: dict[PowerState, int] = field(default_factory=dict)
+    poll_ticks: Ticks = 0
+    poll_window: Ticks = 0
+    next_poll: Ticks | None = None
+    polls: int = 0
 
     def __post_init__(self) -> None:
         if self.battery_capacity_mah is not None and self.battery_remaining_mah is None:
             self.battery_remaining_mah = self.battery_capacity_mah
         self._initial_remaining_mah = self.battery_remaining_mah
+        self._current = self.profile.currents
+        if self.poll_ticks:
+            if not 0 <= self.poll_window < self.poll_ticks:
+                raise ValueError(f"poll window {self.poll_window} must fit in the poll period "
+                                 f"{self.poll_ticks}")
+            if self.next_poll is None:
+                # first positive multiple of the period at or after the cursor
+                self.next_poll = max(1, -(-self.cursor // self.poll_ticks)) * self.poll_ticks
 
     @property
     def is_dead(self) -> bool:
@@ -164,18 +199,83 @@ class PowerLedger:
     @property
     def consumed_mah(self) -> float:
         """Derived from the per-state tick totals; never accumulated separately."""
-        return sum(self.profile.current_ma(state) * ticks / TICKS_PER_HOUR
-                   for state, ticks in self.durations.items())
+        return _consumed(self._current, self.durations)
 
     def duration_ticks(self, state: PowerState) -> int:
         return self.durations.get(state, 0)
 
     def advance(self, now: Ticks) -> None:
-        """Integrate the current state up to `now` (no-op if now <= cursor)."""
+        """Book the grid polls before `now`, then integrate the current state
+        up to `now` (no-op if now <= cursor)."""
+        if self.next_poll is not None and self.next_poll < now:
+            self.book_polls(now)
+        self._integrate(now)
+
+    def poll(self, now: Ticks) -> bool:
+        """advance(now), and book the grid poll at `now` too if it is the next
+        one. True when that poll found the battery alive."""
+        self.advance(now)
+        if self.next_poll != now:
+            return False
+        return self._poll_step(now)
+
+    def book_polls(self, before: Ticks) -> None:
+        """Book every grid poll at a tick < `before` that is not booked yet,
+        leaving the cursor at the last of them."""
+        while self.next_poll is not None and self.next_poll < before and self.dead_at is None:
+            count = (before - 1 - self.next_poll) // self.poll_ticks + 1
+            if count < 2 or not self._book_cycles(count):
+                self._poll_step(self.next_poll)
+
+    def death_poll(self, until: Ticks) -> Ticks | None:
+        """Grid tick (at most `until`) of the poll that would find the battery
+        empty if the ledger were left alone until then, or None.
+
+        A lower bound on the death tick, with every state drawing the largest
+        current, answers most calls without booking anything: a poll finds a
+        death at or after it, or one inside its window, and when no window
+        is shifted by the cursor a window ends poll_window ticks after its
+        poll."""
+        remaining = self.battery_remaining_mah
+        if self.dead_at is not None or self.next_poll is None or remaining is None:
+            return None
+        top = max(self._current.values())
+        if top <= 0:
+            return None
+        if self.next_poll >= self.cursor:
+            margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
+            reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
+            if reach - 3 > until + self.poll_window - self.cursor:
+                return None
+        trial = copy.copy(self)
+        trial.durations = dict(self.durations)
+        trial.book_polls(until + 1)
+        if trial.dead_at is None:
+            return None
+        return trial.next_poll - self.poll_ticks
+
+    def set_state(self, state: PowerState, now: Ticks) -> None:
+        """Integrate up to `now`, then switch the base state."""
+        self.advance(now)
+        if not self.is_dead:
+            self.state = state
+
+    def charge_slice(self, state: PowerState, duration: Ticks, now: Ticks) -> None:
+        """Book a transient excursion of `duration` starting at `now` (or at
+        the cursor, if later), returning to the current base state after."""
+        self.advance(now)
+        base = self.state
+        if not self.is_dead:
+            self.state = state
+        self._integrate(self.cursor + duration)
+        if not self.is_dead:
+            self.state = base
+
+    def _integrate(self, now: Ticks) -> None:
         if now <= self.cursor:
             return
         span = now - self.cursor
-        current = self.profile.current_ma(self.state)
+        current = self._current[self.state]
         if self.battery_remaining_mah is not None and current > 0:
             demand = current * span / TICKS_PER_HOUR
             if demand >= self.battery_remaining_mah:
@@ -198,18 +298,78 @@ class PowerLedger:
         self._book(self.state, span)
         self.cursor = now
 
-    def set_state(self, state: PowerState, now: Ticks) -> None:
-        """Integrate up to `now`, then switch the base state."""
-        self.advance(now)
-        if not self.is_dead:
-            self.state = state
+    def _poll_step(self, tick: Ticks) -> bool:
+        """One grid poll: the span up to it, then its window if asleep."""
+        self._integrate(tick)
+        self.next_poll = tick + self.poll_ticks
+        if self.dead_at is not None:
+            return False
+        self.polls += 1
+        if self.state is PowerState.SLEEPING and self.poll_window:
+            self.state = PowerState.AWAKE_IDLE
+            self._integrate(self.cursor + self.poll_window)
+            if self.dead_at is None:
+                self.state = PowerState.SLEEPING
+        return True
 
-    def charge_slice(self, state: PowerState, duration: Ticks, now: Ticks) -> None:
-        """Book a transient excursion of `duration` starting at `now` (or at
-        the cursor, if later), returning to the current base state after."""
+    def _book_cycles(self, count: int) -> bool:
+        """Book up to `count` grid polls from next_poll at once, as many as
+        surely find the battery alive; False when none could be.
+
+        Each poll is one cycle: the base state up to the poll, then the window
+        if the base state is SLEEPING. Tick totals are integers, so adding k
+        cycles gives the totals of k separate calls, and the remaining charge
+        re-derived from them has the same bits. The battery cannot run out in
+        any of the k cycles when even the largest single span's demand stays
+        below the charge left after all of them: consumed_mah never decreases
+        as tick totals grow.
+        """
+        first = self.next_poll
         base = self.state
-        self.set_state(state, max(now, self.cursor))
-        self.set_state(base, self.cursor + duration)
+        window = self.poll_window if base is PowerState.SLEEPING else 0
+        if self.cursor > first or base not in self.durations or (
+                window and PowerState.AWAKE_IDLE not in self.durations):
+            return False  # shifted window or a first booking: step, keeping key order
+        base_ma = self._current[base]
+        window_ma = self._current[PowerState.AWAKE_IDLE]
+        if base_ma < 0 or window_ma < 0:
+            return False
+        lead = first - self.cursor
+        gap = self.poll_ticks - window
+        remaining = self.battery_remaining_mah
+        # only spans with a positive current are checked for a death
+        demands = [ma * span / TICKS_PER_HOUR for ma, span in
+                   ((base_ma, lead), (base_ma, gap), (window_ma, window)) if ma > 0 and span > 0]
+        demand = max(demands, default=None)
+        cycles = count
+        per_cycle = (base_ma * gap + window_ma * window) / TICKS_PER_HOUR
+        if remaining is not None and demand is not None and per_cycle > 0:
+            room = (remaining - demand) / per_cycle  # cycles until a span could kill
+            if room < count + 2:
+                cycles = math.floor(room) - 2
+        trial: dict[PowerState, int] = {}
+        while cycles >= 1:
+            trial = dict(self.durations)
+            trial[base] += lead + (cycles - 1) * gap
+            if window:
+                trial[PowerState.AWAKE_IDLE] += cycles * window
+            if remaining is None:
+                break
+            left = self._initial_remaining_mah - _consumed(self._current, trial)
+            if demand is None or demand < left:
+                remaining = left
+                break
+            cycles //= 2
+        if cycles < 1:
+            return False
+        self.durations.update(trial)
+        if remaining is not None:
+            self.battery_remaining_mah = remaining
+        last = first + (cycles - 1) * self.poll_ticks
+        self.cursor = last + window
+        self.next_poll = last + self.poll_ticks
+        self.polls += cycles
+        return True
 
     def _book(self, state: PowerState, span: Ticks) -> None:
         if span > 0:
@@ -221,3 +381,8 @@ class PowerLedger:
             return 0.0
         drawn = self.battery_capacity_mah - self.battery_remaining_mah
         return abs(drawn - self.consumed_mah)
+
+
+def _consumed(currents: dict[PowerState, float], durations: dict[PowerState, int]) -> float:
+    """Charge (mAh) drawn over the tick totals, summed in the dict's order."""
+    return sum(currents[state] * ticks / TICKS_PER_HOUR for state, ticks in durations.items())

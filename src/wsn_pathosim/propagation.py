@@ -37,7 +37,8 @@ class EmptyChannelMapError(ValueError):
 @dataclass(frozen=True)
 class PathLossTable:
     """Distance/attenuation anchors (m, dB): strictly increasing distances,
-    non-decreasing attenuations."""
+    non-decreasing attenuations. The log10 of every anchor distance and the
+    slope of the last segment are computed once, here."""
 
     anchors: tuple[tuple[float, float], ...] = DEFAULT_PATH_LOSS_ANCHORS
 
@@ -51,6 +52,11 @@ class PathLossTable:
                 raise ValueError(f"anchor attenuations must not decrease: {a1} then {a2}")
         if self.anchors[0][0] <= 0:
             raise ValueError("anchor distances must be positive")
+        xs = tuple(math.log10(d) for d, _ in self.anchors)
+        ys = tuple(a for _, a in self.anchors)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_end_slope", (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
 
 
 DEFAULT_PATH_LOSS_TABLE = PathLossTable()
@@ -69,11 +75,9 @@ def free_space_loss(distance_m: float, table: PathLossTable = DEFAULT_PATH_LOSS_
     if distance_m <= anchors[0][0]:
         return anchors[0][1]
     x = math.log10(distance_m)
-    xs = [math.log10(d) for d, _ in anchors]
-    ys = [a for _, a in anchors]
+    xs, ys = table._xs, table._ys
     if x >= xs[-1]:
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        return ys[-1] + slope * (x - xs[-1])
+        return ys[-1] + table._end_slope * (x - xs[-1])
     for i in range(len(xs) - 1):
         if x <= xs[i + 1]:
             t = (x - xs[i]) / (xs[i + 1] - xs[i])

@@ -19,6 +19,7 @@ def build_report(sim: Simulation) -> dict:
         "seed": sim.seed,
         "clock_s": stats.clock_s,
         "events_processed": stats.events_processed,
+        "poll_wakes_elided": stats.poll_wakes_elided,
         "channel": sim.channel,
         "parents": {str(child): parent
                     for child, parent in sorted(sim.parent_table.parent.items())
@@ -73,6 +74,7 @@ def report_text(sim: Simulation) -> str:
     lines.append(f"clock            {report['clock_s']:.3f} s")
     lines.append(f"seed             {report['seed']}")
     lines.append(f"events processed {report['events_processed']}")
+    lines.append(f"polls elided     {report['poll_wakes_elided']}")
     channel = report["channel"]
     lines.append(f"channel          {channel if channel is not None else 'n/a'}")
     lines.append("")

@@ -43,6 +43,12 @@ class InvalidScenarioError(ScenarioError):
 
 @dataclass
 class NodeRuntime:
+    """One node's state. End Devices also carry their poll grid: the poll and
+    external-wake periods in ticks (the latter a whole number of polls),
+    where their polls fall among other polls of the same tick (poll_rank),
+    the tick of the pending external wake, and the one poll that is a real
+    event, if any."""
+
     spec: NodeSpec
     ledger: PowerLedger
     device_state: EndDeviceState | None = None
@@ -51,6 +57,11 @@ class NodeRuntime:
     last_external_wake: Ticks = 0
     rounds_lost: int = 0
     death_logged: bool = False
+    poll_ticks: Ticks = 0
+    period_ticks: Ticks = 0
+    poll_rank: int = 0
+    next_wake: Ticks | None = None
+    real_poll: SimEvent | None = None
 
     @property
     def is_end_device(self) -> bool:
@@ -70,6 +81,7 @@ class NodeEnergy:
 @dataclass
 class RunStats:
     events_processed: int
+    poll_wakes_elided: int
     clock_ticks: Ticks
     frames_sent: int
     frames_delivered: int
@@ -94,7 +106,19 @@ class RunStats:
 
 
 class Simulation:
-    """One runnable world built from a validated scenario."""
+    """One runnable world built from a validated scenario.
+
+    End Devices poll their parents on a fixed grid. A poll that finds the
+    device awake, or asleep with nothing buffered for it, only books energy,
+    so it is no event: each device's ledger books its grid polls in closed
+    form whenever it advances. A poll becomes a real POLL_WAKE event only
+    where it does more: at the first poll after a frame is buffered for a
+    sleeping device, and at the poll that would find its battery empty. Both
+    keep the place among same-tick events that a poll scheduled at the
+    previous grid tick would have had (_poll_first), so a run's results are
+    those of scheduling every poll. poll_wakes_elided counts the polls booked
+    without an event.
+    """
 
     def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
                  trace: bool = False) -> None:
@@ -121,41 +145,50 @@ class Simulation:
         self._coord_seq = 0
         self._budgets: dict[tuple[int, int], LinkBudget] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
+        self._current: SimEvent | None = None  # the event being (or last) stepped
+        self._real_polls = 0
+        self._polls_due: dict[Ticks, list[NodeRuntime]] = {}  # pending real polls by tick
 
+        window = ticks_from_seconds(config.poll_wake_duration_s)
         self.runtimes: dict[int, NodeRuntime] = {}
         for node in config.nodes:
             if node.role is NodeRole.END_DEVICE:
                 assert node.battery is not None and node.sample_period_s is not None
+                poll = ticks_from_seconds(node.radio.poll_period_s)
+                sleep = CyclicSleepConfig.from_periods(node.sample_period_s,
+                                                       node.radio.poll_period_s)
                 ledger = PowerLedger(profile=config.consumption,
                                      state=PowerState.SLEEPING,
                                      battery_capacity_mah=node.battery.capacity_mah,
-                                     battery_remaining_mah=node.battery.remaining_mah)
+                                     battery_remaining_mah=node.battery.remaining_mah,
+                                     poll_ticks=poll, poll_window=window)
                 runtime = NodeRuntime(
                     spec=node, ledger=ledger,
                     device_state=EndDeviceState(node_id=node.id,
                                                 sample_period_s=node.sample_period_s,
                                                 poll_period_s=node.radio.poll_period_s),
                     sensor_rng=RngStream(derive_seed(self.seed, "sensor", node.id)),
-                    sleep=CyclicSleepConfig.from_periods(node.sample_period_s,
-                                                         node.radio.poll_period_s))
+                    sleep=sleep, poll_ticks=poll, period_ticks=sleep.multiplier * poll)
             else:
                 runtime = NodeRuntime(spec=node, ledger=PowerLedger(
                     profile=config.consumption, state=PowerState.AWAKE_IDLE))
             self.runtimes[node.id] = runtime
+        self._devices = [runtime for runtime in self.runtimes.values() if runtime.is_end_device]
+        # Same-tick polls run longest period first, then in node order: each
+        # was scheduled at its own previous grid tick, in that order.
+        for rank, runtime in enumerate(sorted(self._devices, key=lambda rt: -rt.poll_ticks)):
+            runtime.poll_rank = rank
+        self._poll_periods = {runtime.poll_ticks for runtime in self._devices}
 
         self.sessions: dict[int, CoordinatorSession] = {
             device.id: CoordinatorSession(device=device.id)
             for device in config.end_devices()}
 
-        for runtime in self.runtimes.values():
-            if runtime.is_end_device:
-                poll = ticks_from_seconds(runtime.spec.radio.poll_period_s)
-                self.queue.schedule(poll, EventKind.POLL_WAKE, runtime.spec.id)
-        for runtime in self.runtimes.values():
-            if runtime.is_end_device:
-                assert runtime.sleep is not None
-                first = ticks_from_seconds(runtime.sleep.effective_period_s)
-                self.queue.schedule(first, EventKind.EXTERNAL_WAKE, runtime.spec.id)
+        for runtime in self._devices:
+            runtime.next_wake = runtime.period_ticks
+            self.queue.schedule(runtime.period_ticks, EventKind.EXTERNAL_WAKE, runtime.spec.id)
+        for runtime in self._devices:
+            self._plan_poll(runtime)
 
     # ------------------------------------------------------------------
     # Public control
@@ -175,6 +208,7 @@ class Simulation:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")
         while (event := self.queue.pop_due(limit)) is not None:
             self._dispatch(event)
+        self._current = None
         self.queue.now = limit
         self._settle_ledgers(limit)
         return self.stats()
@@ -193,11 +227,17 @@ class Simulation:
             raise UnknownNodeError(f"node {node_id} is not an end device")
         if period_s <= 0 or period_s > 0xFFFFFFFF:
             raise ValueError(f"period must be in 1..2^32-1 s, got {period_s}")
-        self.queue.schedule(self.queue.now, EventKind.COMMAND_INJECTED,
-                            self._coordinator.id,
-                            payload=("set_period", node_id, int(period_s)))
+        self._schedule(self.queue.now, EventKind.COMMAND_INJECTED, self._coordinator.id,
+                       payload=("set_period", node_id, int(period_s)))
+
+    @property
+    def poll_wakes_elided(self) -> int:
+        """Polls booked without an event, up to the current clock."""
+        self._book_passed_polls()
+        return sum(runtime.ledger.polls for runtime in self._devices) - self._real_polls
 
     def stats(self) -> RunStats:
+        elided = self.poll_wakes_elided
         samples: dict[int, int] = {}
         for record in self.records:
             samples[record.node] = samples.get(record.node, 0) + 1
@@ -228,6 +268,7 @@ class Simulation:
         in_flight = sum(1 for event in self.queue.pending()
                         if event.kind is EventKind.FRAME_DELIVERED)
         return RunStats(events_processed=self.events_processed,
+                        poll_wakes_elided=elided,
                         clock_ticks=self.queue.now,
                         frames_sent=self.frames_sent,
                         frames_delivered=self.frames_delivered,
@@ -244,9 +285,15 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: SimEvent) -> None:
+        self._current = event
         now = event.at
-        if event.node is not None and event.node in self.runtimes:
-            runtime = self.runtimes[event.node]
+        if event.kind is EventKind.POLL_WAKE:
+            self._on_poll_wake(event)
+            return
+        runtime = self.runtimes.get(event.node)
+        if runtime is not None:
+            if runtime.poll_ticks:
+                self._book_poll_before(runtime, event)
             self._advance_ledger(runtime, now)
             if runtime.ledger.is_dead:
                 if event.kind is EventKind.FRAME_DELIVERED:
@@ -257,9 +304,7 @@ class Simulation:
         self.events_processed += 1
         self._trace_event(event)
 
-        if event.kind is EventKind.POLL_WAKE:
-            self._on_poll_wake(event.node, now)
-        elif event.kind is EventKind.EXTERNAL_WAKE:
+        if event.kind is EventKind.EXTERNAL_WAKE:
             self._on_external_wake(event.node, now)
         elif event.kind is EventKind.FRAME_DELIVERED:
             frame, rssi = event.payload  # type: ignore[misc]
@@ -281,24 +326,32 @@ class Simulation:
                                  node_id, self._next_coord_seq(),
                                  set_period_payload(period_s))
             self._send_frame(frame, now)
+        if runtime is not None and runtime.poll_ticks:
+            self._plan_poll(runtime)
 
-    def _on_poll_wake(self, node_id: int, now: Ticks) -> None:
+    def _on_poll_wake(self, event: SimEvent) -> None:
+        """A real poll: the battery may be found empty, and frames buffered
+        for a sleeping device are delivered."""
+        node_id, now = event.node, event.at
         runtime = self.runtimes[node_id]
-        poll = ticks_from_seconds(runtime.spec.radio.poll_period_s)
-        self.queue.schedule(now + poll, EventKind.POLL_WAKE, node_id)
-        state = runtime.device_state
-        assert state is not None
-        if state.phase is not DevicePhase.SLEEPING:
-            return  # radio already on; the poll grid just keeps ticking
-        runtime.ledger.charge_slice(
-            PowerState.AWAKE_IDLE,
-            ticks_from_seconds(self.config.poll_wake_duration_s), now)
-        if runtime.ledger.is_dead:
+        self._forget_real_poll(runtime)
+        ledger = runtime.ledger
+        if not ledger.poll(now):
+            assert ledger.is_dead, "a real poll at a tick whose poll is booked"
+            self._note_death(runtime, now)
+            self.dead_skips += 1
+            return
+        self._real_polls += 1
+        self.events_processed += 1
+        self._trace_event(event)
+        if ledger.is_dead:  # ran out inside the poll window
             self._note_death(runtime, now)
             return
+        state = runtime.device_state
+        assert state is not None
         buffer = self.parent_table.buffers.get(node_id)
         parent_id = self.parent_table.parent.get(node_id)
-        while buffer and parent_id is not None:
+        while state.phase is DevicePhase.SLEEPING and buffer and parent_id is not None:
             frame = buffer.popleft()
             parent_rt = self.runtimes[parent_id]
             parent_rt.ledger.charge_slice(
@@ -307,6 +360,7 @@ class Simulation:
             self.frames_delivered += 1
             self._trace_action("deliver", node_id, f"{frame.summary()} rssi={rssi!r}", now)
             self._on_frame(node_id, frame, rssi, now)
+        self._plan_poll(runtime)
 
     def _on_external_wake(self, node_id: int, now: Ticks) -> None:
         runtime = self.runtimes[node_id]
@@ -363,8 +417,8 @@ class Simulation:
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
         elif state.phase is not DevicePhase.SLEEPING and state.guard_until is not None:
-            self.queue.schedule(state.guard_until, EventKind.TIMER_FIRED,
-                                runtime.spec.id, payload=("guard", state.guard_until))
+            self._schedule(state.guard_until, EventKind.TIMER_FIRED,
+                           runtime.spec.id, payload=("guard", state.guard_until))
 
     def _on_device_round_end(self, runtime: NodeRuntime, result: DeviceStepResult,
                              now: Ticks) -> None:
@@ -375,16 +429,17 @@ class Simulation:
             assert runtime.sleep is not None
             runtime.sleep = CyclicSleepConfig.from_periods(
                 result.applied_period_s, runtime.sleep.poll_period_s)
+            runtime.period_ticks = runtime.sleep.multiplier * runtime.poll_ticks
             self._trace_action(
                 "period", runtime.spec.id,
                 f"effective_s={runtime.sleep.effective_period_s!r}"
                 f" multiplier={runtime.sleep.multiplier}", now)
-        assert runtime.sleep is not None
-        effective = ticks_from_seconds(runtime.sleep.effective_period_s)
+        effective = runtime.period_ticks
         next_wake = runtime.last_external_wake + effective
         while next_wake <= now:
             next_wake += effective
-        self.queue.schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id)
+        runtime.next_wake = next_wake
+        self._schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id)
 
     def _coordinator_stimulus(self, device_id: int, stimulus, now: Ticks) -> None:
         session = self.sessions.get(device_id)
@@ -406,13 +461,13 @@ class Simulation:
         for frame in result.frames:
             self._send_frame(frame, now)
         if result.warmup_delay_s is not None:
-            self.queue.schedule(now + ticks_from_seconds(result.warmup_delay_s),
-                                EventKind.WARMUP_DONE, self._coordinator.id,
-                                payload=(session.device, session.round_no))
+            self._schedule(now + ticks_from_seconds(result.warmup_delay_s),
+                           EventKind.WARMUP_DONE, self._coordinator.id,
+                           payload=(session.device, session.round_no))
         if result.arm_timeout_s is not None:
-            self.queue.schedule(now + ticks_from_seconds(result.arm_timeout_s),
-                                EventKind.TIMEOUT, self._coordinator.id,
-                                payload=(session.device, session.round_no, session.attempt))
+            self._schedule(now + ticks_from_seconds(result.arm_timeout_s),
+                           EventKind.TIMEOUT, self._coordinator.id,
+                           payload=(session.device, session.round_no, session.attempt))
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -456,10 +511,11 @@ class Simulation:
             buffer.append(frame)
             self._trace_action("buffer", frame.dst,
                                f"{frame.summary()} at_parent={parent_id}", now)
+            self._plan_poll(destination)
             return
         rssi = self._rssi(route[-2], frame.dst)
-        self.queue.schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
-                            payload=(frame, rssi))
+        self._schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
+                       payload=(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
         self.frames_dropped[reason] = self.frames_dropped.get(reason, 0) + 1
@@ -500,6 +556,7 @@ class Simulation:
         if runtime.death_logged:
             return
         runtime.death_logged = True
+        self._set_real_poll(runtime, None)
         dead_at = runtime.ledger.dead_at
         self._trace_action("death", runtime.spec.id, f"dead_at={dead_at}", now)
         logger.info("node %d battery exhausted at %s ticks", runtime.spec.id, dead_at)
@@ -509,7 +566,147 @@ class Simulation:
 
     def _settle_ledgers(self, limit: Ticks) -> None:
         for runtime in self.runtimes.values():
+            if runtime.poll_ticks:
+                runtime.ledger.poll(limit)  # every poll up to the horizon has run
             self._advance_ledger(runtime, limit)
+        # the split at the horizon moves where a later death is found
+        for runtime in self._devices:
+            self._plan_poll(runtime)
+
+    # ------------------------------------------------------------------
+    # Poll grid
+    # ------------------------------------------------------------------
+
+    def _schedule(self, at: Ticks, kind: EventKind, node: int,
+                  payload: object = None) -> SimEvent:
+        """Schedule an event, recording its cause when it falls one poll
+        period after it was scheduled (the only case _poll_first reads it)."""
+        event = self.queue.schedule(at, kind, node, payload)
+        if at - self.queue.now in self._poll_periods:
+            event.cause = self._current
+        # A real poll placed before its device's previous poll ran can meet
+        # events scheduled after it that still run first. Those polls move to
+        # just after this event: every event of the tick scheduled earlier
+        # runs before them too, and the polls keep their own rank order.
+        late = sorted((runtime for runtime in self._polls_due.get(at, ())
+                       if not self._poll_first(runtime, at, event)),
+                      key=lambda runtime: runtime.poll_rank)
+        for i, runtime in enumerate(late):
+            self.queue.cancel(runtime.real_poll)
+            runtime.real_poll = self.queue.schedule(at, EventKind.POLL_WAKE, runtime.spec.id,
+                                                    order=event.seq + 1 - 0.5 ** (i + 1))
+        return event
+
+    def _poll_first(self, runtime: NodeRuntime, tick: Ticks, event: SimEvent) -> bool:
+        """Whether the device's poll at grid tick `tick` runs before `event`,
+        due at the same tick, had every poll been an event.
+
+        A poll is scheduled while the poll one period earlier runs, so it
+        runs first exactly when `event` was scheduled after that earlier
+        poll: later in time, or at the same tick by an event the earlier
+        poll ran before. The first poll was scheduled before anything else.
+        Polls of one tick run in poll_rank order.
+        """
+        period = runtime.poll_ticks
+        while True:
+            if event.kind is EventKind.POLL_WAKE:
+                other = self.runtimes[event.node]
+                return other is runtime or runtime.poll_rank < other.poll_rank
+            if tick == period:
+                return True
+            previous = tick - period
+            if event.made_at != previous:
+                return event.made_at > previous
+            if event.cause is None:
+                return True  # scheduled between steps, after every event of that tick
+            event, tick = event.cause, previous
+
+    def _poll_passed(self, runtime: NodeRuntime) -> bool:
+        """Whether the device's poll at the current clock tick, if it has one
+        there, has already run (or been booked)."""
+        now = self.queue.now
+        if runtime.real_poll is not None and runtime.real_poll.at == now:
+            return False
+        if runtime.ledger.next_poll > now:
+            return True
+        return self._current is None or self._poll_first(runtime, now, self._current)
+
+    def _book_poll_before(self, runtime: NodeRuntime, event: SimEvent) -> None:
+        """Book the device's poll at the event's tick when it runs first."""
+        now = event.at
+        ledger = runtime.ledger
+        if (now % runtime.poll_ticks == 0 and ledger.next_poll <= now and not ledger.is_dead
+                and not (runtime.real_poll is not None and runtime.real_poll.at == now)
+                and self._poll_first(runtime, now, event)):
+            ledger.poll(now)
+
+    def _book_passed_polls(self) -> None:
+        """Book every poll that has run by the current clock. This changes no
+        result: a ledger books its polls the same whenever it is asked to."""
+        now = self.queue.now
+        for runtime in self._devices:
+            before = now + 1 if self._poll_passed(runtime) else now
+            if runtime.real_poll is not None:
+                before = min(before, runtime.real_poll.at)
+            runtime.ledger.book_polls(before)
+
+    def _plan_poll(self, runtime: NodeRuntime) -> None:
+        """Keep the device's real poll at the first poll that does more than
+        book energy, up to the device's next own event (which plans again):
+        the poll that finds its battery empty, or the first poll from now on
+        while a frame waits for the sleeping device."""
+        ledger = runtime.ledger
+        state = runtime.device_state
+        assert state is not None
+        if runtime.death_logged:
+            due = None
+        elif ledger.is_dead:  # ran out inside a slice booked ahead of the clock
+            due = self._next_poll_tick(runtime)
+        else:
+            sleeping = state.phase is DevicePhase.SLEEPING
+            due = (self._next_poll_tick(runtime)
+                   if sleeping and self.parent_table.buffers.get(runtime.spec.id) else None)
+            checkpoint = runtime.next_wake if sleeping else state.guard_until
+            assert checkpoint is not None
+            death = ledger.death_poll(checkpoint)
+            if death is not None and (due is None or death < due):
+                due = death
+        self._set_real_poll(runtime, due)
+
+    def _next_poll_tick(self, runtime: NodeRuntime) -> Ticks:
+        """Tick of the device's first poll that has not run yet."""
+        now, period = self.queue.now, runtime.poll_ticks
+        tick = max(period, -(-now // period) * period)
+        return tick + period if tick == now and self._poll_passed(runtime) else tick
+
+    def _set_real_poll(self, runtime: NodeRuntime, due: Ticks | None) -> None:
+        old = runtime.real_poll
+        if old is not None:
+            if old.at == due:
+                return
+            self.queue.cancel(old)
+            self._forget_real_poll(runtime)
+        if due is None:
+            return
+        # Place it among the events of its tick as _poll_first orders them.
+        low, high = None, self.queue.next_seq
+        for order, event in self.queue.orders_at(due):
+            if self._poll_first(runtime, due, event):
+                high = order
+                break
+            low = order
+        runtime.real_poll = self.queue.schedule(
+            due, EventKind.POLL_WAKE, runtime.spec.id,
+            order=high - 0.5 if low is None else (low + high) / 2)
+        self._polls_due.setdefault(due, []).append(runtime)
+
+    def _forget_real_poll(self, runtime: NodeRuntime) -> None:
+        at = runtime.real_poll.at
+        waiting = self._polls_due[at]
+        waiting.remove(runtime)
+        if not waiting:
+            del self._polls_due[at]
+        runtime.real_poll = None
 
     # ------------------------------------------------------------------
     # Trace

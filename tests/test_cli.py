@@ -123,6 +123,27 @@ def test_invalid_scenario_reports_violations(tmp_path, capsys):
     assert "node 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radio, defaults", [
+    ({"poll_period_s": 1e-7}, {}),               # rounds to 0 ticks
+    ({}, {"poll_wake_duration_s": 28.0}),         # windows overlap
+])
+def test_run_refuses_a_scenario_that_would_stall_the_clock(tmp_path, radio, defaults):
+    doc = two_node_doc(sample_period_s=120.0, defaults=defaults)
+    doc["nodes"][1]["radio"] = radio
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(doc))
+    package_root = Path(wsn_pathosim.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "wsn_pathosim", "run", "--scenario", str(path),
+         "--until", "60", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={"PATH": "/usr/local/bin:/usr/bin:/bin", "PYTHONPATH": str(package_root)})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: node 1.")
+
+
 def test_lifetime_matches_the_closed_form(capsys):
     code = main(["lifetime", "--scenario", LIFETIME, "--node", "1",
                  "--active-s", "5", "--json"])
@@ -169,7 +190,8 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert "commands: step" in out
-    assert "t=28.000000 s poll_wake node=2" in out
+    # no-op polls are not events: the first step is the first external wake
+    assert "t=1792.000000 s external_wake node=2" in out
     assert "clock 2000.000000 s" in out
     assert "queued set-period 600 s for node 2" in out
     assert "pending=600.0 s" in out       # delivered at the 2016 s poll

@@ -1,0 +1,207 @@
+"""Golden outputs: the simulated results of fixed runs, pinned by digest.
+
+Each case is digested three ways:
+  * report.json without its event counters (events_processed and
+    poll_wakes_elided), so a change may alter how much work a run does but
+    not what it finds;
+  * samples.csv, byte for byte;
+  * trace.tsv without the seq column and without poll_wake lines: a no-op
+    poll is booked in closed form and leaves no line, and seq numbers count
+    scheduled events, so both vary with the work done while every remaining
+    line, and the order of the lines, must not.
+
+The digests and event totals were recorded before poll fast-forward, when
+every poll was an event, so events_processed + poll_wakes_elided must equal
+the recorded events_processed.
+
+The cases: the shipped scenarios, 20 seeds of random_scenario_doc, small
+batteries that die, several inside a poll window, while SET_PERIOD frames
+wait at their parents, and "aligned" scenarios whose airtime, warm-up and
+timeouts are whole seconds on 1-3 s poll grids, so that events of every kind
+fall on poll ticks and their order against the poll matters.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from conftest import SCENARIO_DIR, make_config, random_scenario_doc
+from wsn_pathosim.report import report_json, samples_csv
+from wsn_pathosim.simulation import Simulation
+
+EVENT_COUNTERS = ("events_processed", "poll_wakes_elided")
+SHIPPED = {"three_node_building": ("three_node_building", 86400.0),
+           "three_node_router_off": ("three_node_router_off", 86400.0),
+           "lifetime_single_hop": ("lifetime_single_hop", 86400.0),
+           "lifetime_single_hop_to_death": ("lifetime_single_hop", 190000.0)}
+DRAIN_POLLS_S = (10.0, 10.0, 7.0, 13.0, 10.0, 7.0)
+DRAIN_BASES_MAH = (0.30, 0.35, 0.36, 0.42)
+
+
+def drain_doc(base_mah: float) -> dict:
+    """A coordinator, a router and six end devices whose batteries (base_mah
+    plus 0.037 mAh per device) empty within about 80 s; 1.5 s poll windows
+    make a death inside a window likely."""
+    nodes = [{"id": 0, "role": "coordinator", "position": {"x": 0.0, "y": 0.0}},
+             {"id": 1, "role": "router", "position": {"x": 6.0, "y": 0.0}}]
+    for i, poll in enumerate(DRAIN_POLLS_S):
+        nodes.append({"id": i + 2, "role": "end_device",
+                      "position": {"x": 2.0 + 1.5 * i, "y": 1.0 + 0.5 * i},
+                      "radio": {"poll_period_s": poll}, "sample_period_s": poll * 3,
+                      "battery": {"capacity_mah": round(base_mah + 0.037 * i, 4)},
+                      "sensors": [{"kind": "displacement",
+                                   "signal": {"shape": "constant", "level": 1.0}}]})
+    return {"seed": 5, "channels": {},
+            "defaults": {"sensitivity_dbm": -60.0, "shadowing_sigma_db": 1.0,
+                         "warmup_delay_s": 2.0, "response_timeout_s": 1.5,
+                         "max_retries": 1, "poll_wake_duration_s": 1.5},
+            "nodes": nodes, "obstacles": []}
+
+
+def aligned_doc(seed: int) -> dict:
+    """Whole-second timing on small poll grids, small batteries and a
+    mains-powered router, all drawn from one seed."""
+    rng = random.Random(seed)
+    nodes = [{"id": 0, "role": "coordinator", "position": {"x": 0.0, "y": 0.0}},
+             {"id": 1, "role": "router", "position": {"x": 5.0, "y": 0.0}}]
+    for node in range(2, 2 + rng.randint(2, 5)):
+        poll = float(rng.choice((1, 2, 2, 3)))
+        nodes.append({"id": node, "role": "end_device",
+                      "position": {"x": rng.choice((2.0, 7.0, 9.0)), "y": float(node)},
+                      "radio": {"poll_period_s": poll},
+                      "sample_period_s": poll * rng.randint(1, 4),
+                      "battery": {"capacity_mah": round(rng.uniform(0.3, 3.0), 3)},
+                      "sensors": [{"kind": rng.choice(("displacement", "strain_gauge")),
+                                   "heat_duration_s": 2.0,
+                                   "signal": {"shape": "constant", "level": 1.0}}]})
+        if nodes[-1]["sensors"][0]["kind"] == "displacement":
+            del nodes[-1]["sensors"][0]["heat_duration_s"]
+    return {"seed": seed, "channels": {},
+            "defaults": {"sensitivity_dbm": -45.0, "shadowing_sigma_db": 0.5,
+                         "tx_airtime_s": float(rng.choice((1, 2))),
+                         "warmup_delay_s": float(rng.choice((0, 2, 4))),
+                         "response_timeout_s": float(rng.choice((1, 2, 3))),
+                         "max_retries": rng.randint(0, 2),
+                         "poll_wake_duration_s": rng.choice((0.0, 0.5))},
+            "nodes": nodes, "obstacles": []}
+
+
+def run_case(name: str) -> Simulation:
+    kind, _, arg = name.partition("/")
+    if kind == "shipped":
+        stem, horizon = SHIPPED[arg]
+        sim = Simulation(make_config(json.loads(
+            (SCENARIO_DIR / f"{stem}.json").read_text())), trace=True)
+        sim.run_until(horizon)
+    elif kind == "random":
+        doc, horizon = random_scenario_doc(int(arg))
+        sim = Simulation(make_config(doc), trace=True)
+        sim.run_until(20 * horizon)
+    elif kind == "aligned":
+        sim = Simulation(make_config(aligned_doc(int(arg))), trace=True)
+        for stage in range(1, 8):
+            sim.run_until(6.0 * stage)
+            sim.inject_set_period(2, stage % 3 + 1)
+        sim.run_until(150.0)
+    else:
+        sim = Simulation(make_config(drain_doc(float(arg))), trace=True)
+        for stage, horizon in enumerate(range(25, 100, 5)):
+            sim.run_until(float(horizon))
+            for node in range(2, 8):
+                if (node + stage) % 2 == 0:
+                    sim.inject_set_period(node, 20 + 10 * ((node + stage) % 3))
+        sim.run_until(200.0)
+    return sim
+
+
+def digests(sim: Simulation) -> dict[str, str]:
+    report = {key: value for key, value in json.loads(report_json(sim)).items()
+              if key not in EVENT_COUNTERS}
+    trace = []
+    for line in sim.trace_text().splitlines():
+        fields = line.split("\t")
+        if fields[2] != "poll_wake":
+            trace.append("\t".join(fields[:1] + fields[2:]))
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return {"report": sha(json.dumps(report, indent=2)), "samples": sha(samples_csv(sim)),
+            "trace": sha("\n".join(trace))}
+
+
+CASES = ([f"shipped/{name}" for name in SHIPPED]
+         + [f"random/{seed}" for seed in range(20)]
+         + [f"drain/{base}" for base in DRAIN_BASES_MAH]
+         + [f"aligned/{seed}" for seed in range(8)])
+
+# name: (report, samples, trace sha256 prefixes, events_processed when every
+# poll was an event)
+GOLDEN = {
+    "shipped/three_node_building":        ("0d1b2da9a39ad4dd", "cd3b0d10222e867d", "74688bc23296dc4f", 3517),
+    "shipped/three_node_router_off":      ("a3426c9e60de759c", "19318079f5360c46", "bb32c0e7a17b7554", 3181),
+    "shipped/lifetime_single_hop":        ("3978f7b473485098", "2afb34618f307dd4", "d5554ea223aeab65", 3304),
+    "shipped/lifetime_single_hop_to_death":("a889c52ccdf149b5", "2ac2f4b0ab47697d", "f12544c72078d572", 7022),
+    "random/0":                           ("de39c42dd41da691", "325e2d441b1ca1b4", "fed4d0c08269f7a7", 818),
+    "random/1":                           ("03bbe7842cac58e3", "34fbc2f3eb144f9f", "3434b1047d4ac588", 1030),
+    "random/2":                           ("71402fe30a4bd720", "aab55e04e72a6f04", "a466926963f43833", 1520),
+    "random/3":                           ("6d0f58af37bcf537", "50738c15a5aca6ab", "e3988deed3ea35c4", 406),
+    "random/4":                           ("03157c0afcb95829", "22b83f049d60dc1d", "b1457ae81f13cfd1", 703),
+    "random/5":                           ("d25793a0e60a5d46", "19318079f5360c46", "f4632e8bf8d6cbc8", 151),
+    "random/6":                           ("31a418f99c91e459", "6ae9da55dd199236", "5878e9861be9815b", 457),
+    "random/7":                           ("35da0b4a79d2cffc", "ddffd88915d09677", "aa0d2a80b24e223b", 457),
+    "random/8":                           ("b953a422e15063e3", "15af0b97d5d24ae1", "9e53edc6fb6830a5", 453),
+    "random/9":                           ("9caa186e49cbd7da", "847bf2c81d7b2d92", "f045d477fc39198d", 2755),
+    "random/10":                          ("4f8cdad8b3657e2f", "f9e5514db2561ac5", "76f68d322dcc9cd4", 1810),
+    "random/11":                          ("8b04ca2d3b5c0697", "f3e27398cc91225f", "8a601d7b90bed7f2", 542),
+    "random/12":                          ("8320756cf82982c3", "41830077b42defbc", "3dd6b2da610678f7", 1048),
+    "random/13":                          ("b919cccbe79345a8", "8145d54865a8612f", "8b7c8ba598223bf5", 5451),
+    "random/14":                          ("e6fbee6a439e054f", "827e4722f1bc9b0d", "1f1565260a0c8f5a", 735),
+    "random/15":                          ("925733e95e1155bb", "25a36f0ed6479729", "a296c512e39e3686", 506),
+    "random/16":                          ("3fb85c4bdebfad9b", "24e6ccc7edd8704e", "0937b1189aa225da", 864),
+    "random/17":                          ("a9cd402cda96cb4e", "323b02f3a679117d", "d1c4713fb31b87ce", 1003),
+    "random/18":                          ("0fcb573b9469db7d", "d56a5619beb2b540", "4ded826e35c4d937", 1112),
+    "random/19":                          ("aedec0443e251ca1", "432fc7656976090d", "8223921e7292b826", 1287),
+    "drain/0.3":                          ("2a57f9dcc1e722bc", "3d383e7d9102741c", "f9e581b891cbac3d", 170),
+    "drain/0.35":                         ("40123ebcfbc3b0fa", "dac4c2d73e63dd2f", "1e9e7559302c570f", 182),
+    "drain/0.36":                         ("93f8d974a23f3040", "dac4c2d73e63dd2f", "d8277905839e4037", 184),
+    "drain/0.42":                         ("e11077762ee262ca", "3234208803e83155", "af6a860ba68ea3fc", 204),
+    "aligned/0":                          ("4570f7d1afe4f116", "82aa6a319bbfcfff", "2515286141e48a9e", 1489),
+    "aligned/1":                          ("3d0daa2c665127a1", "8572062f10363b59", "f6a5f2637e739588", 313),
+    "aligned/2":                          ("b84456d34c76002d", "dc76b5c846b61209", "42b8bc8c565c133a", 393),
+    "aligned/3":                          ("c94e0bc1aadded60", "4d9807b82c63e32f", "c073f0f96d5dfbf1", 884),
+    "aligned/4":                          ("66a97e1826d2c3e2", "40e35e4c31820c7e", "b2b95d2b4d85734e", 737),
+    "aligned/5":                          ("d878d3a7d865c4cf", "c8f70e6072b17180", "4a2e36d561834ee4", 569),
+    "aligned/6":                          ("f852093595cc6c76", "4d11b42fba9ee699", "a28525b3082acc94", 86),
+    "aligned/7":                          ("9fa5f0f3c9626fb1", "c09c5f8cc200816b", "221de1398bdf69ad", 899),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_outputs_match_the_golden_run(name):
+    sim = run_case(name)
+    report, samples, trace, events = GOLDEN[name]
+    got = digests(sim)
+    assert (got["report"][:16], got["samples"][:16], got["trace"][:16]) == (
+        report, samples, trace)
+    assert sim.events_processed + sim.poll_wakes_elided == events
+    stats_json = json.loads(report_json(sim))
+    assert (stats_json["events_processed"], stats_json["poll_wakes_elided"]) == (
+        sim.events_processed, sim.poll_wakes_elided)
+
+
+def test_drain_cases_die_inside_and_between_poll_windows():
+    inside = between = 0
+    for base in DRAIN_BASES_MAH:
+        stats = run_case(f"drain/{base}").stats()
+        for node, poll in enumerate(DRAIN_POLLS_S, start=2):
+            dead_at = stats.energy[node].dead_at_s
+            assert dead_at is not None
+            if dead_at % poll < 1.5:
+                inside += 1
+            else:
+                between += 1
+        assert stats.frames_dropped["node_dead"] > 0
+    assert inside >= 5 and between >= 5

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,40 @@ def test_validator_accepts_an_end_device_without_sensors():
     config = make_config(doc)
     assert config.node(1).sensors == ()
     assert validate_scenario(config) == []
+
+
+def test_validator_rejects_a_poll_period_that_rounds_to_zero_ticks():
+    doc = two_node_doc(sample_period_s=1.0)
+    doc["nodes"][1]["radio"] = {"poll_period_s": 1e-7}
+    violations = validate_scenario(make_config(doc))
+    assert [(v.node, v.field) for v in violations] == [(1, "radio.poll_period_s")]
+    assert "one 1 us tick" in violations[0].rule
+    # 0.6 us rounds up to one tick and is accepted
+    doc["nodes"][1]["radio"] = {"poll_period_s": 6e-7}
+    doc["defaults"]["poll_wake_duration_s"] = 0.0
+    assert validate_scenario(make_config(doc)) == []
+
+
+@pytest.mark.parametrize("window_s", [28.0, 30.0, 27.9999996])
+def test_validator_rejects_a_poll_window_as_long_as_the_poll_period(window_s):
+    doc = two_node_doc(defaults={"poll_wake_duration_s": window_s})
+    violations = validate_scenario(make_config(doc))
+    assert [(v.node, v.field) for v in violations] == [(1, "poll_wake_duration_s")]
+    assert violations[0].rule == "poll wake duration must be shorter than the poll period"
+
+
+def test_validator_reports_a_poll_period_that_is_not_a_number():
+    config = make_config(two_node_doc())
+    device = config.node(1)
+    nodes = (config.nodes[0], dataclasses.replace(
+        device, radio=dataclasses.replace(device.radio, poll_period_s=math.nan)))
+    violations = validate_scenario(dataclasses.replace(config, nodes=nodes))
+    assert (1, "radio.poll_period_s") in [(v.node, v.field) for v in violations]
+
+
+def test_validator_accepts_a_poll_window_one_tick_short_of_the_period():
+    doc = two_node_doc(defaults={"poll_wake_duration_s": 27.999999})
+    assert validate_scenario(make_config(doc)) == []
 
 
 def test_violation_renders_location():

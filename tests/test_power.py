@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 CyclicSleepConfig, NonPositiveCurrentError,
@@ -194,3 +194,115 @@ def test_ledger_durations_always_sum_to_elapsed_time(steps):
     ledger.advance(now + S)
     assert sum(ledger.durations.values()) == now + S
     assert ledger.conservation_error_mah() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Poll grid booked in closed form
+# ---------------------------------------------------------------------------
+
+def per_poll_reference(profile, state, capacity, cursor, poll, window, stops):
+    """The poll grid booked one poll at a time on a ledger without a grid:
+    for each grid tick, advance to it, then charge the window if asleep.
+    Returns (ledger, polls found alive, tick of the poll that found it dead)."""
+    ledger = PowerLedger(profile=profile, state=state, battery_capacity_mah=capacity,
+                         cursor=cursor)
+    tick = max(1, -(-cursor // poll)) * poll
+    polls, death_poll = 0, None
+    for stop in stops:
+        while tick < stop and not ledger.is_dead:
+            ledger.advance(tick)
+            if ledger.is_dead:
+                death_poll = tick
+                break
+            polls += 1
+            if ledger.state is PowerState.SLEEPING:
+                ledger.charge_slice(PowerState.AWAKE_IDLE, window, tick)
+                if ledger.is_dead:
+                    death_poll = tick
+            tick += poll
+        ledger.advance(stop)
+    return ledger, polls, death_poll
+
+
+def _grid_ledger(profile, state, capacity, cursor, poll, window):
+    return PowerLedger(profile=profile, state=state, battery_capacity_mah=capacity,
+                       cursor=cursor, poll_ticks=poll, poll_window=window)
+
+
+@st.composite
+def grid_cases(draw):
+    poll = draw(st.one_of(st.integers(1, 40), st.sampled_from([333_333, 10 * S, 28 * S]),
+                          st.integers(2, 60 * S)))
+    window = draw(st.one_of(st.just(0), st.just(poll - 1), st.integers(0, poll - 1)))
+    currents = sorted(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+                                    min_size=3, max_size=3)))
+    profile = ConsumptionProfile(*currents)
+    capacity = draw(st.one_of(st.none(), st.floats(0.0, 0.05), st.floats(0.0, 5.0),
+                              st.floats(0.0, 1100.0)))
+    cursor = draw(st.integers(0, 5 * poll))
+    state = draw(st.sampled_from([PowerState.SLEEPING, PowerState.AWAKE_IDLE]))
+    spans = draw(st.lists(st.integers(0, 2000 * poll), min_size=1, max_size=4))
+    stops = [cursor + span for span in sorted(spans)]
+    return profile, state, capacity, cursor, poll, window, stops
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_closed_form_poll_grid_matches_the_per_poll_loop(case):
+    profile, state, capacity, cursor, poll, window, stops = case
+    reference, polls, _ = per_poll_reference(*case)
+    ledger = _grid_ledger(profile, state, capacity, cursor, poll, window)
+    for stop in stops:
+        ledger.advance(stop)
+    # the dict's key order is compared too: it orders the float sum
+    assert list(ledger.durations.items()) == list(reference.durations.items())
+    assert ledger.battery_remaining_mah == reference.battery_remaining_mah  # same bits
+    assert (ledger.dead_at, ledger.cursor, ledger.state) == (
+        reference.dead_at, reference.cursor, reference.state)
+    assert ledger.polls == polls
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_death_poll_predicts_the_poll_that_finds_the_battery_empty(case):
+    profile, state, capacity, cursor, poll, window, stops = case
+    _, _, death_poll = per_poll_reference(profile, state, capacity, cursor, poll, window,
+                                          stops[-1:])
+    ledger = _grid_ledger(profile, state, capacity, cursor, poll, window)
+    assert ledger.death_poll(stops[-1] - 1) == death_poll
+    assert ledger.durations == {} and ledger.cursor == cursor  # a prediction books nothing
+
+
+@pytest.mark.parametrize("capacity, inside", [
+    (0.165, True),    # runs out in the window of the 28 s poll
+    (0.160, False),   # runs out asleep, between two windows
+])
+def test_death_inside_and_between_poll_windows(capacity, inside):
+    case = (PROFILE, PowerState.SLEEPING, capacity, 0, 28 * S, 2 * S, [90 * S, 300 * S])
+    reference, polls, death_poll = per_poll_reference(*case)
+    ledger = _grid_ledger(*case[:-1])
+    assert ledger.death_poll(300 * S) == death_poll
+    for stop in case[-1]:
+        ledger.advance(stop)
+    assert ledger.dead_at == reference.dead_at
+    assert list(ledger.durations.items()) == list(reference.durations.items())
+    assert ledger.battery_remaining_mah == reference.battery_remaining_mah == 0.0
+    assert ledger.polls == polls
+    in_window = ledger.dead_at % (28 * S) < 2 * S
+    assert in_window is inside
+    assert death_poll == (ledger.dead_at // (28 * S) + (0 if inside else 1)) * 28 * S
+
+
+def test_poll_books_the_grid_tick_itself():
+    ledger = _grid_ledger(PROFILE, PowerState.SLEEPING, 1100.0, 0, 10 * S, S)
+    assert ledger.poll(20 * S)
+    assert ledger.polls == 2 and ledger.next_poll == 30 * S
+    assert ledger.cursor == 21 * S
+    assert ledger.duration_ticks(PowerState.AWAKE_IDLE) == 2 * S
+    assert not ledger.poll(25 * S)  # not a grid tick: just an advance
+    assert ledger.polls == 2 and ledger.cursor == 25 * S
+
+
+def test_poll_window_must_fit_in_the_period():
+    with pytest.raises(ValueError, match="poll window"):
+        _grid_ledger(PROFILE, PowerState.SLEEPING, 1100.0, 0, 10, 10)

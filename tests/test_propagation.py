@@ -140,3 +140,44 @@ def test_select_channel_breaks_ties_by_lowest_id():
 def test_select_channel_requires_candidates():
     with pytest.raises(EmptyChannelMapError):
         select_channel({})
+
+
+def _free_space_loss_inline(distance_m: float, anchors) -> float:
+    """The loss formula with every anchor's log10 taken at the call."""
+    if distance_m <= anchors[0][0]:
+        return anchors[0][1]
+    x = math.log10(distance_m)
+    xs = [math.log10(d) for d, _ in anchors]
+    ys = [a for _, a in anchors]
+    if x >= xs[-1]:
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        return ys[-1] + slope * (x - xs[-1])
+    for i in range(len(xs) - 1):
+        if x <= xs[i + 1]:
+            t = (x - xs[i]) / (xs[i + 1] - xs[i])
+            return ys[i] * (1.0 - t) + ys[i + 1] * t
+    raise AssertionError("unreachable")
+
+
+@st.composite
+def loss_tables(draw):
+    first = draw(st.floats(min_value=0.01, max_value=5.0))
+    ratios = draw(st.lists(st.floats(min_value=1.01, max_value=4.0), min_size=1, max_size=7))
+    distances = [first]
+    for ratio in ratios:
+        distances.append(distances[-1] * ratio)
+    losses = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=80.0),
+                                  min_size=len(distances), max_size=len(distances))))
+    return PathLossTable(tuple(zip(distances, losses)))
+
+
+@given(st.one_of(st.just(DEFAULT_PATH_LOSS_TABLE), loss_tables()),
+       st.lists(st.floats(min_value=1e-3, max_value=1e4), max_size=20))
+def test_precomputed_anchors_give_the_formula_bit_for_bit(table, distances):
+    anchors = table.anchors
+    probes = list(distances) + [d for d, _ in anchors]          # each anchor
+    probes += [anchors[0][0] / 2, anchors[0][0]]                # clamp region
+    probes += [anchors[-1][0] * 1.5, anchors[-1][0] * 100]      # extrapolation
+    probes += [math.sqrt(a * b) for (a, _), (b, _) in zip(anchors, anchors[1:])]
+    for distance in probes:
+        assert free_space_loss(distance, table) == _free_space_loss_inline(distance, anchors)

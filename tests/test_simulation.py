@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
-from wsn_pathosim.engine import ticks_from_seconds
+from wsn_pathosim.engine import EventKind, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
 from wsn_pathosim.report import report_json, samples_csv
 from wsn_pathosim.simulation import InvalidScenarioError, Simulation
@@ -198,3 +199,39 @@ def test_explicit_seed_overrides_the_scenario(three_node_config):
     sim = Simulation(three_node_config, seed=7)
     assert sim.seed == 7
     assert Simulation(three_node_config).seed == 42
+
+
+def _external_wake_ticks(sim: Simulation, horizon_s: float) -> list[int]:
+    wakes = []
+    limit = ticks_from_seconds(horizon_s)
+    while (at := sim.queue.peek_time()) is not None and at <= limit:
+        event = sim.step()
+        if event.kind is EventKind.EXTERNAL_WAKE:
+            wakes.append(event.at)
+    return wakes
+
+
+def test_external_wakes_of_a_third_of_a_second_poll_sit_on_the_grid():
+    # 1/3 s polls every 333,333 ticks; a 1 s request is three polls, so the
+    # wakes fall at 999,999 ticks and its multiples, not at whole seconds
+    sim = Simulation(make_config(two_node_doc(poll_period_s=1 / 3, sample_period_s=1.0,
+                                              defaults={"warmup_delay_s": 0.0})))
+    wakes = _external_wake_ticks(sim, 5.0)
+    assert wakes[:2] == [999_999, 1_999_998]
+    assert all(tick % 333_333 == 0 for tick in wakes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(1 / 3), st.floats(min_value=0.2, max_value=40.0)),
+       st.floats(min_value=1.0, max_value=5.0), st.integers(min_value=1, max_value=200))
+def test_external_wakes_are_poll_ticks_for_any_poll_period(poll_s, ratio, new_period_s):
+    doc = two_node_doc(poll_period_s=poll_s, sample_period_s=poll_s * ratio,
+                       defaults={"warmup_delay_s": 0.5, "response_timeout_s": 0.5})
+    sim = Simulation(make_config(doc))
+    poll = ticks_from_seconds(poll_s)
+    horizon_s = 12 * poll_s * ratio
+    wakes = _external_wake_ticks(sim, horizon_s / 2)
+    sim.inject_set_period(1, new_period_s)  # committed at the next round end
+    wakes += _external_wake_ticks(sim, horizon_s + 2 * new_period_s)
+    assert wakes
+    assert all(tick % poll == 0 for tick in wakes)
