@@ -21,10 +21,10 @@ import sys
 import traceback
 from pathlib import Path
 
+from . import report
 from .model import NodeRole, ScenarioError, load_scenario
 from .power import (CyclicSleepConfig, PowerState, average_current, estimate_lifetime)
 from .propagation import is_connected, link_budget
-from .report import report_json, report_text, samples_csv
 from .simulation import Simulation
 
 logger = logging.getLogger(__name__)
@@ -117,25 +117,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _write_outputs(sim: Simulation, out_dir: str, trace_path: str | None) -> None:
+def _write_outputs(sim: Simulation, out_dir: str, trace_path: str | None) -> str:
+    """Write every output from one report; return the text of report.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "samples.csv").write_text(samples_csv(sim))
-    (out / "report.json").write_text(report_json(sim))
-    (out / "report.txt").write_text(report_text(sim))
+    (out / "samples.csv").write_text(report.samples_csv(sim))
+    numbers = report.build_report(sim)
+    text = report.render_text(numbers)
+    (out / "report.json").write_text(report.render_json(numbers))
+    (out / "report.txt").write_text(text)
     if trace_path is not None:
         trace = Path(trace_path)
         if trace.parent != Path(""):
             trace.parent.mkdir(parents=True, exist_ok=True)
         trace.write_text(sim.trace_text())
+    return text
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     sim = Simulation(config, seed=args.seed, trace=args.trace is not None)
     sim.run_until(args.until)
-    _write_outputs(sim, args.out, args.trace)
-    print(report_text(sim), end="")
+    print(_write_outputs(sim, args.out, args.trace), end="")
     return 0
 
 
@@ -228,7 +231,7 @@ def _repl_status(sim: Simulation) -> str:
             if energy.battery_capacity_mah is not None:
                 parts.append(f"battery={energy.remaining_mah:.3f}"
                              f"/{energy.battery_capacity_mah:.1f} mAh")
-            parts.append(f"period={state.sample_period_s} s")
+            parts.append(f"period={stats.cyclic_sleep[node_id].sample_period_s} s")
             if state.pending_period_s is not None:
                 parts.append(f"pending={state.pending_period_s} s")
             parent = sim.parent_table.parent.get(node_id)
@@ -272,7 +275,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             elif command == "status":
                 print(_repl_status(sim))
             elif command == "dump-samples" and len(tokens) == 2:
-                Path(tokens[1]).write_text(samples_csv(sim))
+                Path(tokens[1]).write_text(report.samples_csv(sim))
                 print(f"wrote {len(sim.records)} samples to {tokens[1]}")
             else:
                 print(f"unknown command: {line.strip()}")

@@ -44,8 +44,9 @@ class SimEvent:
     """A scheduled occurrence. seq is the insertion counter; events of one
     tick execute in scheduling order unless scheduled with an explicit order.
 
-    made_at is the clock when the event was scheduled. cause is the event
-    whose handling scheduled it, when the caller records one."""
+    payload is the typed record that the handler of the event's kind takes,
+    or None. made_at is the clock when the event was scheduled. cause is the
+    event whose handling scheduled it, when the caller records one."""
 
     at: Ticks
     seq: int

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
-from .engine import Ticks, ticks_from_seconds
+from .engine import Ticks
 
 TICKS_PER_HOUR = 3_600 * 1_000_000
 

@@ -20,11 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .engine import RngStream, Ticks, ticks_from_seconds
-from .model import NodeRole, NodeSpec, ScenarioConfig
+from .engine import RngStream, Ticks
+from .model import NodeSpec, ScenarioConfig
 from .power import PowerState
-from .propagation import (PathLossTable, DEFAULT_PATH_LOSS_TABLE, free_space_loss, is_connected,
-                          link_budget)
+from .propagation import DEFAULT_PATH_LOSS_TABLE, PathLossTable, free_space_loss, link_budget
 from .sensors import GaugeNotHeatedError, GaugeState, SensorKind, sample
 
 logger = logging.getLogger(__name__)
@@ -77,6 +76,7 @@ _PAYLOAD_LENGTH = {
     MessageKind.ACK: 0,
     MessageKind.ERR: 1,
 }
+WIRE_LENGTHS = frozenset(FRAME_OVERHEAD + length for length in _PAYLOAD_LENGTH.values())
 
 
 class FrameDecodeError(Exception):
@@ -221,7 +221,6 @@ class DevicePhase(Enum):
     SLEEPING = "sleeping"
     AWAKE_IDLE = "awake_idle"
     HEATING = "heating"
-    SAMPLING = "sampling"
 
 
 @dataclass
@@ -229,8 +228,6 @@ class EndDeviceState:
     """Mutable protocol state of one End Device."""
 
     node_id: int
-    sample_period_s: float
-    poll_period_s: float
     phase: DevicePhase = DevicePhase.SLEEPING
     pending_period_s: float | None = None
     gauge: GaugeState = field(default_factory=GaugeState)
@@ -243,17 +240,17 @@ class EndDeviceState:
         return seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalWakeStimulus:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardExpiredStimulus:
     deadline: Ticks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveredFrame:
     frame: MessageFrame
     rssi_dbm: float
@@ -264,7 +261,6 @@ DeviceStimulus = ExternalWakeStimulus | GuardExpiredStimulus | DeliveredFrame
 
 @dataclass
 class DeviceStepResult:
-    state: EndDeviceState
     frames: list[MessageFrame] = field(default_factory=list)
     power_state: PowerState | None = None
     round_ended: bool = False
@@ -275,15 +271,15 @@ class DeviceStepResult:
 
 def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
                     device: NodeSpec, rng: RngStream, *, coordinator_id: int = 0,
-                    guard_s: float = 125.0) -> DeviceStepResult:
+                    guard_ticks: Ticks = 125_000_000) -> DeviceStepResult:
     """Advance an End Device by one stimulus.
 
     Illegal stimuli are answered with ERR and leave the state unchanged. The
-    guard deadline (re-armed on every stimulus while awake) makes the device
-    give the round up and sleep if the coordinator goes silent; a pending
+    guard deadline (guard_ticks after each stimulus while awake) makes the
+    device give the round up and sleep if the coordinator goes silent; a pending
     period change commits whenever the round ends, normally or not.
     """
-    result = DeviceStepResult(state=state)
+    result = DeviceStepResult()
 
     if isinstance(stimulus, ExternalWakeStimulus):
         if state.phase is not DevicePhase.SLEEPING:
@@ -291,7 +287,7 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
                          state.node_id, state.phase.value)
             return result
         state.phase = DevicePhase.AWAKE_IDLE
-        state.guard_until = now + ticks_from_seconds(guard_s)
+        state.guard_until = now + guard_ticks
         result.power_state = PowerState.AWAKE_IDLE
         result.frames.append(MessageFrame(MessageKind.AWAKE, state.node_id,
                                           coordinator_id, state.next_seq()))
@@ -314,7 +310,7 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
         return result
 
     if state.phase is not DevicePhase.SLEEPING:
-        state.guard_until = now + ticks_from_seconds(guard_s)
+        state.guard_until = now + guard_ticks
 
     if frame.kind is MessageKind.SET_PERIOD:
         # Accepted in any phase: reaches sleeping devices at their poll wakes.
@@ -371,7 +367,6 @@ def _finish_round(state: EndDeviceState, result: DeviceStepResult, *, lost: bool
     state.phase = DevicePhase.SLEEPING
     state.guard_until = None
     if state.pending_period_s is not None:
-        state.sample_period_s = state.pending_period_s
         result.applied_period_s = state.pending_period_s
         state.pending_period_s = None
     result.power_state = PowerState.SLEEPING
@@ -405,12 +400,12 @@ class CoordinatorSession:
     rounds_aborted: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WarmupDoneStimulus:
     round_no: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseTimeoutStimulus:
     round_no: int
     attempt: int
@@ -421,11 +416,11 @@ CoordinatorStimulus = DeliveredFrame | WarmupDoneStimulus | ResponseTimeoutStimu
 
 @dataclass
 class CoordinatorStepResult:
-    session: CoordinatorSession
     frames: list[MessageFrame] = field(default_factory=list)
     records: list[SampleRecord] = field(default_factory=list)
-    warmup_delay_s: float | None = None    # schedule WarmupDone(round_no) after this
-    arm_timeout_s: float | None = None     # schedule ResponseTimeout(round_no, attempt)
+    # The stimulus to hand back once the warm-up or the response timeout has
+    # run out, from now; the caller knows how long each lasts.
+    timer: WarmupDoneStimulus | ResponseTimeoutStimulus | None = None
     round_completed: bool = False
     round_aborted: bool = False
     error_seen: ErrorReason | None = None
@@ -441,7 +436,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
     retries SAMPLE_REQ up to config.max_retries, after which the round aborts
     but SLEEP_REQ is still sent so the device never hangs awake.
     """
-    result = CoordinatorStepResult(session=session)
+    result = CoordinatorStepResult()
 
     def send(kind: MessageKind, payload: bytes = b"") -> None:
         result.frames.append(MessageFrame(kind, coordinator_id, session.device,
@@ -451,7 +446,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         session.attempt += 1
         session.phase = SessionPhase.WAITING_SAMPLE
         send(MessageKind.SAMPLE_REQ)
-        result.arm_timeout_s = config.response_timeout_s
+        result.timer = ResponseTimeoutStimulus(session.round_no, session.attempt)
 
     if isinstance(stimulus, WarmupDoneStimulus):
         if session.phase is SessionPhase.HEAT_REQUESTED and stimulus.round_no == session.round_no:
@@ -487,7 +482,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         if sensor is not None and sensor.requires_heating:
             session.phase = SessionPhase.HEAT_REQUESTED
             send(MessageKind.HEAT_GAUGE_REQ)
-            result.warmup_delay_s = config.warmup_delay_s
+            result.timer = WarmupDoneStimulus(session.round_no)
         else:
             request_sample()
         return result

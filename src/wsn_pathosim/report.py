@@ -1,5 +1,6 @@
 """Run reports: one JSON document, an aligned text rendering of the same
-numbers, and the sample log as CSV.
+numbers, and the sample log as CSV. build_report gathers the numbers once;
+render_json and render_text format what it returns.
 
 The JSON layout is deliberately stable (insertion-ordered dicts, stringified
 node ids for keys) so that two identical runs serialize to identical bytes.
@@ -65,11 +66,18 @@ def build_report(sim: Simulation) -> dict:
 
 
 def report_json(sim: Simulation) -> str:
-    return json.dumps(build_report(sim), indent=2) + "\n"
+    return render_json(build_report(sim))
 
 
 def report_text(sim: Simulation) -> str:
-    report = build_report(sim)
+    return render_text(build_report(sim))
+
+
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def render_text(report: dict) -> str:
     lines: list[str] = []
     lines.append(f"clock            {report['clock_s']:.3f} s")
     lines.append(f"seed             {report['seed']}")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_seed,
                      seconds_from_ticks, ticks_from_seconds)
@@ -18,19 +20,58 @@ from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNo
                     Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
 from .propagation import LinkBudget, link_budget, select_channel
-from .protocol import (CoordinatorSession, CoordinatorStepResult, DeliveredFrame,
-                       DeviceStepResult, DevicePhase, EndDeviceState, ErrorReason,
-                       ExternalWakeStimulus, GuardExpiredStimulus, MessageFrame,
-                       MessageKind, PARENT_BUFFER_CAPACITY, ParentTable,
+from .protocol import (PARENT_BUFFER_CAPACITY, WIRE_LENGTHS, CoordinatorSession,
+                       CoordinatorStimulus, DeliveredFrame, DevicePhase, DeviceStepResult,
+                       DeviceStimulus, EndDeviceState, ExternalWakeStimulus,
+                       GuardExpiredStimulus, MessageFrame, MessageKind, ParentTable,
                        ResponseTimeoutStimulus, SampleRecord, WarmupDoneStimulus,
-                       build_parent_table, coordinator_step, end_device_step,
-                       route_path, set_period_payload)
+                       build_parent_table, coordinator_step, end_device_step, route_path,
+                       set_period_payload)
 
 logger = logging.getLogger(__name__)
 
 DROP_NO_ROUTE = "no_route"
 DROP_NODE_DEAD = "node_dead"
 DROP_BUFFER_FULL = "buffer_full"
+
+# Event payloads. A device's events carry the stimulus its step function
+# takes: EXTERNAL_WAKE this one, TIMER_FIRED a GuardExpiredStimulus and
+# FRAME_DELIVERED a DeliveredFrame. POLL_WAKE carries nothing.
+EXTERNAL_WAKE = ExternalWakeStimulus()
+
+
+@dataclass(frozen=True, slots=True)
+class SessionTimer:
+    """WARMUP_DONE and TIMEOUT payload: what to hand back to a device's session."""
+
+    device: int
+    stimulus: WarmupDoneStimulus | ResponseTimeoutStimulus
+
+
+@dataclass(frozen=True, slots=True)
+class SetPeriodCommand:
+    """COMMAND_INJECTED payload: send SET_PERIOD to an end device."""
+
+    node: int
+    seconds: int
+
+
+def _frame_detail(delivered: DeliveredFrame) -> str:
+    """Trace detail of a frame_delivered event and of a deliver action."""
+    return f"{delivered.frame.summary()} rssi={delivered.rssi_dbm!r}"
+
+
+# The trace detail of each event kind, from its payload (docs/protocol.md, "Trace lines").
+_EVENT_DETAIL: dict[EventKind, Callable[[Any], str]] = {
+    EventKind.POLL_WAKE: lambda _: "",
+    EventKind.EXTERNAL_WAKE: lambda _: "",
+    EventKind.FRAME_DELIVERED: _frame_detail,
+    EventKind.TIMER_FIRED: lambda guard: f"guard deadline={guard.deadline}",
+    EventKind.WARMUP_DONE: lambda t: f"device={t.device} round={t.stimulus.round_no}",
+    EventKind.TIMEOUT: lambda t: (f"device={t.device} round={t.stimulus.round_no}"
+                                  f" attempt={t.stimulus.attempt}"),
+    EventKind.COMMAND_INJECTED: lambda c: f"set_period node={c.node} seconds={c.seconds}",
+}
 
 
 class InvalidScenarioError(ScenarioError):
@@ -43,22 +84,21 @@ class InvalidScenarioError(ScenarioError):
 
 @dataclass
 class NodeRuntime:
-    """One node's state. End Devices also carry their poll grid: the poll and
-    external-wake periods in ticks (the latter a whole number of polls),
-    where their polls fall among other polls of the same tick (poll_rank),
-    the tick of the pending external wake, and the one poll that is a real
-    event, if any."""
+    """One node's state. airtime maps a frame's wire length to the ticks the
+    node takes to send it. An End Device's ledger carries its poll grid; the
+    device also carries its wake schedule (sleep), where its polls fall among
+    other polls of the same tick (poll_rank), the tick of the pending
+    external wake, and the one poll that is a real event, if any."""
 
     spec: NodeSpec
     ledger: PowerLedger
+    airtime: dict[int, Ticks]
     device_state: EndDeviceState | None = None
     sensor_rng: RngStream | None = None
     sleep: CyclicSleepConfig | None = None
     last_external_wake: Ticks = 0
     rounds_lost: int = 0
     death_logged: bool = False
-    poll_ticks: Ticks = 0
-    period_ticks: Ticks = 0
     poll_rank: int = 0
     next_wake: Ticks | None = None
     real_poll: SimEvent | None = None
@@ -66,6 +106,12 @@ class NodeRuntime:
     @property
     def is_end_device(self) -> bool:
         return self.device_state is not None
+
+    @property
+    def period_ticks(self) -> Ticks:
+        """The external-wake period: a whole number of polls."""
+        assert self.sleep is not None
+        return self.sleep.multiplier * self.ledger.poll_ticks
 
 
 @dataclass
@@ -138,10 +184,22 @@ class Simulation:
         self.dead_skips = 0
         self.frames_sent = 0
         self.frames_delivered = 0
-        self.frames_dropped: dict[str, int] = {}
-        self.errors_seen: dict[str, int] = {}
-        self._guard_s = config.warmup_delay_s + config.response_timeout_s
+        self.frames_dropped: Counter[str] = Counter()
+        self.errors_seen: Counter[str] = Counter()
         self._coordinator = config.coordinator()
+        # Every duration the loop schedules, in ticks.
+        self._guard_ticks = ticks_from_seconds(config.warmup_delay_s + config.response_timeout_s)
+        self._session_timers = {  # the event each coordinator timer becomes, and its delay
+            WarmupDoneStimulus: (EventKind.WARMUP_DONE, ticks_from_seconds(config.warmup_delay_s)),
+            ResponseTimeoutStimulus: (EventKind.TIMEOUT,
+                                      ticks_from_seconds(config.response_timeout_s))}
+        self._handlers: dict[EventKind, Callable[[NodeRuntime, Any, Ticks], None]] = {
+            EventKind.EXTERNAL_WAKE: self._on_external_wake,
+            EventKind.TIMER_FIRED: self._device_step,
+            EventKind.FRAME_DELIVERED: self._on_frame,
+            EventKind.WARMUP_DONE: self._on_session_timer,
+            EventKind.TIMEOUT: self._on_session_timer,
+            EventKind.COMMAND_INJECTED: self._on_command}
         self._coord_seq = 0
         self._budgets: dict[tuple[int, int], LinkBudget] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
@@ -150,35 +208,40 @@ class Simulation:
         self._polls_due: dict[Ticks, list[NodeRuntime]] = {}  # pending real polls by tick
 
         window = ticks_from_seconds(config.poll_wake_duration_s)
+        override = config.tx_airtime_override_s
+        airtimes: dict[float, dict[int, Ticks]] = {}  # shared by nodes of one bitrate
         self.runtimes: dict[int, NodeRuntime] = {}
         for node in config.nodes:
+            bitrate = node.radio.bitrate_bps
+            if bitrate not in airtimes:
+                airtimes[bitrate] = {length: ticks_from_seconds(
+                    length * 8 / bitrate if override is None else override)
+                    for length in WIRE_LENGTHS}
             if node.role is NodeRole.END_DEVICE:
                 assert node.battery is not None and node.sample_period_s is not None
-                poll = ticks_from_seconds(node.radio.poll_period_s)
-                sleep = CyclicSleepConfig.from_periods(node.sample_period_s,
-                                                       node.radio.poll_period_s)
                 ledger = PowerLedger(profile=config.consumption,
                                      state=PowerState.SLEEPING,
                                      battery_capacity_mah=node.battery.capacity_mah,
                                      battery_remaining_mah=node.battery.remaining_mah,
-                                     poll_ticks=poll, poll_window=window)
+                                     poll_ticks=ticks_from_seconds(node.radio.poll_period_s),
+                                     poll_window=window)
                 runtime = NodeRuntime(
-                    spec=node, ledger=ledger,
-                    device_state=EndDeviceState(node_id=node.id,
-                                                sample_period_s=node.sample_period_s,
-                                                poll_period_s=node.radio.poll_period_s),
+                    spec=node, ledger=ledger, airtime=airtimes[bitrate],
+                    device_state=EndDeviceState(node_id=node.id),
                     sensor_rng=RngStream(derive_seed(self.seed, "sensor", node.id)),
-                    sleep=sleep, poll_ticks=poll, period_ticks=sleep.multiplier * poll)
+                    sleep=CyclicSleepConfig.from_periods(node.sample_period_s,
+                                                         node.radio.poll_period_s))
             else:
-                runtime = NodeRuntime(spec=node, ledger=PowerLedger(
+                runtime = NodeRuntime(spec=node, airtime=airtimes[bitrate], ledger=PowerLedger(
                     profile=config.consumption, state=PowerState.AWAKE_IDLE))
             self.runtimes[node.id] = runtime
         self._devices = [runtime for runtime in self.runtimes.values() if runtime.is_end_device]
         # Same-tick polls run longest period first, then in node order: each
         # was scheduled at its own previous grid tick, in that order.
-        for rank, runtime in enumerate(sorted(self._devices, key=lambda rt: -rt.poll_ticks)):
+        for rank, runtime in enumerate(sorted(self._devices,
+                                              key=lambda rt: -rt.ledger.poll_ticks)):
             runtime.poll_rank = rank
-        self._poll_periods = {runtime.poll_ticks for runtime in self._devices}
+        self._poll_periods = {runtime.ledger.poll_ticks for runtime in self._devices}
 
         self.sessions: dict[int, CoordinatorSession] = {
             device.id: CoordinatorSession(device=device.id)
@@ -186,7 +249,8 @@ class Simulation:
 
         for runtime in self._devices:
             runtime.next_wake = runtime.period_ticks
-            self.queue.schedule(runtime.period_ticks, EventKind.EXTERNAL_WAKE, runtime.spec.id)
+            self.queue.schedule(runtime.period_ticks, EventKind.EXTERNAL_WAKE, runtime.spec.id,
+                                EXTERNAL_WAKE)
         for runtime in self._devices:
             self._plan_poll(runtime)
 
@@ -228,7 +292,7 @@ class Simulation:
         if period_s <= 0 or period_s > 0xFFFFFFFF:
             raise ValueError(f"period must be in 1..2^32-1 s, got {period_s}")
         self._schedule(self.queue.now, EventKind.COMMAND_INJECTED, self._coordinator.id,
-                       payload=("set_period", node_id, int(period_s)))
+                       SetPeriodCommand(node_id, int(period_s)))
 
     @property
     def poll_wakes_elided(self) -> int:
@@ -238,9 +302,7 @@ class Simulation:
 
     def stats(self) -> RunStats:
         elided = self.poll_wakes_elided
-        samples: dict[int, int] = {}
-        for record in self.records:
-            samples[record.node] = samples.get(record.node, 0) + 1
+        samples = dict(Counter(record.node for record in self.records))
         rounds: dict[int, dict[str, int]] = {}
         energy: dict[int, NodeEnergy] = {}
         cyclic: dict[int, CyclicSleepConfig] = {}
@@ -286,47 +348,24 @@ class Simulation:
 
     def _dispatch(self, event: SimEvent) -> None:
         self._current = event
-        now = event.at
         if event.kind is EventKind.POLL_WAKE:
             self._on_poll_wake(event)
             return
-        runtime = self.runtimes.get(event.node)
-        if runtime is not None:
-            if runtime.poll_ticks:
-                self._book_poll_before(runtime, event)
-            self._advance_ledger(runtime, now)
-            if runtime.ledger.is_dead:
-                if event.kind is EventKind.FRAME_DELIVERED:
-                    frame, _ = event.payload  # type: ignore[misc]
-                    self._drop(frame, DROP_NODE_DEAD, now)
-                self.dead_skips += 1
-                return
+        runtime = self.runtimes[event.node]
+        now = event.at
+        if runtime.is_end_device:
+            self._book_poll_before(runtime, event)
+        runtime.ledger.advance(now)
+        if runtime.ledger.is_dead:
+            self._note_death(runtime, now)
+            if isinstance(event.payload, DeliveredFrame):
+                self._drop(event.payload.frame, DROP_NODE_DEAD, now)
+            self.dead_skips += 1
+            return
         self.events_processed += 1
         self._trace_event(event)
-
-        if event.kind is EventKind.EXTERNAL_WAKE:
-            self._on_external_wake(event.node, now)
-        elif event.kind is EventKind.FRAME_DELIVERED:
-            frame, rssi = event.payload  # type: ignore[misc]
-            self.frames_delivered += 1
-            self._on_frame(event.node, frame, rssi, now)
-        elif event.kind is EventKind.TIMER_FIRED:
-            _, deadline = event.payload  # type: ignore[misc]
-            self._on_guard(event.node, deadline, now)
-        elif event.kind is EventKind.WARMUP_DONE:
-            device, round_no = event.payload  # type: ignore[misc]
-            self._coordinator_stimulus(device, WarmupDoneStimulus(round_no), now)
-        elif event.kind is EventKind.TIMEOUT:
-            device, round_no, attempt = event.payload  # type: ignore[misc]
-            self._coordinator_stimulus(
-                device, ResponseTimeoutStimulus(round_no, attempt), now)
-        elif event.kind is EventKind.COMMAND_INJECTED:
-            _, node_id, period_s = event.payload  # type: ignore[misc]
-            frame = MessageFrame(MessageKind.SET_PERIOD, self._coordinator.id,
-                                 node_id, self._next_coord_seq(),
-                                 set_period_payload(period_s))
-            self._send_frame(frame, now)
-        if runtime is not None and runtime.poll_ticks:
+        self._handlers[event.kind](runtime, event.payload, now)
+        if runtime.is_end_device:
             self._plan_poll(runtime)
 
     def _on_poll_wake(self, event: SimEvent) -> None:
@@ -355,70 +394,62 @@ class Simulation:
             frame = buffer.popleft()
             parent_rt = self.runtimes[parent_id]
             parent_rt.ledger.charge_slice(
-                PowerState.TRANSMITTING, self._airtime_ticks(frame, parent_rt.spec), now)
-            rssi = self._rssi(parent_id, node_id)
-            self.frames_delivered += 1
-            self._trace_action("deliver", node_id, f"{frame.summary()} rssi={rssi!r}", now)
-            self._on_frame(node_id, frame, rssi, now)
+                PowerState.TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
+            delivered = DeliveredFrame(frame, self._rssi(parent_id, node_id))
+            self._trace_action("deliver", node_id, _frame_detail(delivered), now)
+            self._on_frame(runtime, delivered, now)
         self._plan_poll(runtime)
 
-    def _on_external_wake(self, node_id: int, now: Ticks) -> None:
-        runtime = self.runtimes[node_id]
+    # The handlers of every kind but POLL_WAKE: (node the event is for, payload, clock).
+
+    def _on_external_wake(self, runtime: NodeRuntime, stimulus: ExternalWakeStimulus,
+                          now: Ticks) -> None:
         state = runtime.device_state
         assert state is not None
         if state.phase is not DevicePhase.SLEEPING:
-            logger.debug("node %d still awake at its external wake", node_id)
+            logger.debug("node %d still awake at its external wake", runtime.spec.id)
             return
         runtime.last_external_wake = now
-        result = end_device_step(state, ExternalWakeStimulus(), now, runtime.spec,
-                                 runtime.sensor_rng, coordinator_id=self._coordinator.id,
-                                 guard_s=self._guard_s)
-        self._apply_device_result(runtime, result, now)
+        self._device_step(runtime, stimulus, now)
 
-    def _on_guard(self, node_id: int, deadline: Ticks, now: Ticks) -> None:
-        runtime = self.runtimes[node_id]
+    def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
+        """Step the device's state machine and carry its result out."""
         state = runtime.device_state
-        if state is None:
-            return
-        result = end_device_step(state, GuardExpiredStimulus(deadline), now,
-                                 runtime.spec, runtime.sensor_rng,
+        assert state is not None and runtime.sensor_rng is not None
+        result = end_device_step(state, stimulus, now, runtime.spec, runtime.sensor_rng,
                                  coordinator_id=self._coordinator.id,
-                                 guard_s=self._guard_s)
-        self._apply_device_result(runtime, result, now)
-
-    def _on_frame(self, node_id: int, frame: MessageFrame, rssi: float, now: Ticks) -> None:
-        runtime = self.runtimes[node_id]
-        if runtime.spec.role is NodeRole.COORDINATOR:
-            self._coordinator_stimulus(frame.src, DeliveredFrame(frame, rssi), now)
-        elif runtime.is_end_device:
-            result = end_device_step(runtime.device_state, DeliveredFrame(frame, rssi),
-                                     now, runtime.spec, runtime.sensor_rng,
-                                     coordinator_id=self._coordinator.id,
-                                     guard_s=self._guard_s)
-            self._apply_device_result(runtime, result, now)
-        else:
-            logger.debug("router %d ignoring %s", node_id, frame.summary())
-
-    # ------------------------------------------------------------------
-    # State-machine plumbing
-    # ------------------------------------------------------------------
-
-    def _apply_device_result(self, runtime: NodeRuntime, result: DeviceStepResult,
-                             now: Ticks) -> None:
+                                 guard_ticks=self._guard_ticks)
         if result.error is not None:
-            name = result.error.name.lower()
-            self.errors_seen[name] = self.errors_seen.get(name, 0) + 1
+            self.errors_seen[result.error.name.lower()] += 1
         if result.power_state is not None:
             runtime.ledger.set_state(result.power_state, now)
         for frame in result.frames:
             self._send_frame(frame, now)
-        state = runtime.device_state
-        assert state is not None
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
         elif state.phase is not DevicePhase.SLEEPING and state.guard_until is not None:
             self._schedule(state.guard_until, EventKind.TIMER_FIRED,
-                           runtime.spec.id, payload=("guard", state.guard_until))
+                           runtime.spec.id, GuardExpiredStimulus(state.guard_until))
+
+    def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
+        """Frames go to end devices and to the coordinator, never to routers."""
+        self.frames_delivered += 1
+        if runtime.is_end_device:
+            self._device_step(runtime, delivered, now)
+        else:
+            self._session_step(delivered.frame.src, delivered, now)
+
+    def _on_session_timer(self, runtime: NodeRuntime, timer: SessionTimer, now: Ticks) -> None:
+        self._session_step(timer.device, timer.stimulus, now)
+
+    def _on_command(self, runtime: NodeRuntime, command: SetPeriodCommand, now: Ticks) -> None:
+        self._send_frame(MessageFrame(MessageKind.SET_PERIOD, self._coordinator.id,
+                                      command.node, self._next_coord_seq(),
+                                      set_period_payload(command.seconds)), now)
+
+    # ------------------------------------------------------------------
+    # State-machine plumbing
+    # ------------------------------------------------------------------
 
     def _on_device_round_end(self, runtime: NodeRuntime, result: DeviceStepResult,
                              now: Ticks) -> None:
@@ -429,7 +460,6 @@ class Simulation:
             assert runtime.sleep is not None
             runtime.sleep = CyclicSleepConfig.from_periods(
                 result.applied_period_s, runtime.sleep.poll_period_s)
-            runtime.period_ticks = runtime.sleep.multiplier * runtime.poll_ticks
             self._trace_action(
                 "period", runtime.spec.id,
                 f"effective_s={runtime.sleep.effective_period_s!r}"
@@ -439,35 +469,23 @@ class Simulation:
         while next_wake <= now:
             next_wake += effective
         runtime.next_wake = next_wake
-        self._schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id)
+        self._schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id, EXTERNAL_WAKE)
 
-    def _coordinator_stimulus(self, device_id: int, stimulus, now: Ticks) -> None:
-        session = self.sessions.get(device_id)
-        if session is None:
-            logger.debug("coordinator has no session for node %d", device_id)
-            return
+    def _session_step(self, device_id: int, stimulus: CoordinatorStimulus, now: Ticks) -> None:
+        """Step the device's coordinator session and carry its result out."""
+        session = self.sessions[device_id]
         result = coordinator_step(session, stimulus, now, self.config,
                                   self.config.node(device_id), self._next_coord_seq,
                                   coordinator_id=self._coordinator.id)
-        self._apply_coordinator_result(session, result, now)
-
-    def _apply_coordinator_result(self, session: CoordinatorSession,
-                                  result: CoordinatorStepResult, now: Ticks) -> None:
         if result.error_seen is not None:
-            name = f"coordinator_saw_{result.error_seen.name.lower()}"
-            self.errors_seen[name] = self.errors_seen.get(name, 0) + 1
-        for record in result.records:
-            self.records.append(record)
+            self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
+        self.records.extend(result.records)
         for frame in result.frames:
             self._send_frame(frame, now)
-        if result.warmup_delay_s is not None:
-            self._schedule(now + ticks_from_seconds(result.warmup_delay_s),
-                           EventKind.WARMUP_DONE, self._coordinator.id,
-                           payload=(session.device, session.round_no))
-        if result.arm_timeout_s is not None:
-            self._schedule(now + ticks_from_seconds(result.arm_timeout_s),
-                           EventKind.TIMEOUT, self._coordinator.id,
-                           payload=(session.device, session.round_no, session.attempt))
+        if result.timer is not None:
+            kind, delay = self._session_timers[type(result.timer)]
+            self._schedule(now + delay, kind, self._coordinator.id,
+                           SessionTimer(session.device, result.timer))
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -491,13 +509,12 @@ class Simulation:
 
         buffering = (destination.is_end_device
                      and destination.device_state.phase is DevicePhase.SLEEPING)
-        hops = list(zip(route, route[1:]))
-        if buffering:
-            hops = hops[:-1]  # the parent holds the frame; the last hop waits
         elapsed = 0
-        for sender_id, _receiver_id in hops:
+        # Every node on the route but the last sends, and while the device
+        # sleeps its parent holds the frame instead.
+        for sender_id in route[:-2] if buffering else route[:-1]:
             sender = self.runtimes[sender_id]
-            air = self._airtime_ticks(frame, sender.spec)
+            air = sender.airtime[frame.wire_length]
             sender.ledger.charge_slice(PowerState.TRANSMITTING, air, now + elapsed)
             elapsed += air
         if buffering:
@@ -515,17 +532,12 @@ class Simulation:
             return
         rssi = self._rssi(route[-2], frame.dst)
         self._schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
-                       payload=(frame, rssi))
+                       DeliveredFrame(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
-        self.frames_dropped[reason] = self.frames_dropped.get(reason, 0) + 1
+        self.frames_dropped[reason] += 1
         self._trace_action("drop", frame.dst, f"{frame.summary()} reason={reason}", now)
         logger.info("dropped %s (%s)", frame.summary(), reason)
-
-    def _airtime_ticks(self, frame: MessageFrame, sender: NodeSpec) -> Ticks:
-        if self.config.tx_airtime_override_s is not None:
-            return ticks_from_seconds(self.config.tx_airtime_override_s)
-        return ticks_from_seconds(frame.wire_length * 8 / sender.radio.bitrate_bps)
 
     def _rssi(self, sender_id: int, receiver_id: int) -> float:
         key = (sender_id, receiver_id)
@@ -547,11 +559,6 @@ class Simulation:
     # Power bookkeeping
     # ------------------------------------------------------------------
 
-    def _advance_ledger(self, runtime: NodeRuntime, now: Ticks) -> None:
-        runtime.ledger.advance(now)
-        if runtime.ledger.is_dead:
-            self._note_death(runtime, now)
-
     def _note_death(self, runtime: NodeRuntime, now: Ticks) -> None:
         if runtime.death_logged:
             return
@@ -566,9 +573,11 @@ class Simulation:
 
     def _settle_ledgers(self, limit: Ticks) -> None:
         for runtime in self.runtimes.values():
-            if runtime.poll_ticks:
+            if runtime.is_end_device:
                 runtime.ledger.poll(limit)  # every poll up to the horizon has run
-            self._advance_ledger(runtime, limit)
+            runtime.ledger.advance(limit)
+            if runtime.ledger.is_dead:
+                self._note_death(runtime, limit)
         # the split at the horizon moves where a later death is found
         for runtime in self._devices:
             self._plan_poll(runtime)
@@ -577,8 +586,7 @@ class Simulation:
     # Poll grid
     # ------------------------------------------------------------------
 
-    def _schedule(self, at: Ticks, kind: EventKind, node: int,
-                  payload: object = None) -> SimEvent:
+    def _schedule(self, at: Ticks, kind: EventKind, node: int, payload: object) -> SimEvent:
         """Schedule an event, recording its cause when it falls one poll
         period after it was scheduled (the only case _poll_first reads it)."""
         event = self.queue.schedule(at, kind, node, payload)
@@ -607,7 +615,7 @@ class Simulation:
         poll ran before. The first poll was scheduled before anything else.
         Polls of one tick run in poll_rank order.
         """
-        period = runtime.poll_ticks
+        period = runtime.ledger.poll_ticks
         while True:
             if event.kind is EventKind.POLL_WAKE:
                 other = self.runtimes[event.node]
@@ -635,7 +643,7 @@ class Simulation:
         """Book the device's poll at the event's tick when it runs first."""
         now = event.at
         ledger = runtime.ledger
-        if (now % runtime.poll_ticks == 0 and ledger.next_poll <= now and not ledger.is_dead
+        if (now % ledger.poll_ticks == 0 and ledger.next_poll <= now and not ledger.is_dead
                 and not (runtime.real_poll is not None and runtime.real_poll.at == now)
                 and self._poll_first(runtime, now, event)):
             ledger.poll(now)
@@ -675,7 +683,7 @@ class Simulation:
 
     def _next_poll_tick(self, runtime: NodeRuntime) -> Ticks:
         """Tick of the device's first poll that has not run yet."""
-        now, period = self.queue.now, runtime.poll_ticks
+        now, period = self.queue.now, runtime.ledger.poll_ticks
         tick = max(period, -(-now // period) * period)
         return tick + period if tick == now and self._poll_passed(runtime) else tick
 
@@ -713,27 +721,10 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _trace_event(self, event: SimEvent) -> None:
-        if not self.trace_enabled:
-            return
-        detail = ""
-        if event.kind is EventKind.FRAME_DELIVERED:
-            frame, rssi = event.payload  # type: ignore[misc]
-            detail = f"{frame.summary()} rssi={rssi!r}"
-        elif event.kind is EventKind.TIMER_FIRED:
-            _, deadline = event.payload  # type: ignore[misc]
-            detail = f"guard deadline={deadline}"
-        elif event.kind is EventKind.WARMUP_DONE:
-            device, round_no = event.payload  # type: ignore[misc]
-            detail = f"device={device} round={round_no}"
-        elif event.kind is EventKind.TIMEOUT:
-            device, round_no, attempt = event.payload  # type: ignore[misc]
-            detail = f"device={device} round={round_no} attempt={attempt}"
-        elif event.kind is EventKind.COMMAND_INJECTED:
-            _, node_id, period_s = event.payload  # type: ignore[misc]
-            detail = f"set_period node={node_id} seconds={period_s}"
-        node = event.node if event.node is not None else "-"
-        self.trace_lines.append(
-            f"{event.at}\t{event.seq}\t{event.kind.value}\t{node}\t{detail}")
+        if self.trace_enabled:
+            node = event.node if event.node is not None else "-"
+            self.trace_lines.append(f"{event.at}\t{event.seq}\t{event.kind.value}\t{node}\t"
+                                    f"{_EVENT_DETAIL[event.kind](event.payload)}")
 
     def _trace_action(self, kind: str, node: int, detail: str, now: Ticks) -> None:
         if self.trace_enabled:

@@ -9,6 +9,7 @@ import pytest
 
 import wsn_pathosim
 from conftest import SCENARIO_DIR, two_node_doc
+import wsn_pathosim.report as report_module
 from wsn_pathosim.cli import main
 
 THREE_NODE = str(SCENARIO_DIR / "three_node_building.json")
@@ -33,6 +34,22 @@ def test_run_writes_the_output_bundle(tmp_path, capsys):
     assert "cyclic sleep" in text
     assert capsys.readouterr().out == text
     assert trace.read_text().count("\n") > 50
+
+
+def test_run_builds_the_report_once(tmp_path, capsys, monkeypatch):
+    build_report = report_module.build_report
+    calls = []
+
+    def counting_build_report(sim):
+        calls.append(sim)
+        return build_report(sim)
+
+    monkeypatch.setattr(report_module, "build_report", counting_build_report)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", THREE_NODE, "--until", "7200", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    assert json.loads((out / "report.json").read_text()) == build_report(calls[0])
 
 
 def test_run_with_seed_override_changes_values(tmp_path):

@@ -173,7 +173,7 @@ GAUGE_SENSOR = {"kind": "strain_gauge", "heat_duration_s": 120.0,
 def _device(sensor=None):
     config = make_config(two_node_doc(sensor=sensor))
     spec = config.node(1)
-    state = EndDeviceState(node_id=1, sample_period_s=120.0, poll_period_s=28.0)
+    state = EndDeviceState(node_id=1)
     return spec, state, RngStream(0)
 
 
@@ -185,7 +185,7 @@ def _deliver(state, spec, rng, kind, payload=b"", now=0, src=0):
 def test_external_wake_sends_awake_and_arms_guard():
     spec, state, rng = _device()
     result = end_device_step(state, ExternalWakeStimulus(), 100 * S, spec, rng,
-                             guard_s=125.0)
+                             guard_ticks=125 * S)
     assert state.phase is DevicePhase.AWAKE_IDLE
     assert state.guard_until == 100 * S + 125 * S
     assert result.power_state is PowerState.AWAKE_IDLE
@@ -255,15 +255,14 @@ def test_gauge_sampling_respects_the_heated_window():
 def test_sleep_req_ends_round_and_commits_pending_period():
     spec, state, rng = _device()
     end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
-    _deliver(state, spec, rng, MessageKind.SET_PERIOD,
-             payload=set_period_payload(900), now=S)
+    staged = _deliver(state, spec, rng, MessageKind.SET_PERIOD,
+                      payload=set_period_payload(900), now=S)
     assert state.pending_period_s == 900.0
-    assert state.sample_period_s == 120.0  # not yet committed
+    assert staged.applied_period_s is None  # not yet committed
     result = _deliver(state, spec, rng, MessageKind.SLEEP_REQ, now=2 * S)
     assert state.phase is DevicePhase.SLEEPING
     assert result.round_ended and not result.round_lost
     assert result.applied_period_s == 900.0
-    assert state.sample_period_s == 900.0
     assert state.pending_period_s is None
     assert result.power_state is PowerState.SLEEPING
     assert [f.kind for f in result.frames] == [MessageKind.ACK]
@@ -298,10 +297,10 @@ def test_sleep_req_while_sleeping_just_acks():
 
 def test_guard_expiry_loses_the_round():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_s=125.0)
+    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_ticks=125 * S)
     deadline = state.guard_until
     result = end_device_step(state, GuardExpiredStimulus(deadline), deadline,
-                             spec, rng, guard_s=125.0)
+                             spec, rng, guard_ticks=125 * S)
     assert state.phase is DevicePhase.SLEEPING
     assert result.round_ended and result.round_lost
     assert result.frames == []  # silent: nobody is listening
@@ -309,13 +308,13 @@ def test_guard_expiry_loses_the_round():
 
 def test_stale_guard_is_ignored_after_rearm():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_s=125.0)
+    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_ticks=125 * S)
     old_deadline = state.guard_until
     _deliver(state, spec, rng, MessageKind.SET_PERIOD,
              payload=set_period_payload(600), now=10 * S)
     assert state.guard_until == 10 * S + 125 * S  # re-armed by the frame
     result = end_device_step(state, GuardExpiredStimulus(old_deadline), old_deadline,
-                             spec, rng, guard_s=125.0)
+                             spec, rng, guard_ticks=125 * S)
     assert state.phase is DevicePhase.AWAKE_IDLE
     assert not result.round_ended
 
@@ -359,8 +358,7 @@ def test_awake_triggers_immediate_sample_for_plain_sensor():
                               0, config, device, next_seq)
     assert [f.kind for f in result.frames] == [MessageKind.SAMPLE_REQ]
     assert session.phase is SessionPhase.WAITING_SAMPLE
-    assert result.warmup_delay_s is None
-    assert result.arm_timeout_s == config.response_timeout_s
+    assert result.timer == ResponseTimeoutStimulus(1, 1)
     assert session.round_no == 1
     assert session.attempt == 1
 
@@ -371,12 +369,11 @@ def test_awake_triggers_heating_for_gauge():
                               0, config, device, next_seq)
     assert [f.kind for f in result.frames] == [MessageKind.HEAT_GAUGE_REQ]
     assert session.phase is SessionPhase.HEAT_REQUESTED
-    assert result.warmup_delay_s == config.warmup_delay_s
-    assert result.arm_timeout_s is None
+    assert result.timer == WarmupDoneStimulus(1)
     done = coordinator_step(session, WarmupDoneStimulus(session.round_no),
                             ticks_from_seconds(120.0), config, device, next_seq)
     assert [f.kind for f in done.frames] == [MessageKind.SAMPLE_REQ]
-    assert done.arm_timeout_s == config.response_timeout_s
+    assert done.timer == ResponseTimeoutStimulus(1, 1)
 
 
 def test_stale_warmup_timer_is_ignored():

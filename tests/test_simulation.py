@@ -159,6 +159,31 @@ def test_buffered_command_is_delivered_at_the_next_poll():
     assert stats.cyclic_sleep[1].effective_period_s == 280.0
 
 
+def test_timers_fire_their_configured_delay_after_they_are_armed():
+    # Warm-up, response timeout and the guard (their sum) are each rounded to
+    # ticks once: the guard is 1,634,568 ticks, one more than the sum of the
+    # rounded warm-up (400,000) and timeout (1,234,567).
+    gauge = {"kind": "strain_gauge", "heat_duration_s": 0.4,
+             "signal": {"shape": "constant", "level": 5.0}}
+    doc = two_node_doc(sensor=gauge, sample_period_s=56.0,
+                       defaults={"warmup_delay_s": 0.4000004, "response_timeout_s": 1.2345674})
+    sim = Simulation(make_config(doc), trace=True)
+    sim.run_until(600.0)
+    warmup, timeout = ticks_from_seconds(0.4000004), ticks_from_seconds(1.2345674)
+    guard = ticks_from_seconds(0.4000004 + 1.2345674)
+    assert (warmup, timeout, guard) == (400_000, 1_234_567, 1_634_568)
+    lines = [line.split("\t") for line in sim.trace_lines]
+    sends = {(int(at), detail.split()[0]) for at, _, kind, _, detail in lines if kind == "send"}
+    stimuli = {int(at) for at, _, kind, node, _ in lines
+               if node == "1" and kind in ("external_wake", "frame_delivered")}
+    fired = {kind: [int(at) for at, _, k, _, _ in lines if k == kind]
+             for kind in ("warmup_done", "timeout", "timer_fired")}
+    assert all(fired.values())
+    assert all((at - warmup, "HEAT_GAUGE_REQ") in sends for at in fired["warmup_done"])
+    assert all((at - timeout, "SAMPLE_REQ") in sends for at in fired["timeout"])
+    assert all(at - guard in stimuli for at in fired["timer_fired"])
+
+
 def test_frame_conservation_on_canned_and_random_scenarios(three_node_config):
     configs = [three_node_config]
     horizons = [7200.0]
