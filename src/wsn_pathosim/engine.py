@@ -30,6 +30,10 @@ def seconds_from_ticks(ticks: Ticks) -> float:
 
 
 class EventKind(Enum):
+    # Hash by identity, not through Enum.__hash__ (a Python-level call): the
+    # kinds key the dispatch tables, and no set of them is ever iterated.
+    __hash__ = object.__hash__
+
     TIMER_FIRED = "timer_fired"
     FRAME_DELIVERED = "frame_delivered"
     POLL_WAKE = "poll_wake"
@@ -45,15 +49,16 @@ class SimEvent:
     tick execute in scheduling order unless scheduled with an explicit order.
 
     payload is the typed record that the handler of the event's kind takes,
-    or None. made_at is the clock when the event was scheduled. cause is the
-    event whose handling scheduled it, when the caller records one."""
+    or None. queued is True from schedule() until the event is popped or
+    cancelled. made_at is the clock when the event was scheduled. cause is
+    the event whose handling scheduled it, when the caller records one."""
 
     at: Ticks
     seq: int
     kind: EventKind
     node: int | None = None
     payload: object = None
-    cancelled: bool = False
+    queued: bool = True
     made_at: Ticks = 0
     cause: "SimEvent | None" = None
 
@@ -99,23 +104,24 @@ class EventQueue:
     def orders_at(self, at: Ticks) -> list[tuple[float, SimEvent]]:
         """(order, event) of every live event due at tick `at`, in order."""
         return [(order, event) for _, order, _, event in sorted(
-            entry for entry in self._heap if entry[0] == at and not entry[3].cancelled)]
+            entry for entry in self._heap if entry[0] == at and entry[3].queued)]
 
     def cancel(self, event: SimEvent) -> None:
-        """Mark an event so it never executes. Cancelling twice is a no-op."""
-        if not event.cancelled:
-            event.cancelled = True
+        """Mark an event so it never executes. Cancelling it again, or after
+        it was popped, is a no-op."""
+        if event.queued:
+            event.queued = False
             self._pending -= 1
 
     def peek_time(self) -> Ticks | None:
         """Time of the earliest pending event, or None when the queue is empty."""
-        while self._heap and self._heap[0][3].cancelled:
+        while self._heap and not self._heap[0][3].queued:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def pending(self) -> Iterator[SimEvent]:
         """Live (uncancelled) events, in no particular order."""
-        return (entry[3] for entry in self._heap if not entry[3].cancelled)
+        return (entry[3] for entry in self._heap if entry[3].queued)
 
     def pop_due(self, limit: Ticks) -> SimEvent | None:
         """Pop the earliest pending event with at <= limit, advancing the clock.
@@ -124,8 +130,9 @@ class EventQueue:
         """
         while self._heap and self._heap[0][0] <= limit:
             event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
+            if not event.queued:
                 continue
+            event.queued = False
             self._pending -= 1
             self.now = event.at
             return event
@@ -135,8 +142,9 @@ class EventQueue:
         """Pop the earliest pending event regardless of time (single-step use)."""
         while self._heap:
             event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
+            if not event.queued:
                 continue
+            event.queued = False
             self._pending -= 1
             self.now = event.at
             return event

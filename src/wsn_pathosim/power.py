@@ -20,6 +20,10 @@ TICKS_PER_HOUR = 3_600 * 1_000_000
 
 
 class PowerState(Enum):
+    # Hash by identity, not through Enum.__hash__ (a Python-level call): the
+    # states key every ledger's tick totals, and no set of them is iterated.
+    __hash__ = object.__hash__
+
     SLEEPING = "sleeping"
     AWAKE_IDLE = "awake_idle"
     TRANSMITTING = "transmitting"
@@ -384,5 +388,11 @@ class PowerLedger:
 
 
 def _consumed(currents: dict[PowerState, float], durations: dict[PowerState, int]) -> float:
-    """Charge (mAh) drawn over the tick totals, summed in the dict's order."""
-    return sum(currents[state] * ticks / TICKS_PER_HOUR for state, ticks in durations.items())
+    """Charge (mAh) drawn over the tick totals, summed left to right in the
+    dict's order. Not sum(): from Python 3.12 it compensates float rounding,
+    so its bits would depend on the interpreter. Starts from the int 0, as
+    sum() does, so an empty ledger still reports 0."""
+    total: float = 0
+    for state, ticks in durations.items():
+        total += currents[state] * ticks / TICKS_PER_HOUR
+    return total

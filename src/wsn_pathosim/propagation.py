@@ -121,7 +121,12 @@ def link_budget(config: ScenarioConfig, a: int, b: int,
             losses.append((crossing.kind.value, crossing.loss_db))
         else:
             losses.append((FLOOR_CROSSING_LABEL, crossing.loss_db))
-    total = fsl + sum(loss for _, loss in losses)
+    # Left to right, not sum(): from Python 3.12 sum() compensates float
+    # rounding, so its bits would depend on the interpreter.
+    obstructed = 0.0
+    for _, loss in losses:
+        obstructed += loss
+    total = fsl + obstructed
     tx_power = node_a.radio.tx_power_dbm
     return LinkBudget(distance=distance, free_space_loss=fsl,
                       obstacle_losses=tuple(losses), total_attenuation=total,

@@ -88,7 +88,8 @@ class NodeRuntime:
     node takes to send it. An End Device's ledger carries its poll grid; the
     device also carries its wake schedule (sleep), where its polls fall among
     other polls of the same tick (poll_rank), the tick of the pending
-    external wake, and the one poll that is a real event, if any."""
+    external wake, the one poll that is a real event, if any, and its
+    pending guard timer, if any."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -102,6 +103,7 @@ class NodeRuntime:
     poll_rank: int = 0
     next_wake: Ticks | None = None
     real_poll: SimEvent | None = None
+    guard: SimEvent | None = None
 
     @property
     def is_end_device(self) -> bool:
@@ -164,6 +166,14 @@ class Simulation:
     previous grid tick would have had (_poll_first), so a run's results are
     those of scheduling every poll. poll_wakes_elided counts the polls booked
     without an event.
+
+    Only timers that can still act are dispatched. A device keeps one guard
+    event (NodeRuntime.guard): a frame that moves the deadline cancels it and
+    arms a new one, and the end of the round cancels it. Each coordinator
+    session keeps one WARMUP_DONE or TIMEOUT event, cancelled when the next
+    one is armed or the round completes or aborts. A cancelled timer could
+    only have been found stale, so no state machine would act on it; it is
+    no event and leaves no trace line.
     """
 
     def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
@@ -200,7 +210,9 @@ class Simulation:
             EventKind.WARMUP_DONE: self._on_session_timer,
             EventKind.TIMEOUT: self._on_session_timer,
             EventKind.COMMAND_INJECTED: self._on_command}
+        self._timers: dict[int, SimEvent] = {}  # each session's pending WARMUP_DONE/TIMEOUT
         self._coord_seq = 0
+        self._routes: dict[tuple[int, int], list[int] | None] = {}
         self._budgets: dict[tuple[int, int], LinkBudget] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
         self._current: SimEvent | None = None  # the event being (or last) stepped
@@ -396,7 +408,8 @@ class Simulation:
             parent_rt.ledger.charge_slice(
                 PowerState.TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
             delivered = DeliveredFrame(frame, self._rssi(parent_id, node_id))
-            self._trace_action("deliver", node_id, _frame_detail(delivered), now)
+            if self.trace_enabled:
+                self._trace_action("deliver", node_id, _frame_detail(delivered), now)
             self._on_frame(runtime, delivered, now)
         self._plan_poll(runtime)
 
@@ -428,8 +441,19 @@ class Simulation:
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
         elif state.phase is not DevicePhase.SLEEPING and state.guard_until is not None:
-            self._schedule(state.guard_until, EventKind.TIMER_FIRED,
-                           runtime.spec.id, GuardExpiredStimulus(state.guard_until))
+            self._arm_guard(runtime, state.guard_until)
+
+    def _arm_guard(self, runtime: NodeRuntime, deadline: Ticks) -> None:
+        """Keep the device's one guard timer at its current deadline. A
+        superseded guard could only be found stale, so it is cancelled; one
+        already due at the deadline stays, and with it its place in its tick."""
+        guard = runtime.guard
+        if guard is not None:
+            if guard.queued and guard.at == deadline:
+                return
+            self.queue.cancel(guard)
+        runtime.guard = self._schedule(deadline, EventKind.TIMER_FIRED, runtime.spec.id,
+                                       GuardExpiredStimulus(deadline))
 
     def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
         """Frames go to end devices and to the coordinator, never to routers."""
@@ -453,6 +477,9 @@ class Simulation:
 
     def _on_device_round_end(self, runtime: NodeRuntime, result: DeviceStepResult,
                              now: Ticks) -> None:
+        if runtime.guard is not None:  # none can fire now the device sleeps
+            self.queue.cancel(runtime.guard)
+            runtime.guard = None
         if result.round_lost:
             runtime.rounds_lost += 1
             self._trace_action("round", runtime.spec.id, "outcome=lost", now)
@@ -482,10 +509,15 @@ class Simulation:
         self.records.extend(result.records)
         for frame in result.frames:
             self._send_frame(frame, now)
+        if result.timer is not None or result.round_completed or result.round_aborted:
+            # the pending timer is superseded, or the round it serves is over
+            pending = self._timers.pop(device_id, None)
+            if pending is not None:
+                self.queue.cancel(pending)
         if result.timer is not None:
             kind, delay = self._session_timers[type(result.timer)]
-            self._schedule(now + delay, kind, self._coordinator.id,
-                           SessionTimer(session.device, result.timer))
+            self._timers[device_id] = self._schedule(now + delay, kind, self._coordinator.id,
+                                                     SessionTimer(device_id, result.timer))
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -497,8 +529,9 @@ class Simulation:
 
     def _send_frame(self, frame: MessageFrame, now: Ticks) -> None:
         self.frames_sent += 1
-        self._trace_action("send", frame.src, frame.summary(), now)
-        route = route_path(self.parent_table, frame.src, frame.dst)
+        if self.trace_enabled:
+            self._trace_action("send", frame.src, frame.summary(), now)
+        route = self._route(frame.src, frame.dst)
         if route is None or len(route) < 2:
             self._drop(frame, DROP_NO_ROUTE, now)
             return
@@ -526,8 +559,9 @@ class Simulation:
                                parent_id, frame.dst, oldest.summary())
                 self._drop(oldest, DROP_BUFFER_FULL, now)
             buffer.append(frame)
-            self._trace_action("buffer", frame.dst,
-                               f"{frame.summary()} at_parent={parent_id}", now)
+            if self.trace_enabled:
+                self._trace_action("buffer", frame.dst,
+                                   f"{frame.summary()} at_parent={parent_id}", now)
             self._plan_poll(destination)
             return
         rssi = self._rssi(route[-2], frame.dst)
@@ -536,8 +570,17 @@ class Simulation:
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
         self.frames_dropped[reason] += 1
-        self._trace_action("drop", frame.dst, f"{frame.summary()} reason={reason}", now)
-        logger.info("dropped %s (%s)", frame.summary(), reason)
+        if self.trace_enabled:
+            self._trace_action("drop", frame.dst, f"{frame.summary()} reason={reason}", now)
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("dropped %s (%s)", frame.summary(), reason)
+
+    def _route(self, src: int, dst: int) -> list[int] | None:
+        """route_path over the static tree, computed once per (src, dst)."""
+        key = (src, dst)
+        if key not in self._routes:
+            self._routes[key] = route_path(self.parent_table, src, dst)
+        return self._routes[key]
 
     def _rssi(self, sender_id: int, receiver_id: int) -> float:
         key = (sender_id, receiver_id)
@@ -596,7 +639,10 @@ class Simulation:
         # events scheduled after it that still run first. Those polls move to
         # just after this event: every event of the tick scheduled earlier
         # runs before them too, and the polls keep their own rank order.
-        late = sorted((runtime for runtime in self._polls_due.get(at, ())
+        waiting = self._polls_due.get(at)
+        if not waiting:
+            return event
+        late = sorted((runtime for runtime in waiting
                        if not self._poll_first(runtime, at, event)),
                       key=lambda runtime: runtime.poll_rank)
         for i, runtime in enumerate(late):

@@ -33,7 +33,9 @@ def test_run_writes_the_output_bundle(tmp_path, capsys):
     text = (out / "report.txt").read_text()
     assert "cyclic sleep" in text
     assert capsys.readouterr().out == text
-    assert trace.read_text().count("\n") > 50
+    lines = [line.split("\t") for line in trace.read_text().splitlines()]
+    assert sum(1 for line in lines if line[1] != "-") == report["events_processed"]
+    assert sum(1 for line in lines if line[2] == "send") == report["frames"]["sent"]
 
 
 def test_run_builds_the_report_once(tmp_path, capsys, monkeypatch):

@@ -77,6 +77,23 @@ def test_cancel_is_tombstone_and_idempotent():
     assert q.pop_due(100) is None
 
 
+def test_cancelling_a_popped_event_is_a_no_op():
+    q = EventQueue()
+    first = q.schedule(1, EventKind.TIMER_FIRED)
+    q.schedule(2, EventKind.TIMEOUT)
+    third = q.schedule(3, EventKind.POLL_WAKE)
+    assert q.pop_due(1) is first
+    q.cancel(first)  # the event being handled cancels itself
+    assert len(q) == 2
+    second = q.pop_next()
+    q.cancel(second)
+    q.cancel(first)
+    assert len(q) == 1
+    assert list(q.pending()) == [third]
+    assert q.pop_next() is third
+    assert len(q) == 0
+
+
 def test_pop_next_single_steps_past_any_limit():
     q = EventQueue()
     q.schedule(1_000_000_000, EventKind.EXTERNAL_WAKE, 7)

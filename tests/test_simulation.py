@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
+from test_golden import aligned_doc
 from wsn_pathosim.engine import EventKind, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
+from wsn_pathosim.protocol import route_path
 from wsn_pathosim.report import report_json, samples_csv
 from wsn_pathosim.simulation import InvalidScenarioError, Simulation
 
@@ -163,25 +165,31 @@ def test_timers_fire_their_configured_delay_after_they_are_armed():
     # Warm-up, response timeout and the guard (their sum) are each rounded to
     # ticks once: the guard is 1,634,568 ticks, one more than the sum of the
     # rounded warm-up (400,000) and timeout (1,234,567).
-    gauge = {"kind": "strain_gauge", "heat_duration_s": 0.4,
+    # Only timers that still act are dispatched, so each kind needs a round
+    # where it does: device 1's gauge heats for 1 s, longer than the warm-up,
+    # so its first SAMPLE_REQ fails and the response timeout retries; device 2
+    # is out of range, so no frame reaches it and its guard ends each round.
+    gauge = {"kind": "strain_gauge", "heat_duration_s": 1.0,
              "signal": {"shape": "constant", "level": 5.0}}
     doc = two_node_doc(sensor=gauge, sample_period_s=56.0,
                        defaults={"warmup_delay_s": 0.4000004, "response_timeout_s": 1.2345674})
+    doc["nodes"].append(dict(doc["nodes"][1], id=2, position={"x": 300.0, "y": 0.0}))
     sim = Simulation(make_config(doc), trace=True)
     sim.run_until(600.0)
+    assert sim.stats().unreachable == (2,)
     warmup, timeout = ticks_from_seconds(0.4000004), ticks_from_seconds(1.2345674)
     guard = ticks_from_seconds(0.4000004 + 1.2345674)
     assert (warmup, timeout, guard) == (400_000, 1_234_567, 1_634_568)
     lines = [line.split("\t") for line in sim.trace_lines]
     sends = {(int(at), detail.split()[0]) for at, _, kind, _, detail in lines if kind == "send"}
-    stimuli = {int(at) for at, _, kind, node, _ in lines
-               if node == "1" and kind in ("external_wake", "frame_delivered")}
-    fired = {kind: [int(at) for at, _, k, _, _ in lines if k == kind]
+    stimuli = {(int(at), node) for at, _, kind, node, _ in lines
+               if kind in ("external_wake", "frame_delivered")}
+    fired = {kind: [(int(at), node) for at, _, k, node, _ in lines if k == kind]
              for kind in ("warmup_done", "timeout", "timer_fired")}
     assert all(fired.values())
-    assert all((at - warmup, "HEAT_GAUGE_REQ") in sends for at in fired["warmup_done"])
-    assert all((at - timeout, "SAMPLE_REQ") in sends for at in fired["timeout"])
-    assert all(at - guard in stimuli for at in fired["timer_fired"])
+    assert all((at - warmup, "HEAT_GAUGE_REQ") in sends for at, _ in fired["warmup_done"])
+    assert all((at - timeout, "SAMPLE_REQ") in sends for at, _ in fired["timeout"])
+    assert all((at - guard, node) in stimuli for at, node in fired["timer_fired"])
 
 
 def test_frame_conservation_on_canned_and_random_scenarios(three_node_config):
@@ -260,3 +268,83 @@ def test_external_wakes_are_poll_ticks_for_any_poll_period(poll_s, ratio, new_pe
     wakes += _external_wake_ticks(sim, horizon_s + 2 * new_period_s)
     assert wakes
     assert all(tick % poll == 0 for tick in wakes)
+
+
+def _watch_timers(sim: Simulation) -> list[tuple[str, bool]]:
+    """Wrap the TIMER_FIRED and TIMEOUT handlers of one simulation. Each
+    dispatch appends (kind, whether the timer acted): a guard acts when it
+    ends its device's round as lost, a response timeout when it retries or
+    aborts its round."""
+    seen: list[tuple[str, bool]] = []
+    on_guard = sim._handlers[EventKind.TIMER_FIRED]
+    on_timeout = sim._handlers[EventKind.TIMEOUT]
+
+    def guard(runtime, stimulus, now):
+        lost = runtime.rounds_lost
+        on_guard(runtime, stimulus, now)
+        seen.append(("timer_fired", runtime.rounds_lost == lost + 1))
+
+    def timeout(runtime, timer, now):
+        session = sim.sessions[timer.device]
+        attempt, aborted = session.attempt, session.rounds_aborted
+        on_timeout(runtime, timer, now)
+        seen.append(("timeout", session.attempt == attempt + 1
+                     or session.rounds_aborted == aborted + 1))
+
+    sim._handlers[EventKind.TIMER_FIRED] = guard
+    sim._handlers[EventKind.TIMEOUT] = timeout
+    return seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("random", "aligned")), st.integers(min_value=0, max_value=10_000))
+def test_only_timers_that_act_are_dispatched(family, seed):
+    # aligned scenarios heat their gauges for longer than a zero warm-up, so
+    # response timeouts retry and abort; random ones leave some devices out
+    # of range, so guards end their rounds
+    if family == "random":
+        doc, horizon = random_scenario_doc(seed)
+        sim = Simulation(make_config(doc))
+        seen = _watch_timers(sim)
+        sim.run_until(5 * horizon)
+    else:
+        sim = Simulation(make_config(aligned_doc(seed)))
+        seen = _watch_timers(sim)
+        for stage in range(1, 8):
+            sim.run_until(6.0 * stage)
+            sim.inject_set_period(2, stage % 3 + 1)
+        sim.run_until(150.0)
+    assert all(acted for _, acted in seen), seen
+    assert len(sim.queue) == sum(1 for _ in sim.queue.pending())
+
+
+def test_a_guard_rearmed_to_its_deadline_keeps_its_event(three_node_config):
+    # two frames in one tick re-arm the guard to the same deadline: the event
+    # already queued stays, so it keeps its place among the events of its tick
+    sim = Simulation(three_node_config)
+    runtime, pending = sim.runtimes[2], len(sim.queue)
+    sim._arm_guard(runtime, 5_000_000)
+    first = runtime.guard
+    sim._arm_guard(runtime, 5_000_000)
+    assert runtime.guard is first and first.queued
+    sim._arm_guard(runtime, 6_000_000)
+    assert not first.queued and runtime.guard.at == 6_000_000
+    assert len(sim.queue) == pending + 1
+
+
+@pytest.mark.parametrize("case", ["router_off", "random/5", "random/9"])
+def test_each_route_is_the_tree_route(case, router_off_config):
+    # router_off and random/5 each leave a node unreachable; random/9 has
+    # two routers
+    if case == "router_off":
+        config = router_off_config
+    else:
+        config = make_config(random_scenario_doc(int(case.split("/")[1]))[0])
+    sim = Simulation(config)
+    ids = [node.id for node in config.nodes]
+    assert any(route_path(sim.parent_table, a, b) is None for a in ids for b in ids) == (
+        case != "random/9")
+    for _ in range(2):  # computed, then served from the table
+        for a in ids:
+            for b in ids:
+                assert sim._route(a, b) == route_path(sim.parent_table, a, b), (a, b)

@@ -52,9 +52,10 @@ def test_the_event_table_lists_every_event_kind():
 def test_every_trace_line_matches_its_documented_pattern():
     events, actions = documented_details()
     seen = set()
-    # a drain case (deaths, drops, staged SET_PERIOD) and an aligned case,
-    # whose strain gauges add warmup_done
-    for case in ("drain/0.3", "aligned/0"):
+    # a drain case (deaths, drops, staged SET_PERIOD) and two aligned cases:
+    # strain gauges add warmup_done, and aligned/1 has guards and response
+    # timeouts that fire while they still act (stale ones are cancelled)
+    for case in ("drain/0.3", "aligned/0", "aligned/1"):
         lines = run_case(case).trace_text().splitlines()
         assert lines
         for line in lines:
