@@ -279,7 +279,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 print(f"wrote {len(sim.records)} samples to {tokens[1]}")
             else:
                 print(f"unknown command: {line.strip()}")
-        except (ScenarioError, ValueError) as exc:
+        except (ScenarioError, ValueError, OSError) as exc:
             print(f"error: {exc}")
     if args.out is not None:
         _write_outputs(sim, args.out, args.trace)

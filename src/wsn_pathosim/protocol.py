@@ -522,15 +522,25 @@ class ParentTable:
     """Static routing tree rooted at the coordinator.
 
     parent maps node id -> parent id (None for the root); nodes absent from
-    parent are unreachable. buffers hold frames addressed to sleeping End
-    Devices, capped at PARENT_BUFFER_CAPACITY each (oldest dropped first).
+    parent are unreachable. links is the one link-budget cache: the received
+    power (dBm) of each directed (sender, receiver) pair budgeted so far, by
+    the parent search and then by the simulation's deliveries. A pair the
+    loss bound ruled out has no entry. buffers hold frames addressed to
+    sleeping End Devices, capped at PARENT_BUFFER_CAPACITY each (oldest
+    dropped first).
     """
 
     root: int
     parent: dict[int, int | None]
-    received_power: dict[int, float]
     unreachable: tuple[int, ...]
+    links: dict[tuple[int, int], float]
     buffers: dict[int, deque[MessageFrame]] = field(default_factory=dict)
+
+    @property
+    def received_power(self) -> dict[int, float]:
+        """Each attached node's received power from its parent."""
+        return {child: self.links[(up, child)]
+                for child, up in self.parent.items() if up is not None}
 
     def buffer_for(self, child: int) -> deque[MessageFrame]:
         return self.buffers.setdefault(child, deque())
@@ -548,15 +558,14 @@ class ParentTable:
 LOSS_BOUND_SLACK_DB = 1e-9
 
 
-def _out_of_range(config: ScenarioConfig, parent: NodeSpec, child: NodeSpec,
-                  table: PathLossTable) -> bool:
-    """True when even the free-space and floor losses alone put the parent's
-    transmission below the child's sensitivity."""
-    pa, pb = parent.position, child.position
+def _power_bound(config: ScenarioConfig, sender: NodeSpec, receiver: NodeSpec,
+                 table: PathLossTable) -> float:
+    """Upper bound on the sender -> receiver received power: the transmit
+    power less the free-space and floor losses alone."""
+    pa, pb = sender.position, receiver.position
     distance = math.hypot(pb.x - pa.x, pb.y - pa.y)
-    bound = free_space_loss(distance, table) + abs(pb.floor - pa.floor) * config.floor_loss_db
-    return (parent.radio.tx_power_dbm - bound
-            < child.radio.sensitivity_dbm - LOSS_BOUND_SLACK_DB)
+    return sender.radio.tx_power_dbm - (free_space_loss(distance, table)
+                                        + abs(pb.floor - pa.floor) * config.floor_loss_db)
 
 
 def build_parent_table(config: ScenarioConfig,
@@ -564,36 +573,44 @@ def build_parent_table(config: ScenarioConfig,
     """Choose each node's parent from downlink budgets.
 
     A link counts as connected when the candidate parent's transmission meets
-    the child's sensitivity. Routers attach to a connected infrastructure node
-    strictly fewer hops from the coordinator (best received power, then lowest
-    id); End Devices attach to the best connected reachable coordinator/router.
-    End Devices never appear as parents, so the result is a tree.
+    the child's sensitivity. A router attaches to the best connected
+    coordinator or router strictly fewer hops from the coordinator than
+    itself; an End Device attaches to the best connected coordinator or
+    router that is itself attached. The best parent has the highest received
+    power, then the lowest id. End Devices never relay, so the result is a
+    tree.
 
-    Before a full budget, a pair's loss is bounded below by its free-space
-    loss plus its floor crossings. When no obstacle loss is negative, that
-    bound never exceeds the true loss, so a pair that the bound already puts
-    below the child's sensitivity (by more than LOSS_BOUND_SLACK_DB) cannot
-    connect and gets no budget. Only connected pairs' received power is ever
-    read, so the table is the same as with every budget computed.
+    The search budgets only the candidates whose loss bound can still win.
+    A pair's received power is at most its transmit power less its
+    free-space and floor losses (_power_bound, computed once per pair), up to
+    LOSS_BOUND_SLACK_DB of rounding, whenever no obstacle loss is negative. A
+    pair whose bound is below the child's sensitivity gets no budget. An End
+    Device visits its candidates from the highest bound down, lower id first
+    on ties, and stops at the first one whose bound is below the best
+    connected power found so far. So the table, to the last bit of each
+    received power, is the one the full search gives. Given a negative
+    obstacle loss, every candidate is budgeted.
+
+    Every budget computed lands in the table's links, keyed (sender,
+    receiver).
     """
     coordinator = config.coordinator()
     prune = all(o.loss_db >= 0 for o in config.obstacles)
-    budgets: dict[tuple[int, int], float | None] = {}
-
-    def received_at(child: NodeSpec, parent: NodeSpec) -> float | None:
-        """Downlink received power, or None when the loss bound rules the
-        pair out."""
-        key = (parent.id, child.id)
-        if key not in budgets:
-            if prune and _out_of_range(config, parent, child, table):
-                budgets[key] = None
-            else:
-                budgets[key] = link_budget(config, parent.id, child.id, table).received_power
-        return budgets[key]
+    links: dict[tuple[int, int], float] = {}
+    ruled_out: set[tuple[int, int]] = set()
 
     def connected(child: NodeSpec, parent: NodeSpec) -> bool:
-        power = received_at(child, parent)
-        return power is not None and power >= child.radio.sensitivity_dbm
+        key = (parent.id, child.id)
+        power = links.get(key)
+        if power is None:
+            if key in ruled_out:
+                return False
+            if prune and (_power_bound(config, parent, child, table)
+                          < child.radio.sensitivity_dbm - LOSS_BOUND_SLACK_DB):
+                ruled_out.add(key)
+                return False
+            power = links[key] = link_budget(config, parent.id, child.id, table).received_power
+        return power >= child.radio.sensitivity_dbm
 
     infrastructure = [coordinator] + config.routers()
     hops: dict[int, int] = {coordinator.id: 0}
@@ -611,7 +628,6 @@ def build_parent_table(config: ScenarioConfig,
         frontier = nxt
 
     parent: dict[int, int | None] = {coordinator.id: None}
-    received: dict[int, float] = {}
     unreachable: list[int] = []
 
     for router in config.routers():
@@ -620,22 +636,32 @@ def build_parent_table(config: ScenarioConfig,
             continue
         options = [up for up in infrastructure
                    if hops.get(up.id) == hops[router.id] - 1 and connected(router, up)]
-        best = max(options, key=lambda up: (received_at(router, up), -up.id))
+        best = max(options, key=lambda up: (links[(up.id, router.id)], -up.id))
         parent[router.id] = best.id
-        received[router.id] = received_at(router, best)
 
+    attached = [up for up in infrastructure if up.id in parent]
     for device in config.end_devices():
-        options = [up for up in infrastructure
-                   if up.id in parent and connected(device, up)]
-        if not options:
+        sensitivity = device.radio.sensitivity_dbm
+        ranked = sorted(((_power_bound(config, up, device, table), up) for up in attached),
+                        key=lambda item: (-item[0], item[1].id))
+        best_id: int | None = None
+        best_power = -math.inf
+        for bound, up in ranked:
+            if prune and (bound < sensitivity - LOSS_BOUND_SLACK_DB
+                          or bound < best_power - LOSS_BOUND_SLACK_DB):
+                break  # neither this candidate nor any after it can win
+            power = links[(up.id, device.id)] = link_budget(config, up.id, device.id,
+                                                             table).received_power
+            if power >= sensitivity and (best_id is None
+                                         or (power, -up.id) > (best_power, -best_id)):
+                best_id, best_power = up.id, power
+        if best_id is None:
             unreachable.append(device.id)
             continue
-        best = max(options, key=lambda up: (received_at(device, up), -up.id))
-        parent[device.id] = best.id
-        received[device.id] = received_at(device, best)
+        parent[device.id] = best_id
 
-    return ParentTable(root=coordinator.id, parent=parent, received_power=received,
-                       unreachable=tuple(sorted(unreachable)))
+    return ParentTable(root=coordinator.id, parent=parent,
+                       unreachable=tuple(sorted(unreachable)), links=links)
 
 
 def route_path(table: ParentTable, src: int, dst: int) -> list[int] | None:

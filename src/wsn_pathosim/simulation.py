@@ -19,7 +19,7 @@ from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_s
 from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNodeError,
                     Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
-from .propagation import LinkBudget, link_budget, select_channel
+from .propagation import link_budget, select_channel
 from .protocol import (PARENT_BUFFER_CAPACITY, WIRE_LENGTHS, CoordinatorSession,
                        CoordinatorStimulus, DeliveredFrame, DevicePhase, DeviceStepResult,
                        DeviceStimulus, EndDeviceState, ExternalWakeStimulus,
@@ -213,7 +213,6 @@ class Simulation:
         self._timers: dict[int, SimEvent] = {}  # each session's pending WARMUP_DONE/TIMEOUT
         self._coord_seq = 0
         self._routes: dict[tuple[int, int], list[int] | None] = {}
-        self._budgets: dict[tuple[int, int], LinkBudget] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
         self._current: SimEvent | None = None  # the event being (or last) stepped
         self._real_polls = 0
@@ -583,15 +582,18 @@ class Simulation:
         return self._routes[key]
 
     def _rssi(self, sender_id: int, receiver_id: int) -> float:
+        """Received power of the link, from the parent table's link cache
+        (the parent search budgets the downlinks; an uplink is budgeted at
+        its first delivery), plus shadowing."""
+        links = self.parent_table.links
         key = (sender_id, receiver_id)
-        budget = self._budgets.get(key)
-        if budget is None:
-            budget = link_budget(self.config, sender_id, receiver_id)
-            self._budgets[key] = budget
+        power = links.get(key)
+        if power is None:
+            power = links[key] = link_budget(self.config, sender_id, receiver_id).received_power
         sigma = self.runtimes[receiver_id].spec.radio.shadowing_sigma_db
         if sigma > 0:
-            return budget.received_power + self._shadow_rng.normal(0.0, sigma)
-        return budget.received_power
+            return power + self._shadow_rng.normal(0.0, sigma)
+        return power
 
     def _next_coord_seq(self) -> int:
         seq = self._coord_seq

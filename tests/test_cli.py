@@ -236,6 +236,20 @@ def test_repl_outputs_match_a_straight_run(tmp_path, capsys, monkeypatch):
         assert (repl_out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
+def test_repl_reports_a_bad_dump_path_and_carries_on(tmp_path, capsys, monkeypatch):
+    repl_out = tmp_path / "repl"
+    bad = tmp_path / "missing" / "x.csv"
+    code = _run_repl(monkeypatch, ["step", f"dump-samples {bad}", "step", "quit"],
+                     ["--scenario", THREE_NODE, "--out", str(repl_out)])
+    assert code == 0
+    out = capsys.readouterr().out
+    errors = [line for line in out.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(bad) in errors[0]
+    assert sum(line.startswith("t=") for line in out.splitlines()) == 2  # both steps ran
+    for name in ("samples.csv", "report.json", "report.txt"):
+        assert (repl_out / name).is_file(), name
+
+
 def test_repl_quits_on_eof(monkeypatch, capsys):
     assert _run_repl(monkeypatch, [""], ["--scenario", THREE_NODE]) == 0
     capsys.readouterr()

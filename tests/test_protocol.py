@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, two_node_doc
-from topology_reference import buildings, reference_parent_table
+from topology_reference import (buildings, mirrored_buildings, reference_link_budget,
+                                reference_parent_table)
 from wsn_pathosim import protocol
 from wsn_pathosim.engine import RngStream, ticks_from_seconds
 from wsn_pathosim.power import PowerState
@@ -568,8 +569,8 @@ def test_route_to_unreachable_node_is_none(router_off_config):
     assert route_path(table, 2, 0) is None
 
 
-@settings(max_examples=200, deadline=None)
-@given(buildings())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(buildings(), mirrored_buildings()))
 def test_parent_table_matches_the_unpruned_search(config):
     try:
         expected = reference_parent_table(config)
@@ -603,6 +604,32 @@ def test_parent_search_skips_budgets_the_loss_bound_rules_out(monkeypatch):
     assert table.parent == {0: None, 1: 0}
     assert table.unreachable == (2,)
     assert budgeted == [(0, 1)]  # 500 m away: free-space loss alone is too much
+
+
+def test_an_end_device_budgets_only_the_candidates_that_can_still_win(monkeypatch):
+    # routers 1, 2 and 3 sit 1, 2 and 4 m from the device and the coordinator
+    # 10 m: all four are in range, but with no walls the nearest router's
+    # budget equals its bound, which the other three bounds fall below
+    doc = two_node_doc(ed_position={"x": 10.0, "y": 0.0})
+    doc["nodes"][1]["id"] = 4
+    doc["nodes"][1:1] = [{"id": node_id, "role": "router", "position": {"x": x, "y": 0.0}}
+                         for node_id, x in ((1, 11.0), (2, 12.0), (3, 14.0))]
+    config = make_config(doc)
+    budgeted = []
+    real_link_budget = protocol.link_budget
+
+    def counting_link_budget(config, a, b, table):
+        budgeted.append((a, b))
+        return real_link_budget(config, a, b, table)
+
+    monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
+    table = build_parent_table(config)
+    assert table.parent == {0: None, 1: 0, 2: 0, 3: 0, 4: 1}
+    assert budgeted == [(0, 1), (0, 2), (0, 3), (1, 4)]
+    # the three skipped candidates do connect: only the search stopped early
+    assert all(reference_link_budget(config, up, 4).received_power >= -40.0
+               for up in (0, 2, 3))
+    assert reference_parent_table(config).parent == table.parent
 
 
 def test_a_negative_obstacle_loss_turns_the_loss_bound_off():

@@ -94,7 +94,6 @@ def reference_parent_table(config: ScenarioConfig) -> ParentTable:
         frontier = nxt
 
     parent: dict[int, int | None] = {coordinator.id: None}
-    received: dict[int, float] = {}
     unreachable: list[int] = []
     for router in config.routers():
         if router.id not in hops:
@@ -104,7 +103,6 @@ def reference_parent_table(config: ScenarioConfig) -> ParentTable:
                    if hops.get(up.id) == hops[router.id] - 1 and connected(router, up)]
         best = max(options, key=lambda up: (received_at(router, up), -up.id))
         parent[router.id] = best.id
-        received[router.id] = received_at(router, best)
     for device in config.end_devices():
         options = [up for up in infrastructure if up.id in parent and connected(device, up)]
         if not options:
@@ -112,9 +110,8 @@ def reference_parent_table(config: ScenarioConfig) -> ParentTable:
             continue
         best = max(options, key=lambda up: (received_at(device, up), -up.id))
         parent[device.id] = best.id
-        received[device.id] = received_at(device, best)
-    return ParentTable(root=coordinator.id, parent=parent, received_power=received,
-                       unreachable=tuple(sorted(unreachable)))
+    return ParentTable(root=coordinator.id, parent=parent,
+                       unreachable=tuple(sorted(unreachable)), links=budgets)
 
 
 # Coarse grid values make shared coordinates, touching and collinear segments
@@ -160,5 +157,66 @@ def buildings(draw, max_nodes: int = 9, max_walls: int = 8) -> ScenarioConfig:
     stacked = [o for group in draw(st.lists(walls(), max_size=max_walls)) for o in group]
     obstacles = draw(st.permutations(stacked))
     floor_loss = draw(st.one_of(st.sampled_from([0.0, 13.08]), st.floats(0.0, 30.0)))
+    return ScenarioConfig(nodes=tuple(nodes), obstacles=tuple(obstacles),
+                          floor_loss_db=floor_loss)
+
+
+offsets = st.integers(-12, 12).map(float)
+
+
+@st.composite
+def mirrored_buildings(draw, max_pairs: int = 3, max_walls: int = 3) -> ScenarioConfig:
+    """One end device, and routers and walls in mirror pairs about it (point
+    reflection in x, y and floor) on a whole-metre grid.
+
+    The two routers of a pair have the same transmit power, distance and
+    floor separation to the device, and cross mirrored walls in the same
+    order, so their loss bounds tie exactly and so, most often, do their
+    received powers. Router ids are shuffled, so either side of a pair may
+    hold the lower id and the node order differs from the id order, and the
+    coordinator may take the place of one side.
+    """
+    cx, cy, cf = draw(offsets), draw(offsets), draw(st.integers(0, 2))
+
+    def mirror(p: Position) -> Position:
+        return Position(2 * cx - p.x, 2 * cy - p.y, 2 * cf - p.floor)
+
+    def spot() -> Position:
+        dx, dy = draw(offsets), draw(offsets)
+        if (dx, dy) == (0.0, 0.0):
+            dx = 1.0  # never on top of the device
+        return Position(cx + dx, cy + dy, cf + draw(st.integers(-1, 1)))
+
+    def radio(tx_power: float) -> RadioConfig:
+        return RadioConfig(sensitivity_dbm=draw(st.sampled_from([-60.0, -45.0, -30.0])),
+                           tx_power_dbm=tx_power)
+
+    pairs = [(spot(), draw(st.sampled_from([0.0, 3.0, 8.0])))
+             for _ in range(draw(st.integers(1, max_pairs)))]
+    placed = pairs + [(mirror(position), tx) for position, tx in pairs]
+    if draw(st.booleans()):
+        coordinator_at, coordinator_tx = placed.pop()  # the coordinator mirrors a router
+    else:
+        coordinator_at, coordinator_tx = spot(), 3.0
+    router_ids = draw(st.permutations(range(1, len(placed) + 1)))
+    device_id = len(placed) + 1
+    nodes = [NodeSpec(id=0, role=NodeRole.COORDINATOR, position=coordinator_at,
+                      radio=radio(coordinator_tx))]
+    nodes += [NodeSpec(id=node_id, role=NodeRole.ROUTER, position=position, radio=radio(tx))
+              for node_id, (position, tx) in zip(router_ids, placed)]
+    nodes.append(NodeSpec(id=device_id, role=NodeRole.END_DEVICE,
+                          position=Position(cx, cy, cf), radio=radio(3.0),
+                          battery=BatteryState(), sample_period_s=120.0))
+    obstacles = []
+    for _ in range(draw(st.integers(0, max_walls))):
+        start = spot()
+        end = Position(cx + draw(offsets), cy + draw(offsets), start.floor)
+        if (start.x, start.y) == (end.x, end.y):
+            end = Position(end.x + 1.0, end.y, end.floor)
+        wall = Obstacle(kind=draw(st.sampled_from(ObstacleKind)), start=start, end=end,
+                        attenuation_db=draw(attenuations))
+        obstacles += [wall, Obstacle(kind=wall.kind, start=mirror(start), end=mirror(end),
+                                     attenuation_db=wall.attenuation_db)]
+    floor_loss = draw(st.sampled_from([0.0, 1.46, 13.08]))
     return ScenarioConfig(nodes=tuple(nodes), obstacles=tuple(obstacles),
                           floor_loss_db=floor_loss)
