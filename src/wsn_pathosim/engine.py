@@ -45,13 +45,11 @@ class EventKind(Enum):
 
 @dataclass(slots=True)
 class SimEvent:
-    """A scheduled occurrence. seq is the insertion counter; events of one
-    tick execute in scheduling order unless scheduled with an explicit order.
+    """A scheduled occurrence. seq is the insertion counter.
 
     payload is the typed record that the handler of the event's kind takes,
     or None. queued is True from schedule() until the event is popped or
-    cancelled. made_at is the clock when the event was scheduled. cause is
-    the event whose handling scheduled it, when the caller records one."""
+    cancelled."""
 
     at: Ticks
     seq: int
@@ -59,8 +57,6 @@ class SimEvent:
     node: int | None = None
     payload: object = None
     queued: bool = True
-    made_at: Ticks = 0
-    cause: "SimEvent | None" = None
 
 
 class SchedulingInPastError(ValueError):
@@ -68,43 +64,39 @@ class SchedulingInPastError(ValueError):
 
 
 class EventQueue:
-    """Min-heap of SimEvents ordered by (at, order), with tombstone cancellation.
+    """Min-heap of SimEvents ordered by (at, rank, seq), with tombstone
+    cancellation.
 
-    An event's order is its seq unless schedule() was given one: a number that
-    places the event among those of its tick. Equal orders run by seq.
+    Within a tick, unranked events run first, in scheduling order. Events
+    scheduled with a rank (a non-negative int) run after them, by rank and
+    then in scheduling order. An unranked event scheduled at the current tick
+    while its ranked events pop still runs before the ones left.
     """
 
     def __init__(self, start: Ticks = 0) -> None:
         self.now: Ticks = start
-        self._heap: list[tuple[Ticks, float, int, SimEvent]] = []
+        self._heap: list[tuple[Ticks, int, int, SimEvent]] = []
         self._next_seq = 0
         self._pending = 0
 
     def __len__(self) -> int:
         return self._pending
 
-    @property
-    def next_seq(self) -> int:
-        """The seq, and default order, of the next event to be scheduled."""
-        return self._next_seq
-
     def schedule(self, at: Ticks, kind: EventKind, node: int | None = None,
-                 payload: object = None, *, order: float | None = None) -> SimEvent:
+                 payload: object = None, *, rank: int | None = None) -> SimEvent:
         """Schedule an event and return a handle usable with cancel()."""
         if at < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule {kind.value} at {at} ticks; clock is {self.now}")
-        event = SimEvent(at=at, seq=self._next_seq, kind=kind, node=node, payload=payload,
-                         made_at=self.now)
+        if rank is None:
+            rank = -1
+        elif rank < 0:
+            raise ValueError(f"rank must be >= 0, got {rank}")
+        event = SimEvent(at=at, seq=self._next_seq, kind=kind, node=node, payload=payload)
         self._next_seq += 1
         self._pending += 1
-        heapq.heappush(self._heap, (at, event.seq if order is None else order, event.seq, event))
+        heapq.heappush(self._heap, (at, rank, event.seq, event))
         return event
-
-    def orders_at(self, at: Ticks) -> list[tuple[float, SimEvent]]:
-        """(order, event) of every live event due at tick `at`, in order."""
-        return [(order, event) for _, order, _, event in sorted(
-            entry for entry in self._heap if entry[0] == at and entry[3].queued)]
 
     def cancel(self, event: SimEvent) -> None:
         """Mark an event so it never executes. Cancelling it again, or after

@@ -86,10 +86,10 @@ class InvalidScenarioError(ScenarioError):
 class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
     node takes to send it. An End Device's ledger carries its poll grid; the
-    device also carries its wake schedule (sleep), where its polls fall among
-    other polls of the same tick (poll_rank), the tick of the pending
-    external wake, the one poll that is a real event, if any, and its
-    pending guard timer, if any."""
+    device also carries its wake schedule (sleep), where its polls run among
+    the polls of the same tick, after every other event of it (poll_rank),
+    the tick of the pending external wake, the one poll that is a real
+    event, if any, and its pending guard timer, if any."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -161,11 +161,15 @@ class Simulation:
     so it is no event: each device's ledger books its grid polls in closed
     form whenever it advances. A poll becomes a real POLL_WAKE event only
     where it does more: at the first poll after a frame is buffered for a
-    sleeping device, and at the poll that would find its battery empty. Both
-    keep the place among same-tick events that a poll scheduled at the
-    previous grid tick would have had (_poll_first), so a run's results are
-    those of scheduling every poll. poll_wakes_elided counts the polls booked
-    without an event.
+    sleeping device, and at the poll that would find its battery empty.
+    poll_wakes_elided counts the polls booked without an event.
+
+    Polls run last in their tick: every other event of tick t runs first, in
+    scheduling order, then the real polls of t by poll_rank, so a parent
+    answers a poll with every frame it holds at the end of t. A ledger books
+    its polls at t when the clock leaves t, and the horizon of run_until
+    books them at the horizon. An event scheduled at t while the polls of t
+    run (a delay of 0 ticks) runs before the polls left, after those done.
 
     Only timers that can still act are dispatched. A device keeps one guard
     event (NodeRuntime.guard): a frame that moves the deadline cancels it and
@@ -214,9 +218,8 @@ class Simulation:
         self._coord_seq = 0
         self._routes: dict[tuple[int, int], list[int] | None] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
-        self._current: SimEvent | None = None  # the event being (or last) stepped
         self._real_polls = 0
-        self._polls_due: dict[Ticks, list[NodeRuntime]] = {}  # pending real polls by tick
+        self._polls_ran = (-1, 0)  # (tick, poll_rank) of the last real poll dispatched
 
         window = ticks_from_seconds(config.poll_wake_duration_s)
         override = config.tx_airtime_override_s
@@ -247,12 +250,10 @@ class Simulation:
                     profile=config.consumption, state=PowerState.AWAKE_IDLE))
             self.runtimes[node.id] = runtime
         self._devices = [runtime for runtime in self.runtimes.values() if runtime.is_end_device]
-        # Same-tick polls run longest period first, then in node order: each
-        # was scheduled at its own previous grid tick, in that order.
+        # Same-tick polls run longest period first, then in node order.
         for rank, runtime in enumerate(sorted(self._devices,
                                               key=lambda rt: -rt.ledger.poll_ticks)):
             runtime.poll_rank = rank
-        self._poll_periods = {runtime.ledger.poll_ticks for runtime in self._devices}
 
         self.sessions: dict[int, CoordinatorSession] = {
             device.id: CoordinatorSession(device=device.id)
@@ -283,7 +284,6 @@ class Simulation:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")
         while (event := self.queue.pop_due(limit)) is not None:
             self._dispatch(event)
-        self._current = None
         self.queue.now = limit
         self._settle_ledgers(limit)
         return self.stats()
@@ -302,8 +302,8 @@ class Simulation:
             raise UnknownNodeError(f"node {node_id} is not an end device")
         if period_s <= 0 or period_s > 0xFFFFFFFF:
             raise ValueError(f"period must be in 1..2^32-1 s, got {period_s}")
-        self._schedule(self.queue.now, EventKind.COMMAND_INJECTED, self._coordinator.id,
-                       SetPeriodCommand(node_id, int(period_s)))
+        self.queue.schedule(self.queue.now, EventKind.COMMAND_INJECTED, self._coordinator.id,
+                            SetPeriodCommand(node_id, int(period_s)))
 
     @property
     def poll_wakes_elided(self) -> int:
@@ -358,14 +358,13 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: SimEvent) -> None:
-        self._current = event
         if event.kind is EventKind.POLL_WAKE:
             self._on_poll_wake(event)
             return
         runtime = self.runtimes[event.node]
         now = event.at
-        if runtime.is_end_device:
-            self._book_poll_before(runtime, event)
+        if runtime.is_end_device and self._polls_ran >= (now, runtime.poll_rank):
+            runtime.ledger.poll(now)  # scheduled while its tick's polls run, after its own
         runtime.ledger.advance(now)
         if runtime.ledger.is_dead:
             self._note_death(runtime, now)
@@ -384,7 +383,8 @@ class Simulation:
         for a sleeping device are delivered."""
         node_id, now = event.node, event.at
         runtime = self.runtimes[node_id]
-        self._forget_real_poll(runtime)
+        runtime.real_poll = None
+        self._polls_ran = (now, runtime.poll_rank)
         ledger = runtime.ledger
         if not ledger.poll(now):
             assert ledger.is_dead, "a real poll at a tick whose poll is booked"
@@ -451,8 +451,8 @@ class Simulation:
             if guard.queued and guard.at == deadline:
                 return
             self.queue.cancel(guard)
-        runtime.guard = self._schedule(deadline, EventKind.TIMER_FIRED, runtime.spec.id,
-                                       GuardExpiredStimulus(deadline))
+        runtime.guard = self.queue.schedule(deadline, EventKind.TIMER_FIRED, runtime.spec.id,
+                                            GuardExpiredStimulus(deadline))
 
     def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
         """Frames go to end devices and to the coordinator, never to routers."""
@@ -495,7 +495,7 @@ class Simulation:
         while next_wake <= now:
             next_wake += effective
         runtime.next_wake = next_wake
-        self._schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id, EXTERNAL_WAKE)
+        self.queue.schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id, EXTERNAL_WAKE)
 
     def _session_step(self, device_id: int, stimulus: CoordinatorStimulus, now: Ticks) -> None:
         """Step the device's coordinator session and carry its result out."""
@@ -515,8 +515,8 @@ class Simulation:
                 self.queue.cancel(pending)
         if result.timer is not None:
             kind, delay = self._session_timers[type(result.timer)]
-            self._timers[device_id] = self._schedule(now + delay, kind, self._coordinator.id,
-                                                     SessionTimer(device_id, result.timer))
+            self._timers[device_id] = self.queue.schedule(
+                now + delay, kind, self._coordinator.id, SessionTimer(device_id, result.timer))
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -564,8 +564,8 @@ class Simulation:
             self._plan_poll(destination)
             return
         rssi = self._rssi(route[-2], frame.dst)
-        self._schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
-                       DeliveredFrame(frame, rssi))
+        self.queue.schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
+                            DeliveredFrame(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
         self.frames_dropped[reason] += 1
@@ -631,70 +631,12 @@ class Simulation:
     # Poll grid
     # ------------------------------------------------------------------
 
-    def _schedule(self, at: Ticks, kind: EventKind, node: int, payload: object) -> SimEvent:
-        """Schedule an event, recording its cause when it falls one poll
-        period after it was scheduled (the only case _poll_first reads it)."""
-        event = self.queue.schedule(at, kind, node, payload)
-        if at - self.queue.now in self._poll_periods:
-            event.cause = self._current
-        # A real poll placed before its device's previous poll ran can meet
-        # events scheduled after it that still run first. Those polls move to
-        # just after this event: every event of the tick scheduled earlier
-        # runs before them too, and the polls keep their own rank order.
-        waiting = self._polls_due.get(at)
-        if not waiting:
-            return event
-        late = sorted((runtime for runtime in waiting
-                       if not self._poll_first(runtime, at, event)),
-                      key=lambda runtime: runtime.poll_rank)
-        for i, runtime in enumerate(late):
-            self.queue.cancel(runtime.real_poll)
-            runtime.real_poll = self.queue.schedule(at, EventKind.POLL_WAKE, runtime.spec.id,
-                                                    order=event.seq + 1 - 0.5 ** (i + 1))
-        return event
-
-    def _poll_first(self, runtime: NodeRuntime, tick: Ticks, event: SimEvent) -> bool:
-        """Whether the device's poll at grid tick `tick` runs before `event`,
-        due at the same tick, had every poll been an event.
-
-        A poll is scheduled while the poll one period earlier runs, so it
-        runs first exactly when `event` was scheduled after that earlier
-        poll: later in time, or at the same tick by an event the earlier
-        poll ran before. The first poll was scheduled before anything else.
-        Polls of one tick run in poll_rank order.
-        """
-        period = runtime.ledger.poll_ticks
-        while True:
-            if event.kind is EventKind.POLL_WAKE:
-                other = self.runtimes[event.node]
-                return other is runtime or runtime.poll_rank < other.poll_rank
-            if tick == period:
-                return True
-            previous = tick - period
-            if event.made_at != previous:
-                return event.made_at > previous
-            if event.cause is None:
-                return True  # scheduled between steps, after every event of that tick
-            event, tick = event.cause, previous
-
     def _poll_passed(self, runtime: NodeRuntime) -> bool:
         """Whether the device's poll at the current clock tick, if it has one
-        there, has already run (or been booked)."""
+        there, has already run: its ledger booked it, or a real poll of the
+        tick ranked at or after it has run."""
         now = self.queue.now
-        if runtime.real_poll is not None and runtime.real_poll.at == now:
-            return False
-        if runtime.ledger.next_poll > now:
-            return True
-        return self._current is None or self._poll_first(runtime, now, self._current)
-
-    def _book_poll_before(self, runtime: NodeRuntime, event: SimEvent) -> None:
-        """Book the device's poll at the event's tick when it runs first."""
-        now = event.at
-        ledger = runtime.ledger
-        if (now % ledger.poll_ticks == 0 and ledger.next_poll <= now and not ledger.is_dead
-                and not (runtime.real_poll is not None and runtime.real_poll.at == now)
-                and self._poll_first(runtime, now, event)):
-            ledger.poll(now)
+        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.poll_rank)
 
     def _book_passed_polls(self) -> None:
         """Book every poll that has run by the current clock. This changes no
@@ -741,28 +683,8 @@ class Simulation:
             if old.at == due:
                 return
             self.queue.cancel(old)
-            self._forget_real_poll(runtime)
-        if due is None:
-            return
-        # Place it among the events of its tick as _poll_first orders them.
-        low, high = None, self.queue.next_seq
-        for order, event in self.queue.orders_at(due):
-            if self._poll_first(runtime, due, event):
-                high = order
-                break
-            low = order
-        runtime.real_poll = self.queue.schedule(
-            due, EventKind.POLL_WAKE, runtime.spec.id,
-            order=high - 0.5 if low is None else (low + high) / 2)
-        self._polls_due.setdefault(due, []).append(runtime)
-
-    def _forget_real_poll(self, runtime: NodeRuntime) -> None:
-        at = runtime.real_poll.at
-        waiting = self._polls_due[at]
-        waiting.remove(runtime)
-        if not waiting:
-            del self._polls_due[at]
-        runtime.real_poll = None
+        runtime.real_poll = None if due is None else self.queue.schedule(
+            due, EventKind.POLL_WAKE, runtime.spec.id, rank=runtime.poll_rank)
 
     # ------------------------------------------------------------------
     # Trace

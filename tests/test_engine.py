@@ -40,6 +40,44 @@ def test_queue_ties_break_by_insertion_order():
     assert q.pop_due(50) is second
 
 
+def test_an_event_scheduled_while_a_tick_polls_runs_before_the_polls_left():
+    q = EventQueue()
+    polls = [q.schedule(50, EventKind.POLL_WAKE, node, rank=node) for node in (2, 0, 1)]
+    assert q.pop_due(50) is polls[1]
+    zero_delay = q.schedule(50, EventKind.FRAME_DELIVERED, 7)
+    assert [q.pop_due(50) for _ in range(3)] == [zero_delay, polls[2], polls[0]]
+
+
+def test_a_negative_rank_is_rejected():
+    with pytest.raises(ValueError, match="rank"):
+        EventQueue().schedule(5, EventKind.POLL_WAKE, 1, rank=-1)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.one_of(st.none(), st.integers(min_value=0, max_value=4))),
+                min_size=1, max_size=40))
+def test_each_tick_runs_unranked_events_in_order_then_ranked_ones_by_rank(entries):
+    q = EventQueue()
+    for at, rank in entries:
+        q.schedule(at, EventKind.TIMER_FIRED if rank is None else EventKind.POLL_WAKE,
+                   rank=rank)
+    popped = []
+    while (event := q.pop_next()) is not None:
+        popped.append(event)
+    assert len(popped) == len(entries)
+    ticks = [event.at for event in popped]
+    assert ticks == sorted(ticks)
+    for tick in set(ticks):
+        kinds = [event.kind for event in popped if event.at == tick]
+        unranked = [event.seq for event in popped
+                    if event.at == tick and event.kind is EventKind.TIMER_FIRED]
+        ranks = [(entries[event.seq][1], event.seq) for event in popped
+                 if event.at == tick and event.kind is EventKind.POLL_WAKE]
+        assert kinds == sorted(kinds, key=lambda kind: kind is EventKind.POLL_WAKE)
+        assert unranked == sorted(unranked)
+        assert ranks == sorted(ranks)
+
+
 def test_queue_advances_clock_and_rejects_past():
     q = EventQueue()
     q.schedule(10, EventKind.POLL_WAKE)

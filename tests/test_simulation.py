@@ -71,12 +71,15 @@ def test_seed_changes_the_sampled_values(three_node_config):
 def test_run_until_can_be_resumed(three_node_config):
     straight = Simulation(three_node_config, trace=True)
     straight.run_until(7200.0)
-    staged = Simulation(three_node_config, trace=True)
-    staged.run_until(1800.0)
-    staged.run_until(5000.0)
-    stats = staged.run_until(7200.0)
-    assert stats == straight.stats()
-    assert staged.trace_text() == straight.trace_text()
+    # 1792 s is an external wake (64 polls of 28 s) and 5040 s a plain poll
+    # tick, so the horizon books the polls of a tick that has events
+    for stages in ((1800.0, 5000.0), (1792.0, 5040.0)):
+        staged = Simulation(three_node_config, trace=True)
+        for horizon in stages:
+            staged.run_until(horizon)
+        stats = staged.run_until(7200.0)
+        assert stats == straight.stats(), stages
+        assert staged.trace_text() == straight.trace_text(), stages
     with pytest.raises(ValueError):
         staged.run_until(100.0)
 
@@ -159,6 +162,28 @@ def test_buffered_command_is_delivered_at_the_next_poll():
     assert stats.frames_buffered_pending == 0
     assert stats.cyclic_sleep[1].sample_period_s == 280.0
     assert stats.cyclic_sleep[1].effective_period_s == 280.0
+
+
+def test_a_poll_delivers_a_frame_buffered_earlier_in_its_tick():
+    # device 2 wakes at 280 s, a poll tick of device 1 too; a command sent
+    # while that tick runs is buffered for the sleeping device 1, and its
+    # poll at 280 s runs after every other event of the tick
+    doc = two_node_doc(sample_period_s=560)
+    doc["nodes"].append({**doc["nodes"][1], "id": 2, "sample_period_s": 280.0})
+    sim = Simulation(make_config(doc), trace=True)
+    wake = ticks_from_seconds(280.0)
+    while (event := sim.step()).kind is not EventKind.EXTERNAL_WAKE:
+        pass
+    assert (event.at, event.node) == (wake, 2)
+    sim.inject_set_period(1, 280)
+    sim.run_until(400.0)
+    lines = [line.split("\t") for line in sim.trace_lines]
+    buffered = [int(at) for at, _, kind, node, _ in lines if (kind, node) == ("buffer", "1")]
+    delivered = [int(at) for at, _, kind, node, _ in lines if (kind, node) == ("deliver", "1")]
+    assert buffered == delivered == [wake]
+    assert [(kind, node) for at, _, kind, node, _ in lines if at == str(wake)] == [
+        ("external_wake", "2"), ("send", "2"), ("command_injected", "0"), ("send", "0"),
+        ("buffer", "1"), ("poll_wake", "1"), ("deliver", "1"), ("send", "1")]
 
 
 def test_timers_fire_their_configured_delay_after_they_are_armed():
@@ -316,6 +341,47 @@ def test_only_timers_that_act_are_dispatched(family, seed):
         sim.run_until(150.0)
     assert all(acted for _, acted in seen), seen
     assert len(sim.queue) == sum(1 for _ in sim.queue.pending())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("random", "aligned")), st.integers(min_value=0, max_value=10_000))
+def test_no_tick_holds_more_events_than_one_round_of_every_device(family, seed):
+    """Stepped to the horizon, no tick holds more events than every end
+    device could cause in one collection round, plus what the injected
+    commands cause.
+
+    One round of a device with R = max_retries brings at most 12 + 3R
+    events: its external wake, one real poll, one guard, its session's
+    WARMUP_DONE and 1 + R TIMEOUTs, and the delivery of each frame of the
+    round, which are AWAKE and the coordinator's HEAT_GAUGE_REQ, 1 + R
+    SAMPLE_REQs and SLEEP_REQ with one reply each. A command adds itself, its
+    SET_PERIOD and the ACK. So a tick holds at most
+    devices x (12 + 3R) + 3 x commands events.
+    """
+    if family == "random":
+        doc, horizon = random_scenario_doc(seed)
+        horizon *= 5
+        stages: list[float] = []
+    else:
+        doc, horizon = aligned_doc(seed), 150.0
+        stages = [6.0 * stage for stage in range(1, 8)]
+    config = make_config(doc)
+    sim = Simulation(config)
+    devices = len(sim.sessions)
+    commands = 0
+    limit = ticks_from_seconds(horizon)
+    tick, count = -1, 0
+    while (at := sim.queue.peek_time()) is not None and at <= limit:
+        if stages and at >= ticks_from_seconds(stages[0]):
+            sim.inject_set_period(2, len(stages) % 3 + 1)
+            stages.pop(0)
+            commands += 1
+        event = sim.step()
+        tick, count = event.at, (count + 1 if event.at == tick else 1)
+        assert count <= devices * (12 + 3 * config.max_retries) + 3 * commands, tick
+    events = sim.events_processed
+    assert sim.run_until(horizon).clock_ticks == limit
+    assert sim.events_processed == events
 
 
 def test_a_guard_rearmed_to_its_deadline_keeps_its_event(three_node_config):
