@@ -235,22 +235,32 @@ class PowerLedger:
         """Grid tick (at most `until`) of the poll that would find the battery
         empty if the ledger were left alone until then, or None.
 
-        A lower bound on the death tick, with every state drawing the largest
-        current, answers most calls without booking anything: a poll finds a
-        death at or after it, or one inside its window, and when no window
-        is shifted by the cursor a window ends poll_window ticks after its
-        poll."""
+        A lower bound on the death tick answers most calls without booking
+        anything. Left alone, the ledger draws only the base state's current
+        and, in poll windows, AWAKE_IDLE's, so the bound lets every tick draw
+        the larger of the two. A poll finds a death at or after it, or one
+        inside its window. A poll before the cursor (a slice shifted it) books
+        its window at the cursor; the gap to the next poll shrinks by
+        poll_ticks - poll_window per poll, and the first poll that is not
+        shifted ends the shifting. So nothing is booked past the last shifted
+        window or the window of the last poll at or before `until`, whichever
+        ends later. Only when the bound cannot rule out a death in that span
+        does a copy of the ledger book the polls to find it."""
         remaining = self.battery_remaining_mah
         if self.dead_at is not None or self.next_poll is None or remaining is None:
             return None
-        top = max(self._current.values())
+        top = max(self._current[self.state], self._current[PowerState.AWAKE_IDLE])
         if top <= 0:
             return None
-        if self.next_poll >= self.cursor:
-            margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
-            reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
-            if reach - 3 > until + self.poll_window - self.cursor:
-                return None
+        end = until + self.poll_window
+        lag = self.cursor - self.next_poll
+        if lag > 0:
+            shifted = (lag - 1) // (self.poll_ticks - self.poll_window) + 1
+            end = max(end, self.cursor + shifted * self.poll_window)
+        margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
+        reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
+        if reach - 3 > end - self.cursor:
+            return None
         trial = copy.copy(self)
         trial.durations = dict(self.durations)
         trial.book_polls(until + 1)

@@ -48,6 +48,10 @@ class MessageKind(IntEnum):
     ERR = 0x08
 
 
+# Read once here: Enum.name goes through a Python-level descriptor on every read.
+_KIND_NAME = {kind: kind.name for kind in MessageKind}
+
+
 class ErrorReason(IntEnum):
     """Payload byte of an ERR frame."""
 
@@ -116,7 +120,7 @@ class MessageFrame:
         return FRAME_OVERHEAD + len(self.payload)
 
     def summary(self) -> str:
-        return f"{self.kind.name} {self.src}->{self.dst} seq={self.seq}"
+        return f"{_KIND_NAME[self.kind]} {self.src}->{self.dst} seq={self.seq}"
 
 
 def encode_frame(frame: MessageFrame) -> bytes:

@@ -34,6 +34,8 @@ DROP_NO_ROUTE = "no_route"
 DROP_NODE_DEAD = "node_dead"
 DROP_BUFFER_FULL = "buffer_full"
 
+TRACE_BLOCK_LINES = 1024  # trace lines joined into one block of text
+
 # Event payloads. A device's events carry the stimulus its step function
 # takes: EXTERNAL_WAKE this one, TIMER_FIRED a GuardExpiredStimulus and
 # FRAME_DELIVERED a DeliveredFrame. POLL_WAKE carries nothing.
@@ -60,6 +62,10 @@ def _frame_detail(delivered: DeliveredFrame) -> str:
     """Trace detail of a frame_delivered event and of a deliver action."""
     return f"{delivered.frame.summary()} rssi={delivered.rssi_dbm!r}"
 
+
+# The trace kind column of each event kind, read once: Enum.value goes through
+# a Python-level descriptor on every read.
+_EVENT_NAME = {kind: kind.value for kind in EventKind}
 
 # The trace detail of each event kind, from its payload (docs/protocol.md, "Trace lines").
 _EVENT_DETAIL: dict[EventKind, Callable[[Any], str]] = {
@@ -193,7 +199,8 @@ class Simulation:
                                     if config.channels else None)
         self.records: list[SampleRecord] = []
         self.trace_enabled = trace
-        self.trace_lines: list[str] = []
+        self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
+        self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
         self.events_processed = 0
         self.dead_skips = 0
         self.frames_sent = 0
@@ -693,12 +700,35 @@ class Simulation:
     def _trace_event(self, event: SimEvent) -> None:
         if self.trace_enabled:
             node = event.node if event.node is not None else "-"
-            self.trace_lines.append(f"{event.at}\t{event.seq}\t{event.kind.value}\t{node}\t"
-                                    f"{_EVENT_DETAIL[event.kind](event.payload)}")
+            self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{node}\t"
+                        f"{_EVENT_DETAIL[event.kind](event.payload)}\n")
 
     def _trace_action(self, kind: str, node: int, detail: str, now: Ticks) -> None:
         if self.trace_enabled:
-            self.trace_lines.append(f"{now}\t-\t{kind}\t{node}\t{detail}")
+            self._trace(f"{now}\t-\t{kind}\t{node}\t{detail}\n")
+
+    def _trace(self, line: str) -> None:
+        """Keep a line; every TRACE_BLOCK_LINES lines become one joined block,
+        which holds them in far less memory than one string each."""
+        pending = self._trace_pending
+        pending.append(line)
+        if len(pending) == TRACE_BLOCK_LINES:
+            self._trace_blocks.append("".join(pending))
+            pending.clear()
 
     def trace_text(self) -> str:
-        return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else "")
+        """The trace so far, one line per event or action, each ending in a
+        newline. The joined text is kept as the only block, so asking again
+        joins nothing."""
+        blocks = self._trace_blocks
+        if self._trace_pending:
+            blocks.append("".join(self._trace_pending))
+            self._trace_pending.clear()
+        if len(blocks) > 1:
+            blocks[:] = ["".join(blocks)]
+        return blocks[0] if blocks else ""
+
+    @property
+    def trace_lines(self) -> list[str]:
+        """The trace so far, split into lines without their newlines."""
+        return self.trace_text().splitlines()

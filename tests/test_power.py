@@ -1,5 +1,7 @@
+import copy
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 CyclicSleepConfig, NonPositiveCurrentError,
@@ -7,6 +9,7 @@ from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 TICKS_PER_HOUR, average_current,
                                 cyclic_sleep_multiplier, estimate_lifetime,
                                 wake_timeline)
+from wsn_pathosim.simulation import Simulation
 
 PROFILE = ConsumptionProfile()
 
@@ -306,3 +309,130 @@ def test_poll_books_the_grid_tick_itself():
 def test_poll_window_must_fit_in_the_period():
     with pytest.raises(ValueError, match="poll window"):
         _grid_ledger(PROFILE, PowerState.SLEEPING, 1100.0, 0, 10, 10)
+
+
+# ---------------------------------------------------------------------------
+# death_poll on shifted poll windows
+# ---------------------------------------------------------------------------
+
+def _ledger_state(ledger):
+    return (list(ledger.durations.items()), ledger.cursor, ledger.next_poll, ledger.state,
+            ledger.battery_remaining_mah, ledger.dead_at, ledger.polls)
+
+
+def _trial_death_poll(ledger, until):
+    """death_poll without its bound: book a copy up to `until` and look."""
+    trial = copy.copy(ledger)
+    trial.durations = dict(ledger.durations)
+    trial.book_polls(until + 1)
+    return None if trial.dead_at is None else trial.next_poll - ledger.poll_ticks
+
+
+@st.composite
+def shifted_ledgers(draw):
+    """A live grid ledger whose cursor slices pushed past one or more grid
+    polls, and a tick to ask death_poll about: on or off the grid, before or
+    after the cursor, or near where the shifted windows end. Some batteries
+    are sized to run out a little after that tick, where the bound is
+    tightest."""
+    poll = draw(st.one_of(st.integers(2, 40), st.sampled_from([333_333, 28 * S])))
+    window = draw(st.one_of(st.just(poll - 1), st.integers(max(0, poll - 3), poll - 1),
+                            st.integers(0, poll - 1)))
+    currents = draw(st.lists(st.one_of(st.sampled_from([0.0, 21.10, 69.80]),
+                                       st.floats(0.0, 150.0)),
+                             min_size=3, max_size=3))  # in any order, some equal
+    # Tight cases, where the bound matters most: windows draw the base
+    # current, and the battery runs out a little after `until`.
+    tight = draw(st.booleans())
+    if tight:
+        currents[1] = currents[0]
+    profile = ConsumptionProfile(*currents)
+    state = draw(st.one_of(st.just(PowerState.SLEEPING), st.sampled_from(
+        [PowerState.SLEEPING, PowerState.AWAKE_IDLE, PowerState.TRANSMITTING])))
+    start = draw(st.integers(0, 3 * poll))
+    slices = draw(st.lists(st.tuples(st.integers(0, 2 * poll), st.integers(1, 6 * poll)),
+                           min_size=1, max_size=3))
+
+    def replay(capacity):
+        ledger = _grid_ledger(profile, state, capacity, start, poll, window)
+        for gap, duration in slices:
+            ledger.charge_slice(PowerState.TRANSMITTING, duration, ledger.cursor + gap)
+        return ledger
+
+    probe = replay(None)
+    cursor, consumed = probe.cursor, probe.consumed_mah
+    assume(probe.next_poll < cursor)
+    # book the shifted polls one by one, to see where their windows end
+    while probe.next_poll < min(probe.cursor, cursor + 20 * poll):
+        probe.book_polls(probe.next_poll + 1)
+    until = max(0, draw(st.one_of(st.integers(cursor - 3 * poll, cursor + 8 * poll),
+                                  st.integers(probe.cursor - poll, probe.cursor + 3 * poll))))
+    if draw(st.booleans()):
+        until = until // poll * poll  # a grid tick
+    if tight:
+        ahead = max(0, until - cursor)
+        spare = draw(st.one_of(  # ticks the battery lasts after the cursor
+            st.integers(0, ahead + 8 * poll),
+            st.integers(ahead, max(ahead, probe.cursor - cursor) + window)))
+        top = max(profile.current_ma(state), profile.awake_idle_ma)
+        capacity = consumed + top * spare / TICKS_PER_HOUR
+    else:
+        capacity = draw(st.one_of(st.none(), st.floats(0.0, 1e-6), st.floats(0.0, 5.0)))
+    ledger = replay(capacity)
+    assume(not ledger.is_dead)
+    return ledger, until
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_ledgers())
+def test_death_poll_on_shifted_windows_matches_an_always_booked_trial(case):
+    ledger, until = case
+    before = _ledger_state(ledger)
+    expected = _trial_death_poll(ledger, until)
+    assert ledger.death_poll(until) == expected
+    assert _ledger_state(ledger) == before  # a prediction books nothing
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 60), st.data())
+def test_death_poll_finds_a_death_in_the_window_after_until(poll, data):
+    """Once the shifting has ended, the poll at a grid tick `until` books its
+    window past `until`; a battery that runs out inside that window is found
+    by that poll. Windows draw the base current, so the bound is tight."""
+    window = data.draw(st.integers(6, poll - 1))
+    current = data.draw(st.floats(1.0, 150.0))
+    profile = ConsumptionProfile(current, current, data.draw(st.floats(0.0, 150.0)))
+    slice_at = data.draw(st.integers(0, 2 * poll))
+    slice_ticks = data.draw(st.integers(1, 6 * poll))
+
+    def sliced(capacity):
+        ledger = _grid_ledger(profile, PowerState.SLEEPING, capacity, 0, poll, window)
+        ledger.charge_slice(PowerState.TRANSMITTING, slice_ticks, slice_at)
+        return ledger
+
+    mains = sliced(None)
+    cursor, consumed = mains.cursor, mains.consumed_mah
+    assume(mains.next_poll < cursor)
+    while mains.next_poll < mains.cursor:  # book the shifted polls
+        mains.book_polls(mains.next_poll + 1)
+    until = (mains.cursor // poll + data.draw(st.integers(1, 4))) * poll
+    spare = until - cursor + data.draw(st.integers(5, window - 1))  # ticks the battery lasts
+    ledger = sliced(consumed + current * spare / TICKS_PER_HOUR)
+    assert not ledger.is_dead
+    assert ledger.death_poll(until) == _trial_death_poll(ledger, until) == until
+
+
+def test_a_shipped_day_copies_no_ledger(three_node_config, monkeypatch):
+    copies = []
+    real_copy = copy.copy
+
+    def counting_copy(obj):
+        if isinstance(obj, PowerLedger):
+            copies.append(obj)
+        return real_copy(obj)
+
+    monkeypatch.setattr(copy, "copy", counting_copy)
+    sim = Simulation(three_node_config)
+    sim.run_until(86400.0)
+    assert sim.stats().rounds[2]["completed"] == 48
+    assert copies == []

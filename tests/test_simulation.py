@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
 from test_golden import aligned_doc
+from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
 from wsn_pathosim.protocol import route_path
@@ -82,6 +83,31 @@ def test_run_until_can_be_resumed(three_node_config):
         assert staged.trace_text() == straight.trace_text(), stages
     with pytest.raises(ValueError):
         staged.run_until(100.0)
+
+
+@pytest.mark.parametrize("block_lines", [1, 7, simulation.TRACE_BLOCK_LINES])
+def test_trace_read_between_stages_matches_a_straight_run(three_node_config, monkeypatch,
+                                                         block_lines):
+    monkeypatch.setattr(simulation, "TRACE_BLOCK_LINES", block_lines)
+    straight = Simulation(three_node_config, trace=True)
+    straight.run_until(86400.0)
+    staged = Simulation(three_node_config, trace=True)
+    texts = []
+    for horizon in (1792.0, 1800.0, 5040.0, 40000.0, 86400.0):
+        staged.run_until(horizon)
+        texts.append(staged.trace_text())
+    assert texts[-1] == straight.trace_text()
+    assert all(texts[-1].startswith(text) for text in texts)
+    assert staged.trace_text() == texts[-1]
+    assert staged.trace_lines == texts[-1].splitlines()
+    assert len(staged.trace_lines) > 10 * 7  # many blocks at the small sizes
+
+
+def test_an_untraced_run_keeps_no_trace(three_node_config):
+    sim = Simulation(three_node_config)
+    sim.run_until(7200.0)
+    assert sim.trace_text() == ""
+    assert sim.trace_lines == []
 
 
 @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), float("nan")])
