@@ -67,6 +67,11 @@ class NodeRole(Enum):
 class ObstacleKind(Enum):
     """Obstruction categories with their measured default attenuation."""
 
+    # Hash by identity, not through Enum.__hash__ (a Python-level call): the
+    # kinds key the attenuation and label tables, and no set of them is
+    # iterated.
+    __hash__ = object.__hash__
+
     WINDOW_OPEN_BLINDS = "window_open_blinds"
     WINDOW_CLOSED_BLINDS = "window_closed_blinds"
     WALL_OPEN_DOOR = "wall_open_door"

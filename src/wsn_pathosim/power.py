@@ -30,6 +30,12 @@ class PowerState(Enum):
     DEAD = "dead"
 
 
+# The states bound once. On CPython 3.10 and 3.11 the Enum metaclass defines
+# __getattr__, which turns every PowerState.SLEEPING-style read into a generic
+# attribute lookup of about 150 ns, against about 14 ns for a module global.
+SLEEPING, AWAKE_IDLE, TRANSMITTING, DEAD = PowerState
+
+
 @dataclass(frozen=True)
 class ConsumptionProfile:
     """Measured module draw (mA) per state. Dead nodes draw nothing."""
@@ -39,11 +45,11 @@ class ConsumptionProfile:
     transmitting_ma: float = 109.80
 
     def current_ma(self, state: PowerState) -> float:
-        if state is PowerState.SLEEPING:
+        if state is SLEEPING:
             return self.sleeping_ma
-        if state is PowerState.AWAKE_IDLE:
+        if state is AWAKE_IDLE:
             return self.awake_idle_ma
-        if state is PowerState.TRANSMITTING:
+        if state is TRANSMITTING:
             return self.transmitting_ma
         return 0.0
 
@@ -211,9 +217,11 @@ class PowerLedger:
     def advance(self, now: Ticks) -> None:
         """Book the grid polls before `now`, then integrate the current state
         up to `now` (no-op if now <= cursor)."""
-        if self.next_poll is not None and self.next_poll < now:
+        next_poll = self.next_poll
+        if next_poll is not None and next_poll < now:
             self.book_polls(now)
-        self._integrate(now)
+        if now > self.cursor:
+            self._integrate(now)
 
     def poll(self, now: Ticks) -> bool:
         """advance(now), and book the grid poll at `now` too if it is the next
@@ -249,7 +257,7 @@ class PowerLedger:
         remaining = self.battery_remaining_mah
         if self.dead_at is not None or self.next_poll is None or remaining is None:
             return None
-        top = max(self._current[self.state], self._current[PowerState.AWAKE_IDLE])
+        top = max(self._current[self.state], self._current[AWAKE_IDLE])
         if top <= 0:
             return None
         end = until + self.poll_window
@@ -271,46 +279,56 @@ class PowerLedger:
     def set_state(self, state: PowerState, now: Ticks) -> None:
         """Integrate up to `now`, then switch the base state."""
         self.advance(now)
-        if not self.is_dead:
+        if self.dead_at is None:
             self.state = state
 
     def charge_slice(self, state: PowerState, duration: Ticks, now: Ticks) -> None:
         """Book a transient excursion of `duration` starting at `now` (or at
         the cursor, if later), returning to the current base state after."""
         self.advance(now)
+        if self.dead_at is not None:
+            self._integrate(self.cursor + duration)  # all of it DEAD
+            return
         base = self.state
-        if not self.is_dead:
-            self.state = state
+        self.state = state
         self._integrate(self.cursor + duration)
-        if not self.is_dead:
+        if self.dead_at is None:
             self.state = base
 
     def _integrate(self, now: Ticks) -> None:
-        if now <= self.cursor:
+        """Book the span from the cursor to `now` in the current state. A
+        battery that runs out inside it books only the live part, and the
+        rest as DEAD. The tick totals are added to in place, so a state keeps
+        the place in the dict of its first booking."""
+        cursor = self.cursor
+        if now <= cursor:
             return
-        span = now - self.cursor
-        current = self._current[self.state]
-        if self.battery_remaining_mah is not None and current > 0:
-            demand = current * span / TICKS_PER_HOUR
-            if demand >= self.battery_remaining_mah:
+        span = now - cursor
+        state = self.state
+        durations = self.durations
+        remaining = self.battery_remaining_mah
+        currents = self._current
+        current = currents[state]
+        self.cursor = now
+        if remaining is not None and current > 0:
+            if current * span / TICKS_PER_HOUR >= remaining:
                 # Died partway through the span: book only the live part.
-                live = math.floor(self.battery_remaining_mah * TICKS_PER_HOUR / current)
-                live = min(live, span)
-                self._book(self.state, live)
+                live = min(math.floor(remaining * TICKS_PER_HOUR / current), span)
+                if live > 0:
+                    durations[state] = durations.get(state, 0) + live
+                if span > live:
+                    durations[DEAD] = durations.get(DEAD, 0) + span - live
                 self.battery_remaining_mah = 0.0
-                self.dead_at = self.cursor + live
-                self._book(PowerState.DEAD, span - live)
-                self.state = PowerState.DEAD
-                self.cursor = now
+                self.dead_at = cursor + live
+                self.state = DEAD
                 return
-            self._book(self.state, span)
-            self.cursor = now
+            durations[state] = durations.get(state, 0) + span
             # Re-derive from the tick totals rather than subtracting demand:
             # the result is then independent of how often advance() was called.
-            self.battery_remaining_mah = self._initial_remaining_mah - self.consumed_mah
+            self.battery_remaining_mah = (self._initial_remaining_mah
+                                          - _consumed(currents, durations))
             return
-        self._book(self.state, span)
-        self.cursor = now
+        durations[state] = durations.get(state, 0) + span
 
     def _poll_step(self, tick: Ticks) -> bool:
         """One grid poll: the span up to it, then its window if asleep."""
@@ -319,11 +337,11 @@ class PowerLedger:
         if self.dead_at is not None:
             return False
         self.polls += 1
-        if self.state is PowerState.SLEEPING and self.poll_window:
-            self.state = PowerState.AWAKE_IDLE
+        if self.state is SLEEPING and self.poll_window:
+            self.state = AWAKE_IDLE
             self._integrate(self.cursor + self.poll_window)
             if self.dead_at is None:
-                self.state = PowerState.SLEEPING
+                self.state = SLEEPING
         return True
 
     def _book_cycles(self, count: int) -> bool:
@@ -340,12 +358,12 @@ class PowerLedger:
         """
         first = self.next_poll
         base = self.state
-        window = self.poll_window if base is PowerState.SLEEPING else 0
+        window = self.poll_window if base is SLEEPING else 0
         if self.cursor > first or base not in self.durations or (
-                window and PowerState.AWAKE_IDLE not in self.durations):
+                window and AWAKE_IDLE not in self.durations):
             return False  # shifted window or a first booking: step, keeping key order
         base_ma = self._current[base]
-        window_ma = self._current[PowerState.AWAKE_IDLE]
+        window_ma = self._current[AWAKE_IDLE]
         if base_ma < 0 or window_ma < 0:
             return False
         lead = first - self.cursor
@@ -366,7 +384,7 @@ class PowerLedger:
             trial = dict(self.durations)
             trial[base] += lead + (cycles - 1) * gap
             if window:
-                trial[PowerState.AWAKE_IDLE] += cycles * window
+                trial[AWAKE_IDLE] += cycles * window
             if remaining is None:
                 break
             left = self._initial_remaining_mah - _consumed(self._current, trial)
@@ -384,10 +402,6 @@ class PowerLedger:
         self.next_poll = last + self.poll_ticks
         self.polls += cycles
         return True
-
-    def _book(self, state: PowerState, span: Ticks) -> None:
-        if span > 0:
-            self.durations[state] = self.durations.get(state, 0) + span
 
     def conservation_error_mah(self) -> float:
         """|booked battery draw - derived consumption|; ~0 up to float rounding."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .engine import RngStream
-from .model import ScenarioConfig, obstacles_on_path, ObstacleCrossing
+from .model import ObstacleCrossing, ObstacleKind, ScenarioConfig, obstacles_on_path
 
 DEFAULT_PATH_LOSS_ANCHORS: tuple[tuple[float, float], ...] = (
     (0.5, 0.00),
@@ -24,6 +24,9 @@ DEFAULT_PATH_LOSS_ANCHORS: tuple[tuple[float, float], ...] = (
 )
 
 FLOOR_CROSSING_LABEL = "floor_crossing"
+# Each obstacle kind's label, read once: Enum.value goes through a
+# Python-level descriptor on every read.
+_OBSTACLE_LABEL = {kind: kind.value for kind in ObstacleKind}
 
 
 class NonPositiveDistanceError(ValueError):
@@ -118,7 +121,7 @@ def link_budget(config: ScenarioConfig, a: int, b: int,
     losses: list[tuple[str, float]] = []
     for crossing in obstacles_on_path(config, a, b):
         if isinstance(crossing, ObstacleCrossing):
-            losses.append((crossing.kind.value, crossing.loss_db))
+            losses.append((_OBSTACLE_LABEL[crossing.kind], crossing.loss_db))
         else:
             losses.append((FLOOR_CROSSING_LABEL, crossing.loss_db))
     # Left to right, not sum(): from Python 3.12 sum() compensates float

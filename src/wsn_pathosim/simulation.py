@@ -4,6 +4,23 @@ into one deterministic event loop.
 Identical (scenario, seed) pairs replay bit for bit: every random draw comes
 from a derived named stream, every container iterates in insertion order, and
 virtual time is integer microseconds.
+
+A building-scale day dispatches tens of thousands of events, so the path
+from Simulation._dispatch down to the PowerLedgers keeps its Python-level
+hops few. Its conventions:
+
+- Enum members are bound once at module level, one unpacking line per enum
+  (TIMER_FIRED, ... = EventKind), here and in protocol, power and sensors:
+  on CPython 3.10 and 3.11 the Enum metaclass defines __getattr__, so a
+  read through the class (EventKind.POLL_WAKE) takes a slow generic
+  lookup. An enum's name or value comes from a module table (_EVENT_NAME,
+  _STATE_NAME, protocol._KIND_NAME), not from its descriptor.
+  tests/test_enum_reads.py holds a shipped day to none.
+- What is fixed when a node is built is a field, not a property
+  (NodeRuntime.is_end_device), and a ledger's death is read as
+  `dead_at is not None`.
+- PowerLedger books a span in place: no helper call per span.
+- A trace line is formatted only when tracing is on.
 """
 
 from __future__ import annotations
@@ -36,10 +53,19 @@ DROP_BUFFER_FULL = "buffer_full"
 
 TRACE_BLOCK_LINES = 1024  # trace lines joined into one block of text
 
+# Enum members read on the per-event path, bound once. On CPython 3.10 and
+# 3.11 the Enum metaclass defines __getattr__, which turns every
+# EventKind.POLL_WAKE-style read into a generic attribute lookup of about
+# 150 ns, against about 14 ns for a module global.
+(TIMER_FIRED, FRAME_DELIVERED, POLL_WAKE, EXTERNAL_WAKE, WARMUP_DONE, TIMEOUT,
+ COMMAND_INJECTED) = EventKind
+PHASE_SLEEPING, TRANSMITTING = DevicePhase.SLEEPING, PowerState.TRANSMITTING
+SET_PERIOD = MessageKind.SET_PERIOD
+
 # Event payloads. A device's events carry the stimulus its step function
 # takes: EXTERNAL_WAKE this one, TIMER_FIRED a GuardExpiredStimulus and
 # FRAME_DELIVERED a DeliveredFrame. POLL_WAKE carries nothing.
-EXTERNAL_WAKE = ExternalWakeStimulus()
+WAKE_STIMULUS = ExternalWakeStimulus()
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,20 +89,22 @@ def _frame_detail(delivered: DeliveredFrame) -> str:
     return f"{delivered.frame.summary()} rssi={delivered.rssi_dbm!r}"
 
 
-# The trace kind column of each event kind, read once: Enum.value goes through
-# a Python-level descriptor on every read.
+# The trace kind column of each event kind and the report key of each power
+# state, read once: Enum.value goes through a Python-level descriptor on
+# every read.
 _EVENT_NAME = {kind: kind.value for kind in EventKind}
+_STATE_NAME = {state: state.value for state in PowerState}
 
 # The trace detail of each event kind, from its payload (docs/protocol.md, "Trace lines").
 _EVENT_DETAIL: dict[EventKind, Callable[[Any], str]] = {
-    EventKind.POLL_WAKE: lambda _: "",
-    EventKind.EXTERNAL_WAKE: lambda _: "",
-    EventKind.FRAME_DELIVERED: _frame_detail,
-    EventKind.TIMER_FIRED: lambda guard: f"guard deadline={guard.deadline}",
-    EventKind.WARMUP_DONE: lambda t: f"device={t.device} round={t.stimulus.round_no}",
-    EventKind.TIMEOUT: lambda t: (f"device={t.device} round={t.stimulus.round_no}"
-                                  f" attempt={t.stimulus.attempt}"),
-    EventKind.COMMAND_INJECTED: lambda c: f"set_period node={c.node} seconds={c.seconds}",
+    POLL_WAKE: lambda _: "",
+    EXTERNAL_WAKE: lambda _: "",
+    FRAME_DELIVERED: _frame_detail,
+    TIMER_FIRED: lambda guard: f"guard deadline={guard.deadline}",
+    WARMUP_DONE: lambda t: f"device={t.device} round={t.stimulus.round_no}",
+    TIMEOUT: lambda t: (f"device={t.device} round={t.stimulus.round_no}"
+                        f" attempt={t.stimulus.attempt}"),
+    COMMAND_INJECTED: lambda c: f"set_period node={c.node} seconds={c.seconds}",
 }
 
 
@@ -88,10 +116,11 @@ class InvalidScenarioError(ScenarioError):
         self.violations = violations
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
-    node takes to send it. An End Device's ledger carries its poll grid; the
+    node takes to send it. is_end_device is set from device_state when the
+    runtime is built. An End Device's ledger carries its poll grid; the
     device also carries its wake schedule (sleep), where its polls run among
     the polls of the same tick, after every other event of it (poll_rank),
     the tick of the pending external wake, the one poll that is a real
@@ -110,10 +139,10 @@ class NodeRuntime:
     next_wake: Ticks | None = None
     real_poll: SimEvent | None = None
     guard: SimEvent | None = None
+    is_end_device: bool = field(init=False)
 
-    @property
-    def is_end_device(self) -> bool:
-        return self.device_state is not None
+    def __post_init__(self) -> None:
+        self.is_end_device = self.device_state is not None
 
     @property
     def period_ticks(self) -> Ticks:
@@ -211,16 +240,15 @@ class Simulation:
         # Every duration the loop schedules, in ticks.
         self._guard_ticks = ticks_from_seconds(config.warmup_delay_s + config.response_timeout_s)
         self._session_timers = {  # the event each coordinator timer becomes, and its delay
-            WarmupDoneStimulus: (EventKind.WARMUP_DONE, ticks_from_seconds(config.warmup_delay_s)),
-            ResponseTimeoutStimulus: (EventKind.TIMEOUT,
-                                      ticks_from_seconds(config.response_timeout_s))}
+            WarmupDoneStimulus: (WARMUP_DONE, ticks_from_seconds(config.warmup_delay_s)),
+            ResponseTimeoutStimulus: (TIMEOUT, ticks_from_seconds(config.response_timeout_s))}
         self._handlers: dict[EventKind, Callable[[NodeRuntime, Any, Ticks], None]] = {
-            EventKind.EXTERNAL_WAKE: self._on_external_wake,
-            EventKind.TIMER_FIRED: self._device_step,
-            EventKind.FRAME_DELIVERED: self._on_frame,
-            EventKind.WARMUP_DONE: self._on_session_timer,
-            EventKind.TIMEOUT: self._on_session_timer,
-            EventKind.COMMAND_INJECTED: self._on_command}
+            EXTERNAL_WAKE: self._on_external_wake,
+            TIMER_FIRED: self._device_step,
+            FRAME_DELIVERED: self._on_frame,
+            WARMUP_DONE: self._on_session_timer,
+            TIMEOUT: self._on_session_timer,
+            COMMAND_INJECTED: self._on_command}
         self._timers: dict[int, SimEvent] = {}  # each session's pending WARMUP_DONE/TIMEOUT
         self._coord_seq = 0
         self._routes: dict[tuple[int, int], list[int] | None] = {}
@@ -268,8 +296,8 @@ class Simulation:
 
         for runtime in self._devices:
             runtime.next_wake = runtime.period_ticks
-            self.queue.schedule(runtime.period_ticks, EventKind.EXTERNAL_WAKE, runtime.spec.id,
-                                EXTERNAL_WAKE)
+            self.queue.schedule(runtime.period_ticks, EXTERNAL_WAKE, runtime.spec.id,
+                                WAKE_STIMULUS)
         for runtime in self._devices:
             self._plan_poll(runtime)
 
@@ -303,13 +331,20 @@ class Simulation:
         return event
 
     def inject_set_period(self, node_id: int, period_s: int) -> None:
-        """Queue a coordinator-issued SET_PERIOD command at the current clock."""
+        """Queue a coordinator-issued SET_PERIOD command at the current clock.
+
+        The frame carries whole seconds: a period that is not a whole number
+        (an int, or a float such as 60.0), or is a bool, raises ValueError."""
         node = self.config.node(node_id)
         if node.role is not NodeRole.END_DEVICE:
             raise UnknownNodeError(f"node {node_id} is not an end device")
+        whole = isinstance(period_s, int) or (isinstance(period_s, float)
+                                              and period_s.is_integer())
+        if isinstance(period_s, bool) or not whole:
+            raise ValueError(f"period must be a whole number of seconds, got {period_s!r}")
         if period_s <= 0 or period_s > 0xFFFFFFFF:
             raise ValueError(f"period must be in 1..2^32-1 s, got {period_s}")
-        self.queue.schedule(self.queue.now, EventKind.COMMAND_INJECTED, self._coordinator.id,
+        self.queue.schedule(self.queue.now, COMMAND_INJECTED, self._coordinator.id,
                             SetPeriodCommand(node_id, int(period_s)))
 
     @property
@@ -329,7 +364,7 @@ class Simulation:
             ledger = runtime.ledger
             consumed = ledger.consumed_mah
             energy[node_id] = NodeEnergy(
-                durations_s={state.value: ticks / 1e6
+                durations_s={_STATE_NAME[state]: ticks / 1e6
                              for state, ticks in ledger.durations.items()},
                 consumed_mah=consumed,
                 average_ma=(consumed / elapsed_h) if elapsed_h > 0 else None,
@@ -346,7 +381,7 @@ class Simulation:
                 cyclic[node_id] = runtime.sleep
         pending = sum(len(buffer) for buffer in self.parent_table.buffers.values())
         in_flight = sum(1 for event in self.queue.pending()
-                        if event.kind is EventKind.FRAME_DELIVERED)
+                        if event.kind is FRAME_DELIVERED)
         return RunStats(events_processed=self.events_processed,
                         poll_wakes_elided=elided,
                         clock_ticks=self.queue.now,
@@ -365,24 +400,28 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: SimEvent) -> None:
-        if event.kind is EventKind.POLL_WAKE:
+        kind = event.kind
+        if kind is POLL_WAKE:
             self._on_poll_wake(event)
             return
         runtime = self.runtimes[event.node]
         now = event.at
-        if runtime.is_end_device and self._polls_ran >= (now, runtime.poll_rank):
-            runtime.ledger.poll(now)  # scheduled while its tick's polls run, after its own
-        runtime.ledger.advance(now)
-        if runtime.ledger.is_dead:
+        ledger = runtime.ledger
+        device = runtime.is_end_device
+        if device and self._polls_ran >= (now, runtime.poll_rank):
+            ledger.poll(now)  # scheduled while its tick's polls run, after its own
+        ledger.advance(now)
+        if ledger.dead_at is not None:
             self._note_death(runtime, now)
-            if isinstance(event.payload, DeliveredFrame):
+            if kind is FRAME_DELIVERED:
                 self._drop(event.payload.frame, DROP_NODE_DEAD, now)
             self.dead_skips += 1
             return
         self.events_processed += 1
-        self._trace_event(event)
-        self._handlers[event.kind](runtime, event.payload, now)
-        if runtime.is_end_device:
+        if self.trace_enabled:
+            self._trace_event(event)
+        self._handlers[kind](runtime, event.payload, now)
+        if device:
             self._plan_poll(runtime)
 
     def _on_poll_wake(self, event: SimEvent) -> None:
@@ -394,25 +433,26 @@ class Simulation:
         self._polls_ran = (now, runtime.poll_rank)
         ledger = runtime.ledger
         if not ledger.poll(now):
-            assert ledger.is_dead, "a real poll at a tick whose poll is booked"
+            assert ledger.dead_at is not None, "a real poll at a tick whose poll is booked"
             self._note_death(runtime, now)
             self.dead_skips += 1
             return
         self._real_polls += 1
         self.events_processed += 1
-        self._trace_event(event)
-        if ledger.is_dead:  # ran out inside the poll window
+        if self.trace_enabled:
+            self._trace_event(event)
+        if ledger.dead_at is not None:  # ran out inside the poll window
             self._note_death(runtime, now)
             return
         state = runtime.device_state
         assert state is not None
         buffer = self.parent_table.buffers.get(node_id)
         parent_id = self.parent_table.parent.get(node_id)
-        while state.phase is DevicePhase.SLEEPING and buffer and parent_id is not None:
+        while state.phase is PHASE_SLEEPING and buffer and parent_id is not None:
             frame = buffer.popleft()
             parent_rt = self.runtimes[parent_id]
             parent_rt.ledger.charge_slice(
-                PowerState.TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
+                TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
             delivered = DeliveredFrame(frame, self._rssi(parent_id, node_id))
             if self.trace_enabled:
                 self._trace_action("deliver", node_id, _frame_detail(delivered), now)
@@ -425,7 +465,7 @@ class Simulation:
                           now: Ticks) -> None:
         state = runtime.device_state
         assert state is not None
-        if state.phase is not DevicePhase.SLEEPING:
+        if state.phase is not PHASE_SLEEPING:
             logger.debug("node %d still awake at its external wake", runtime.spec.id)
             return
         runtime.last_external_wake = now
@@ -446,7 +486,7 @@ class Simulation:
             self._send_frame(frame, now)
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
-        elif state.phase is not DevicePhase.SLEEPING and state.guard_until is not None:
+        elif state.phase is not PHASE_SLEEPING and state.guard_until is not None:
             self._arm_guard(runtime, state.guard_until)
 
     def _arm_guard(self, runtime: NodeRuntime, deadline: Ticks) -> None:
@@ -458,7 +498,7 @@ class Simulation:
             if guard.queued and guard.at == deadline:
                 return
             self.queue.cancel(guard)
-        runtime.guard = self.queue.schedule(deadline, EventKind.TIMER_FIRED, runtime.spec.id,
+        runtime.guard = self.queue.schedule(deadline, TIMER_FIRED, runtime.spec.id,
                                             GuardExpiredStimulus(deadline))
 
     def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
@@ -467,13 +507,13 @@ class Simulation:
         if runtime.is_end_device:
             self._device_step(runtime, delivered, now)
         else:
-            self._session_step(delivered.frame.src, delivered, now)
+            self._session_step(self.runtimes[delivered.frame.src].spec, delivered, now)
 
     def _on_session_timer(self, runtime: NodeRuntime, timer: SessionTimer, now: Ticks) -> None:
-        self._session_step(timer.device, timer.stimulus, now)
+        self._session_step(self.runtimes[timer.device].spec, timer.stimulus, now)
 
     def _on_command(self, runtime: NodeRuntime, command: SetPeriodCommand, now: Ticks) -> None:
-        self._send_frame(MessageFrame(MessageKind.SET_PERIOD, self._coordinator.id,
+        self._send_frame(MessageFrame(SET_PERIOD, self._coordinator.id,
                                       command.node, self._next_coord_seq(),
                                       set_period_payload(command.seconds)), now)
 
@@ -502,14 +542,14 @@ class Simulation:
         while next_wake <= now:
             next_wake += effective
         runtime.next_wake = next_wake
-        self.queue.schedule(next_wake, EventKind.EXTERNAL_WAKE, runtime.spec.id, EXTERNAL_WAKE)
+        self.queue.schedule(next_wake, EXTERNAL_WAKE, runtime.spec.id, WAKE_STIMULUS)
 
-    def _session_step(self, device_id: int, stimulus: CoordinatorStimulus, now: Ticks) -> None:
+    def _session_step(self, device: NodeSpec, stimulus: CoordinatorStimulus, now: Ticks) -> None:
         """Step the device's coordinator session and carry its result out."""
+        device_id = device.id
         session = self.sessions[device_id]
-        result = coordinator_step(session, stimulus, now, self.config,
-                                  self.config.node(device_id), self._next_coord_seq,
-                                  coordinator_id=self._coordinator.id)
+        result = coordinator_step(session, stimulus, now, self.config, device,
+                                  self._next_coord_seq, coordinator_id=self._coordinator.id)
         if result.error_seen is not None:
             self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
         self.records.extend(result.records)
@@ -542,19 +582,21 @@ class Simulation:
             self._drop(frame, DROP_NO_ROUTE, now)
             return
         destination = self.runtimes[frame.dst]
-        if destination.ledger.is_dead:
+        if destination.ledger.dead_at is not None:
             self._drop(frame, DROP_NODE_DEAD, now)
             return
 
-        buffering = (destination.is_end_device
-                     and destination.device_state.phase is DevicePhase.SLEEPING)
+        device_state = destination.device_state
+        buffering = device_state is not None and device_state.phase is PHASE_SLEEPING
+        length = frame.wire_length
+        runtimes = self.runtimes
         elapsed = 0
         # Every node on the route but the last sends, and while the device
         # sleeps its parent holds the frame instead.
         for sender_id in route[:-2] if buffering else route[:-1]:
-            sender = self.runtimes[sender_id]
-            air = sender.airtime[frame.wire_length]
-            sender.ledger.charge_slice(PowerState.TRANSMITTING, air, now + elapsed)
+            sender = runtimes[sender_id]
+            air = sender.airtime[length]
+            sender.ledger.charge_slice(TRANSMITTING, air, now + elapsed)
             elapsed += air
         if buffering:
             parent_id = route[-2]
@@ -571,7 +613,7 @@ class Simulation:
             self._plan_poll(destination)
             return
         rssi = self._rssi(route[-2], frame.dst)
-        self.queue.schedule(now + elapsed, EventKind.FRAME_DELIVERED, frame.dst,
+        self.queue.schedule(now + elapsed, FRAME_DELIVERED, frame.dst,
                             DeliveredFrame(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
@@ -584,9 +626,11 @@ class Simulation:
     def _route(self, src: int, dst: int) -> list[int] | None:
         """route_path over the static tree, computed once per (src, dst)."""
         key = (src, dst)
-        if key not in self._routes:
-            self._routes[key] = route_path(self.parent_table, src, dst)
-        return self._routes[key]
+        try:
+            return self._routes[key]
+        except KeyError:
+            route = self._routes[key] = route_path(self.parent_table, src, dst)
+            return route
 
     def _rssi(self, sender_id: int, receiver_id: int) -> float:
         """Received power of the link, from the parent table's link cache
@@ -628,7 +672,7 @@ class Simulation:
             if runtime.is_end_device:
                 runtime.ledger.poll(limit)  # every poll up to the horizon has run
             runtime.ledger.advance(limit)
-            if runtime.ledger.is_dead:
+            if runtime.ledger.dead_at is not None:
                 self._note_death(runtime, limit)
         # the split at the horizon moves where a later death is found
         for runtime in self._devices:
@@ -665,10 +709,10 @@ class Simulation:
         assert state is not None
         if runtime.death_logged:
             due = None
-        elif ledger.is_dead:  # ran out inside a slice booked ahead of the clock
+        elif ledger.dead_at is not None:  # ran out inside a slice booked ahead of the clock
             due = self._next_poll_tick(runtime)
         else:
-            sleeping = state.phase is DevicePhase.SLEEPING
+            sleeping = state.phase is PHASE_SLEEPING
             due = (self._next_poll_tick(runtime)
                    if sleeping and self.parent_table.buffers.get(runtime.spec.id) else None)
             checkpoint = runtime.next_wake if sleeping else state.guard_until
@@ -691,17 +735,17 @@ class Simulation:
                 return
             self.queue.cancel(old)
         runtime.real_poll = None if due is None else self.queue.schedule(
-            due, EventKind.POLL_WAKE, runtime.spec.id, rank=runtime.poll_rank)
+            due, POLL_WAKE, runtime.spec.id, rank=runtime.poll_rank)
 
     # ------------------------------------------------------------------
     # Trace
     # ------------------------------------------------------------------
 
     def _trace_event(self, event: SimEvent) -> None:
-        if self.trace_enabled:
-            node = event.node if event.node is not None else "-"
-            self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{node}\t"
-                        f"{_EVENT_DETAIL[event.kind](event.payload)}\n")
+        """Trace line of a dispatched event; the caller checks trace_enabled."""
+        node = event.node if event.node is not None else "-"
+        self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{node}\t"
+                    f"{_EVENT_DETAIL[event.kind](event.payload)}\n")
 
     def _trace_action(self, kind: str, node: int, detail: str, now: Ticks) -> None:
         if self.trace_enabled:

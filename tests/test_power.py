@@ -1,7 +1,8 @@
 import copy
+import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 CyclicSleepConfig, NonPositiveCurrentError,
@@ -436,3 +437,160 @@ def test_a_shipped_day_copies_no_ledger(three_node_config, monkeypatch):
     sim.run_until(86400.0)
     assert sim.stats().rounds[2]["completed"] == 48
     assert copies == []
+
+
+# ---------------------------------------------------------------------------
+# Span booking against the helper-based reference
+# ---------------------------------------------------------------------------
+
+class ReferenceLedger(PowerLedger):
+    """The ledger with spans booked through its helpers, as before the hot
+    path was written out: advance, set_state, charge_slice and _integrate go
+    through is_dead, consumed_mah and _book. The poll grid (book_polls,
+    _poll_step, _book_cycles) is shared, and books through these."""
+
+    def advance(self, now):
+        if self.next_poll is not None and self.next_poll < now:
+            self.book_polls(now)
+        self._integrate(now)
+
+    def set_state(self, state, now):
+        self.advance(now)
+        if not self.is_dead:
+            self.state = state
+
+    def charge_slice(self, state, duration, now):
+        self.advance(now)
+        base = self.state
+        if not self.is_dead:
+            self.state = state
+        self._integrate(self.cursor + duration)
+        if not self.is_dead:
+            self.state = base
+
+    def _integrate(self, now):
+        if now <= self.cursor:
+            return
+        span = now - self.cursor
+        current = self._current[self.state]
+        if self.battery_remaining_mah is not None and current > 0:
+            demand = current * span / TICKS_PER_HOUR
+            if demand >= self.battery_remaining_mah:
+                live = math.floor(self.battery_remaining_mah * TICKS_PER_HOUR / current)
+                live = min(live, span)
+                self._book(self.state, live)
+                self.battery_remaining_mah = 0.0
+                self.dead_at = self.cursor + live
+                self._book(PowerState.DEAD, span - live)
+                self.state = PowerState.DEAD
+                self.cursor = now
+                return
+            self._book(self.state, span)
+            self.cursor = now
+            self.battery_remaining_mah = self._initial_remaining_mah - self.consumed_mah
+            return
+        self._book(self.state, span)
+        self.cursor = now
+
+    def _book(self, state, span):
+        if span > 0:
+            self.durations[state] = self.durations.get(state, 0) + span
+
+
+LIVE_STATES = [PowerState.SLEEPING, PowerState.AWAKE_IDLE, PowerState.TRANSMITTING]
+
+
+@st.composite
+def ledger_scripts(draw):
+    """A ledger's settings and a script of calls at non-decreasing clock
+    ticks: advance, set_state, charge_slice (whose start may fall before the
+    cursor) and poll, on or off the grid."""
+    poll = draw(st.one_of(st.just(0), st.integers(2, 50), st.sampled_from([28 * S])))
+    window = draw(st.integers(0, poll - 1)) if poll else 0
+    currents = draw(st.lists(st.one_of(st.sampled_from([0.0, 21.10, 69.80, 109.80]),
+                                       st.floats(0.0, 150.0)), min_size=3, max_size=3))
+    profile = ConsumptionProfile(*currents)
+    state = draw(st.sampled_from(LIVE_STATES))
+    scale = poll or draw(st.sampled_from([7, S]))
+    calls, now = [], draw(st.integers(0, 3 * scale))
+    for _ in range(draw(st.integers(1, 25))):
+        now += draw(st.integers(0, 4 * scale))
+        op = draw(st.sampled_from(["advance", "set_state", "charge_slice", "poll"]))
+        if op == "poll" and poll and draw(st.booleans()):
+            now = -(-now // poll) * poll  # a grid tick
+        if op == "set_state":
+            calls.append((op, draw(st.sampled_from(LIVE_STATES)), now))
+        elif op == "charge_slice":
+            calls.append((op, draw(st.sampled_from(LIVE_STATES)),
+                          draw(st.integers(1, 3 * scale)), now))
+        else:
+            calls.append((op, now))
+    return profile, state, poll, window, calls
+
+
+def _run_script(cls, profile, state, capacity, poll, window, calls):
+    """Replay the calls; returns the ledger, poll()'s answers and the kind of
+    call during which the battery ran out (None if it did not)."""
+    ledger = cls(profile=profile, state=state, battery_capacity_mah=capacity,
+                 poll_ticks=poll, poll_window=window)
+    answers, died_in = [], None
+    for op, *args in calls:
+        result = getattr(ledger, op)(*args)
+        if op == "poll":
+            answers.append(result)
+        if died_in is None and ledger.dead_at is not None:
+            died_in = op
+    return ledger, answers, died_in
+
+
+def _compare_with_reference(profile, state, capacity, poll, window, calls):
+    ledger, answers, died_in = _run_script(PowerLedger, profile, state, capacity, poll,
+                                           window, calls)
+    reference, expected, _ = _run_script(ReferenceLedger, profile, state, capacity, poll,
+                                         window, calls)
+    # the dict's key order is compared too: it orders the float sum
+    assert list(ledger.durations.items()) == list(reference.durations.items())
+    assert ledger.battery_remaining_mah == reference.battery_remaining_mah  # same bits
+    assert (ledger.dead_at, ledger.cursor, ledger.state, ledger.next_poll, ledger.polls) == (
+        reference.dead_at, reference.cursor, reference.state, reference.next_poll,
+        reference.polls)
+    assert answers == expected
+    return ledger, died_in
+
+
+@settings(max_examples=400, deadline=None)
+@given(ledger_scripts(), st.data())
+def test_span_booking_matches_the_helper_based_reference(script, data):
+    profile, state, poll, window, calls = script
+    # Size some batteries from what the script draws, so they run out at
+    # any point of it: in a slice, at an advance or in a poll window.
+    drawn = _run_script(ReferenceLedger, profile, state, None, poll, window,
+                        calls)[0].consumed_mah
+    capacity = data.draw(st.one_of(st.none(), st.floats(0.0, 5.0),
+                                   st.floats(0.0, 1.2).map(lambda share: share * drawn)))
+    _, died_in = _compare_with_reference(profile, state, capacity, poll, window, calls)
+    event(f"battery ran out in {died_in}" if died_in else "battery lasted")
+
+
+@pytest.mark.parametrize("calls, capacity, poll, window, died_in", [
+    # 2 mAh: 0.879 mAh is drawn asleep by 150 s, the rest 36.8 s into the slice
+    ([("advance", 100 * S), ("charge_slice", PowerState.TRANSMITTING, 200 * S, 150 * S)],
+     2.0, 0, 0, "charge_slice"),
+    # asleep, 2 mAh lasts 341.2 s
+    ([("advance", 100 * S), ("advance", 400 * S), ("advance", 500 * S)],
+     2.0, 0, 0, "advance"),
+    # on a 28 s grid with 2 s windows, 2.0758 mAh is drawn by 308 s and
+    # 2.1146 mAh by the end of that poll's window
+    ([("poll", 280 * S), ("poll", 308 * S), ("advance", 400 * S)],
+     2.095, 28 * S, 2 * S, "poll"),
+])
+def test_span_booking_matches_the_reference_at_each_kind_of_death(calls, capacity, poll,
+                                                                    window, died_in):
+    ledger, seen = _compare_with_reference(PROFILE, PowerState.SLEEPING, capacity, poll,
+                                           window, calls)
+    assert seen == died_in
+    assert ledger.battery_remaining_mah == 0.0
+    if died_in == "charge_slice":
+        assert 150 * S < ledger.dead_at < 350 * S
+    if died_in == "poll":
+        assert 308 * S < ledger.dead_at < 310 * S  # inside the window

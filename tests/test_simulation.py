@@ -278,6 +278,29 @@ def test_inject_set_period_validates_its_target(three_node_config):
         sim.inject_set_period(2, 2 ** 32)
 
 
+@pytest.mark.parametrize("period", [60.9, 0.5, 1e-9, float("nan"), float("inf"), True, "60"])
+def test_inject_set_period_refuses_a_period_it_cannot_send(three_node_config, period):
+    """The frame carries whole seconds, so a fraction would be cut off on air
+    (0.5 would go out as 0 and be answered with ERR BAD_PERIOD)."""
+    sim = Simulation(three_node_config)
+    pending = len(sim.queue)
+    with pytest.raises(ValueError):
+        sim.inject_set_period(2, period)
+    assert len(sim.queue) == pending
+
+
+def test_inject_set_period_sends_a_whole_float_as_its_int(three_node_config):
+    sent = {}
+    for period in (600, 600.0):
+        sim = Simulation(three_node_config, trace=True)
+        sim.run_until(100.0)
+        sim.inject_set_period(2, period)
+        sim.run_until(4000.0)
+        sent[type(period)] = sim.trace_text()
+    assert "set_period node=2 seconds=600\n" in sent[int]
+    assert sent[float] == sent[int]
+
+
 def test_explicit_seed_overrides_the_scenario(three_node_config):
     assert three_node_config.seed == 42
     sim = Simulation(three_node_config, seed=7)
