@@ -318,11 +318,11 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 def _enum_value(enum_cls, value: object, path: str):
     name = _expect_string(value, path)
-    for member in enum_cls:
-        if member.value == name:
-            return member
-    options = ", ".join(m.value for m in enum_cls)
-    raise SchemaError(path, f"expected one of [{options}], got {name!r}")
+    try:
+        return enum_cls(name)  # a lookup in the enum's value table
+    except ValueError:
+        options = ", ".join(m.value for m in enum_cls)
+        raise SchemaError(path, f"expected one of [{options}], got {name!r}") from None
 
 
 def _parse_position(value: object, path: str) -> Position:

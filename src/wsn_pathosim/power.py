@@ -8,7 +8,6 @@ duration x current) holds by construction.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,7 +111,8 @@ def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[flo
     The simulator runs this grid without an event per poll: a poll that finds
     nothing buffered for the sleeping device, or the device awake, only books
     energy, and PowerLedger books it in closed form. Such polls leave no trace
-    line; the run report counts them as poll_wakes_elided.
+    line; the run report counts them as poll_wakes_elided. While the battery
+    may run out before the device's next own event, every poll is an event.
     """
     polls: list[float] = []
     externals: list[float] = []
@@ -170,7 +170,9 @@ class PowerLedger:
     the span up to the poll is integrated on its own (that split is where a
     death would be found), and a poll made while the base state is SLEEPING
     adds a poll_window slice of AWAKE_IDLE. `polls` counts the grid polls
-    booked while the battery was alive.
+    booked while the battery was alive. may_run_out says, booking nothing,
+    whether a poll up to a tick may find the battery empty; while it may,
+    the simulator makes each poll an event.
 
     Mains-powered nodes pass battery capacity None and simply accumulate
     consumption. Battery nodes die the exact tick their charge crosses zero;
@@ -239,27 +241,28 @@ class PowerLedger:
             if count < 2 or not self._book_cycles(count):
                 self._poll_step(self.next_poll)
 
-    def death_poll(self, until: Ticks) -> Ticks | None:
-        """Grid tick (at most `until`) of the poll that would find the battery
-        empty if the ledger were left alone until then, or None.
+    def may_run_out(self, until: Ticks) -> bool:
+        """Whether a poll at a grid tick up to `until` may find the battery
+        empty if the ledger is left alone until then; True once it is dead.
 
-        A lower bound on the death tick answers most calls without booking
-        anything. Left alone, the ledger draws only the base state's current
-        and, in poll windows, AWAKE_IDLE's, so the bound lets every tick draw
-        the larger of the two. A poll finds a death at or after it, or one
-        inside its window. A poll before the cursor (a slice shifted it) books
-        its window at the cursor; the gap to the next poll shrinks by
-        poll_ticks - poll_window per poll, and the first poll that is not
-        shifted ends the shifting. So nothing is booked past the last shifted
-        window or the window of the last poll at or before `until`, whichever
-        ends later. Only when the bound cannot rule out a death in that span
-        does a copy of the ledger book the polls to find it."""
+        False is sure, True only possible: a lower bound on the death tick
+        answers without booking anything. Left alone, the ledger draws only
+        the base state's current and, in poll windows, AWAKE_IDLE's, so the
+        bound lets every tick draw the larger of the two. A poll finds a death
+        at or after it, or one inside its window. A poll before the cursor (a
+        slice shifted it) books its window at the cursor; the gap to the next
+        poll shrinks by poll_ticks - poll_window per poll, and the first poll
+        that is not shifted ends the shifting. So nothing is booked past the
+        last shifted window or the window of the last poll at or before
+        `until`, whichever ends later."""
+        if self.dead_at is not None:
+            return True
         remaining = self.battery_remaining_mah
-        if self.dead_at is not None or self.next_poll is None or remaining is None:
-            return None
+        if self.next_poll is None or remaining is None:
+            return False
         top = max(self._current[self.state], self._current[AWAKE_IDLE])
         if top <= 0:
-            return None
+            return False
         end = until + self.poll_window
         lag = self.cursor - self.next_poll
         if lag > 0:
@@ -267,14 +270,7 @@ class PowerLedger:
             end = max(end, self.cursor + shifted * self.poll_window)
         margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
         reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
-        if reach - 3 > end - self.cursor:
-            return None
-        trial = copy.copy(self)
-        trial.durations = dict(self.durations)
-        trial.book_polls(until + 1)
-        if trial.dead_at is None:
-            return None
-        return trial.next_poll - self.poll_ticks
+        return reach - 3 <= end - self.cursor
 
     def set_state(self, state: PowerState, now: Ticks) -> None:
         """Integrate up to `now`, then switch the base state."""

@@ -194,9 +194,11 @@ class Simulation:
     End Devices poll their parents on a fixed grid. A poll that finds the
     device awake, or asleep with nothing buffered for it, only books energy,
     so it is no event: each device's ledger books its grid polls in closed
-    form whenever it advances. A poll becomes a real POLL_WAKE event only
-    where it does more: at the first poll after a frame is buffered for a
-    sleeping device, and at the poll that would find its battery empty.
+    form whenever it advances. One rule makes a device's next poll a real
+    POLL_WAKE event: a frame waits for the sleeping device, or its battery
+    may run out before its next own event (PowerLedger.may_run_out). Each
+    real poll plans the next, so near its death every poll of a device is
+    an event, the one that finds the battery empty included.
     poll_wakes_elided counts the polls booked without an event.
 
     Polls run last in their tick: every other event of tick t runs first, in
@@ -674,9 +676,6 @@ class Simulation:
             runtime.ledger.advance(limit)
             if runtime.ledger.dead_at is not None:
                 self._note_death(runtime, limit)
-        # the split at the horizon moves where a later death is found
-        for runtime in self._devices:
-            self._plan_poll(runtime)
 
     # ------------------------------------------------------------------
     # Poll grid
@@ -700,26 +699,21 @@ class Simulation:
             runtime.ledger.book_polls(before)
 
     def _plan_poll(self, runtime: NodeRuntime) -> None:
-        """Keep the device's real poll at the first poll that does more than
-        book energy, up to the device's next own event (which plans again):
-        the poll that finds its battery empty, or the first poll from now on
-        while a frame waits for the sleeping device."""
-        ledger = runtime.ledger
-        state = runtime.device_state
-        assert state is not None
-        if runtime.death_logged:
-            due = None
-        elif ledger.dead_at is not None:  # ran out inside a slice booked ahead of the clock
-            due = self._next_poll_tick(runtime)
-        else:
+        """Keep the device's real poll at its next poll, or at none. Until
+        its death is noted, the next poll is real while a frame waits for
+        the sleeping device, or while its battery may run out before its
+        next own event (which plans again): each real poll then plans the
+        next, so the poll that finds the battery empty is one of them."""
+        due = None
+        if not runtime.death_logged:
+            state = runtime.device_state
+            assert state is not None
             sleeping = state.phase is PHASE_SLEEPING
-            due = (self._next_poll_tick(runtime)
-                   if sleeping and self.parent_table.buffers.get(runtime.spec.id) else None)
             checkpoint = runtime.next_wake if sleeping else state.guard_until
             assert checkpoint is not None
-            death = ledger.death_poll(checkpoint)
-            if death is not None and (due is None or death < due):
-                due = death
+            if ((sleeping and self.parent_table.buffers.get(runtime.spec.id))
+                    or runtime.ledger.may_run_out(checkpoint)):
+                due = self._next_poll_tick(runtime)
         self._set_real_poll(runtime, due)
 
     def _next_poll_tick(self, runtime: NodeRuntime) -> Ticks:

@@ -95,6 +95,24 @@ def test_unknown_keys_rejected_everywhere(mutate):
         make_config(doc)
 
 
+@pytest.mark.parametrize("mutate, path, options", [
+    (lambda d: d["nodes"][1].update({"role": "relay"}), "$.nodes[1].role",
+     "coordinator, router, end_device"),
+    (lambda d: d["nodes"][1]["sensors"][0].update({"kind": "relay"}), "$.nodes[1].sensors[0].kind",
+     "strain_gauge, displacement, temperature_catheter"),
+    (lambda d: d.update({"obstacles": [{"kind": "relay", "from": {"x": 1.0, "y": -1.0},
+                                        "to": {"x": 1.0, "y": 1.0}}]}), "$.obstacles[0].kind",
+     "window_open_blinds, window_closed_blinds, wall_open_door, wall_closed_door, brick_wall"),
+], ids=["node_role", "sensor_kind", "obstacle_kind"])
+def test_unknown_enum_value_names_its_path_and_the_options(mutate, path, options):
+    doc = two_node_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        make_config(doc)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: expected one of [{options}], got 'relay'"
+
+
 def test_booleans_are_not_numbers():
     doc = two_node_doc()
     doc["nodes"][1]["position"]["x"] = True
