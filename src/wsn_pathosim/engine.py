@@ -25,6 +25,12 @@ def ticks_from_seconds(seconds: float | int) -> Ticks:
     return round(seconds * US_PER_SECOND)
 
 
+def has_finite_ticks(seconds: float) -> bool:
+    """Whether seconds converts to ticks: its count of microseconds is a
+    finite float. A duration past about 1.8e302 s is not, nor inf or nan."""
+    return math.isfinite(seconds * US_PER_SECOND)
+
+
 def seconds_from_ticks(ticks: Ticks) -> float:
     return ticks / US_PER_SECOND
 
@@ -132,15 +138,7 @@ class EventQueue:
 
     def pop_next(self) -> SimEvent | None:
         """Pop the earliest pending event regardless of time (single-step use)."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if not event.queued:
-                continue
-            event.queued = False
-            self._pending -= 1
-            self.now = event.at
-            return event
-        return None
+        return self.pop_due(math.inf)
 
 
 def derive_seed(root: int, *tags: object) -> int:

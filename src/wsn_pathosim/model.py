@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .engine import ticks_from_seconds
-from .power import ConsumptionProfile
+from .engine import has_finite_ticks, ticks_from_seconds
+from .power import ConsumptionProfile, cyclic_sleep_multiplier
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Signal, Sinusoid
 
 DEFAULT_TX_POWER_DBM = 3.0
@@ -669,9 +669,21 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     """Check every structural invariant; empty list means the scenario is sound.
 
     Unlike parse_scenario (which rejects malformed documents), this also covers
-    configs built programmatically.
+    configs built programmatically. Every duration the simulation turns into
+    ticks must be a finite number of them (has_finite_ticks).
     """
+    from .protocol import WIRE_LENGTHS  # protocol imports this module
+
     violations: list[Violation] = []
+
+    def finite_ticks(seconds: float, field: str, node: int | None = None,
+                     what: str = "duration") -> bool:
+        if has_finite_ticks(seconds):
+            return True
+        violations.append(Violation(rule=f"{what} must be a finite number of 1 us ticks",
+                                    node=node, field=field, message=f"{seconds} s"))
+        return False
+
     seen: set[int] = set()
     coordinators = [n for n in config.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) != 1:
@@ -703,14 +715,20 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if node.radio.bitrate_bps <= 0:
             violations.append(Violation(rule="bitrate must be > 0",
                                         node=prefix, field="radio.bitrate_bps"))
-        if not node.radio.poll_period_s > 0:
+        elif config.tx_airtime_override_s is None:
+            finite_ticks(max(WIRE_LENGTHS) * 8 / node.radio.bitrate_bps, "radio.bitrate_bps",
+                         prefix, "the largest frame's airtime")
+        poll_s = node.radio.poll_period_s
+        poll_ticks = 0  # stays 0 unless the poll period is valid
+        if not poll_s > 0:
             violations.append(Violation(rule="poll period must be > 0",
                                         node=prefix, field="radio.poll_period_s"))
-        elif math.isfinite(node.radio.poll_period_s) and ticks_from_seconds(
-                node.radio.poll_period_s) == 0:
-            violations.append(Violation(
-                rule="poll period must round to at least one 1 us tick", node=prefix,
-                field="radio.poll_period_s", message=f"{node.radio.poll_period_s} s"))
+        elif finite_ticks(poll_s, "radio.poll_period_s", prefix, "poll period"):
+            poll_ticks = ticks_from_seconds(poll_s)
+            if poll_ticks == 0:
+                violations.append(Violation(
+                    rule="poll period must round to at least one 1 us tick", node=prefix,
+                    field="radio.poll_period_s", message=f"{poll_s} s"))
         if not math.isfinite(node.radio.tx_power_dbm):
             violations.append(Violation(rule="tx power must be finite",
                                         node=prefix, field="radio.tx_power_dbm"))
@@ -722,14 +740,19 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
             if node.sample_period_s is None or node.sample_period_s <= 0:
                 violations.append(Violation(rule="end devices need sample_period_s > 0",
                                             node=prefix, field="sample_period_s"))
-            elif node.sample_period_s < node.radio.poll_period_s:
+            elif node.sample_period_s < poll_s:
                 violations.append(Violation(
                     rule="sample period must be >= poll period", node=prefix,
-                    field="sample_period_s",
-                    message=f"{node.sample_period_s} < {node.radio.poll_period_s}"))
-            window_s, poll_s = config.poll_wake_duration_s, node.radio.poll_period_s
-            if (math.isfinite(window_s) and math.isfinite(poll_s) and poll_s > 0
-                    and 0 < ticks_from_seconds(poll_s) <= ticks_from_seconds(window_s)):
+                    field="sample_period_s", message=f"{node.sample_period_s} < {poll_s}"))
+            elif poll_ticks:
+                try:
+                    _, wake_s = cyclic_sleep_multiplier(node.sample_period_s, poll_s)
+                except ValueError:  # the ratio of the two periods overflows
+                    wake_s = math.inf
+                finite_ticks(wake_s, "sample_period_s", prefix, "wake period")
+            window_s = config.poll_wake_duration_s
+            if (poll_ticks and has_finite_ticks(window_s)
+                    and poll_ticks <= ticks_from_seconds(window_s)):
                 violations.append(Violation(
                     rule="poll wake duration must be shorter than the poll period",
                     node=prefix, field="poll_wake_duration_s",
@@ -760,6 +783,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                 if sensor.heat_duration_s is not None and sensor.heat_duration_s <= 0:
                     violations.append(Violation(rule="heat duration must be > 0",
                                                 node=prefix, field=f"sensors[{i}].heat_duration_s"))
+                elif sensor.heat_duration_s is not None:
+                    finite_ticks(sensor.heat_duration_s, f"sensors[{i}].heat_duration_s",
+                                 prefix, "heat duration")
             elif sensor.heat_duration_s is not None:
                 violations.append(Violation(rule="heat duration applies to strain gauges only",
                                             node=prefix, field=f"sensors[{i}].heat_duration_s"))
@@ -790,14 +816,22 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     if config.response_timeout_s <= 0:
         violations.append(Violation(rule="response timeout must be > 0",
                                     field="response_timeout_s"))
+    warmup_ok = finite_ticks(config.warmup_delay_s, "warmup_delay_s")
+    if finite_ticks(config.response_timeout_s, "response_timeout_s") and warmup_ok:
+        finite_ticks(config.warmup_delay_s + config.response_timeout_s,
+                     "warmup_delay_s + response_timeout_s", what="device guard")
     if config.max_retries < 0:
         violations.append(Violation(rule="max retries must be >= 0", field="max_retries"))
-    if config.tx_airtime_override_s is not None and config.tx_airtime_override_s <= 0:
-        violations.append(Violation(rule="airtime override must be > 0",
-                                    field="tx_airtime_s"))
+    if config.tx_airtime_override_s is not None:
+        if config.tx_airtime_override_s <= 0:
+            violations.append(Violation(rule="airtime override must be > 0",
+                                        field="tx_airtime_s"))
+        else:
+            finite_ticks(config.tx_airtime_override_s, "tx_airtime_s")
     if config.poll_wake_duration_s < 0:
         violations.append(Violation(rule="poll wake duration must be >= 0",
                                     field="poll_wake_duration_s"))
+    finite_ticks(config.poll_wake_duration_s, "poll_wake_duration_s")
     profile = config.consumption
     if not (0 <= profile.sleeping_ma <= profile.awake_idle_ma <= profile.transmitting_ma):
         violations.append(Violation(

@@ -77,11 +77,16 @@ def cyclic_sleep_multiplier(sample_period_s: float, poll_period_s: float) -> tup
     Returns (multiplier, effective_period_s): the radio can only wake on its
     poll grid, so the externally requested period quantizes to
     multiplier x poll_period with half-up rounding and a minimum of one.
+    A ratio of the two that overflows a float raises ValueError.
     """
     if sample_period_s <= 0 or poll_period_s <= 0:
         raise NonPositivePeriodError(
             f"periods must be positive, got sample={sample_period_s} poll={poll_period_s}")
-    multiplier = max(1, math.floor(sample_period_s / poll_period_s + 0.5))
+    ratio = sample_period_s / poll_period_s
+    if not math.isfinite(ratio):
+        raise ValueError(f"sample period {sample_period_s} s is not a finite number of"
+                         f" {poll_period_s} s poll periods")
+    multiplier = max(1, math.floor(ratio + 0.5))
     return multiplier, multiplier * poll_period_s
 
 

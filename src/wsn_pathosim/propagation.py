@@ -30,7 +30,7 @@ _OBSTACLE_LABEL = {kind: kind.value for kind in ObstacleKind}
 
 
 class NonPositiveDistanceError(ValueError):
-    """Distance must be > 0 for a loss to be defined."""
+    """Distance must be >= 0 for a loss to be defined."""
 
 
 class EmptyChannelMapError(ValueError):
@@ -68,12 +68,14 @@ DEFAULT_PATH_LOSS_TABLE = PathLossTable()
 def free_space_loss(distance_m: float, table: PathLossTable = DEFAULT_PATH_LOSS_TABLE) -> float:
     """Unobstructed attenuation (dB) at a distance, from the anchor table.
 
-    Distances at or below the first anchor clamp to its attenuation; between
+    Distances at or below the first anchor, 0 m included (two nodes stacked
+    at one x/y point on different floors), clamp to its attenuation; between
     anchors the loss is linear in log10(distance); beyond the last anchor the
-    final segment's slope extrapolates.
+    final segment's slope extrapolates. A negative distance raises
+    NonPositiveDistanceError.
     """
-    if distance_m <= 0:
-        raise NonPositiveDistanceError(f"distance must be > 0 m, got {distance_m}")
+    if distance_m < 0:
+        raise NonPositiveDistanceError(f"distance must be >= 0 m, got {distance_m}")
     anchors = table.anchors
     if distance_m <= anchors[0][0]:
         return anchors[0][1]

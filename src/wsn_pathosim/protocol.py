@@ -599,22 +599,22 @@ def build_parent_table(config: ScenarioConfig,
     """Choose each node's parent from downlink budgets.
 
     A link counts as connected when the candidate parent's transmission meets
-    the child's sensitivity. A router attaches to the best connected
-    coordinator or router strictly fewer hops from the coordinator than
-    itself; an End Device attaches to the best connected coordinator or
-    router that is itself attached. The best parent has the highest received
-    power, then the lowest id. End Devices never relay, so the result is a
-    tree.
+    the child's sensitivity. One search picks every parent: the best
+    connected candidate, that is the one with the highest received power,
+    then the lowest id. Routers attach level by level from the coordinator:
+    a router not yet attached takes its parent from the nodes that attached
+    at the level before, so its parent is strictly fewer hops from the
+    coordinator. An End Device takes its parent from the coordinator and
+    every attached router. End Devices never relay, so the result is a tree.
 
     The search budgets only the candidates whose loss bound can still win.
     A pair's received power is at most its transmit power less its
-    free-space and floor losses (_power_bound, computed once per pair), up to
-    LOSS_BOUND_SLACK_DB of rounding, whenever no obstacle loss is negative. A
-    pair whose bound is below the child's sensitivity gets no budget. An End
-    Device visits its candidates from the highest bound down, lower id first
-    on ties, and stops at the first one whose bound is below the best
-    connected power found so far. So the table, to the last bit of each
-    received power, is the one the full search gives. Given a negative
+    free-space and floor losses (_power_bound), up to LOSS_BOUND_SLACK_DB of
+    rounding, whenever no obstacle loss is negative. The search visits the
+    candidates from the highest bound down, lower id first on ties, and
+    stops at the first one whose bound is below the child's sensitivity or
+    the best connected power found so far. So the table, to the last bit of
+    each received power, is the one the full search gives. Given a negative
     obstacle loss, every candidate is budgeted.
 
     Every budget computed lands in the table's links, keyed (sender,
@@ -623,52 +623,10 @@ def build_parent_table(config: ScenarioConfig,
     coordinator = config.coordinator()
     prune = all(o.loss_db >= 0 for o in config.obstacles)
     links: dict[tuple[int, int], float] = {}
-    ruled_out: set[tuple[int, int]] = set()
 
-    def connected(child: NodeSpec, parent: NodeSpec) -> bool:
-        key = (parent.id, child.id)
-        power = links.get(key)
-        if power is None:
-            if key in ruled_out:
-                return False
-            if prune and (_power_bound(config, parent, child, table)
-                          < child.radio.sensitivity_dbm - LOSS_BOUND_SLACK_DB):
-                ruled_out.add(key)
-                return False
-            power = links[key] = link_budget(config, parent.id, child.id, table).received_power
-        return power >= child.radio.sensitivity_dbm
-
-    infrastructure = [coordinator] + config.routers()
-    hops: dict[int, int] = {coordinator.id: 0}
-    frontier = [coordinator]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for candidate in infrastructure:
-            if candidate.id in hops:
-                continue
-            if any(connected(candidate, up) for up in frontier):
-                hops[candidate.id] = level
-                nxt.append(candidate)
-        frontier = nxt
-
-    parent: dict[int, int | None] = {coordinator.id: None}
-    unreachable: list[int] = []
-
-    for router in config.routers():
-        if router.id not in hops:
-            unreachable.append(router.id)
-            continue
-        options = [up for up in infrastructure
-                   if hops.get(up.id) == hops[router.id] - 1 and connected(router, up)]
-        best = max(options, key=lambda up: (links[(up.id, router.id)], -up.id))
-        parent[router.id] = best.id
-
-    attached = [up for up in infrastructure if up.id in parent]
-    for device in config.end_devices():
-        sensitivity = device.radio.sensitivity_dbm
-        ranked = sorted(((_power_bound(config, up, device, table), up) for up in attached),
+    def best_parent(child: NodeSpec, candidates: list[NodeSpec]) -> int | None:
+        sensitivity = child.radio.sensitivity_dbm
+        ranked = sorted(((_power_bound(config, up, child, table), up) for up in candidates),
                         key=lambda item: (-item[0], item[1].id))
         best_id: int | None = None
         best_power = -math.inf
@@ -676,15 +634,33 @@ def build_parent_table(config: ScenarioConfig,
             if prune and (bound < sensitivity - LOSS_BOUND_SLACK_DB
                           or bound < best_power - LOSS_BOUND_SLACK_DB):
                 break  # neither this candidate nor any after it can win
-            power = links[(up.id, device.id)] = link_budget(config, up.id, device.id,
-                                                             table).received_power
+            power = links[(up.id, child.id)] = link_budget(config, up.id, child.id,
+                                                            table).received_power
             if power >= sensitivity and (best_id is None
                                          or (power, -up.id) > (best_power, -best_id)):
                 best_id, best_power = up.id, power
-        if best_id is None:
+        return best_id
+
+    routers = config.routers()
+    above: dict[int, int] = {}  # each attached router's parent
+    frontier = [coordinator]
+    while frontier:
+        level = []
+        for router in routers:
+            if router.id not in above and (up := best_parent(router, frontier)) is not None:
+                above[router.id] = up
+                level.append(router)
+        frontier = level
+
+    attached = [coordinator] + [router for router in routers if router.id in above]
+    parent: dict[int, int | None] = {node.id: above.get(node.id) for node in attached}
+    unreachable = [router.id for router in routers if router.id not in above]
+    for device in config.end_devices():
+        up = best_parent(device, attached)
+        if up is None:
             unreachable.append(device.id)
-            continue
-        parent[device.id] = best_id
+        else:
+            parent[device.id] = up
 
     return ParentTable(root=coordinator.id, parent=parent,
                        unreachable=tuple(sorted(unreachable)), links=links)

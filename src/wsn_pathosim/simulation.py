@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_seed,
-                     seconds_from_ticks, ticks_from_seconds)
+                     has_finite_ticks, seconds_from_ticks, ticks_from_seconds)
 from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNodeError,
                     Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
@@ -316,6 +316,8 @@ class Simulation:
         advance the clock to it and return the statistics snapshot."""
         if not math.isfinite(horizon_s):
             raise ValueError(f"horizon must be a finite number of seconds, got {horizon_s}")
+        if not has_finite_ticks(horizon_s):
+            raise ValueError(f"horizon must be a finite number of 1 us ticks, got {horizon_s} s")
         limit = ticks_from_seconds(horizon_s)
         if limit < self.queue.now:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")

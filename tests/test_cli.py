@@ -115,22 +115,29 @@ def test_malformed_scenario_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("horizon", ["inf", "nan"])
+HORIZON_ERRORS = {
+    "inf": "error: horizon must be a finite number of seconds, got inf",
+    "nan": "error: horizon must be a finite number of seconds, got nan",
+    "1e303": "error: horizon must be a finite number of 1 us ticks, got 1e+303 s",
+}
+
+
+@pytest.mark.parametrize("horizon", list(HORIZON_ERRORS))
 def test_run_until_a_horizon_that_is_not_finite_is_a_usage_error(tmp_path, capsys, horizon):
     code = main(["run", "--scenario", THREE_NODE, "--until", horizon,
                  "--out", str(tmp_path / "out")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: horizon must be a finite number of seconds, got {horizon}\n"
+    assert capsys.readouterr().err == HORIZON_ERRORS[horizon] + "\n"
 
 
 def test_repl_reports_a_horizon_that_is_not_finite_and_carries_on(monkeypatch, capsys):
-    code = _run_repl(monkeypatch, ["run-until inf", "run-until nan", "run-until 100", "quit"],
+    commands = [f"run-until {horizon}" for horizon in HORIZON_ERRORS]
+    code = _run_repl(monkeypatch, commands + ["run-until 100", "quit"],
                      ["--scenario", THREE_NODE])
     assert code == 0
     out = capsys.readouterr().out
-    assert "error: horizon must be a finite number of seconds, got inf" in out
-    assert "error: horizon must be a finite number of seconds, got nan" in out
+    for error in HORIZON_ERRORS.values():
+        assert error in out
     assert "clock 100.000000 s" in out
 
 
@@ -142,14 +149,10 @@ def test_invalid_scenario_reports_violations(tmp_path, capsys):
     assert "node 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radio, defaults", [
-    ({"poll_period_s": 1e-7}, {}),               # rounds to 0 ticks
-    ({}, {"poll_wake_duration_s": 28.0}),         # windows overlap
-])
-def test_run_refuses_a_scenario_that_would_stall_the_clock(tmp_path, radio, defaults):
-    doc = two_node_doc(sample_period_s=120.0, defaults=defaults)
-    doc["nodes"][1]["radio"] = radio
-    path = tmp_path / "stall.json"
+def _refused_run(tmp_path, doc: dict) -> str:
+    """Run the scenario in a fresh interpreter, check that it is refused as a
+    usage error with nothing on stdout, and return the one stderr line."""
+    path = tmp_path / "refused.json"
     path.write_text(json.dumps(doc))
     package_root = Path(wsn_pathosim.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -160,7 +163,43 @@ def test_run_refuses_a_scenario_that_would_stall_the_clock(tmp_path, radio, defa
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: node 1.")
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("radio, defaults", [
+    ({"poll_period_s": 1e-7}, {}),               # rounds to 0 ticks
+    ({}, {"poll_wake_duration_s": 28.0}),         # windows overlap
+    ({"poll_period_s": 1e303}, {}),               # too many ticks for a float
+    ({"bitrate_bps": 1e-305}, {}),                # a frame's airtime is too many ticks
+])
+def test_run_refuses_a_scenario_that_would_stall_the_clock(tmp_path, radio, defaults):
+    doc = two_node_doc(sample_period_s=120.0, defaults=defaults)
+    doc["nodes"][1]["radio"] = radio
+    assert _refused_run(tmp_path, doc).startswith("error: node 1.")
+
+
+GAUGE = {"kind": "strain_gauge", "signal": {"shape": "constant", "level": 1.0}}
+
+
+@pytest.mark.parametrize("node, defaults, where", [
+    # the node-level durations that sit outside the radio block
+    ({"sensors": [dict(GAUGE, heat_duration_s=1e303)]}, {}, "node 1.sensors[0]"),
+    ({"sample_period_s": 1e303, "radio": {"poll_period_s": 1e-6}},
+     {"poll_wake_duration_s": 0.0}, "node 1.sample_period_s"),
+    # the scenario-level durations
+    ({}, {"tx_airtime_s": 1e303}, "scenario.tx_airtime_s"),
+    ({}, {"warmup_delay_s": 1e303}, "scenario.warmup_delay_s"),
+    ({}, {"response_timeout_s": 1e303}, "scenario.response_timeout_s"),
+    ({}, {"poll_wake_duration_s": 1e303}, "scenario.poll_wake_duration_s"),
+    ({}, {"warmup_delay_s": 1.5e302, "response_timeout_s": 1.5e302},
+     "scenario.warmup_delay_s + response_timeout_s"),  # each part fits, the guard does not
+])
+def test_run_refuses_a_duration_with_no_finite_tick_count(tmp_path, node, defaults, where):
+    doc = two_node_doc(sample_period_s=120.0, defaults=defaults)
+    doc["nodes"][1].update(node)
+    line = _refused_run(tmp_path, doc)
+    assert line.startswith(f"error: {where}") and "finite number of 1 us ticks" in line
 
 
 def test_lifetime_matches_the_closed_form(capsys):
@@ -178,6 +217,15 @@ def test_lifetime_text_output(capsys):
     assert main(["lifetime", "--scenario", LIFETIME, "--node", "1"]) == 0
     out = capsys.readouterr().out
     assert "lifetime          52.13 h" in out
+
+
+def test_lifetime_refuses_a_wake_period_past_the_last_finite_tick(tmp_path, capsys):
+    doc = two_node_doc(sample_period_s=1e303, poll_period_s=1e-6)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lifetime", "--scenario", str(path), "--node", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sample period 1e+303 s is not a finite number of 1e-06 s poll periods\n")
 
 
 def test_lifetime_rejects_the_coordinator(capsys):

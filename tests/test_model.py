@@ -277,6 +277,31 @@ def test_validator_reports_a_poll_period_that_is_not_a_number():
     assert (1, "radio.poll_period_s") in [(v.node, v.field) for v in violations]
 
 
+GAUGE = {"kind": "strain_gauge", "signal": {"shape": "constant", "level": 1.0}}
+
+
+@pytest.mark.parametrize("node, defaults, where", [
+    ({"radio": {"poll_period_s": 1e303}, "sample_period_s": 1e303}, {},
+     [(1, "radio.poll_period_s")]),
+    ({"radio": {"bitrate_bps": 1e-305}}, {}, [(1, "radio.bitrate_bps")]),
+    ({"sensors": [dict(GAUGE, heat_duration_s=1e303)]}, {}, [(1, "sensors[0].heat_duration_s")]),
+    ({"sample_period_s": 1e303, "radio": {"poll_period_s": 1e-6}},
+     {"poll_wake_duration_s": 0.0}, [(1, "sample_period_s")]),
+    ({}, {"tx_airtime_s": 1e303}, [(None, "tx_airtime_s")]),
+    ({}, {"warmup_delay_s": 1e303}, [(None, "warmup_delay_s")]),
+    ({}, {"response_timeout_s": 1e303}, [(None, "response_timeout_s")]),
+    ({}, {"poll_wake_duration_s": 1e303}, [(None, "poll_wake_duration_s")]),
+    ({}, {"warmup_delay_s": 1.5e302, "response_timeout_s": 1.5e302},
+     [(None, "warmup_delay_s + response_timeout_s")]),
+])
+def test_validator_reports_a_duration_with_no_finite_tick_count(node, defaults, where):
+    doc = two_node_doc(defaults=defaults)
+    doc["nodes"][1].update(node)
+    violations = validate_scenario(make_config(doc))
+    assert [(v.node, v.field) for v in violations] == where
+    assert violations[0].rule.endswith("must be a finite number of 1 us ticks")
+
+
 def test_validator_accepts_a_poll_window_one_tick_short_of_the_period():
     doc = two_node_doc(defaults={"poll_wake_duration_s": 27.999999})
     assert validate_scenario(make_config(doc)) == []

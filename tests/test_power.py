@@ -46,6 +46,11 @@ def test_cyclic_sleep_rejects_non_positive_periods():
         cyclic_sleep_multiplier(120.0, -1.0)
 
 
+def test_cyclic_sleep_rejects_a_ratio_that_overflows():
+    with pytest.raises(ValueError, match="not a finite number of 1e-06 s poll periods"):
+        cyclic_sleep_multiplier(1e303, 1e-6)
+
+
 @given(st.floats(min_value=0.1, max_value=10_000.0),
        st.floats(min_value=0.1, max_value=100.0))
 def test_effective_period_is_closest_poll_multiple(sample, poll):

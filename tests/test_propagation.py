@@ -22,6 +22,7 @@ def test_short_range_clamps_to_first_anchor():
     assert free_space_loss(0.5) == 0.0
     assert free_space_loss(0.2) == 0.0
     assert free_space_loss(0.05) == 0.0
+    assert free_space_loss(0.0) == 0.0  # two nodes stacked at one x/y point
 
 
 def test_interpolation_is_linear_in_log_distance():
@@ -38,9 +39,7 @@ def test_extrapolation_continues_final_segment_slope():
 
 
 def test_non_positive_distance_rejected():
-    with pytest.raises(NonPositiveDistanceError):
-        free_space_loss(0.0)
-    with pytest.raises(NonPositiveDistanceError):
+    with pytest.raises(NonPositiveDistanceError, match=">= 0 m, got -3.0"):
         free_space_loss(-3.0)
 
 

@@ -9,6 +9,7 @@ from topology_reference import (buildings, mirrored_buildings, reference_link_bu
                                 reference_parent_table)
 from wsn_pathosim import protocol
 from wsn_pathosim.engine import RngStream, ticks_from_seconds
+from wsn_pathosim.model import Position, validate_scenario
 from wsn_pathosim.power import PowerState
 from wsn_pathosim.propagation import NonPositiveDistanceError, free_space_loss
 from wsn_pathosim.protocol import (BadMagicError, ChecksumError, CoordinatorSession,
@@ -23,6 +24,7 @@ from wsn_pathosim.protocol import (BadMagicError, ChecksumError, CoordinatorSess
                                    parse_sample_resp, parse_set_period, route_path,
                                    sample_resp_payload, set_period_payload)
 from wsn_pathosim.sensors import SensorKind
+from wsn_pathosim.simulation import Simulation
 
 S = 1_000_000
 
@@ -632,6 +634,36 @@ def test_an_end_device_budgets_only_the_candidates_that_can_still_win(monkeypatc
     assert reference_parent_table(config).parent == table.parent
 
 
+def test_a_router_budgets_only_the_candidates_that_can_still_win(monkeypatch):
+    # router 4 is 30 m out, beyond the coordinator's reach, and 20, 18 and 16 m
+    # from the first-level routers 1, 2 and 3: all three are in range, but with
+    # no walls router 3's budget equals its bound, which the other two fall
+    # below; the end device 5 sits 2 m past router 4
+    doc = two_node_doc(ed_position={"x": 32.0, "y": 0.0})
+    doc["nodes"][1]["id"] = 5
+    doc["nodes"][1:1] = [{"id": node_id, "role": "router", "position": {"x": x, "y": 0.0}}
+                         for node_id, x in ((1, 10.0), (2, 12.0), (3, 14.0), (4, 30.0))]
+    config = make_config(doc)
+    budgeted = []
+    real_link_budget = protocol.link_budget
+
+    def counting_link_budget(config, a, b, table):
+        budgeted.append((a, b))
+        return real_link_budget(config, a, b, table)
+
+    monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
+    table = build_parent_table(config)
+    assert table.parent == {0: None, 1: 0, 2: 0, 3: 0, 4: 3, 5: 4}
+    assert budgeted == [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)]
+    # the two skipped first-level routers do connect: only the search stopped early
+    assert all(reference_link_budget(config, up, 4).received_power >= -40.0
+               for up in (1, 2))
+    assert reference_link_budget(config, 0, 4).received_power < -40.0
+    expected = reference_parent_table(config)
+    assert table.parent == expected.parent
+    assert repr(table.received_power) == repr(expected.received_power)
+
+
 def test_a_negative_obstacle_loss_turns_the_loss_bound_off():
     # unvalidated: a wall with a 100 dB gain brings a 500 m link into range,
     # which a bound of free-space loss alone would have ruled out
@@ -643,9 +675,13 @@ def test_a_negative_obstacle_loss_turns_the_loss_bound_off():
     assert table.received_power[1] == pytest.approx(3.0 + 100.0 - free_space_loss(500.0))
 
 
-def test_zero_distance_pair_still_raises(three_node_config):
-    nodes = list(three_node_config.nodes)
-    nodes[1] = dataclasses.replace(nodes[1], position=nodes[0].position)
-    three_node_config.nodes = tuple(nodes)
-    with pytest.raises(NonPositiveDistanceError, match="got 0.0"):
-        build_parent_table(three_node_config)
+def test_a_router_stacked_above_the_coordinator_builds_and_runs(three_node_config):
+    # a router at the coordinator's x/y one floor up: a 0 m in-plane distance
+    router = dataclasses.replace(three_node_config.nodes[1], id=3,
+                                 position=Position(0.0, 0.0, 1))
+    three_node_config.nodes += (router,)
+    assert validate_scenario(three_node_config) == []
+    sim = Simulation(three_node_config)
+    assert sim.parent_table.parent[3] == 0
+    assert sim.parent_table.received_power[3] == 3.0 - three_node_config.floor_loss_db
+    assert sim.run_until(86400.0).clock_s == 86400.0

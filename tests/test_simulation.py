@@ -120,6 +120,14 @@ def test_run_until_rejects_a_horizon_that_is_not_finite(three_node_config, horiz
     assert sim.run_until(7200.0) == Simulation(three_node_config).run_until(7200.0)
 
 
+def test_run_until_rejects_a_horizon_past_the_last_finite_tick(three_node_config):
+    sim = Simulation(three_node_config)
+    sim.run_until(100.0)
+    with pytest.raises(ValueError, match="finite number of 1 us ticks, got 1e\\+303 s"):
+        sim.run_until(1e303)
+    assert sim.now == ticks_from_seconds(100.0)
+
+
 def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
     doc = two_node_doc()
     doc["nodes"][1]["sensors"] = []
