@@ -28,6 +28,10 @@ DEFAULT_MAX_RETRIES = 2
 DEFAULT_POLL_WAKE_DURATION_S = 0.1
 
 MAX_NODE_ID = 0xFFFF
+# Floor indices lie in -MAX_FLOOR..MAX_FLOOR. The tallest buildings have
+# under 200 floors, and a link's budget (and its obstacle scan) costs one
+# step per floor between its ends, so the bound keeps that cost small.
+MAX_FLOOR = 255
 CHANNEL_RANGE = range(11, 27)
 
 
@@ -293,9 +297,14 @@ def _expect_array(value: object, path: str) -> list:
 def _expect_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, "expected a finite number, got an integer too large"
+                                " for a float") from None
+    if not math.isfinite(number):
         raise SchemaError(path, f"expected a finite number, got {value}")
-    return float(value)
+    return number
 
 
 def _expect_int(value: object, path: str) -> int:
@@ -331,6 +340,8 @@ def _parse_position(value: object, path: str) -> Position:
     if "x" not in obj or "y" not in obj:
         raise SchemaError(path, "x and y are required")
     floor = _expect_int(obj["floor"], f"{path}.floor") if "floor" in obj else 0
+    if not -MAX_FLOOR <= floor <= MAX_FLOOR:
+        raise SchemaError(f"{path}.floor", f"must be in -{MAX_FLOOR}..{MAX_FLOOR}, got {floor}")
     return Position(x=_expect_number(obj["x"], f"{path}.x"),
                     y=_expect_number(obj["y"], f"{path}.y"),
                     floor=floor)
@@ -709,6 +720,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                 violations.append(Violation(rule="position must be finite",
                                             node=prefix, field="position"))
                 break
+        if not -MAX_FLOOR <= node.position.floor <= MAX_FLOOR:
+            violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
+                                        node=prefix, field="position.floor"))
         if node.radio.shadowing_sigma_db < 0:
             violations.append(Violation(rule="shadowing sigma must be >= 0",
                                         node=prefix, field="radio.shadowing_sigma_db"))
@@ -793,6 +807,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     for i, obstacle in enumerate(config.obstacles):
         if obstacle.start.floor != obstacle.end.floor:
             violations.append(Violation(rule="obstacle endpoints must share a floor",
+                                        field=f"obstacles[{i}]"))
+        if not -MAX_FLOOR <= obstacle.start.floor <= MAX_FLOOR:
+            violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
                                         field=f"obstacles[{i}]"))
         if (obstacle.start.x, obstacle.start.y) == (obstacle.end.x, obstacle.end.y):
             violations.append(Violation(rule="obstacle segment must have nonzero length",

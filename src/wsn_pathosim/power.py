@@ -170,14 +170,15 @@ class PowerLedger:
 
     An End Device's ledger also carries its poll grid: ticks k x poll_ticks
     for k >= 1, where the radio wakes for poll_window ticks to ask its parent
-    for buffered frames. Every advance books the grid polls it crosses, in
-    closed form, exactly as if each had been its own call at its own tick:
-    the span up to the poll is integrated on its own (that split is where a
-    death would be found), and a poll made while the base state is SLEEPING
-    adds a poll_window slice of AWAKE_IDLE. `polls` counts the grid polls
-    booked while the battery was alive. may_run_out says, booking nothing,
-    whether a poll up to a tick may find the battery empty; while it may,
-    the simulator makes each poll an event.
+    for buffered frames. Every advance books the grid polls it crosses
+    exactly as if each had been its own call at its own tick: the span up to
+    the poll is integrated on its own (that split is where a death would be
+    found), and a poll made while the base state is SLEEPING adds a
+    poll_window slice of AWAKE_IDLE. `polls` counts the grid polls booked
+    while the battery was alive. may_run_out says, booking nothing, whether
+    a poll up to a tick may find the battery empty. That one bound decides
+    both which polls the simulator makes events (each, while it says yes)
+    and how many polls book_polls books at once in closed form.
 
     Mains-powered nodes pass battery capacity None and simply accumulate
     consumption. Battery nodes die the exact tick their charge crosses zero;
@@ -240,11 +241,40 @@ class PowerLedger:
 
     def book_polls(self, before: Ticks) -> None:
         """Book every grid poll at a tick < `before` that is not booked yet,
-        leaving the cursor at the last of them."""
-        while self.next_poll is not None and self.next_poll < before and self.dead_at is None:
-            count = (before - 1 - self.next_poll) // self.poll_ticks + 1
-            if count < 2 or not self._book_cycles(count):
-                self._poll_step(self.next_poll)
+        leaving the cursor at the last of them.
+
+        The polls left are halved until may_run_out says none of them can
+        find the battery empty; at least 2 such polls are booked at once.
+        Each is one cycle: the base state up to the poll, then the window if
+        the base state is SLEEPING. Tick totals are integers, so adding k
+        cycles gives the totals of k steps, and the remaining charge
+        re-derived from them has the same bits. Any other poll is stepped,
+        as are a shifted window and a state's first booking (that keeps the
+        dict's key order)."""
+        poll_ticks = self.poll_ticks
+        durations = self.durations
+        while (first := self.next_poll) is not None and first < before and self.dead_at is None:
+            count = (before - 1 - first) // poll_ticks + 1
+            base = self.state
+            window = self.poll_window if base is SLEEPING else 0
+            if self.cursor > first or base not in durations or (
+                    window and AWAKE_IDLE not in durations):
+                count = 1
+            while count > 1 and self.may_run_out(first + (count - 1) * poll_ticks):
+                count //= 2
+            if count < 2:
+                self._poll_step(first)
+                continue
+            last = first + (count - 1) * poll_ticks
+            durations[base] += last - self.cursor - (count - 1) * window
+            if window:
+                durations[AWAKE_IDLE] += count * window
+            if self.battery_remaining_mah is not None:
+                self.battery_remaining_mah = (self._initial_remaining_mah
+                                              - _consumed(self._current, durations))
+            self.cursor = last + window
+            self.next_poll = last + poll_ticks
+            self.polls += count
 
     def may_run_out(self, until: Ticks) -> bool:
         """Whether a poll at a grid tick up to `until` may find the battery
@@ -343,65 +373,6 @@ class PowerLedger:
             self._integrate(self.cursor + self.poll_window)
             if self.dead_at is None:
                 self.state = SLEEPING
-        return True
-
-    def _book_cycles(self, count: int) -> bool:
-        """Book up to `count` grid polls from next_poll at once, as many as
-        surely find the battery alive; False when none could be.
-
-        Each poll is one cycle: the base state up to the poll, then the window
-        if the base state is SLEEPING. Tick totals are integers, so adding k
-        cycles gives the totals of k separate calls, and the remaining charge
-        re-derived from them has the same bits. The battery cannot run out in
-        any of the k cycles when even the largest single span's demand stays
-        below the charge left after all of them: consumed_mah never decreases
-        as tick totals grow.
-        """
-        first = self.next_poll
-        base = self.state
-        window = self.poll_window if base is SLEEPING else 0
-        if self.cursor > first or base not in self.durations or (
-                window and AWAKE_IDLE not in self.durations):
-            return False  # shifted window or a first booking: step, keeping key order
-        base_ma = self._current[base]
-        window_ma = self._current[AWAKE_IDLE]
-        if base_ma < 0 or window_ma < 0:
-            return False
-        lead = first - self.cursor
-        gap = self.poll_ticks - window
-        remaining = self.battery_remaining_mah
-        # only spans with a positive current are checked for a death
-        demands = [ma * span / TICKS_PER_HOUR for ma, span in
-                   ((base_ma, lead), (base_ma, gap), (window_ma, window)) if ma > 0 and span > 0]
-        demand = max(demands, default=None)
-        cycles = count
-        per_cycle = (base_ma * gap + window_ma * window) / TICKS_PER_HOUR
-        if remaining is not None and demand is not None and per_cycle > 0:
-            room = (remaining - demand) / per_cycle  # cycles until a span could kill
-            if room < count + 2:
-                cycles = math.floor(room) - 2
-        trial: dict[PowerState, int] = {}
-        while cycles >= 1:
-            trial = dict(self.durations)
-            trial[base] += lead + (cycles - 1) * gap
-            if window:
-                trial[AWAKE_IDLE] += cycles * window
-            if remaining is None:
-                break
-            left = self._initial_remaining_mah - _consumed(self._current, trial)
-            if demand is None or demand < left:
-                remaining = left
-                break
-            cycles //= 2
-        if cycles < 1:
-            return False
-        self.durations.update(trial)
-        if remaining is not None:
-            self.battery_remaining_mah = remaining
-        last = first + (cycles - 1) * self.poll_ticks
-        self.cursor = last + window
-        self.next_poll = last + self.poll_ticks
-        self.polls += cycles
         return True
 
     def conservation_error_mah(self) -> float:

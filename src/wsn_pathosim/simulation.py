@@ -123,7 +123,7 @@ class NodeRuntime:
     runtime is built. An End Device's ledger carries its poll grid; the
     device also carries its wake schedule (sleep), where its polls run among
     the polls of the same tick, after every other event of it (poll_rank),
-    the tick of the pending external wake, the one poll that is a real
+    the tick of its last scheduled external wake, the one poll that is a real
     event, if any, and its pending guard timer, if any."""
 
     spec: NodeSpec
@@ -132,7 +132,6 @@ class NodeRuntime:
     device_state: EndDeviceState | None = None
     sensor_rng: RngStream | None = None
     sleep: CyclicSleepConfig | None = None
-    last_external_wake: Ticks = 0
     rounds_lost: int = 0
     death_logged: bool = False
     poll_rank: int = 0
@@ -245,7 +244,7 @@ class Simulation:
             WarmupDoneStimulus: (WARMUP_DONE, ticks_from_seconds(config.warmup_delay_s)),
             ResponseTimeoutStimulus: (TIMEOUT, ticks_from_seconds(config.response_timeout_s))}
         self._handlers: dict[EventKind, Callable[[NodeRuntime, Any, Ticks], None]] = {
-            EXTERNAL_WAKE: self._on_external_wake,
+            EXTERNAL_WAKE: self._device_step,
             TIMER_FIRED: self._device_step,
             FRAME_DELIVERED: self._on_frame,
             WARMUP_DONE: self._on_session_timer,
@@ -465,16 +464,6 @@ class Simulation:
 
     # The handlers of every kind but POLL_WAKE: (node the event is for, payload, clock).
 
-    def _on_external_wake(self, runtime: NodeRuntime, stimulus: ExternalWakeStimulus,
-                          now: Ticks) -> None:
-        state = runtime.device_state
-        assert state is not None
-        if state.phase is not PHASE_SLEEPING:
-            logger.debug("node %d still awake at its external wake", runtime.spec.id)
-            return
-        runtime.last_external_wake = now
-        self._device_step(runtime, stimulus, now)
-
     def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
         """Step the device's state machine and carry its result out."""
         state = runtime.device_state
@@ -542,7 +531,7 @@ class Simulation:
                 f"effective_s={runtime.sleep.effective_period_s!r}"
                 f" multiplier={runtime.sleep.multiplier}", now)
         effective = runtime.period_ticks
-        next_wake = runtime.last_external_wake + effective
+        next_wake = runtime.next_wake + effective  # from the wake that began the round
         while next_wake <= now:
             next_wake += effective
         runtime.next_wake = next_wake

@@ -179,6 +179,13 @@ def test_run_refuses_a_scenario_that_would_stall_the_clock(tmp_path, radio, defa
     assert _refused_run(tmp_path, doc).startswith("error: node 1.")
 
 
+def test_run_refuses_an_integer_too_large_for_a_float(tmp_path):
+    doc = two_node_doc(sample_period_s=120.0, defaults={"warmup_delay_s": 10**401})
+    assert _refused_run(tmp_path, doc) == (
+        "error: $.defaults.warmup_delay_s: expected a finite number, got an integer too"
+        " large for a float")
+
+
 GAUGE = {"kind": "strain_gauge", "signal": {"shape": "constant", "level": 1.0}}
 
 

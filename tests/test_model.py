@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_config, two_node_doc
 from topology_reference import (buildings, reference_link_budget,
                                 reference_obstacles_on_path, scan_node)
-from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, FloorCrossing, NodeRole, NodeSpec,
-                                Obstacle, ObstacleCrossing, ObstacleKind, Position,
+from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, MAX_FLOOR, FloorCrossing, NodeRole,
+                                NodeSpec, Obstacle, ObstacleCrossing, ObstacleKind, Position,
                                 RadioConfig, ScenarioConfig, ScenarioSyntaxError,
                                 SchemaError, UnknownNodeError, obstacles_on_path,
                                 parse_scenario, serialize_scenario, validate_scenario)
@@ -71,6 +71,47 @@ def test_duplicate_node_ids_rejected_at_parse():
     doc["nodes"].append(dict(doc["nodes"][1]))
     with pytest.raises(SchemaError, match="duplicate"):
         make_config(doc)
+
+
+def test_an_integer_too_large_for_a_float_is_a_schema_error():
+    doc = two_node_doc(defaults={"warmup_delay_s": 10**401})
+    with pytest.raises(SchemaError, match="integer too large for a float") as info:
+        make_config(doc)
+    assert info.value.path == "$.defaults.warmup_delay_s"
+
+
+@pytest.mark.parametrize("floor", [MAX_FLOOR, -MAX_FLOOR])
+def test_the_floor_bound_is_inclusive(floor):
+    doc = two_node_doc(ed_position={"x": 2.0, "y": 0.0, "floor": floor})
+    assert validate_scenario(make_config(doc)) == []
+
+
+@pytest.mark.parametrize("floor", [MAX_FLOOR + 1, -MAX_FLOOR - 1, 10**6, 10**9])
+def test_a_floor_outside_the_bound_is_rejected_at_parse(floor):
+    doc = two_node_doc(ed_position={"x": 2.0, "y": 0.0, "floor": floor})
+    with pytest.raises(SchemaError, match=f"-{MAX_FLOOR}..{MAX_FLOOR}") as info:
+        make_config(doc)
+    assert info.value.path == "$.nodes[1].position.floor"
+    wall = two_node_doc()
+    wall["obstacles"] = [{"kind": "brick_wall", "from": {"x": 1.0, "y": -1.0, "floor": floor},
+                          "to": {"x": 1.0, "y": 1.0, "floor": floor}}]
+    with pytest.raises(SchemaError, match="obstacles\\[0\\].from.floor"):
+        make_config(wall)
+
+
+@pytest.mark.parametrize("floor", [MAX_FLOOR + 1, -10**9])
+def test_validator_rejects_a_floor_outside_the_bound(floor):
+    """Built in-process, so the parser's check is bypassed; never budgeted,
+    since a link costs one step per floor between its ends."""
+    config = make_config(two_node_doc())
+    device = config.node(1)
+    far = Position(device.position.x, device.position.y, floor)
+    nodes = (config.nodes[0], dataclasses.replace(device, position=far))
+    wall = Obstacle(ObstacleKind.BRICK_WALL, Position(1.0, -1.0, floor), Position(1.0, 1.0, floor))
+    violations = validate_scenario(dataclasses.replace(config, nodes=nodes, obstacles=(wall,)))
+    assert [(v.rule, v.node, v.field) for v in violations] == [
+        (f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}", 1, "position.floor"),
+        (f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}", None, "obstacles[0]")]
 
 
 def test_scenario_without_coordinator_rejected_at_parse():

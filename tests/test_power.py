@@ -240,18 +240,27 @@ def _grid_ledger(profile, state, capacity, cursor, poll, window):
 
 @st.composite
 def grid_cases(draw):
+    """A grid ledger's settings and the ticks to advance it to. Some
+    batteries are sized from the drawn span, as in shifted_ledgers, so that
+    may_run_out flips from no to yes inside it: booking in closed form then
+    stops short of the polls that may find the battery empty."""
     poll = draw(st.one_of(st.integers(1, 40), st.sampled_from([333_333, 10 * S, 28 * S]),
                           st.integers(2, 60 * S)))
     window = draw(st.one_of(st.just(0), st.just(poll - 1), st.integers(0, poll - 1)))
     currents = sorted(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
                                     min_size=3, max_size=3)))
     profile = ConsumptionProfile(*currents)
-    capacity = draw(st.one_of(st.none(), st.floats(0.0, 0.05), st.floats(0.0, 5.0),
-                              st.floats(0.0, 1100.0)))
     cursor = draw(st.integers(0, 5 * poll))
     state = draw(st.sampled_from([PowerState.SLEEPING, PowerState.AWAKE_IDLE]))
     spans = draw(st.lists(st.integers(0, 2000 * poll), min_size=1, max_size=4))
     stops = [cursor + span for span in sorted(spans)]
+    if draw(st.booleans()):  # tight: lasts `spare` ticks at the bound's current
+        spare = draw(st.integers(0, stops[-1] - cursor + window))
+        top = max(profile.current_ma(state), profile.awake_idle_ma)
+        capacity = top * spare / TICKS_PER_HOUR
+    else:
+        capacity = draw(st.one_of(st.none(), st.floats(0.0, 0.05), st.floats(0.0, 5.0),
+                                  st.floats(0.0, 1100.0)))
     return profile, state, capacity, cursor, poll, window, stops
 
 
@@ -269,6 +278,7 @@ def test_closed_form_poll_grid_matches_the_per_poll_loop(case):
     assert (ledger.dead_at, ledger.cursor, ledger.state) == (
         reference.dead_at, reference.cursor, reference.state)
     assert ledger.polls == polls
+    event("battery ran out" if ledger.is_dead else "battery lasted")
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,6 +323,38 @@ def test_poll_books_the_grid_tick_itself():
     assert ledger.duration_ticks(PowerState.AWAKE_IDLE) == 2 * S
     assert not ledger.poll(25 * S)  # not a grid tick: just an advance
     assert ledger.polls == 2 and ledger.cursor == 25 * S
+
+
+@pytest.fixture
+def stepped_polls(monkeypatch):
+    """Counts the grid polls booked one at a time, not in closed form."""
+    steps = []
+    step = PowerLedger._poll_step
+
+    def counted(ledger, tick):
+        steps.append(tick)
+        return step(ledger, tick)
+
+    monkeypatch.setattr(PowerLedger, "_poll_step", counted)
+    return steps
+
+
+def test_a_shipped_day_books_its_polls_in_closed_form(three_node_config, stepped_polls):
+    sim = Simulation(three_node_config)
+    sim.run_until(86400.0)
+    assert sum(runtime.ledger.polls for runtime in sim.runtimes.values()) == 3085
+    assert len(stepped_polls) <= 49
+
+
+def test_an_advance_past_the_death_steps_only_the_polls_near_it(stepped_polls):
+    """One advance takes a 110 Ah ledger 3 years, past its death after about
+    217 days: the run is halved down to where may_run_out allows it, so only
+    the polls near the death are stepped."""
+    ledger = _grid_ledger(PROFILE, PowerState.SLEEPING, 110_000.0, 0, 28 * S, S // 10)
+    ledger.advance(3 * 365 * 86400 * S)
+    # as per_poll_reference books them, one at a time (about 3 s)
+    assert (ledger.polls, ledger.dead_at) == (664_797, 18_614_333_583_412)
+    assert len(stepped_polls) <= 16
 
 
 def test_poll_window_must_fit_in_the_period():
@@ -459,7 +501,8 @@ class ReferenceLedger(PowerLedger):
     """The ledger with spans booked through its helpers, as before the hot
     path was written out: advance, set_state, charge_slice and _integrate go
     through is_dead, consumed_mah and _book. The poll grid (book_polls,
-    _poll_step, _book_cycles) is shared, and books through these."""
+    _poll_step and the may_run_out bound that sizes book_polls' closed-form
+    runs) is shared, and books through these."""
 
     def advance(self, now):
         if self.next_poll is not None and self.next_poll < now:
