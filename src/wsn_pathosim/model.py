@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -17,15 +17,7 @@ from .engine import has_finite_ticks, ticks_from_seconds
 from .power import ConsumptionProfile, cyclic_sleep_multiplier
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Signal, Sinusoid
 
-DEFAULT_TX_POWER_DBM = 3.0
-DEFAULT_POLL_PERIOD_S = 28.0
-DEFAULT_BITRATE_BPS = 250_000.0
-DEFAULT_BATTERY_CAPACITY_MAH = 1100.0
 DEFAULT_FLOOR_LOSS_DB = 13.08
-DEFAULT_WARMUP_DELAY_S = 120.0
-DEFAULT_RESPONSE_TIMEOUT_S = 5.0
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_POLL_WAKE_DURATION_S = 0.1
 
 MAX_NODE_ID = 0xFFFF
 # Floor indices lie in -MAX_FLOOR..MAX_FLOOR. The tallest buildings have
@@ -140,15 +132,15 @@ class RadioConfig:
     come from the node or the scenario defaults section."""
 
     sensitivity_dbm: float
-    tx_power_dbm: float = DEFAULT_TX_POWER_DBM
+    tx_power_dbm: float = 3.0
     shadowing_sigma_db: float = 0.0
-    poll_period_s: float = DEFAULT_POLL_PERIOD_S
-    bitrate_bps: float = DEFAULT_BITRATE_BPS
+    poll_period_s: float = 28.0
+    bitrate_bps: float = 250_000.0
 
 
 @dataclass
 class BatteryState:
-    capacity_mah: float = DEFAULT_BATTERY_CAPACITY_MAH
+    capacity_mah: float = 1100.0
     remaining_mah: float | None = None
 
     def __post_init__(self) -> None:
@@ -213,11 +205,11 @@ class ScenarioConfig:
     channels: dict[int, float] = field(default_factory=dict)
     seed: int = 0
     floor_loss_db: float = DEFAULT_FLOOR_LOSS_DB
-    warmup_delay_s: float = DEFAULT_WARMUP_DELAY_S
-    response_timeout_s: float = DEFAULT_RESPONSE_TIMEOUT_S
-    max_retries: int = DEFAULT_MAX_RETRIES
+    warmup_delay_s: float = 120.0
+    response_timeout_s: float = 5.0
+    max_retries: int = 2
     tx_airtime_override_s: float | None = None
-    poll_wake_duration_s: float = DEFAULT_POLL_WAKE_DURATION_S
+    poll_wake_duration_s: float = 0.1
     consumption: ConsumptionProfile = field(default_factory=ConsumptionProfile)
 
     def node(self, node_id: int) -> NodeSpec:
@@ -307,6 +299,17 @@ def _expect_number(value: object, path: str) -> float:
     return number
 
 
+def _expect_number_or_null(value: object, path: str) -> float | None:
+    return None if value is None else _expect_number(value, path)
+
+
+def _expect_positive(value: object, path: str) -> float:
+    number = _expect_number(value, path)
+    if number <= 0:
+        raise SchemaError(path, "must be > 0")
+    return number
+
+
 def _expect_int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
@@ -319,8 +322,8 @@ def _expect_string(value: object, path: str) -> str:
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed: set[str] | frozenset[str], path: str) -> None:
+    unknown = obj.keys() - allowed
     if unknown:
         raise SchemaError(path, f"unknown key(s): {', '.join(sorted(unknown))}")
 
@@ -332,6 +335,65 @@ def _enum_value(enum_cls, value: object, path: str):
     except ValueError:
         options = ", ".join(m.value for m in enum_cls)
         raise SchemaError(path, f"expected one of [{options}], got {name!r}") from None
+
+
+class _Record:
+    """A scenario object whose keys set the fields of the dataclass `cls`.
+
+    `keys` are (JSON key, reader[, field if not the key]) in the order
+    serialize_scenario writes them; by default, each field of `cls` under its
+    own name, read by `readers.get(field, _expect_number)`. A key left out
+    keeps the dataclass default, and a field that is None is not written. A
+    record is the reader of a record nested in another.
+    """
+
+    def __init__(self, cls: type, *keys: tuple, **readers) -> None:
+        self.cls = cls
+        if not keys:
+            keys = tuple((f.name, readers.get(f.name, _expect_number)) for f in fields(cls))
+        self.keys = tuple((key, read, name[0] if name else key) for key, read, *name in keys)
+        self.names = frozenset(key for key, _, _ in self.keys)
+        no_default = {f.name for f in fields(cls)
+                      if f.default is MISSING and f.default_factory is MISSING}
+        self.required = frozenset(key for key, _, name in self.keys if name in no_default)
+
+    def read(self, obj: dict, path: str) -> dict:
+        """{field: value} for each of the record's keys that obj holds."""
+        values = {}
+        for key, read, name in self.keys:
+            if key in obj:
+                values[name] = read(obj[key], f"{path}.{key}")
+        return values
+
+    def __call__(self, value: object, path: str):
+        obj = _expect_object(value, path)
+        _check_keys(obj, self.names, path)
+        return self.cls(**self.read(obj, path))
+
+    def doc(self, instance) -> dict:
+        """The JSON object whose reading gives back `instance`."""
+        doc = {}
+        for key, read, name in self.keys:
+            value = getattr(instance, name)
+            if value is not None:
+                doc[key] = read.doc(value) if isinstance(read, _Record) else value
+        return doc
+
+
+_RADIO = _Record(RadioConfig)
+_BATTERY = _Record(BatteryState)
+_SIGNALS = {"constant": _Record(Constant), "ramp": _Record(Ramp),
+            "sinusoid": _Record(Sinusoid, period_hours=_expect_positive)}
+# The defaults object holds the fallbacks of every node's radio (_RADIO's
+# keys), the battery of an end device that declares none, and the settings.
+_DEFAULT_BATTERY = _Record(BatteryState, ("battery_capacity_mah", _expect_number, "capacity_mah"))
+_SETTINGS = _Record(
+    ScenarioConfig, ("floor_loss_db", _expect_number), ("warmup_delay_s", _expect_number),
+    ("response_timeout_s", _expect_number), ("max_retries", _expect_int),
+    ("poll_wake_duration_s", _expect_number),
+    ("consumption_profile", _Record(ConsumptionProfile), "consumption"),
+    ("tx_airtime_s", _expect_number_or_null, "tx_airtime_override_s"))
+_DEFAULTS_KEYS = _RADIO.names | _DEFAULT_BATTERY.names | _SETTINGS.names
 
 
 def _parse_position(value: object, path: str) -> Position:
@@ -349,35 +411,18 @@ def _parse_position(value: object, path: str) -> Position:
 
 def _parse_signal(value: object, path: str) -> Signal:
     obj = _expect_object(value, path)
-    shape = _expect_string(obj.get("shape"), f"{path}.shape") if "shape" in obj else None
-    if shape is None:
+    if "shape" not in obj:
         raise SchemaError(path, "shape is required")
-    if shape == "constant":
-        _check_keys(obj, {"shape", "level"}, path)
-        if "level" not in obj:
-            raise SchemaError(path, "constant signal requires level")
-        return Constant(level=_expect_number(obj["level"], f"{path}.level"))
-    if shape == "ramp":
-        _check_keys(obj, {"shape", "start", "slope_per_hour"}, path)
-        missing = {"start", "slope_per_hour"} - set(obj)
-        if missing:
-            raise SchemaError(path, f"ramp signal requires {', '.join(sorted(missing))}")
-        return Ramp(start=_expect_number(obj["start"], f"{path}.start"),
-                    slope_per_hour=_expect_number(obj["slope_per_hour"],
-                                                  f"{path}.slope_per_hour"))
-    if shape == "sinusoid":
-        _check_keys(obj, {"shape", "mean", "amplitude", "period_hours"}, path)
-        missing = {"mean", "amplitude", "period_hours"} - set(obj)
-        if missing:
-            raise SchemaError(path, f"sinusoid signal requires {', '.join(sorted(missing))}")
-        period = _expect_number(obj["period_hours"], f"{path}.period_hours")
-        if period <= 0:
-            raise SchemaError(f"{path}.period_hours", "must be > 0")
-        return Sinusoid(mean=_expect_number(obj["mean"], f"{path}.mean"),
-                        amplitude=_expect_number(obj["amplitude"], f"{path}.amplitude"),
-                        period_hours=period)
-    raise SchemaError(f"{path}.shape",
-                      f"expected one of [constant, ramp, sinusoid], got {shape!r}")
+    shape = _expect_string(obj["shape"], f"{path}.shape")
+    record = _SIGNALS.get(shape)
+    if record is None:
+        raise SchemaError(f"{path}.shape",
+                          f"expected one of [{', '.join(_SIGNALS)}], got {shape!r}")
+    _check_keys(obj, record.names | {"shape"}, path)
+    if not obj.keys() >= record.required:
+        missing = sorted(record.required - obj.keys())
+        raise SchemaError(path, f"{shape} signal requires {', '.join(missing)}")
+    return record.cls(**record.read(obj, path))
 
 
 def _parse_sensor(value: object, path: str) -> SensorSpec:
@@ -387,56 +432,27 @@ def _parse_sensor(value: object, path: str) -> SensorSpec:
         raise SchemaError(path, "kind and signal are required")
     kind = _enum_value(SensorKind, obj["kind"], f"{path}.kind")
     noise = _expect_number(obj["noise_sigma"], f"{path}.noise_sigma") if "noise_sigma" in obj else 0.0
-    heat = None
-    if "heat_duration_s" in obj and obj["heat_duration_s"] is not None:
-        heat = _expect_number(obj["heat_duration_s"], f"{path}.heat_duration_s")
+    heat = (_expect_number_or_null(obj["heat_duration_s"], f"{path}.heat_duration_s")
+            if "heat_duration_s" in obj else None)
     return SensorSpec(kind=kind, signal=_parse_signal(obj["signal"], f"{path}.signal"),
                       noise_sigma=noise, heat_duration_s=heat)
 
 
-_DEFAULTS_KEYS = {
-    "tx_power_dbm", "sensitivity_dbm", "shadowing_sigma_db", "poll_period_s",
-    "bitrate_bps", "battery_capacity_mah", "floor_loss_db", "warmup_delay_s",
-    "response_timeout_s", "max_retries", "tx_airtime_s", "poll_wake_duration_s",
-    "consumption_profile",
-}
-
-_RADIO_KEYS = {"tx_power_dbm", "sensitivity_dbm", "shadowing_sigma_db",
-               "poll_period_s", "bitrate_bps"}
-
-
-def _parse_radio(obj: dict | None, defaults: dict, path: str) -> RadioConfig:
-    obj = obj or {}
-    _check_keys(obj, _RADIO_KEYS, path)
-
-    def pick(key: str, fallback: float | None) -> float | None:
-        if key in obj:
-            return _expect_number(obj[key], f"{path}.{key}")
-        return defaults.get(key, fallback)
-
-    sensitivity = pick("sensitivity_dbm", None)
-    if sensitivity is None:
-        raise SchemaError(f"{path}.sensitivity_dbm",
+def _parse_radio(value: object, defaults: dict, path: str) -> RadioConfig:
+    """A node's radio: its own keys over the defaults object's."""
+    radio = defaults
+    if value is not None:
+        obj = _expect_object(value, path)
+        _check_keys(obj, _RADIO.names, path)
+        radio = {**defaults, **_RADIO.read(obj, path)}
+    if not radio.keys() >= _RADIO.required:
+        raise SchemaError(f"{path}.{min(_RADIO.required - radio.keys())}",
                           "required: no built-in default (set it on the node or in defaults)")
-    return RadioConfig(
-        sensitivity_dbm=sensitivity,
-        tx_power_dbm=pick("tx_power_dbm", DEFAULT_TX_POWER_DBM),
-        shadowing_sigma_db=pick("shadowing_sigma_db", 0.0),
-        poll_period_s=pick("poll_period_s", DEFAULT_POLL_PERIOD_S),
-        bitrate_bps=pick("bitrate_bps", DEFAULT_BITRATE_BPS),
-    )
+    return RadioConfig(**radio)
 
 
-def _parse_battery(obj: dict, path: str) -> BatteryState:
-    _check_keys(obj, {"capacity_mah", "remaining_mah"}, path)
-    capacity = (_expect_number(obj["capacity_mah"], f"{path}.capacity_mah")
-                if "capacity_mah" in obj else DEFAULT_BATTERY_CAPACITY_MAH)
-    remaining = (_expect_number(obj["remaining_mah"], f"{path}.remaining_mah")
-                 if "remaining_mah" in obj else None)
-    return BatteryState(capacity_mah=capacity, remaining_mah=remaining)
-
-
-def _parse_node(value: object, defaults: dict, path: str) -> NodeSpec:
+def _parse_node(value: object, radio_defaults: dict, battery_defaults: dict,
+                path: str) -> NodeSpec:
     obj = _expect_object(value, path)
     _check_keys(obj, {"id", "role", "position", "radio", "battery", "sensors",
                       "sample_period_s"}, path)
@@ -447,24 +463,21 @@ def _parse_node(value: object, defaults: dict, path: str) -> NodeSpec:
     if not 0 <= node_id <= MAX_NODE_ID:
         raise SchemaError(f"{path}.id", f"must be in 0..{MAX_NODE_ID}, got {node_id}")
     role = _enum_value(NodeRole, obj["role"], f"{path}.role")
-    radio = _parse_radio(obj.get("radio"), defaults, f"{path}.radio")
+    radio = _parse_radio(obj.get("radio"), radio_defaults, f"{path}.radio")
 
-    battery = None
-    if "battery" in obj and obj["battery"] is not None:
-        battery = _parse_battery(_expect_object(obj["battery"], f"{path}.battery"),
-                                 f"{path}.battery")
+    battery = obj.get("battery")
+    if battery is not None:
+        battery = _BATTERY(battery, f"{path}.battery")
     elif role is NodeRole.END_DEVICE:
-        battery = BatteryState(capacity_mah=defaults.get(
-            "battery_capacity_mah", DEFAULT_BATTERY_CAPACITY_MAH))
+        battery = BatteryState(**battery_defaults)
 
     sensors: list[SensorSpec] = []
     if "sensors" in obj:
         for i, item in enumerate(_expect_array(obj["sensors"], f"{path}.sensors")):
             sensors.append(_parse_sensor(item, f"{path}.sensors[{i}]"))
 
-    sample_period = None
-    if "sample_period_s" in obj and obj["sample_period_s"] is not None:
-        sample_period = _expect_number(obj["sample_period_s"], f"{path}.sample_period_s")
+    sample_period = (_expect_number_or_null(obj["sample_period_s"], f"{path}.sample_period_s")
+                     if "sample_period_s" in obj else None)
 
     return NodeSpec(id=node_id, role=role,
                     position=_parse_position(obj["position"], f"{path}.position"),
@@ -478,54 +491,12 @@ def _parse_obstacle(value: object, path: str) -> Obstacle:
     for required in ("kind", "from", "to"):
         if required not in obj:
             raise SchemaError(path, f"{required} is required")
-    attenuation = None
-    if "attenuation_db" in obj and obj["attenuation_db"] is not None:
-        attenuation = _expect_number(obj["attenuation_db"], f"{path}.attenuation_db")
+    attenuation = (_expect_number_or_null(obj["attenuation_db"], f"{path}.attenuation_db")
+                   if "attenuation_db" in obj else None)
     return Obstacle(kind=_enum_value(ObstacleKind, obj["kind"], f"{path}.kind"),
                     start=_parse_position(obj["from"], f"{path}.from"),
                     end=_parse_position(obj["to"], f"{path}.to"),
                     attenuation_db=attenuation)
-
-
-def _parse_defaults(value: object, path: str) -> tuple[dict, dict]:
-    """Returns (radio/battery fallbacks, scenario-level settings)."""
-    obj = _expect_object(value, path)
-    _check_keys(obj, _DEFAULTS_KEYS, path)
-    fallbacks: dict = {}
-    for key in ("tx_power_dbm", "sensitivity_dbm", "shadowing_sigma_db",
-                "poll_period_s", "bitrate_bps", "battery_capacity_mah"):
-        if key in obj:
-            fallbacks[key] = _expect_number(obj[key], f"{path}.{key}")
-    settings: dict = {}
-    if "floor_loss_db" in obj:
-        settings["floor_loss_db"] = _expect_number(obj["floor_loss_db"], f"{path}.floor_loss_db")
-    if "warmup_delay_s" in obj:
-        settings["warmup_delay_s"] = _expect_number(obj["warmup_delay_s"], f"{path}.warmup_delay_s")
-    if "response_timeout_s" in obj:
-        settings["response_timeout_s"] = _expect_number(
-            obj["response_timeout_s"], f"{path}.response_timeout_s")
-    if "max_retries" in obj:
-        settings["max_retries"] = _expect_int(obj["max_retries"], f"{path}.max_retries")
-    if "tx_airtime_s" in obj and obj["tx_airtime_s"] is not None:
-        settings["tx_airtime_override_s"] = _expect_number(
-            obj["tx_airtime_s"], f"{path}.tx_airtime_s")
-    if "poll_wake_duration_s" in obj:
-        settings["poll_wake_duration_s"] = _expect_number(
-            obj["poll_wake_duration_s"], f"{path}.poll_wake_duration_s")
-    if "consumption_profile" in obj:
-        prof = _expect_object(obj["consumption_profile"], f"{path}.consumption_profile")
-        _check_keys(prof, {"sleeping_ma", "awake_idle_ma", "transmitting_ma"},
-                    f"{path}.consumption_profile")
-        base = ConsumptionProfile()
-        settings["consumption"] = ConsumptionProfile(
-            sleeping_ma=_expect_number(prof["sleeping_ma"], f"{path}.consumption_profile.sleeping_ma")
-            if "sleeping_ma" in prof else base.sleeping_ma,
-            awake_idle_ma=_expect_number(prof["awake_idle_ma"], f"{path}.consumption_profile.awake_idle_ma")
-            if "awake_idle_ma" in prof else base.awake_idle_ma,
-            transmitting_ma=_expect_number(prof["transmitting_ma"], f"{path}.consumption_profile.transmitting_ma")
-            if "transmitting_ma" in prof else base.transmitting_ma,
-        )
-    return fallbacks, settings
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -539,21 +510,26 @@ def parse_scenario(text: str) -> ScenarioConfig:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ScenarioSyntaxError(str(exc)) from exc
 
     root = _expect_object(document, "$")
     _check_keys(root, {"nodes", "obstacles", "channels", "seed", "defaults"}, "$")
     if "nodes" not in root:
         raise SchemaError("$", "nodes is required")
 
-    fallbacks: dict = {}
-    settings: dict = {}
+    radio_defaults = battery_defaults = settings = {}
     if "defaults" in root:
-        fallbacks, settings = _parse_defaults(root["defaults"], "$.defaults")
+        defaults = _expect_object(root["defaults"], "$.defaults")
+        _check_keys(defaults, _DEFAULTS_KEYS, "$.defaults")
+        radio_defaults = _RADIO.read(defaults, "$.defaults")
+        battery_defaults = _DEFAULT_BATTERY.read(defaults, "$.defaults")
+        settings = _SETTINGS.read(defaults, "$.defaults")
 
     nodes: list[NodeSpec] = []
     seen_ids: set[int] = set()
     for i, item in enumerate(_expect_array(root["nodes"], "$.nodes")):
-        node = _parse_node(item, fallbacks, f"$.nodes[{i}]")
+        node = _parse_node(item, radio_defaults, battery_defaults, f"$.nodes[{i}]")
         if node.id in seen_ids:
             raise SchemaError(f"$.nodes[{i}].id", f"duplicate node id {node.id}")
         seen_ids.add(node.id)
@@ -599,50 +575,23 @@ def _position_doc(position: Position) -> dict:
 
 
 def _signal_doc(signal: Signal) -> dict:
-    if isinstance(signal, Constant):
-        return {"shape": "constant", "level": signal.level}
-    if isinstance(signal, Ramp):
-        return {"shape": "ramp", "start": signal.start,
-                "slope_per_hour": signal.slope_per_hour}
-    return {"shape": "sinusoid", "mean": signal.mean, "amplitude": signal.amplitude,
-            "period_hours": signal.period_hours}
+    shape = next(shape for shape, record in _SIGNALS.items() if type(signal) is record.cls)
+    return {"shape": shape, **_SIGNALS[shape].doc(signal)}
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a config back to scenario JSON. parse_scenario() of the result
     reproduces the config field for field."""
-    defaults: dict = {
-        "floor_loss_db": config.floor_loss_db,
-        "warmup_delay_s": config.warmup_delay_s,
-        "response_timeout_s": config.response_timeout_s,
-        "max_retries": config.max_retries,
-        "poll_wake_duration_s": config.poll_wake_duration_s,
-        "consumption_profile": {
-            "sleeping_ma": config.consumption.sleeping_ma,
-            "awake_idle_ma": config.consumption.awake_idle_ma,
-            "transmitting_ma": config.consumption.transmitting_ma,
-        },
-    }
-    if config.tx_airtime_override_s is not None:
-        defaults["tx_airtime_s"] = config.tx_airtime_override_s
-
     nodes = []
     for node in config.nodes:
         doc: dict = {
             "id": node.id,
             "role": node.role.value,
             "position": _position_doc(node.position),
-            "radio": {
-                "sensitivity_dbm": node.radio.sensitivity_dbm,
-                "tx_power_dbm": node.radio.tx_power_dbm,
-                "shadowing_sigma_db": node.radio.shadowing_sigma_db,
-                "poll_period_s": node.radio.poll_period_s,
-                "bitrate_bps": node.radio.bitrate_bps,
-            },
+            "radio": _RADIO.doc(node.radio),
         }
         if node.battery is not None:
-            doc["battery"] = {"capacity_mah": node.battery.capacity_mah,
-                              "remaining_mah": node.battery.remaining_mah}
+            doc["battery"] = _BATTERY.doc(node.battery)
         if node.sensors:
             sensor_docs = []
             for sensor in node.sensors:
@@ -659,7 +608,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
 
     document = {
         "seed": config.seed,
-        "defaults": defaults,
+        "defaults": _SETTINGS.doc(config),
         "nodes": nodes,
         "obstacles": [
             {"kind": o.kind.value, "from": _position_doc(o.start),

@@ -149,11 +149,12 @@ def test_invalid_scenario_reports_violations(tmp_path, capsys):
     assert "node 1" in capsys.readouterr().err
 
 
-def _refused_run(tmp_path, doc: dict) -> str:
-    """Run the scenario in a fresh interpreter, check that it is refused as a
-    usage error with nothing on stdout, and return the one stderr line."""
+def _refused_run(tmp_path, doc: dict | str) -> str:
+    """Run the scenario (a document, or its text) in a fresh interpreter,
+    check that it is refused as a usage error with nothing on stdout, and
+    return the one stderr line."""
     path = tmp_path / "refused.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     package_root = Path(wsn_pathosim.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "wsn_pathosim", "run", "--scenario", str(path),
@@ -184,6 +185,12 @@ def test_run_refuses_an_integer_too_large_for_a_float(tmp_path):
     assert _refused_run(tmp_path, doc) == (
         "error: $.defaults.warmup_delay_s: expected a finite number, got an integer too"
         " large for a float")
+
+
+def test_run_refuses_an_integer_literal_past_the_digit_limit(tmp_path):
+    # The fresh interpreter keeps CPython's default limit of 4300 digits.
+    line = _refused_run(tmp_path, '{"nodes": [], "seed": ' + "7" * 5000 + "}")
+    assert line.startswith("error: ") and "limit" in line
 
 
 GAUGE = {"kind": "strain_gauge", "signal": {"shape": "constant", "level": 1.0}}

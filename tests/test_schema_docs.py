@@ -1,0 +1,150 @@
+"""docs/scenario-schema.md against the parser: the keys its tables list, the
+defaults they give and the keys it says accept null."""
+
+import copy
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+from conftest import make_config
+from wsn_pathosim import model
+from wsn_pathosim.model import RadioConfig, SchemaError
+
+SCHEMA_DOC = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
+
+
+def _section(heading: str) -> str:
+    return SCHEMA_DOC.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _table(heading: str) -> dict[str, list[str]]:
+    """The first table of a section: its cells after the first, keyed by the
+    key the first cell quotes."""
+    rows = {}
+    for line in _section(heading).splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        key = re.fullmatch(r"`(\w+)`", cells[0])
+        if line.startswith("|") and key:
+            rows[key.group(1)] = cells[1:]
+        elif rows and not line.startswith("|"):
+            break
+    return rows
+
+
+DEFAULTS_TABLE = _table("`defaults`")
+NODES_TABLE = _table("`nodes[]`")
+
+# Coordinator plus one end device that declares no battery and no radio, so
+# every documented default applies to it.
+MINIMAL = {
+    "defaults": {"sensitivity_dbm": -40.0},
+    "nodes": [
+        {"id": 0, "role": "coordinator", "position": {"x": 0.0, "y": 0.0}},
+        {"id": 1, "role": "end_device", "position": {"x": 2.0, "y": 0.0},
+         "sample_period_s": 120.0},
+    ],
+}
+RADIO_KEYS = {f.name for f in dataclasses.fields(RadioConfig)}
+SAMPLE_VALUES = {"number": 1.0, "int": 1, "object": {}}
+
+
+def _minimal(**defaults) -> dict:
+    doc = copy.deepcopy(MINIMAL)
+    doc["defaults"].update(defaults)
+    return doc
+
+
+def _parsed_default(config: model.ScenarioConfig, key: str):
+    """Where the parser puts the value of defaults.<key>."""
+    device = config.node(1)
+    if key in RADIO_KEYS:
+        return getattr(device.radio, key)
+    if key == "battery_capacity_mah":
+        return device.battery.capacity_mah
+    if key == "tx_airtime_s":
+        return config.tx_airtime_override_s
+    return getattr(config, key)
+
+
+def test_the_defaults_table_lists_exactly_the_keys_the_parser_accepts():
+    assert set(DEFAULTS_TABLE) == model._DEFAULTS_KEYS
+    for key, (kind, _, _) in DEFAULTS_TABLE.items():
+        make_config(_minimal(**{key: SAMPLE_VALUES[kind]}))  # no unknown-key error
+    with pytest.raises(SchemaError, match="unknown key"):
+        make_config(_minimal(undocumented_knob=1.0))
+
+
+def test_the_radio_row_lists_exactly_the_radio_config_fields():
+    meaning = NODES_TABLE["radio"][-1]
+    assert set(re.findall(r"`(\w+)`", meaning)) == RADIO_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS_TABLE))
+def test_each_documented_default_is_what_a_minimal_document_gets(key):
+    _, default, meaning = DEFAULTS_TABLE[key]
+    config = make_config(_minimal())
+    if "**required**" in meaning:
+        doc = _minimal()
+        del doc["defaults"][key]
+        with pytest.raises(SchemaError, match=key):
+            make_config(doc)
+    elif key == "consumption_profile":
+        prose = re.findall(r"`(\w+_ma)`\s+\((?:default )?([\d.]+)\)", _section("`defaults`"))
+        assert len(prose) == len(dataclasses.fields(config.consumption))
+        for field, value in prose:
+            assert getattr(config.consumption, field) == float(value)
+    elif default == "—":
+        assert _parsed_default(config, key) is None
+    else:
+        assert _parsed_default(config, key) == float(default)
+
+
+def test_the_battery_row_gives_the_capacity_a_battery_object_gets():
+    capacity = re.search(r"capacity defaults to ([\d.]+)", NODES_TABLE["battery"][-1])
+    doc = _minimal(battery_capacity_mah=900.0)
+    doc["nodes"][1]["battery"] = {}
+    battery = make_config(doc).node(1).battery
+    assert battery.capacity_mah == battery.remaining_mah == float(capacity.group(1))
+
+
+# How to set each key the docs say accepts null, on a copy of MINIMAL with a
+# router, a sensor and an obstacle added.
+NULLABLE = {
+    "tx_airtime_s": lambda doc: doc["defaults"],
+    "radio": lambda doc: doc["nodes"][1],
+    "battery": lambda doc: doc["nodes"][1],
+    "sample_period_s": lambda doc: doc["nodes"][2],
+    "heat_duration_s": lambda doc: doc["nodes"][1]["sensors"][0],
+    "attenuation_db": lambda doc: doc["obstacles"][0],
+}
+
+
+def _fuller() -> dict:
+    doc = _minimal()
+    doc["nodes"][1]["sensors"] = [{"kind": "strain_gauge",
+                                   "signal": {"shape": "constant", "level": 1.0}}]
+    doc["nodes"].append({"id": 2, "role": "router", "position": {"x": 1.0, "y": 1.0}})
+    doc["obstacles"] = [{"kind": "brick_wall", "from": {"x": 1.0, "y": -1.0},
+                         "to": {"x": 1.0, "y": 1.0}}]
+    return doc
+
+
+def test_the_docs_name_the_keys_that_accept_null():
+    paragraph = next(p for p in SCHEMA_DOC.split("\n\n") if "accept `null`" in p)
+    quoted = set(re.findall(r"`(\w+)`", paragraph)) - {"null", "defaults", "SchemaError"}
+    assert quoted == set(NULLABLE)
+
+
+@pytest.mark.parametrize("key", sorted(NULLABLE))
+def test_null_means_the_same_as_leaving_the_key_out(key):
+    doc = _fuller()
+    NULLABLE[key](doc)[key] = None
+    assert make_config(doc) == make_config(_fuller())
+
+
+@pytest.mark.parametrize("key", sorted(set(DEFAULTS_TABLE) - set(NULLABLE)))
+def test_a_defaults_key_not_named_as_nullable_rejects_null(key):
+    with pytest.raises(SchemaError, match=f"defaults.{key}"):
+        make_config(_minimal(**{key: None}))
