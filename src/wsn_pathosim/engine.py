@@ -7,11 +7,11 @@ decision is exact and a run is reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterator
 
 US_PER_SECOND = 1_000_000
@@ -53,9 +53,8 @@ class EventKind(Enum):
 class SimEvent:
     """A scheduled occurrence. seq is the insertion counter.
 
-    payload is the typed record that the handler of the event's kind takes,
-    or None. queued is True from schedule() until the event is popped or
-    cancelled."""
+    payload is what the handler of the event's kind takes, or None. queued
+    is True from schedule() until the event is popped or cancelled."""
 
     at: Ticks
     seq: int
@@ -98,10 +97,11 @@ class EventQueue:
             rank = -1
         elif rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
-        event = SimEvent(at=at, seq=self._next_seq, kind=kind, node=node, payload=payload)
-        self._next_seq += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
         self._pending += 1
-        heapq.heappush(self._heap, (at, rank, event.seq, event))
+        event = SimEvent(at, seq, kind, node, payload)
+        heappush(self._heap, (at, rank, seq, event))
         return event
 
     def cancel(self, event: SimEvent) -> None:
@@ -114,7 +114,7 @@ class EventQueue:
     def peek_time(self) -> Ticks | None:
         """Time of the earliest pending event, or None when the queue is empty."""
         while self._heap and not self._heap[0][3].queued:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def pending(self) -> Iterator[SimEvent]:
@@ -126,8 +126,9 @@ class EventQueue:
 
         Returns None (clock untouched) when nothing is due.
         """
-        while self._heap and self._heap[0][0] <= limit:
-            event = heapq.heappop(self._heap)[3]
+        heap = self._heap
+        while heap and heap[0][0] <= limit:
+            event = heappop(heap)[3]
             if not event.queued:
                 continue
             event.queued = False

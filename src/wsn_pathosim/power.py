@@ -243,25 +243,33 @@ class PowerLedger:
         """Book every grid poll at a tick < `before` that is not booked yet,
         leaving the cursor at the last of them.
 
-        The polls left are halved until may_run_out says none of them can
-        find the battery empty; at least 2 such polls are booked at once.
-        Each is one cycle: the base state up to the poll, then the window if
-        the base state is SLEEPING. Tick totals are integers, so adding k
-        cycles gives the totals of k steps, and the remaining charge
-        re-derived from them has the same bits. Any other poll is stepped,
-        as are a shifted window and a state's first booking (that keeps the
-        dict's key order)."""
+        A run of the polls left is halved until may_run_out says none of
+        them can find the battery empty; at least 2 such polls are booked at
+        once. The first run tried is every poll left, each later one the
+        last run the bound allowed: the ledger is left alone meanwhile, so
+        the polls that bound allows only get fewer, and near a death every
+        poll is stepped without asking it again. Each poll is one cycle: the
+        base state up to the poll, then the window if the base state is
+        SLEEPING. Tick totals are integers, so adding k cycles gives the
+        totals of k steps, and the remaining charge re-derived from them has
+        the same bits. Any other poll is stepped, as are a shifted window and
+        a state's first booking (that keeps the dict's key order)."""
         poll_ticks = self.poll_ticks
         durations = self.durations
+        run = None  # the last run may_run_out allowed
         while (first := self.next_poll) is not None and first < before and self.dead_at is None:
             count = (before - 1 - first) // poll_ticks + 1
             base = self.state
             window = self.poll_window if base is SLEEPING else 0
             if self.cursor > first or base not in durations or (
                     window and AWAKE_IDLE not in durations):
-                count = 1
+                self._poll_step(first)
+                continue
+            if run is not None and run < count:
+                count = run
             while count > 1 and self.may_run_out(first + (count - 1) * poll_ticks):
                 count //= 2
+            run = count
             if count < 2:
                 self._poll_step(first)
                 continue

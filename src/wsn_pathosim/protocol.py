@@ -19,6 +19,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from .engine import RngStream, Ticks
 from .model import NodeSpec, ScenarioConfig
@@ -115,8 +116,9 @@ class PayloadLayoutMismatchError(FrameDecodeError):
     """Payload length inconsistent with the frame kind (encode or decode)."""
 
 
-@dataclass(frozen=True, slots=True)
-class MessageFrame:
+class MessageFrame(NamedTuple):
+    """One frame as the state machines see it; immutable."""
+
     kind: MessageKind
     src: int
     dst: int
@@ -205,9 +207,8 @@ def parse_err(frame: MessageFrame) -> ErrorReason:
     return ErrorReason(frame.payload[0])
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One measurement persisted by the coordinator."""
+class SampleRecord(NamedTuple):
+    """One measurement persisted by the coordinator; immutable."""
 
     node: int
     sensor: SensorKind
@@ -256,18 +257,19 @@ class EndDeviceState:
         return seq
 
 
-@dataclass(frozen=True, slots=True)
-class ExternalWakeStimulus:
-    pass
+class ExternalWakeStimulus(NamedTuple):
+    """The device's wake for a collection round; immutable."""
 
 
-@dataclass(frozen=True, slots=True)
-class GuardExpiredStimulus:
+class GuardExpiredStimulus(NamedTuple):
+    """The guard deadline of an awake device has come; immutable."""
+
     deadline: Ticks
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveredFrame:
+class DeliveredFrame(NamedTuple):
+    """A frame as its receiver got it; immutable."""
+
     frame: MessageFrame
     rssi_dbm: float
 
@@ -420,13 +422,15 @@ class CoordinatorSession:
     rounds_aborted: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class WarmupDoneStimulus:
+class WarmupDoneStimulus(NamedTuple):
+    """The gauge warm-up of a round has run out; immutable."""
+
     round_no: int
 
 
-@dataclass(frozen=True, slots=True)
-class ResponseTimeoutStimulus:
+class ResponseTimeoutStimulus(NamedTuple):
+    """A SAMPLE_REQ of a round went unanswered; immutable."""
+
     round_no: int
     attempt: int
 

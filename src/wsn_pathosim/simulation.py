@@ -19,6 +19,13 @@ hops few. Its conventions:
 - What is fixed when a node is built is a field, not a property
   (NodeRuntime.is_end_device), and a ledger's death is read as
   `dead_at is not None`.
+- Records built per event (frames, delivered frames, stimuli, timers,
+  samples) are NamedTuples or plain slotted classes, never frozen
+  dataclasses, and events are built positionally: a frozen dataclass sets
+  each field through object.__setattr__, and a SimEvent built from
+  keywords took twice as long. A NamedTuple compares as a tuple, so record
+  types are told apart by type, never by ==. tests/test_records.py holds
+  all of this.
 - PowerLedger books a span in place: no helper call per span.
 - A trace line is formatted only when tracing is on.
 """
@@ -29,7 +36,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_seed,
                      has_finite_ticks, seconds_from_ticks, ticks_from_seconds)
@@ -62,23 +69,24 @@ TRACE_BLOCK_LINES = 1024  # trace lines joined into one block of text
 PHASE_SLEEPING, TRANSMITTING = DevicePhase.SLEEPING, PowerState.TRANSMITTING
 SET_PERIOD = MessageKind.SET_PERIOD
 
-# Event payloads. A device's events carry the stimulus its step function
-# takes: EXTERNAL_WAKE this one, TIMER_FIRED a GuardExpiredStimulus and
-# FRAME_DELIVERED a DeliveredFrame. POLL_WAKE carries nothing.
+# Event payloads. EXTERNAL_WAKE carries this stimulus and FRAME_DELIVERED a
+# DeliveredFrame, which the device's step function takes as they are.
+# TIMER_FIRED carries the guard's deadline tick: the GuardExpiredStimulus is
+# built only for a guard that fires, and most are cancelled first. POLL_WAKE
+# carries nothing.
 WAKE_STIMULUS = ExternalWakeStimulus()
 
 
-@dataclass(frozen=True, slots=True)
-class SessionTimer:
-    """WARMUP_DONE and TIMEOUT payload: what to hand back to a device's session."""
+class SessionTimer(NamedTuple):
+    """WARMUP_DONE and TIMEOUT payload: what to hand back to a device's
+    session; immutable."""
 
     device: int
     stimulus: WarmupDoneStimulus | ResponseTimeoutStimulus
 
 
-@dataclass(frozen=True, slots=True)
-class SetPeriodCommand:
-    """COMMAND_INJECTED payload: send SET_PERIOD to an end device."""
+class SetPeriodCommand(NamedTuple):
+    """COMMAND_INJECTED payload: send SET_PERIOD to an end device; immutable."""
 
     node: int
     seconds: int
@@ -100,7 +108,7 @@ _EVENT_DETAIL: dict[EventKind, Callable[[Any], str]] = {
     POLL_WAKE: lambda _: "",
     EXTERNAL_WAKE: lambda _: "",
     FRAME_DELIVERED: _frame_detail,
-    TIMER_FIRED: lambda guard: f"guard deadline={guard.deadline}",
+    TIMER_FIRED: lambda deadline: f"guard deadline={deadline}",
     WARMUP_DONE: lambda t: f"device={t.device} round={t.stimulus.round_no}",
     TIMEOUT: lambda t: (f"device={t.device} round={t.stimulus.round_no}"
                         f" attempt={t.stimulus.attempt}"),
@@ -245,7 +253,7 @@ class Simulation:
             ResponseTimeoutStimulus: (TIMEOUT, ticks_from_seconds(config.response_timeout_s))}
         self._handlers: dict[EventKind, Callable[[NodeRuntime, Any, Ticks], None]] = {
             EXTERNAL_WAKE: self._device_step,
-            TIMER_FIRED: self._device_step,
+            TIMER_FIRED: self._on_guard,
             FRAME_DELIVERED: self._on_frame,
             WARMUP_DONE: self._on_session_timer,
             TIMEOUT: self._on_session_timer,
@@ -320,8 +328,9 @@ class Simulation:
         limit = ticks_from_seconds(horizon_s)
         if limit < self.queue.now:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")
-        while (event := self.queue.pop_due(limit)) is not None:
-            self._dispatch(event)
+        pop_due, dispatch = self.queue.pop_due, self._dispatch
+        while (event := pop_due(limit)) is not None:
+            dispatch(event)
         self.queue.now = limit
         self._settle_ledgers(limit)
         return self.stats()
@@ -491,8 +500,10 @@ class Simulation:
             if guard.queued and guard.at == deadline:
                 return
             self.queue.cancel(guard)
-        runtime.guard = self.queue.schedule(deadline, TIMER_FIRED, runtime.spec.id,
-                                            GuardExpiredStimulus(deadline))
+        runtime.guard = self.queue.schedule(deadline, TIMER_FIRED, runtime.spec.id, deadline)
+
+    def _on_guard(self, runtime: NodeRuntime, deadline: Ticks, now: Ticks) -> None:
+        self._device_step(runtime, GuardExpiredStimulus(deadline), now)
 
     def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
         """Frames go to end devices and to the coordinator, never to routers."""
@@ -542,7 +553,7 @@ class Simulation:
         device_id = device.id
         session = self.sessions[device_id]
         result = coordinator_step(session, stimulus, now, self.config, device,
-                                  self._next_coord_seq, coordinator_id=self._coordinator.id)
+                                  self._next_coord_seq, self._coordinator.id)
         if result.error_seen is not None:
             self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
         self.records.extend(result.records)
@@ -568,13 +579,14 @@ class Simulation:
 
     def _send_frame(self, frame: MessageFrame, now: Ticks) -> None:
         self.frames_sent += 1
+        src, dst = frame.src, frame.dst
         if self.trace_enabled:
-            self._trace_action("send", frame.src, frame.summary(), now)
-        route = self._route(frame.src, frame.dst)
+            self._trace_action("send", src, frame.summary(), now)
+        route = self._route(src, dst)
         if route is None or len(route) < 2:
             self._drop(frame, DROP_NO_ROUTE, now)
             return
-        destination = self.runtimes[frame.dst]
+        destination = self.runtimes[dst]
         if destination.ledger.dead_at is not None:
             self._drop(frame, DROP_NODE_DEAD, now)
             return
@@ -593,21 +605,19 @@ class Simulation:
             elapsed += air
         if buffering:
             parent_id = route[-2]
-            buffer = self.parent_table.buffer_for(frame.dst)
+            buffer = self.parent_table.buffer_for(dst)
             if len(buffer) >= PARENT_BUFFER_CAPACITY:
                 oldest = buffer.popleft()
                 logger.warning("parent %d buffer full for node %d; dropping %s",
-                               parent_id, frame.dst, oldest.summary())
+                               parent_id, dst, oldest.summary())
                 self._drop(oldest, DROP_BUFFER_FULL, now)
             buffer.append(frame)
             if self.trace_enabled:
-                self._trace_action("buffer", frame.dst,
-                                   f"{frame.summary()} at_parent={parent_id}", now)
+                self._trace_action("buffer", dst, f"{frame.summary()} at_parent={parent_id}", now)
             self._plan_poll(destination)
             return
-        rssi = self._rssi(route[-2], frame.dst)
-        self.queue.schedule(now + elapsed, FRAME_DELIVERED, frame.dst,
-                            DeliveredFrame(frame, rssi))
+        rssi = self._rssi(route[-2], dst)
+        self.queue.schedule(now + elapsed, FRAME_DELIVERED, dst, DeliveredFrame(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
         self.frames_dropped[reason] += 1
@@ -705,7 +715,8 @@ class Simulation:
             if ((sleeping and self.parent_table.buffers.get(runtime.spec.id))
                     or runtime.ledger.may_run_out(checkpoint)):
                 due = self._next_poll_tick(runtime)
-        self._set_real_poll(runtime, due)
+        if due is not None or runtime.real_poll is not None:
+            self._set_real_poll(runtime, due)
 
     def _next_poll_tick(self, runtime: NodeRuntime) -> Ticks:
         """Tick of the device's first poll that has not run yet."""

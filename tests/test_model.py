@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_config, random_scenario_doc, two_node_doc
 from topology_reference import (buildings, reference_link_budget,
                                 reference_obstacles_on_path, scan_node)
+from wsn_pathosim import model
 from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, MAX_FLOOR, FloorCrossing, NodeRole,
                                 NodeSpec, Obstacle, ObstacleCrossing, ObstacleKind, Position,
                                 RadioConfig, ScenarioConfig, ScenarioSyntaxError,
@@ -182,6 +183,19 @@ def test_unknown_enum_value_names_its_path_and_the_options(mutate, path, options
         make_config(doc)
     assert info.value.path == path
     assert str(info.value) == f"{path}: expected one of [{options}], got 'relay'"
+
+
+@pytest.mark.parametrize("enum_cls", [NodeRole, SensorKind, ObstacleKind],
+                         ids=lambda enum_cls: enum_cls.__name__)
+def test_every_enum_value_parses_to_its_member(enum_cls):
+    """Enum fields parse through {value: member} tables, not enum_cls(value):
+    each table holds every member under its value, in member order (the
+    order an error message lists the options in)."""
+    table = {NodeRole: model._ROLES, SensorKind: model._SENSOR_KINDS,
+             ObstacleKind: model._OBSTACLE_KINDS}[enum_cls]
+    assert list(table.items()) == [(member.value, member) for member in enum_cls]
+    for member in enum_cls:
+        assert model._enum_value(table, member.value, "$.x") is member
 
 
 @pytest.mark.parametrize("radio", [5, "ab", [], False])

@@ -357,6 +357,34 @@ def test_an_advance_past_the_death_steps_only_the_polls_near_it(stepped_polls):
     assert len(stepped_polls) <= 16
 
 
+def test_one_advance_past_the_death_books_what_stepping_every_poll_books(monkeypatch):
+    """A 110 Ah ledger advanced 3 years in one call books, to the bit, what
+    the same ledger books polled at every grid tick (about 667,000 polls,
+    some 3 s). Each halving starts from the last run may_run_out allowed, so
+    the one call asks it at most half the 761 times it did when every
+    halving started from all the polls left."""
+    settings = (PROFILE, PowerState.SLEEPING, 110_000.0, 0, 28 * S, S // 20)
+    end = 3 * 365 * 86400 * S
+    stepped = _grid_ledger(*settings)
+    tick = stepped.next_poll
+    while tick < end and stepped.poll(tick):
+        tick += 28 * S
+    stepped.advance(end)
+
+    asked = []
+    may_run_out = PowerLedger.may_run_out
+    monkeypatch.setattr(PowerLedger, "may_run_out",
+                        lambda ledger, until: asked.append(until) or may_run_out(ledger, until))
+    ledger = _grid_ledger(*settings)
+    ledger.advance(end)
+
+    assert stepped.dead_at is not None
+    assert list(ledger.durations.items()) == list(stepped.durations.items())
+    assert ledger.battery_remaining_mah.hex() == stepped.battery_remaining_mah.hex()
+    assert (ledger.dead_at, ledger.polls) == (stepped.dead_at, stepped.polls)
+    assert len(asked) <= 761 // 2
+
+
 def test_poll_window_must_fit_in_the_period():
     with pytest.raises(ValueError, match="poll window"):
         _grid_ledger(PROFILE, PowerState.SLEEPING, 1100.0, 0, 10, 10)
