@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .engine import has_finite_ticks, ticks_from_seconds
 from .power import ConsumptionProfile, cyclic_sleep_multiplier
-from .sensors import Constant, Ramp, SensorKind, SensorSpec, Signal, Sinusoid
+from .sensors import Constant, Ramp, SensorKind, SensorSpec, Sinusoid
 
 DEFAULT_FLOOR_LOSS_DB = 13.08
 
@@ -287,6 +287,8 @@ def _expect_array(value: object, path: str) -> list:
 
 
 def _expect_number(value: object, path: str) -> float:
+    if type(value) is float and math.isfinite(value):  # most numbers json.loads gives
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     try:
@@ -323,8 +325,8 @@ def _expect_string(value: object, path: str) -> str:
 
 
 def _check_keys(obj: dict, allowed: set[str] | frozenset[str], path: str) -> None:
-    unknown = obj.keys() - allowed
-    if unknown:
+    if not allowed.issuperset(obj):  # builds no set, unlike obj.keys() - allowed
+        unknown = obj.keys() - allowed
         raise SchemaError(path, f"unknown key(s): {', '.join(sorted(unknown))}")
 
 
@@ -336,7 +338,7 @@ _SENSOR_KINDS = {kind.value: kind for kind in SensorKind}
 _OBSTACLE_KINDS = {kind.value: kind for kind in ObstacleKind}
 
 
-def _enum_value(members: dict[str, Enum], value: object, path: str):
+def _enum_value(members: dict[str, object], value: object, path: str):
     """The member that a {value: member} table gives for a string value."""
     name = _expect_string(value, path)
     member = members.get(name)
@@ -345,14 +347,97 @@ def _enum_value(members: dict[str, Enum], value: object, path: str):
     return member
 
 
+# A reader is called as read(value, path) and gives a field's value from a
+# JSON value. One whose field's value is not itself that JSON value also has
+# doc(field_value), which gives the JSON value that reads back to it.
+
+class _Enum:
+    """A string naming a member of a {value: member} table."""
+
+    def __init__(self, members: dict[str, Enum]) -> None:
+        self.members = members
+
+    def __call__(self, value: object, path: str) -> Enum:
+        return _enum_value(self.members, value, path)
+
+    @staticmethod
+    def doc(member: Enum) -> str:
+        return member.value
+
+
+def _int_in(lo: int, hi: int):
+    """The reader of an integer in lo..hi."""
+
+    def read(value: object, path: str) -> int:
+        number = _expect_int(value, path)
+        if not lo <= number <= hi:
+            raise SchemaError(path, f"must be in {lo}..{hi}, got {number}")
+        return number
+    return read
+
+
+class _Array:
+    """An array whose items `read` reads, as a tuple."""
+
+    def __init__(self, read) -> None:
+        self.read = read
+
+    def __call__(self, value: object, path: str) -> tuple:
+        read = self.read
+        return tuple([read(item, f"{path}[{i}]")
+                      for i, item in enumerate(_expect_array(value, path))])
+
+    def doc(self, items: tuple) -> list:
+        return [self.read.doc(item) for item in items]
+
+
+class _Shapes:
+    """An object whose `shape` key names the record that reads its other keys."""
+
+    def __init__(self, **records: _Record) -> None:
+        self.records = records
+        self.names = {record: record.names | {"shape"} for record in records.values()}
+
+    def __call__(self, value: object, path: str):
+        obj = _expect_object(value, path)
+        if "shape" not in obj:
+            raise _missing(path, ["shape"])
+        record = _enum_value(self.records, obj["shape"], f"{path}.shape")
+        _check_keys(obj, self.names[record], path)
+        return record.build(record.read(obj, path), path)
+
+    def doc(self, value) -> dict:
+        shape = next(shape for shape, record in self.records.items() if type(value) is record.cls)
+        return {"shape": shape, **self.records[shape].doc(value)}
+
+
+class _Layer:
+    """A record's object, or null, read as the {field: value} of the keys it
+    holds, for laying over the defaults object's keys (None for null)."""
+
+    def __init__(self, record: _Record) -> None:
+        self.record = record
+
+    def __call__(self, value: object, path: str) -> dict | None:
+        return None if value is None else self.record.values(value, path)
+
+    def doc(self, instance) -> dict:
+        return self.record.doc(instance)
+
+
+def _missing(path: str, keys) -> SchemaError:
+    return SchemaError(path, f"missing required key(s): {', '.join(sorted(keys))}")
+
+
 class _Record:
     """A scenario object whose keys set the fields of the dataclass `cls`.
 
     `keys` are (JSON key, reader[, field if not the key]) in the order
     serialize_scenario writes them; by default, each field of `cls` under its
     own name, read by `readers.get(field, _expect_number)`. A key left out
-    keeps the dataclass default, and a field that is None is not written. A
-    record is the reader of a record nested in another.
+    keeps the dataclass default; one whose field has none is required. A field
+    that is None or an empty tuple is not written. A record is the reader of a
+    record nested in another.
     """
 
     def __init__(self, cls: type, *keys: tuple, **readers) -> None:
@@ -360,40 +445,64 @@ class _Record:
         if not keys:
             keys = tuple((f.name, readers.get(f.name, _expect_number)) for f in fields(cls))
         self.keys = tuple((key, read, name[0] if name else key) for key, read, *name in keys)
-        self.names = frozenset(key for key, _, _ in self.keys)
-        no_default = {f.name for f in fields(cls)
-                      if f.default is MISSING and f.default_factory is MISSING}
-        self.required = frozenset(key for key, _, name in self.keys if name in no_default)
+        self.readers = {key: (read, name) for key, read, name in self.keys}
+        self.names = frozenset(self.readers)
+        self.required = frozenset(f.name for f in fields(cls)
+                                  if f.default is MISSING and f.default_factory is MISSING)
 
     def read(self, obj: dict, path: str) -> dict:
-        """{field: value} for each of the record's keys that obj holds."""
+        """{field: value} for each of the record's keys that obj holds, read
+        in obj's order."""
         values = {}
-        for key, read, name in self.keys:
-            if key in obj:
-                values[name] = read(obj[key], f"{path}.{key}")
+        readers = self.readers
+        for key, value in obj.items():
+            entry = readers.get(key)
+            if entry is not None:
+                values[entry[1]] = entry[0](value, f"{path}.{key}")
         return values
 
-    def __call__(self, value: object, path: str):
+    def values(self, value: object, path: str) -> dict:
+        """read() of the object `value`, which holds none but the record's keys."""
         obj = _expect_object(value, path)
         _check_keys(obj, self.names, path)
-        return self.cls(**self.read(obj, path))
+        return self.read(obj, path)
+
+    def build(self, values: dict, path: str):
+        """The instance whose fields `values` sets, once it sets each required one."""
+        if not values.keys() >= self.required:
+            raise _missing(path, [key for key, _, name in self.keys
+                                  if name in self.required and name not in values])
+        return self.cls(**values)
+
+    def __call__(self, value: object, path: str):
+        return self.build(self.values(value, path), path)
 
     def doc(self, instance) -> dict:
         """The JSON object whose reading gives back `instance`."""
         doc = {}
         for key, read, name in self.keys:
             value = getattr(instance, name)
-            if value is not None:
-                doc[key] = read.doc(value) if isinstance(read, _Record) else value
+            if value is not None and value != ():
+                write = getattr(read, "doc", None)
+                doc[key] = value if write is None else write(value)
         return doc
 
 
 _RADIO = _Record(RadioConfig)
 _BATTERY = _Record(BatteryState)
-_SIGNALS = {"constant": _Record(Constant), "ramp": _Record(Ramp),
-            "sinusoid": _Record(Sinusoid, period_hours=_expect_positive)}
+_POSITION = _Record(Position, floor=_int_in(-MAX_FLOOR, MAX_FLOOR))
+_SENSOR = _Record(SensorSpec, kind=_Enum(_SENSOR_KINDS), heat_duration_s=_expect_number_or_null,
+                  signal=_Shapes(constant=_Record(Constant), ramp=_Record(Ramp),
+                                 sinusoid=_Record(Sinusoid, period_hours=_expect_positive)))
+# A node's radio and battery are read as layers: _read_node lays each over
+# the defaults object's keys.
+_NODE = _Record(NodeSpec, id=_int_in(0, MAX_NODE_ID), role=_Enum(_ROLES), position=_POSITION,
+                radio=_Layer(_RADIO), battery=_Layer(_BATTERY), sensors=_Array(_SENSOR),
+                sample_period_s=_expect_number_or_null)
+_OBSTACLE = _Record(Obstacle, ("kind", _Enum(_OBSTACLE_KINDS)), ("from", _POSITION, "start"),
+                    ("to", _POSITION, "end"), ("attenuation_db", _expect_number_or_null))
 # The defaults object holds the fallbacks of every node's radio (_RADIO's
-# keys), the battery of an end device that declares none, and the settings.
+# keys) and battery, and the settings.
 _DEFAULT_BATTERY = _Record(BatteryState, ("battery_capacity_mah", _expect_number, "capacity_mah"))
 _SETTINGS = _Record(
     ScenarioConfig, ("floor_loss_db", _expect_number), ("warmup_delay_s", _expect_number),
@@ -404,107 +513,16 @@ _SETTINGS = _Record(
 _DEFAULTS_KEYS = _RADIO.names | _DEFAULT_BATTERY.names | _SETTINGS.names
 
 
-def _parse_position(value: object, path: str) -> Position:
-    obj = _expect_object(value, path)
-    _check_keys(obj, {"x", "y", "floor"}, path)
-    if "x" not in obj or "y" not in obj:
-        raise SchemaError(path, "x and y are required")
-    floor = _expect_int(obj["floor"], f"{path}.floor") if "floor" in obj else 0
-    if not -MAX_FLOOR <= floor <= MAX_FLOOR:
-        raise SchemaError(f"{path}.floor", f"must be in -{MAX_FLOOR}..{MAX_FLOOR}, got {floor}")
-    return Position(x=_expect_number(obj["x"], f"{path}.x"),
-                    y=_expect_number(obj["y"], f"{path}.y"),
-                    floor=floor)
-
-
-def _parse_signal(value: object, path: str) -> Signal:
-    obj = _expect_object(value, path)
-    if "shape" not in obj:
-        raise SchemaError(path, "shape is required")
-    shape = _expect_string(obj["shape"], f"{path}.shape")
-    record = _SIGNALS.get(shape)
-    if record is None:
-        raise SchemaError(f"{path}.shape",
-                          f"expected one of [{', '.join(_SIGNALS)}], got {shape!r}")
-    _check_keys(obj, record.names | {"shape"}, path)
-    if not obj.keys() >= record.required:
-        missing = sorted(record.required - obj.keys())
-        raise SchemaError(path, f"{shape} signal requires {', '.join(missing)}")
-    return record.cls(**record.read(obj, path))
-
-
-def _parse_sensor(value: object, path: str) -> SensorSpec:
-    obj = _expect_object(value, path)
-    _check_keys(obj, {"kind", "signal", "noise_sigma", "heat_duration_s"}, path)
-    if "kind" not in obj or "signal" not in obj:
-        raise SchemaError(path, "kind and signal are required")
-    kind = _enum_value(_SENSOR_KINDS, obj["kind"], f"{path}.kind")
-    noise = _expect_number(obj["noise_sigma"], f"{path}.noise_sigma") if "noise_sigma" in obj else 0.0
-    heat = (_expect_number_or_null(obj["heat_duration_s"], f"{path}.heat_duration_s")
-            if "heat_duration_s" in obj else None)
-    return SensorSpec(kind=kind, signal=_parse_signal(obj["signal"], f"{path}.signal"),
-                      noise_sigma=noise, heat_duration_s=heat)
-
-
-def _parse_radio(value: object, defaults: dict, path: str) -> RadioConfig:
-    """A node's radio: its own keys over the defaults object's."""
-    radio = defaults
-    if value is not None:
-        obj = _expect_object(value, path)
-        _check_keys(obj, _RADIO.names, path)
-        radio = {**defaults, **_RADIO.read(obj, path)}
-    if not radio.keys() >= _RADIO.required:
-        raise SchemaError(f"{path}.{min(_RADIO.required - radio.keys())}",
-                          "required: no built-in default (set it on the node or in defaults)")
-    return RadioConfig(**radio)
-
-
-def _parse_node(value: object, radio_defaults: dict, battery_defaults: dict,
-                path: str) -> NodeSpec:
-    obj = _expect_object(value, path)
-    _check_keys(obj, {"id", "role", "position", "radio", "battery", "sensors",
-                      "sample_period_s"}, path)
-    for required in ("id", "role", "position"):
-        if required not in obj:
-            raise SchemaError(path, f"{required} is required")
-    node_id = _expect_int(obj["id"], f"{path}.id")
-    if not 0 <= node_id <= MAX_NODE_ID:
-        raise SchemaError(f"{path}.id", f"must be in 0..{MAX_NODE_ID}, got {node_id}")
-    role = _enum_value(_ROLES, obj["role"], f"{path}.role")
-    radio = _parse_radio(obj.get("radio"), radio_defaults, f"{path}.radio")
-
-    battery = obj.get("battery")
-    if battery is not None:
-        battery = _BATTERY(battery, f"{path}.battery")
-    elif role is NodeRole.END_DEVICE:
-        battery = BatteryState(**battery_defaults)
-
-    sensors: list[SensorSpec] = []
-    if "sensors" in obj:
-        for i, item in enumerate(_expect_array(obj["sensors"], f"{path}.sensors")):
-            sensors.append(_parse_sensor(item, f"{path}.sensors[{i}]"))
-
-    sample_period = (_expect_number_or_null(obj["sample_period_s"], f"{path}.sample_period_s")
-                     if "sample_period_s" in obj else None)
-
-    return NodeSpec(id=node_id, role=role,
-                    position=_parse_position(obj["position"], f"{path}.position"),
-                    radio=radio, battery=battery, sensors=tuple(sensors),
-                    sample_period_s=sample_period)
-
-
-def _parse_obstacle(value: object, path: str) -> Obstacle:
-    obj = _expect_object(value, path)
-    _check_keys(obj, {"kind", "from", "to", "attenuation_db"}, path)
-    for required in ("kind", "from", "to"):
-        if required not in obj:
-            raise SchemaError(path, f"{required} is required")
-    attenuation = (_expect_number_or_null(obj["attenuation_db"], f"{path}.attenuation_db")
-                   if "attenuation_db" in obj else None)
-    return Obstacle(kind=_enum_value(_OBSTACLE_KINDS, obj["kind"], f"{path}.kind"),
-                    start=_parse_position(obj["from"], f"{path}.from"),
-                    end=_parse_position(obj["to"], f"{path}.to"),
-                    attenuation_db=attenuation)
+def _read_node(value: object, path: str, radio: dict, battery: dict) -> NodeSpec:
+    """A node whose radio and battery objects are laid over `radio` and
+    `battery`, the defaults object's keys. An end device that declares no
+    battery gets the defaults' battery; another node gets none."""
+    node = _NODE.values(value, path)
+    node["radio"] = _RADIO.build({**radio, **(node.get("radio") or {})}, f"{path}.radio")
+    own = node.get("battery")
+    if own is not None or node.get("role") is NodeRole.END_DEVICE:
+        node["battery"] = _BATTERY.build({**battery, **(own or {})}, f"{path}.battery")
+    return _NODE.build(node, path)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -524,7 +542,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     root = _expect_object(document, "$")
     _check_keys(root, {"nodes", "obstacles", "channels", "seed", "defaults"}, "$")
     if "nodes" not in root:
-        raise SchemaError("$", "nodes is required")
+        raise _missing("$", ["nodes"])
 
     radio_defaults = battery_defaults = settings = {}
     if "defaults" in root:
@@ -537,7 +555,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     nodes: list[NodeSpec] = []
     seen_ids: set[int] = set()
     for i, item in enumerate(_expect_array(root["nodes"], "$.nodes")):
-        node = _parse_node(item, radio_defaults, battery_defaults, f"$.nodes[{i}]")
+        node = _read_node(item, f"$.nodes[{i}]", radio_defaults, battery_defaults)
         if node.id in seen_ids:
             raise SchemaError(f"$.nodes[{i}].id", f"duplicate node id {node.id}")
         seen_ids.add(node.id)
@@ -545,16 +563,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not any(n.role is NodeRole.COORDINATOR for n in nodes):
         raise SchemaError("$.nodes", "scenario declares no coordinator")
 
-    obstacles: list[Obstacle] = []
-    if "obstacles" in root:
-        for i, item in enumerate(_expect_array(root["obstacles"], "$.obstacles")):
-            obstacles.append(_parse_obstacle(item, f"$.obstacles[{i}]"))
+    obstacles = _Array(_OBSTACLE)(root["obstacles"], "$.obstacles") if "obstacles" in root else ()
 
     channels: dict[int, float] = {}
     if "channels" in root:
         mapping = _expect_object(root["channels"], "$.channels")
         for key, value in mapping.items():
-            if not key.lstrip("-").isdigit():
+            if not (key.isascii() and key.removeprefix("-").isdigit()):
                 raise SchemaError(f"$.channels.{key}", "channel ids must be integers")
             channels[int(key)] = _expect_number(value, f"$.channels.{key}")
 
@@ -564,7 +579,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if not 0 <= seed < (1 << 64):
             raise SchemaError("$.seed", "must be an unsigned 64-bit integer")
 
-    return ScenarioConfig(nodes=tuple(nodes), obstacles=tuple(obstacles),
+    return ScenarioConfig(nodes=tuple(nodes), obstacles=obstacles,
                           channels=channels, seed=seed, **settings)
 
 
@@ -578,52 +593,14 @@ def load_scenario(path: str) -> ScenarioConfig:
 # Serialization (inverse of parse_scenario)
 # --------------------------------------------------------------------------
 
-def _position_doc(position: Position) -> dict:
-    return {"x": position.x, "y": position.y, "floor": position.floor}
-
-
-def _signal_doc(signal: Signal) -> dict:
-    shape = next(shape for shape, record in _SIGNALS.items() if type(signal) is record.cls)
-    return {"shape": shape, **_SIGNALS[shape].doc(signal)}
-
-
 def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a config back to scenario JSON. parse_scenario() of the result
     reproduces the config field for field."""
-    nodes = []
-    for node in config.nodes:
-        doc: dict = {
-            "id": node.id,
-            "role": node.role.value,
-            "position": _position_doc(node.position),
-            "radio": _RADIO.doc(node.radio),
-        }
-        if node.battery is not None:
-            doc["battery"] = _BATTERY.doc(node.battery)
-        if node.sensors:
-            sensor_docs = []
-            for sensor in node.sensors:
-                sensor_doc: dict = {"kind": sensor.kind.value,
-                                    "signal": _signal_doc(sensor.signal),
-                                    "noise_sigma": sensor.noise_sigma}
-                if sensor.heat_duration_s is not None:
-                    sensor_doc["heat_duration_s"] = sensor.heat_duration_s
-                sensor_docs.append(sensor_doc)
-            doc["sensors"] = sensor_docs
-        if node.sample_period_s is not None:
-            doc["sample_period_s"] = node.sample_period_s
-        nodes.append(doc)
-
     document = {
         "seed": config.seed,
         "defaults": _SETTINGS.doc(config),
-        "nodes": nodes,
-        "obstacles": [
-            {"kind": o.kind.value, "from": _position_doc(o.start),
-             "to": _position_doc(o.end),
-             **({"attenuation_db": o.attenuation_db} if o.attenuation_db is not None else {})}
-            for o in config.obstacles
-        ],
+        "nodes": [_NODE.doc(node) for node in config.nodes],
+        "obstacles": [_OBSTACLE.doc(obstacle) for obstacle in config.obstacles],
         "channels": {str(cid): level for cid, level in sorted(config.channels.items())},
     }
     return json.dumps(document, indent=2) + "\n"
@@ -762,13 +739,17 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                                             node=prefix, field=f"sensors[{i}].heat_duration_s"))
 
     for i, obstacle in enumerate(config.obstacles):
-        if obstacle.start.floor != obstacle.end.floor:
+        start, end = obstacle.start, obstacle.end
+        if not all(map(math.isfinite, (start.x, start.y, end.x, end.y))):
+            violations.append(Violation(rule="position must be finite",
+                                        field=f"obstacles[{i}]"))
+        if start.floor != end.floor:
             violations.append(Violation(rule="obstacle endpoints must share a floor",
                                         field=f"obstacles[{i}]"))
-        if not -MAX_FLOOR <= obstacle.start.floor <= MAX_FLOOR:
+        if not -MAX_FLOOR <= start.floor <= MAX_FLOOR:
             violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
                                         field=f"obstacles[{i}]"))
-        if (obstacle.start.x, obstacle.start.y) == (obstacle.end.x, obstacle.end.y):
+        if (start.x, start.y) == (end.x, end.y):
             violations.append(Violation(rule="obstacle segment must have nonzero length",
                                         field=f"obstacles[{i}]"))
         if obstacle.loss_db < 0:

@@ -225,10 +225,39 @@ def test_seed_must_fit_unsigned_64_bits():
 
 
 def test_channel_keys_must_be_integers():
+    """Only an optional '-' and ASCII digits name a channel: int() would read
+    full-width digits as channel 12, and raise a bare ValueError for a
+    superscript digit or a doubled minus."""
+    for key in ["eleven", "\u00b2", "--5", "\uff11\uff12"]:
+        doc = two_node_doc()
+        doc["channels"] = {key: 0.5}
+        with pytest.raises(SchemaError) as info:
+            make_config(doc)
+        assert str(info.value) == f"$.channels.{key}: channel ids must be integers"
+
+
+@pytest.mark.parametrize("mutate, path, keys", [
+    (lambda d: d.pop("nodes"), "$", "nodes"),
+    (lambda d: d["nodes"][1].pop("id"), "$.nodes[1]", "id"),
+    (lambda d: [d["nodes"][1].pop(key) for key in ("role", "position")], "$.nodes[1]",
+     "position, role"),
+    (lambda d: d["nodes"][1]["position"].pop("y"), "$.nodes[1].position", "y"),
+    (lambda d: d["nodes"][1]["sensors"][0].pop("signal"), "$.nodes[1].sensors[0]", "signal"),
+    (lambda d: d["nodes"][1]["sensors"][0]["signal"].pop("shape"),
+     "$.nodes[1].sensors[0].signal", "shape"),
+    (lambda d: d["nodes"][1]["sensors"][0]["signal"].pop("level"),
+     "$.nodes[1].sensors[0].signal", "level"),
+    (lambda d: d["defaults"].pop("sensitivity_dbm"), "$.nodes[0].radio", "sensitivity_dbm"),
+    (lambda d: d.update({"obstacles": [{"kind": "brick_wall", "from": {"x": 1.0, "y": 0.0}}]}),
+     "$.obstacles[0]", "to"),
+], ids=["nodes", "id", "role_and_position", "y", "signal", "shape", "level", "sensitivity",
+        "to"])
+def test_a_missing_required_key_is_named_at_its_object(mutate, path, keys):
     doc = two_node_doc()
-    doc["channels"] = {"eleven": 0.5}
-    with pytest.raises(SchemaError, match="channel"):
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
         make_config(doc)
+    assert str(info.value) == f"{path}: missing required key(s): {keys}"
 
 
 def test_unknown_node_lookup():
@@ -261,6 +290,7 @@ def test_serialize_parse_round_trip_preserves_everything():
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 POSITIVE = st.floats(1e-3, 1e6)
+FLOORS = st.integers(-MAX_FLOOR, MAX_FLOOR)
 SIGNALS = st.one_of(
     st.fixed_dictionaries({"shape": st.just("constant"), "level": FINITE}),
     st.fixed_dictionaries({"shape": st.just("ramp"), "start": FINITE, "slope_per_hour": FINITE}),
@@ -284,16 +314,27 @@ def scenario_docs(draw):
         "sleeping_ma": POSITIVE, "awake_idle_ma": POSITIVE, "transmitting_ma": POSITIVE}))
     for node in doc["nodes"]:
         maybe(node, "radio", st.none() | st.just(node.get("radio", {})))
+        maybe(node["position"], "floor", FLOORS)
         if node["role"] == "end_device":
             maybe(node, "battery", st.none() | st.fixed_dictionaries(
                 {}, optional={"capacity_mah": POSITIVE, "remaining_mah": POSITIVE}))
-            maybe(node["sensors"][0], "signal", SIGNALS)
-            maybe(node["sensors"][0], "heat_duration_s", st.none() | POSITIVE)
+            sensor = node["sensors"][0]
+            maybe(sensor, "signal", SIGNALS)
+            maybe(sensor, "heat_duration_s", st.none() | POSITIVE)
+            if draw(st.booleans()):
+                del sensor["noise_sigma"]
         else:
             maybe(node, "battery", st.none())
             maybe(node, "sample_period_s", st.none())
+        sensors = draw(st.sampled_from(["as drawn", "left out", "empty"]))
+        if sensors == "left out":
+            node.pop("sensors", None)
+        elif sensors == "empty":
+            node["sensors"] = []
     for obstacle in doc["obstacles"]:
         maybe(obstacle, "attenuation_db", st.none() | POSITIVE)
+        if draw(st.booleans()):
+            obstacle["from"]["floor"] = obstacle["to"]["floor"] = draw(FLOORS)
     return doc
 
 
@@ -304,6 +345,7 @@ def test_serialize_parse_round_trip_holds_for_every_optional_key(doc):
     text = serialize_scenario(config)
     assert parse_scenario(text) == config
     assert serialize_scenario(parse_scenario(text)) == text
+    assert all(node.get("sensors") != [] for node in json.loads(text)["nodes"])  # omitted
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +409,17 @@ def test_validator_rejects_degenerate_obstacle():
     doc["obstacles"] = [{"kind": "wall_open_door", "from": {"x": 1.0, "y": 1.0},
                          "to": {"x": 1.0, "y": 1.0}}]
     assert any("nonzero length" in rule for rule in _rules(make_config(doc)))
+
+
+@pytest.mark.parametrize("end", [(1.0, math.inf), (math.nan, 1.0)], ids=["inf", "nan"])
+def test_validator_rejects_an_obstacle_endpoint_that_is_not_finite(end):
+    """Built in code, since the parser reads finite numbers only. A wall
+    from (1, -inf) to (1, inf) would cross no link at all."""
+    config = make_config(two_node_doc())
+    wall = Obstacle(ObstacleKind.BRICK_WALL, Position(1.0, -1.0), Position(*end))
+    violations = validate_scenario(dataclasses.replace(config, obstacles=(wall,)))
+    assert [(v.rule, v.node, v.field) for v in violations] == [
+        ("position must be finite", None, "obstacles[0]")]
 
 
 def test_validator_rejects_unordered_consumption_profile():

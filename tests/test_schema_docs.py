@@ -16,7 +16,8 @@ SCHEMA_DOC = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md
 
 
 def _section(heading: str) -> str:
-    return SCHEMA_DOC.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    """The text under a heading of any level, up to the next heading."""
+    return re.split(rf"\n#+ {re.escape(heading)}\n", SCHEMA_DOC, maxsplit=1)[1].split("\n#", 1)[0]
 
 
 def _table(heading: str) -> dict[str, list[str]]:
@@ -35,6 +36,8 @@ def _table(heading: str) -> dict[str, list[str]]:
 
 DEFAULTS_TABLE = _table("`defaults`")
 NODES_TABLE = _table("`nodes[]`")
+SENSORS_TABLE = _table("`sensors[]`")
+OBSTACLES_TABLE = _table("`obstacles[]`")
 
 # Coordinator plus one end device that declares no battery and no radio, so
 # every documented default applies to it.
@@ -76,6 +79,20 @@ def test_the_defaults_table_lists_exactly_the_keys_the_parser_accepts():
         make_config(_minimal(undocumented_knob=1.0))
 
 
+@pytest.mark.parametrize("table, record", [
+    (NODES_TABLE, model._NODE),
+    (SENSORS_TABLE, model._SENSOR),
+    (OBSTACLES_TABLE, model._OBSTACLE),
+], ids=["nodes", "sensors", "obstacles"])
+def test_each_record_table_lists_exactly_the_keys_the_parser_accepts(table, record):
+    assert set(table) == record.names
+
+
+def test_the_position_row_lists_exactly_the_position_keys():
+    meaning = NODES_TABLE["position"][-1]
+    assert set(re.findall(r'"(\w+)":', meaning)) == model._POSITION.names
+
+
 def test_the_radio_row_lists_exactly_the_radio_config_fields():
     meaning = NODES_TABLE["radio"][-1]
     assert set(re.findall(r"`(\w+)`", meaning)) == RADIO_KEYS
@@ -102,11 +119,16 @@ def test_each_documented_default_is_what_a_minimal_document_gets(key):
 
 
 def test_the_battery_row_gives_the_capacity_a_battery_object_gets():
-    capacity = re.search(r"capacity defaults to ([\d.]+)", NODES_TABLE["battery"][-1])
-    doc = _minimal(battery_capacity_mah=900.0)
-    doc["nodes"][1]["battery"] = {}
-    battery = make_config(doc).node(1).battery
-    assert battery.capacity_mah == battery.remaining_mah == float(capacity.group(1))
+    """A battery object's capacity, like an end device's without one, is the
+    defaults' `battery_capacity_mah`, or its documented default."""
+    assert "capacity defaults to `battery_capacity_mah`" in NODES_TABLE["battery"][-1]
+    documented = float(DEFAULTS_TABLE["battery_capacity_mah"][1])
+    for defaults, capacity in [({}, documented), ({"battery_capacity_mah": 900.0}, 900.0)]:
+        for own, remaining in [({}, capacity), ({"remaining_mah": 10.0}, 10.0)]:
+            doc = _minimal(**defaults)
+            doc["nodes"][1]["battery"] = own
+            battery = make_config(doc).node(1).battery
+            assert (battery.capacity_mah, battery.remaining_mah) == (capacity, remaining)
 
 
 # How to set each key the docs say accepts null, on a copy of MINIMAL with a

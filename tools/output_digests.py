@@ -6,7 +6,9 @@ For each workload of perfbench/workloads.py and each seed 0-19, one line
 per file: workload, seed, file name, sha256. The files are report.json,
 report.txt and samples.csv of the run as the workload defines it, and
 trace.tsv, seq column included, of the same run with the trace on (the run
-itself, for a traced workload).
+itself, for a traced workload). A last line, scenario.json, is the digest of
+serialize_scenario(parse_scenario(text)) of the workload's scenario text, so
+the diff below also pins the serialized bytes.
 
 A change that must leave simulated results alone, such as a performance
 change or a refactor, is checked by running this on both checkouts and
@@ -28,7 +30,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-OUTPUTS = ("report.json", "report.txt", "samples.csv", "trace.tsv")
+OUTPUTS = ("report.json", "report.txt", "samples.csv", "trace.tsv", "scenario.json")
 SEEDS = range(20)  # the seeds perfbench/goldens.json covers
 
 
@@ -45,13 +47,16 @@ def _import_workloads(root: Path):
 
 
 def digests(workloads, name: str, seed: int) -> dict[str, str]:
-    """sha256 of each output file of one workload run."""
+    """sha256 of each output file of one workload run, and of its
+    scenario serialized."""
     workload = workloads.WORKLOADS[name]
     text = workload.scenario(seed)
     outputs = dict(workloads.run_once(workload, text, seed).outputs)
     if not workload.trace:
         traced = dataclasses.replace(workload, trace=True)
         outputs["trace.tsv"] = workloads.run_once(traced, text, seed).outputs["trace.tsv"]
+    model = workloads.model
+    outputs["scenario.json"] = model.serialize_scenario(model.parse_scenario(text))
     return {file: hashlib.sha256(outputs[file].encode()).hexdigest() for file in OUTPUTS}
 
 
