@@ -3,7 +3,7 @@ structural monitoring: scenario model, indoor path loss, collection protocol,
 battery accounting, and a discrete-event engine gluing them together."""
 
 from .engine import (EventKind, EventQueue, RngStream, SchedulingInPastError,
-                     SimEvent, Ticks, US_PER_SECOND, derive_seed,
+                     SimEvent, Ticks, Timer, US_PER_SECOND, derive_seed,
                      seconds_from_ticks, ticks_from_seconds)
 from .model import (BatteryState, FloorCrossing, NodeRole, NodeSpec, Obstacle,
                     ObstacleCrossing, ObstacleKind, Position, RadioConfig,
@@ -42,7 +42,7 @@ __all__ = [
     "RadioConfig", "Ramp", "RngStream", "RunStats", "SampleRecord",
     "ScenarioConfig", "ScenarioError", "ScenarioSyntaxError",
     "SchedulingInPastError", "SchemaError", "SensorKind", "SensorSpec",
-    "SimEvent", "Simulation", "Sinusoid", "Ticks", "UnknownNodeError",
+    "SimEvent", "Simulation", "Sinusoid", "Ticks", "Timer", "UnknownNodeError",
     "US_PER_SECOND", "Violation", "average_current", "build_parent_table",
     "build_report", "coordinator_step", "cyclic_sleep_multiplier",
     "decode_frame", "derive_seed", "encode_frame", "end_device_step",

@@ -53,15 +53,30 @@ class EventKind(Enum):
 class SimEvent:
     """A scheduled occurrence. seq is the insertion counter.
 
-    payload is what the handler of the event's kind takes, or None. queued
-    is True from schedule() until the event is popped or cancelled."""
+    payload is what the handler of the event's kind takes, or None. timer is
+    the Timer the event was armed on, or None for an event that always runs."""
 
     at: Ticks
     seq: int
     kind: EventKind
     node: int | None = None
     payload: object = None
-    queued: bool = True
+    timer: Timer | None = None
+
+    @property
+    def live(self) -> bool:
+        """Whether the event will run: it is no timer's, or its timer's event."""
+        return self.timer is None or self.timer.event is self
+
+
+@dataclass(slots=True)
+class Timer:
+    """One owner's deadline: its live event, if any, run at rank among the
+    ranked events of its tick (None: unranked). An event EventQueue.arm or
+    disarm supersedes stays queued; len, pending, peek_time and pop_due skip it."""
+
+    rank: int | None = None
+    event: SimEvent | None = None
 
 
 class SchedulingInPastError(ValueError):
@@ -69,8 +84,7 @@ class SchedulingInPastError(ValueError):
 
 
 class EventQueue:
-    """Min-heap of SimEvents ordered by (at, rank, seq), with tombstone
-    cancellation.
+    """Min-heap of SimEvents ordered by (at, rank, seq), with Timers.
 
     Within a tick, unranked events run first, in scheduling order. Events
     scheduled with a rank (a non-negative int) run after them, by rank and
@@ -78,8 +92,8 @@ class EventQueue:
     while its ranked events pop still runs before the ones left.
     """
 
-    def __init__(self, start: Ticks = 0) -> None:
-        self.now: Ticks = start
+    def __init__(self) -> None:
+        self.now: Ticks = 0
         self._heap: list[tuple[Ticks, int, int, SimEvent]] = []
         self._next_seq = 0
         self._pending = 0
@@ -89,7 +103,7 @@ class EventQueue:
 
     def schedule(self, at: Ticks, kind: EventKind, node: int | None = None,
                  payload: object = None, *, rank: int | None = None) -> SimEvent:
-        """Schedule an event and return a handle usable with cancel()."""
+        """Schedule an event that runs whatever happens, and return it."""
         if at < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule {kind.value} at {at} ticks; clock is {self.now}")
@@ -104,22 +118,36 @@ class EventQueue:
         heappush(self._heap, (at, rank, seq, event))
         return event
 
-    def cancel(self, event: SimEvent) -> None:
-        """Mark an event so it never executes. Cancelling it again, or after
-        it was popped, is a no-op."""
-        if event.queued:
-            event.queued = False
+    def arm(self, timer: Timer, at: Ticks, kind: EventKind, node: int | None = None,
+            payload: object = None) -> SimEvent:
+        """Make an event the timer's live one and return it. A live event that
+        is already this one (same tick, kind, node and payload) stays, with its
+        seq and its place in its tick; any other is superseded."""
+        armed = timer.event
+        if armed is not None:
+            if (armed.at, armed.kind, armed.node, armed.payload) == (at, kind, node, payload):
+                return armed
+            self._pending -= 1
+        event = timer.event = self.schedule(at, kind, node, payload, rank=timer.rank)
+        event.timer = timer
+        return event
+
+    def disarm(self, timer: Timer) -> None:
+        """Supersede the timer's event, if it has one that has not popped."""
+        if timer.event is not None:
+            timer.event = None
             self._pending -= 1
 
     def peek_time(self) -> Ticks | None:
         """Time of the earliest pending event, or None when the queue is empty."""
-        while self._heap and not self._heap[0][3].queued:
-            heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and not heap[0][3].live:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def pending(self) -> Iterator[SimEvent]:
-        """Live (uncancelled) events, in no particular order."""
-        return (entry[3] for entry in self._heap if entry[3].queued)
+        """Live (not superseded) events, in no particular order."""
+        return (entry[3] for entry in self._heap if entry[3].live)
 
     def pop_due(self, limit: Ticks) -> SimEvent | None:
         """Pop the earliest pending event with at <= limit, advancing the clock.
@@ -129,9 +157,10 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0][0] <= limit:
             event = heappop(heap)[3]
-            if not event.queued:
-                continue
-            event.queued = False
+            if event.timer is not None:
+                if event.timer.event is not event:
+                    continue  # superseded
+                event.timer.event = None
             self._pending -= 1
             self.now = event.at
             return event

@@ -657,10 +657,10 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if not -MAX_FLOOR <= node.position.floor <= MAX_FLOOR:
             violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
                                         node=prefix, field="position.floor"))
-        if node.radio.shadowing_sigma_db < 0:
+        if not node.radio.shadowing_sigma_db >= 0:
             violations.append(Violation(rule="shadowing sigma must be >= 0",
                                         node=prefix, field="radio.shadowing_sigma_db"))
-        if node.radio.bitrate_bps <= 0:
+        if not node.radio.bitrate_bps > 0:
             violations.append(Violation(rule="bitrate must be > 0",
                                         node=prefix, field="radio.bitrate_bps"))
         elif config.tx_airtime_override_s is None:
@@ -680,12 +680,15 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if not math.isfinite(node.radio.tx_power_dbm):
             violations.append(Violation(rule="tx power must be finite",
                                         node=prefix, field="radio.tx_power_dbm"))
+        if not math.isfinite(node.radio.sensitivity_dbm):
+            violations.append(Violation(rule="sensitivity must be finite",
+                                        node=prefix, field="radio.sensitivity_dbm"))
 
         if node.role is NodeRole.END_DEVICE:
             if node.battery is None:
                 violations.append(Violation(rule="end devices are battery powered",
                                             node=prefix, field="battery"))
-            if node.sample_period_s is None or node.sample_period_s <= 0:
+            if node.sample_period_s is None or not node.sample_period_s > 0:
                 violations.append(Violation(rule="end devices need sample_period_s > 0",
                                             node=prefix, field="sample_period_s"))
             elif node.sample_period_s < poll_s:
@@ -718,17 +721,24 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 
         if node.battery is not None:
             remaining = node.battery.remaining_mah or 0.0
-            if node.battery.capacity_mah < 0 or not 0 <= remaining <= node.battery.capacity_mah:
+            if not 0 <= remaining <= node.battery.capacity_mah:  # fails a capacity < 0 or nan
                 violations.append(Violation(
                     rule="battery must satisfy 0 <= remaining <= capacity",
                     node=prefix, field="battery"))
 
         for i, sensor in enumerate(node.sensors):
-            if sensor.noise_sigma < 0:
+            if not sensor.noise_sigma >= 0:
                 violations.append(Violation(rule="noise sigma must be >= 0",
                                             node=prefix, field=f"sensors[{i}].noise_sigma"))
+            signal = sensor.signal  # ground_truth divides by a sinusoid's period
+            if not all(map(math.isfinite, vars(signal).values())):
+                violations.append(Violation(rule="signal numbers must be finite",
+                                            node=prefix, field=f"sensors[{i}].signal"))
+            elif isinstance(signal, Sinusoid) and not signal.period_hours > 0:
+                violations.append(Violation(rule="signal period must be > 0",
+                                            node=prefix, field=f"sensors[{i}].signal"))
             if sensor.kind is SensorKind.STRAIN_GAUGE:
-                if sensor.heat_duration_s is not None and sensor.heat_duration_s <= 0:
+                if sensor.heat_duration_s is not None and not sensor.heat_duration_s > 0:
                     violations.append(Violation(rule="heat duration must be > 0",
                                                 node=prefix, field=f"sensors[{i}].heat_duration_s"))
                 elif sensor.heat_duration_s is not None:
@@ -752,7 +762,7 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if (start.x, start.y) == (end.x, end.y):
             violations.append(Violation(rule="obstacle segment must have nonzero length",
                                         field=f"obstacles[{i}]"))
-        if obstacle.loss_db < 0:
+        if not obstacle.loss_db >= 0:
             violations.append(Violation(rule="obstacle attenuation must be >= 0",
                                         field=f"obstacles[{i}].attenuation_db"))
 
@@ -760,30 +770,30 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if channel_id not in CHANNEL_RANGE:
             violations.append(Violation(rule="channel ids must be in 11..26",
                                         field=f"channels.{channel_id}"))
-        if interference < 0:
+        if not interference >= 0:
             violations.append(Violation(rule="interference must be >= 0",
                                         field=f"channels.{channel_id}"))
 
-    if config.floor_loss_db < 0:
+    if not config.floor_loss_db >= 0:
         violations.append(Violation(rule="floor loss must be >= 0", field="floor_loss_db"))
-    if config.warmup_delay_s < 0:
+    if not config.warmup_delay_s >= 0:
         violations.append(Violation(rule="warmup delay must be >= 0", field="warmup_delay_s"))
-    if config.response_timeout_s <= 0:
+    if not config.response_timeout_s > 0:
         violations.append(Violation(rule="response timeout must be > 0",
                                     field="response_timeout_s"))
     warmup_ok = finite_ticks(config.warmup_delay_s, "warmup_delay_s")
     if finite_ticks(config.response_timeout_s, "response_timeout_s") and warmup_ok:
         finite_ticks(config.warmup_delay_s + config.response_timeout_s,
                      "warmup_delay_s + response_timeout_s", what="device guard")
-    if config.max_retries < 0:
+    if not config.max_retries >= 0:
         violations.append(Violation(rule="max retries must be >= 0", field="max_retries"))
     if config.tx_airtime_override_s is not None:
-        if config.tx_airtime_override_s <= 0:
+        if not config.tx_airtime_override_s > 0:
             violations.append(Violation(rule="airtime override must be > 0",
                                         field="tx_airtime_s"))
         else:
             finite_ticks(config.tx_airtime_override_s, "tx_airtime_s")
-    if config.poll_wake_duration_s < 0:
+    if not config.poll_wake_duration_s >= 0:
         violations.append(Violation(rule="poll wake duration must be >= 0",
                                     field="poll_wake_duration_s"))
     finite_ticks(config.poll_wake_duration_s, "poll_wake_duration_s")

@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, derive_seed,
+from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, Timer, derive_seed,
                      has_finite_ticks, seconds_from_ticks, ticks_from_seconds)
 from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNodeError,
                     Violation, validate_scenario)
@@ -72,7 +72,7 @@ SET_PERIOD = MessageKind.SET_PERIOD
 # Event payloads. EXTERNAL_WAKE carries this stimulus and FRAME_DELIVERED a
 # DeliveredFrame, which the device's step function takes as they are.
 # TIMER_FIRED carries the guard's deadline tick: the GuardExpiredStimulus is
-# built only for a guard that fires, and most are cancelled first. POLL_WAKE
+# built only for a guard that fires, and most are superseded first. POLL_WAKE
 # carries nothing.
 WAKE_STIMULUS = ExternalWakeStimulus()
 
@@ -129,10 +129,10 @@ class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
     node takes to send it. is_end_device is set from device_state when the
     runtime is built. An End Device's ledger carries its poll grid; the
-    device also carries its wake schedule (sleep), where its polls run among
-    the polls of the same tick, after every other event of it (poll_rank),
-    the tick of its last scheduled external wake, the one poll that is a real
-    event, if any, and its pending guard timer, if any."""
+    device also carries its wake schedule (sleep), the tick of its last
+    scheduled external wake, the timer of its one poll that is a real event
+    (whose rank places the device's polls among the polls of a tick, after
+    every other event of it) and the guard timer of its round."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -142,10 +142,9 @@ class NodeRuntime:
     sleep: CyclicSleepConfig | None = None
     rounds_lost: int = 0
     death_logged: bool = False
-    poll_rank: int = 0
     next_wake: Ticks | None = None
-    real_poll: SimEvent | None = None
-    guard: SimEvent | None = None
+    real_poll: Timer = field(default_factory=Timer)
+    guard: Timer = field(default_factory=Timer)
     is_end_device: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -209,19 +208,17 @@ class Simulation:
     poll_wakes_elided counts the polls booked without an event.
 
     Polls run last in their tick: every other event of tick t runs first, in
-    scheduling order, then the real polls of t by poll_rank, so a parent
+    scheduling order, then the real polls of t by rank, so a parent
     answers a poll with every frame it holds at the end of t. A ledger books
     its polls at t when the clock leaves t, and the horizon of run_until
     books them at the horizon. An event scheduled at t while the polls of t
     run (a delay of 0 ticks) runs before the polls left, after those done.
 
-    Only timers that can still act are dispatched. A device keeps one guard
-    event (NodeRuntime.guard): a frame that moves the deadline cancels it and
-    arms a new one, and the end of the round cancels it. Each coordinator
-    session keeps one WARMUP_DONE or TIMEOUT event, cancelled when the next
-    one is armed or the round completes or aborts. A cancelled timer could
-    only have been found stale, so no state machine would act on it; it is
-    no event and leaves no trace line.
+    Only timers that can still act are dispatched. A device's guard and real
+    poll (NodeRuntime) and each coordinator session's WARMUP_DONE or TIMEOUT
+    are engine Timers: each step re-arms or disarms them, and an event its
+    timer no longer holds could only have been found stale, so no state
+    machine would act on it; it is no event and leaves no trace line.
     """
 
     def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
@@ -258,12 +255,11 @@ class Simulation:
             WARMUP_DONE: self._on_session_timer,
             TIMEOUT: self._on_session_timer,
             COMMAND_INJECTED: self._on_command}
-        self._timers: dict[int, SimEvent] = {}  # each session's pending WARMUP_DONE/TIMEOUT
         self._coord_seq = 0
         self._routes: dict[tuple[int, int], list[int] | None] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
         self._real_polls = 0
-        self._polls_ran = (-1, 0)  # (tick, poll_rank) of the last real poll dispatched
+        self._polls_ran = (-1, 0)  # (tick, rank) of the last real poll dispatched
 
         window = ticks_from_seconds(config.poll_wake_duration_s)
         override = config.tx_airtime_override_s
@@ -297,11 +293,12 @@ class Simulation:
         # Same-tick polls run longest period first, then in node order.
         for rank, runtime in enumerate(sorted(self._devices,
                                               key=lambda rt: -rt.ledger.poll_ticks)):
-            runtime.poll_rank = rank
+            runtime.real_poll.rank = rank
 
         self.sessions: dict[int, CoordinatorSession] = {
             device.id: CoordinatorSession(device=device.id)
             for device in config.end_devices()}
+        self._timers = {device: Timer() for device in self.sessions}  # WARMUP_DONE/TIMEOUT
 
         for runtime in self._devices:
             runtime.next_wake = runtime.period_ticks
@@ -420,7 +417,7 @@ class Simulation:
         now = event.at
         ledger = runtime.ledger
         device = runtime.is_end_device
-        if device and self._polls_ran >= (now, runtime.poll_rank):
+        if device and self._polls_ran >= (now, runtime.real_poll.rank):
             ledger.poll(now)  # scheduled while its tick's polls run, after its own
         ledger.advance(now)
         if ledger.dead_at is not None:
@@ -441,8 +438,7 @@ class Simulation:
         for a sleeping device are delivered."""
         node_id, now = event.node, event.at
         runtime = self.runtimes[node_id]
-        runtime.real_poll = None
-        self._polls_ran = (now, runtime.poll_rank)
+        self._polls_ran = (now, runtime.real_poll.rank)
         ledger = runtime.ledger
         if not ledger.poll(now):
             assert ledger.dead_at is not None, "a real poll at a tick whose poll is booked"
@@ -488,19 +484,8 @@ class Simulation:
             self._send_frame(frame, now)
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
-        elif state.phase is not PHASE_SLEEPING and state.guard_until is not None:
-            self._arm_guard(runtime, state.guard_until)
-
-    def _arm_guard(self, runtime: NodeRuntime, deadline: Ticks) -> None:
-        """Keep the device's one guard timer at its current deadline. A
-        superseded guard could only be found stale, so it is cancelled; one
-        already due at the deadline stays, and with it its place in its tick."""
-        guard = runtime.guard
-        if guard is not None:
-            if guard.queued and guard.at == deadline:
-                return
-            self.queue.cancel(guard)
-        runtime.guard = self.queue.schedule(deadline, TIMER_FIRED, runtime.spec.id, deadline)
+        elif state.phase is not PHASE_SLEEPING and (deadline := state.guard_until) is not None:
+            self.queue.arm(runtime.guard, deadline, TIMER_FIRED, runtime.spec.id, deadline)
 
     def _on_guard(self, runtime: NodeRuntime, deadline: Ticks, now: Ticks) -> None:
         self._device_step(runtime, GuardExpiredStimulus(deadline), now)
@@ -527,9 +512,7 @@ class Simulation:
 
     def _on_device_round_end(self, runtime: NodeRuntime, result: DeviceStepResult,
                              now: Ticks) -> None:
-        if runtime.guard is not None:  # none can fire now the device sleeps
-            self.queue.cancel(runtime.guard)
-            runtime.guard = None
+        self.queue.disarm(runtime.guard)  # none can fire now the device sleeps
         if result.round_lost:
             runtime.rounds_lost += 1
             self._trace_action("round", runtime.spec.id, "outcome=lost", now)
@@ -559,15 +542,12 @@ class Simulation:
         self.records.extend(result.records)
         for frame in result.frames:
             self._send_frame(frame, now)
-        if result.timer is not None or result.round_completed or result.round_aborted:
-            # the pending timer is superseded, or the round it serves is over
-            pending = self._timers.pop(device_id, None)
-            if pending is not None:
-                self.queue.cancel(pending)
         if result.timer is not None:
             kind, delay = self._session_timers[type(result.timer)]
-            self._timers[device_id] = self.queue.schedule(
-                now + delay, kind, self._coordinator.id, SessionTimer(device_id, result.timer))
+            self.queue.arm(self._timers[device_id], now + delay, kind, self._coordinator.id,
+                           SessionTimer(device_id, result.timer))
+        elif result.round_completed or result.round_aborted:
+            self.queue.disarm(self._timers[device_id])  # the round it serves is over
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -662,7 +642,7 @@ class Simulation:
         if runtime.death_logged:
             return
         runtime.death_logged = True
-        self._set_real_poll(runtime, None)
+        self.queue.disarm(runtime.real_poll)
         dead_at = runtime.ledger.dead_at
         self._trace_action("death", runtime.spec.id, f"dead_at={dead_at}", now)
         logger.info("node %d battery exhausted at %s ticks", runtime.spec.id, dead_at)
@@ -687,7 +667,7 @@ class Simulation:
         there, has already run: its ledger booked it, or a real poll of the
         tick ranked at or after it has run."""
         now = self.queue.now
-        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.poll_rank)
+        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.real_poll.rank)
 
     def _book_passed_polls(self) -> None:
         """Book every poll that has run by the current clock. This changes no
@@ -695,8 +675,8 @@ class Simulation:
         now = self.queue.now
         for runtime in self._devices:
             before = now + 1 if self._poll_passed(runtime) else now
-            if runtime.real_poll is not None:
-                before = min(before, runtime.real_poll.at)
+            if (real_poll := runtime.real_poll.event) is not None:
+                before = min(before, real_poll.at)
             runtime.ledger.book_polls(before)
 
     def _plan_poll(self, runtime: NodeRuntime) -> None:
@@ -705,7 +685,6 @@ class Simulation:
         the sleeping device, or while its battery may run out before its
         next own event (which plans again): each real poll then plans the
         next, so the poll that finds the battery empty is one of them."""
-        due = None
         if not runtime.death_logged:
             state = runtime.device_state
             assert state is not None
@@ -714,24 +693,16 @@ class Simulation:
             assert checkpoint is not None
             if ((sleeping and self.parent_table.buffers.get(runtime.spec.id))
                     or runtime.ledger.may_run_out(checkpoint)):
-                due = self._next_poll_tick(runtime)
-        if due is not None or runtime.real_poll is not None:
-            self._set_real_poll(runtime, due)
+                self.queue.arm(runtime.real_poll, self._next_poll_tick(runtime), POLL_WAKE,
+                               runtime.spec.id)
+                return
+        self.queue.disarm(runtime.real_poll)
 
     def _next_poll_tick(self, runtime: NodeRuntime) -> Ticks:
         """Tick of the device's first poll that has not run yet."""
         now, period = self.queue.now, runtime.ledger.poll_ticks
         tick = max(period, -(-now // period) * period)
         return tick + period if tick == now and self._poll_passed(runtime) else tick
-
-    def _set_real_poll(self, runtime: NodeRuntime, due: Ticks | None) -> None:
-        old = runtime.real_poll
-        if old is not None:
-            if old.at == due:
-                return
-            self.queue.cancel(old)
-        runtime.real_poll = None if due is None else self.queue.schedule(
-            due, POLL_WAKE, runtime.spec.id, rank=runtime.poll_rank)
 
     # ------------------------------------------------------------------
     # Trace

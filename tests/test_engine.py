@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsn_pathosim.engine import (EventKind, EventQueue, RngStream,
-                                 SchedulingInPastError, derive_seed,
+                                 SchedulingInPastError, Timer, derive_seed,
                                  seconds_from_ticks, ticks_from_seconds)
 
 
@@ -103,29 +103,30 @@ def test_pop_due_limit_is_inclusive():
     assert q.pop_due(10) is not None
 
 
-def test_cancel_is_tombstone_and_idempotent():
+def test_a_superseded_timer_event_never_pops():
     q = EventQueue()
+    guard, session = Timer(), Timer()
     keep = q.schedule(5, EventKind.POLL_WAKE)
-    dropped = q.schedule(3, EventKind.TIMER_FIRED)
-    q.cancel(dropped)
-    q.cancel(dropped)
-    assert len(q) == 1
-    assert q.peek_time() == 5
-    assert q.pop_due(100) is keep
-    assert q.pop_due(100) is None
+    early = q.arm(guard, 3, EventKind.TIMER_FIRED, 1, 3)
+    late = q.arm(guard, 4, EventKind.TIMER_FIRED, 1, 4)
+    q.arm(session, 2, EventKind.TIMEOUT, 0)
+    q.disarm(session)
+    assert late is not early and guard.event is late
+    assert [q.pop_next() for _ in range(3)] == [late, keep, None]
 
 
-def test_cancelling_a_popped_event_is_a_no_op():
+def test_disarming_twice_or_after_the_event_popped_is_a_no_op():
     q = EventQueue()
-    first = q.schedule(1, EventKind.TIMER_FIRED)
-    q.schedule(2, EventKind.TIMEOUT)
+    first, second = Timer(), Timer()
+    fired = q.arm(first, 1, EventKind.TIMER_FIRED, 1, 1)
+    q.arm(second, 2, EventKind.TIMEOUT, 0)
     third = q.schedule(3, EventKind.POLL_WAKE)
-    assert q.pop_due(1) is first
-    q.cancel(first)  # the event being handled cancels itself
+    assert q.pop_due(1) is fired and first.event is None
+    q.disarm(first)  # the event being handled disarms its own timer
     assert len(q) == 2
-    second = q.pop_next()
-    q.cancel(second)
-    q.cancel(first)
+    q.disarm(second)
+    q.disarm(second)
+    q.disarm(first)
     assert len(q) == 1
     assert list(q.pending()) == [third]
     assert q.pop_next() is third
@@ -141,12 +142,76 @@ def test_pop_next_single_steps_past_any_limit():
     assert q.pop_next() is None
 
 
-def test_pending_skips_tombstones():
+def test_len_pending_and_peek_time_skip_superseded_events():
     q = EventQueue()
-    kept = q.schedule(5, EventKind.POLL_WAKE)
-    stale = q.schedule(3, EventKind.TIMER_FIRED)
-    q.cancel(stale)
-    assert list(q.pending()) == [kept]
+    guard, poll = Timer(), Timer(rank=0)
+    kept = q.schedule(5, EventKind.EXTERNAL_WAKE)
+    q.arm(guard, 3, EventKind.TIMER_FIRED, 1, 3)
+    rearmed = q.arm(guard, 6, EventKind.TIMER_FIRED, 1, 6)
+    q.arm(poll, 4, EventKind.POLL_WAKE, 1)
+    q.disarm(poll)
+    assert len(q) == 2
+    assert sorted(q.pending(), key=lambda event: event.at) == [kept, rearmed]
+    assert q.peek_time() == 5
+
+
+def test_a_timer_rearmed_to_the_event_it_holds_keeps_its_seq():
+    q = EventQueue()
+    guard = Timer()
+    first = q.arm(guard, 50, EventKind.TIMER_FIRED, 1, 50)
+    other = q.schedule(50, EventKind.FRAME_DELIVERED, 1)
+    assert q.arm(guard, 50, EventKind.TIMER_FIRED, 1, 50) is first
+    assert len(q) == 2 and first.seq < other.seq
+    assert [q.pop_next(), q.pop_next()] == [first, other]  # its place in the tick kept
+    again = q.arm(guard, 50, EventKind.TIMER_FIRED, 1, 50)  # popped: a new event
+    assert again is not first and again.seq > other.seq
+
+
+def test_a_timer_rearmed_at_its_tick_with_another_payload_gets_a_new_event():
+    # a session's WARMUP_DONE and TIMEOUT share one timer, so one arm may
+    # land on the tick of the other; the new stimulus must be the one handed back
+    q = EventQueue()
+    session = Timer()
+    warmup = q.arm(session, 9, EventKind.WARMUP_DONE, 0, ("round", 1))
+    timeout = q.arm(session, 9, EventKind.TIMEOUT, 0, ("round", 1))
+    retry = q.arm(session, 9, EventKind.TIMEOUT, 0, ("round", 2))
+    assert len({warmup.seq, timeout.seq, retry.seq}) == 3
+    assert [q.pop_next(), q.pop_next()] == [retry, None]
+
+
+def test_a_ranked_timer_runs_among_the_ranked_events_of_its_tick():
+    q = EventQueue()
+    polls = [Timer(rank=1), Timer(rank=0)]
+    late, early = (q.arm(timer, 7, EventKind.POLL_WAKE, node)
+                   for node, timer in enumerate(polls))
+    plain = q.schedule(7, EventKind.EXTERNAL_WAKE, 2)
+    assert [q.pop_next() for _ in range(3)] == [plain, early, late]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+                          st.integers(min_value=0, max_value=1)),
+                min_size=1, max_size=40))
+def test_each_timer_runs_only_its_last_armed_event(ops):
+    """Each op (t, p, i) disarms timer i when p is None, schedules a plain
+    event at t when i is 0 and p is 4, and else arms timer i at t with
+    payload p. What pops is every plain event and each timer's last armed
+    event, in (tick, seq) order."""
+    q = EventQueue()
+    timers = [Timer(), Timer()]
+    plain, last = [], {}
+    for t, payload, i in ops:
+        if payload is None:
+            q.disarm(timers[i])
+            last.pop(i, None)
+        elif i == 0 and payload == 4:
+            plain.append(q.schedule(t, EventKind.EXTERNAL_WAKE, 0, payload))
+        else:
+            last[i] = q.arm(timers[i], t, EventKind.TIMER_FIRED, i, payload)
+    expected = sorted(plain + list(last.values()), key=lambda event: (event.at, event.seq))
+    assert len(q) == len(expected)
+    assert [q.pop_next() for _ in expected] == expected
+    assert q.pop_next() is None and len(q) == 0
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():

@@ -11,13 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc
 from test_golden import DRAIN_BASES_MAH, digests, run_case
+from wsn_pathosim.engine import EventKind
 from wsn_pathosim.simulation import NodeRuntime, Simulation
 
 
 class EveryPollSimulation(Simulation):
     def _plan_poll(self, runtime: NodeRuntime) -> None:
-        self._set_real_poll(runtime, None if runtime.death_logged
-                            else self._next_poll_tick(runtime))
+        if runtime.death_logged:
+            self.queue.disarm(runtime.real_poll)
+        else:
+            self.queue.arm(runtime.real_poll, self._next_poll_tick(runtime),
+                           EventKind.POLL_WAKE, runtime.spec.id)
 
 
 @st.composite

@@ -17,7 +17,8 @@ from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, MAX_FLOOR, FloorCrossing,
                                 SchemaError, UnknownNodeError, obstacles_on_path,
                                 parse_scenario, serialize_scenario, validate_scenario)
 from wsn_pathosim.propagation import link_budget
-from wsn_pathosim.sensors import SensorKind
+from wsn_pathosim.sensors import SensorKind, Sinusoid
+from wsn_pathosim.simulation import InvalidScenarioError, Simulation
 
 
 def test_minimal_document_fills_documented_defaults():
@@ -469,6 +470,58 @@ def test_validator_reports_a_poll_period_that_is_not_a_number():
         device, radio=dataclasses.replace(device.radio, poll_period_s=math.nan)))
     violations = validate_scenario(dataclasses.replace(config, nodes=nodes))
     assert (1, "radio.poll_period_s") in [(v.node, v.field) for v in violations]
+
+
+def _with_nan(config: ScenarioConfig, field: str) -> ScenarioConfig:
+    """three_node_building with one number set to nan, in code (the parser
+    reads finite numbers only)."""
+    nan, replace = math.nan, dataclasses.replace
+    router, device = config.node(1), config.node(2)
+    if field.startswith("radio."):
+        radio = replace(router.radio, **{field.removeprefix("radio."): nan})
+        return replace(config, nodes=(config.nodes[0], replace(router, radio=radio), device))
+    if field == "sensors[0].noise_sigma":
+        sensor = replace(device.sensors[0], noise_sigma=nan)
+        return replace(config, nodes=config.nodes[:2] + (replace(device, sensors=(sensor,)),))
+    if field == "obstacles[0].attenuation_db":
+        wall = replace(config.obstacles[0], attenuation_db=nan)
+        return replace(config, obstacles=(wall,) + config.obstacles[1:])
+    if field == "channels.15":
+        return replace(config, channels={**config.channels, 15: nan})
+    return replace(config, floor_loss_db=nan)
+
+
+@pytest.mark.parametrize("rule, node, field", [
+    ("sensitivity must be finite", 1, "radio.sensitivity_dbm"),
+    ("shadowing sigma must be >= 0", 1, "radio.shadowing_sigma_db"),
+    ("noise sigma must be >= 0", 2, "sensors[0].noise_sigma"),
+    ("obstacle attenuation must be >= 0", None, "obstacles[0].attenuation_db"),
+    ("interference must be >= 0", None, "channels.15"),
+    ("floor loss must be >= 0", None, "floor_loss_db"),
+])
+def test_validator_rejects_nan_where_a_sign_or_finiteness_rule_applies(
+        three_node_config, rule, node, field):
+    violations = validate_scenario(_with_nan(three_node_config, field))
+    assert [(v.rule, v.node, v.field) for v in violations] == [(rule, node, field)]
+
+
+@pytest.mark.parametrize("period_hours, rule", [
+    (0.0, "signal period must be > 0"),
+    (-1.0, "signal period must be > 0"),
+    (math.nan, "signal numbers must be finite"),
+    (math.inf, "signal numbers must be finite"),
+])
+def test_validator_rejects_a_signal_the_simulation_cannot_evaluate(period_hours, rule):
+    """A period of 0 once validated and then divided by zero in ground_truth."""
+    config = make_config(two_node_doc())
+    device = config.node(1)
+    sensor = dataclasses.replace(device.sensors[0], signal=Sinusoid(21.0, 3.0, period_hours))
+    config = dataclasses.replace(config, nodes=(
+        config.nodes[0], dataclasses.replace(device, sensors=(sensor,))))
+    violations = validate_scenario(config)
+    assert [(v.rule, v.node, v.field) for v in violations] == [(rule, 1, "sensors[0].signal")]
+    with pytest.raises(InvalidScenarioError):
+        Simulation(config)
 
 
 GAUGE = {"kind": "strain_gauge", "signal": {"shape": "constant", "level": 1.0}}

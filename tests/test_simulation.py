@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
-from test_golden import aligned_doc
+from test_golden import aligned_doc, run_case
 from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
@@ -138,15 +138,27 @@ def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
     assert stats.samples_per_node == {}
 
 
-def test_stepping_visits_the_same_events_as_run_until(three_node_config):
-    reference = Simulation(three_node_config, trace=True)
-    reference.run_until(7200.0)
-    stepped = Simulation(three_node_config, trace=True)
-    limit = ticks_from_seconds(7200.0)
-    while (at := stepped.queue.peek_time()) is not None and at <= limit:
-        assert stepped.step() is not None
-    assert stepped.trace_text() == reference.trace_text()
-    assert stepped.records == reference.records
+class SteppedSimulation(Simulation):
+    """Steps every event up to a horizon one at a time, then runs to it."""
+
+    def run_until(self, horizon_s):
+        limit = ticks_from_seconds(horizon_s)
+        while (at := self.queue.peek_time()) is not None and at <= limit:
+            assert self.step() is not None
+        events = self.events_processed
+        stats = super().run_until(horizon_s)
+        assert self.events_processed == events  # nothing was left to run
+        return stats
+
+
+def test_stepping_visits_the_same_events_as_run_until():
+    # random/13 and aligned/0 supersede the most timers of the random and
+    # aligned golden cases; drain/0.3 also disarms dying devices' real polls
+    for case in ("shipped/three_node_building", "aligned/0", "random/13", "drain/0.3"):
+        reference, stepped = run_case(case), run_case(case, SteppedSimulation)
+        assert stepped.trace_text() == reference.trace_text(), case
+        assert stepped.records == reference.records, case
+        assert report_json(stepped) == report_json(reference), case
 
 
 def test_unrouteable_device_loses_every_round(router_off_config):
@@ -445,14 +457,16 @@ def test_a_guard_rearmed_to_its_deadline_keeps_its_event(three_node_config):
     # two frames in one tick re-arm the guard to the same deadline: the event
     # already queued stays, so it keeps its place among the events of its tick
     sim = Simulation(three_node_config)
-    runtime, pending = sim.runtimes[2], len(sim.queue)
-    sim._arm_guard(runtime, 5_000_000)
-    first = runtime.guard
-    sim._arm_guard(runtime, 5_000_000)
-    assert runtime.guard is first and first.queued
-    sim._arm_guard(runtime, 6_000_000)
-    assert not first.queued and runtime.guard.at == 6_000_000
-    assert len(sim.queue) == pending + 1
+    runtime, queue, pending = sim.runtimes[2], sim.queue, len(sim.queue)
+
+    def arm_guard(deadline):
+        return queue.arm(runtime.guard, deadline, EventKind.TIMER_FIRED, 2, deadline)
+
+    first = arm_guard(5_000_000)
+    assert arm_guard(5_000_000) is first and runtime.guard.event is first
+    assert arm_guard(6_000_000) is runtime.guard.event is not first
+    assert not first.live and runtime.guard.event.at == 6_000_000
+    assert len(queue) == pending + 1
 
 
 @pytest.mark.parametrize("case", ["router_off", "random/5", "random/9"])
