@@ -116,8 +116,8 @@ def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[flo
     The simulator runs this grid without an event per poll: a poll that finds
     nothing buffered for the sleeping device, or the device awake, only books
     energy, and PowerLedger books it in closed form. Such polls leave no trace
-    line; the run report counts them as poll_wakes_elided. While the battery
-    may run out before the device's next own event, every poll is an event.
+    line; the run report counts them as poll_wakes_elided. Near a death, the
+    first poll that PowerLedger.first_risky_poll cannot clear is an event.
     """
     polls: list[float] = []
     externals: list[float] = []
@@ -175,10 +175,10 @@ class PowerLedger:
     the poll is integrated on its own (that split is where a death would be
     found), and a poll made while the base state is SLEEPING adds a
     poll_window slice of AWAKE_IDLE. `polls` counts the grid polls booked
-    while the battery was alive. may_run_out says, booking nothing, whether
-    a poll up to a tick may find the battery empty. That one bound decides
-    both which polls the simulator makes events (each, while it says yes)
-    and how many polls book_polls books at once in closed form.
+    while the battery was alive. first_risky_poll says, booking nothing,
+    which is the first poll that may find the battery empty. That one bound
+    decides both which poll the simulator makes its first real poll near a
+    death and how many polls book_polls books at once in closed form.
 
     Mains-powered nodes pass battery capacity None and simply accumulate
     consumption. Battery nodes die the exact tick their charge crosses zero;
@@ -243,12 +243,9 @@ class PowerLedger:
         """Book every grid poll at a tick < `before` that is not booked yet,
         leaving the cursor at the last of them.
 
-        A run of the polls left is halved until may_run_out says none of
-        them can find the battery empty; at least 2 such polls are booked at
-        once. The first run tried is every poll left, each later one the
-        last run the bound allowed: the ledger is left alone meanwhile, so
-        the polls that bound allows only get fewer, and near a death every
-        poll is stepped without asking it again. Each poll is one cycle: the
+        The polls before first_risky_poll() cannot find the battery empty;
+        2 or more of them before `before` are booked in one add, and the
+        bound is asked again of the new state. Each poll is one cycle: the
         base state up to the poll, then the window if the base state is
         SLEEPING. Tick totals are integers, so adding k cycles gives the
         totals of k steps, and the remaining charge re-derived from them has
@@ -256,20 +253,16 @@ class PowerLedger:
         a state's first booking (that keeps the dict's key order)."""
         poll_ticks = self.poll_ticks
         durations = self.durations
-        run = None  # the last run may_run_out allowed
         while (first := self.next_poll) is not None and first < before and self.dead_at is None:
-            count = (before - 1 - first) // poll_ticks + 1
             base = self.state
             window = self.poll_window if base is SLEEPING else 0
             if self.cursor > first or base not in durations or (
                     window and AWAKE_IDLE not in durations):
                 self._poll_step(first)
                 continue
-            if run is not None and run < count:
-                count = run
-            while count > 1 and self.may_run_out(first + (count - 1) * poll_ticks):
-                count //= 2
-            run = count
+            risky = self.first_risky_poll()
+            end = before if risky is None else min(before, risky)
+            count = (end - 1 - first) // poll_ticks + 1
             if count < 2:
                 self._poll_step(first)
                 continue
@@ -284,36 +277,43 @@ class PowerLedger:
             self.next_poll = last + poll_ticks
             self.polls += count
 
-    def may_run_out(self, until: Ticks) -> bool:
-        """Whether a poll at a grid tick up to `until` may find the battery
-        empty if the ledger is left alone until then; True once it is dead.
+    def first_risky_poll(self) -> Ticks | None:
+        """The first grid poll not booked yet that may find the battery
+        empty if the ledger is left alone: the next poll once it is dead,
+        None if no poll can (no grid or battery, nothing drawn, or a reach
+        past the largest float).
 
-        False is sure, True only possible: a lower bound on the death tick
-        answers without booking anything. Left alone, the ledger draws only
-        the base state's current and, in poll windows, AWAKE_IDLE's, so the
-        bound lets every tick draw the larger of the two. A poll finds a death
-        at or after it, or one inside its window. A poll before the cursor (a
-        slice shifted it) books its window at the cursor; the gap to the next
-        poll shrinks by poll_ticks - poll_window per poll, and the first poll
-        that is not shifted ends the shifting. So nothing is booked past the
-        last shifted window or the window of the last poll at or before
-        `until`, whichever ends later."""
-        if self.dead_at is not None:
-            return True
+        No poll before it finds the battery empty: a lower bound on the
+        death tick answers without booking anything. Left alone, the ledger
+        draws only the base state's current and, in poll windows,
+        AWAKE_IDLE's, so the bound lets every tick draw the larger of the
+        two. A poll finds a death at or after it, or one inside its window.
+        A poll before the cursor (a slice shifted it) books its window at
+        the cursor; the gap to the next poll shrinks by poll_ticks -
+        poll_window per poll, and the first poll that is not shifted ends
+        the shifting. So a poll books nothing past the last shifted window
+        or its own window, whichever ends later."""
+        next_poll = self.next_poll
+        if self.dead_at is not None or next_poll is None:
+            return next_poll
         remaining = self.battery_remaining_mah
-        if self.next_poll is None or remaining is None:
-            return False
         top = max(self._current[self.state], self._current[AWAKE_IDLE])
-        if top <= 0:
-            return False
-        end = until + self.poll_window
-        lag = self.cursor - self.next_poll
-        if lag > 0:
-            shifted = (lag - 1) // (self.poll_ticks - self.poll_window) + 1
-            end = max(end, self.cursor + shifted * self.poll_window)
+        if remaining is None or top <= 0:
+            return None
         margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
         reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
-        return reach - 3 <= end - self.cursor
+        if not math.isfinite(reach):
+            return None
+        lag = self.cursor - next_poll
+        if lag > 0:
+            shifted = (lag - 1) // (self.poll_ticks - self.poll_window) + 1
+            if reach - 3 <= shifted * self.poll_window:
+                return next_poll
+        # the first poll p with reach - 3 <= p + window - cursor
+        gap = self.cursor + reach - 3 - self.poll_window - next_poll
+        if gap <= 0:
+            return next_poll
+        return next_poll + math.ceil(gap / self.poll_ticks) * self.poll_ticks
 
     def set_state(self, state: PowerState, now: Ticks) -> None:
         """Integrate up to `now`, then switch the base state."""

@@ -200,12 +200,12 @@ class Simulation:
     End Devices poll their parents on a fixed grid. A poll that finds the
     device awake, or asleep with nothing buffered for it, only books energy,
     so it is no event: each device's ledger books its grid polls in closed
-    form whenever it advances. One rule makes a device's next poll a real
-    POLL_WAKE event: a frame waits for the sleeping device, or its battery
-    may run out before its next own event (PowerLedger.may_run_out). Each
-    real poll plans the next, so near its death every poll of a device is
-    an event, the one that finds the battery empty included.
-    poll_wakes_elided counts the polls booked without an event.
+    form whenever it advances. A device has at most one real POLL_WAKE
+    event: its next poll while a frame waits for the sleeping device, else
+    the first poll the death bound (PowerLedger.first_risky_poll) cannot
+    clear, if that comes by its next own event. Each real poll plans the
+    next the same way, so the poll that finds the battery empty is one of
+    them. poll_wakes_elided counts the polls booked without an event.
 
     Polls run last in their tick: every other event of tick t runs first, in
     scheduling order, then the real polls of t by rank, so a parent
@@ -587,10 +587,7 @@ class Simulation:
             parent_id = route[-2]
             buffer = self.parent_table.buffer_for(dst)
             if len(buffer) >= PARENT_BUFFER_CAPACITY:
-                oldest = buffer.popleft()
-                logger.warning("parent %d buffer full for node %d; dropping %s",
-                               parent_id, dst, oldest.summary())
-                self._drop(oldest, DROP_BUFFER_FULL, now)
+                self._drop(buffer.popleft(), DROP_BUFFER_FULL, now)
             buffer.append(frame)
             if self.trace_enabled:
                 self._trace_action("buffer", dst, f"{frame.summary()} at_parent={parent_id}", now)
@@ -680,21 +677,23 @@ class Simulation:
             runtime.ledger.book_polls(before)
 
     def _plan_poll(self, runtime: NodeRuntime) -> None:
-        """Keep the device's real poll at its next poll, or at none. Until
-        its death is noted, the next poll is real while a frame waits for
-        the sleeping device, or while its battery may run out before its
-        next own event (which plans again): each real poll then plans the
-        next, so the poll that finds the battery empty is one of them."""
+        """Keep the device's real poll at one poll, or at none. Until its
+        death is noted, it is the next poll while a frame waits for the
+        sleeping device, else the first poll that may find the battery empty
+        if that comes by the device's next own event (which plans again):
+        each real poll then plans the next, so the poll that finds the
+        battery empty is one of them."""
         if not runtime.death_logged:
             state = runtime.device_state
             assert state is not None
             sleeping = state.phase is PHASE_SLEEPING
             checkpoint = runtime.next_wake if sleeping else state.guard_until
             assert checkpoint is not None
-            if ((sleeping and self.parent_table.buffers.get(runtime.spec.id))
-                    or runtime.ledger.may_run_out(checkpoint)):
-                self.queue.arm(runtime.real_poll, self._next_poll_tick(runtime), POLL_WAKE,
-                               runtime.spec.id)
+            earliest = (0 if sleeping and self.parent_table.buffers.get(runtime.spec.id)
+                        else runtime.ledger.first_risky_poll())
+            if earliest is not None and earliest <= checkpoint:
+                self.queue.arm(runtime.real_poll, max(self._next_poll_tick(runtime), earliest),
+                               POLL_WAKE, runtime.spec.id)
                 return
         self.queue.disarm(runtime.real_poll)
 

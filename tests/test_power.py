@@ -242,8 +242,8 @@ def _grid_ledger(profile, state, capacity, cursor, poll, window):
 def grid_cases(draw):
     """A grid ledger's settings and the ticks to advance it to. Some
     batteries are sized from the drawn span, as in shifted_ledgers, so that
-    may_run_out flips from no to yes inside it: booking in closed form then
-    stops short of the polls that may find the battery empty."""
+    the first risky poll falls inside it: booking in closed form then stops
+    short of the polls that may find the battery empty."""
     poll = draw(st.one_of(st.integers(1, 40), st.sampled_from([333_333, 10 * S, 28 * S]),
                           st.integers(2, 60 * S)))
     window = draw(st.one_of(st.just(0), st.just(poll - 1), st.integers(0, poll - 1)))
@@ -283,15 +283,17 @@ def test_closed_form_poll_grid_matches_the_per_poll_loop(case):
 
 @settings(max_examples=300, deadline=None)
 @given(grid_cases())
-def test_may_run_out_is_false_only_where_no_poll_finds_the_battery_empty(case):
+def test_no_poll_before_the_first_risky_poll_finds_the_battery_empty(case):
     profile, state, capacity, cursor, poll, window, stops = case
     _, _, death_poll = per_poll_reference(profile, state, capacity, cursor, poll, window,
                                           stops[-1:])
     ledger = _grid_ledger(profile, state, capacity, cursor, poll, window)
-    may = ledger.may_run_out(stops[-1] - 1)
-    event(f"may run out: {may}")
-    if not may:
-        assert death_poll is None
+    risky = ledger.first_risky_poll()
+    event("no risky poll" if risky is None else
+          f"risky poll before the stop: {risky < stops[-1]}")
+    if death_poll is not None:
+        assert risky is not None and risky <= death_poll
+    assert risky is None or (risky >= ledger.next_poll and (risky - ledger.next_poll) % poll == 0)
     assert ledger.durations == {} and ledger.cursor == cursor  # the bound books nothing
 
 
@@ -303,7 +305,7 @@ def test_death_inside_and_between_poll_windows(capacity, inside):
     case = (PROFILE, PowerState.SLEEPING, capacity, 0, 28 * S, 2 * S, [90 * S, 300 * S])
     reference, polls, death_poll = per_poll_reference(*case)
     ledger = _grid_ledger(*case[:-1])
-    assert ledger.may_run_out(300 * S)
+    assert ledger.first_risky_poll() <= 300 * S
     for stop in case[-1]:
         ledger.advance(stop)
     assert ledger.dead_at == reference.dead_at
@@ -348,8 +350,8 @@ def test_a_shipped_day_books_its_polls_in_closed_form(three_node_config, stepped
 
 def test_an_advance_past_the_death_steps_only_the_polls_near_it(stepped_polls):
     """One advance takes a 110 Ah ledger 3 years, past its death after about
-    217 days: the run is halved down to where may_run_out allows it, so only
-    the polls near the death are stepped."""
+    217 days: each closed-form add books the polls before the first risky
+    poll, so only the polls near the death are stepped."""
     ledger = _grid_ledger(PROFILE, PowerState.SLEEPING, 110_000.0, 0, 28 * S, S // 10)
     ledger.advance(3 * 365 * 86400 * S)
     # as per_poll_reference books them, one at a time (about 3 s)
@@ -360,9 +362,11 @@ def test_an_advance_past_the_death_steps_only_the_polls_near_it(stepped_polls):
 def test_one_advance_past_the_death_books_what_stepping_every_poll_books(monkeypatch):
     """A 110 Ah ledger advanced 3 years in one call books, to the bit, what
     the same ledger books polled at every grid tick (about 667,000 polls,
-    some 3 s). Each halving starts from the last run may_run_out allowed, so
-    the one call asks it at most half the 761 times it did when every
-    halving started from all the polls left."""
+    some 3 s). The bound is asked once per state: after each closed-form
+    add of the polls before the first risky poll, or each stepped poll.
+    Each add spends about 30% of the charge left (the bound lets every tick
+    draw the awake current, the device mostly sleeps at 21.10 mA), so the
+    one call asks it a few dozen times."""
     settings = (PROFILE, PowerState.SLEEPING, 110_000.0, 0, 28 * S, S // 20)
     end = 3 * 365 * 86400 * S
     stepped = _grid_ledger(*settings)
@@ -372,9 +376,9 @@ def test_one_advance_past_the_death_books_what_stepping_every_poll_books(monkeyp
     stepped.advance(end)
 
     asked = []
-    may_run_out = PowerLedger.may_run_out
-    monkeypatch.setattr(PowerLedger, "may_run_out",
-                        lambda ledger, until: asked.append(until) or may_run_out(ledger, until))
+    first_risky_poll = PowerLedger.first_risky_poll
+    monkeypatch.setattr(PowerLedger, "first_risky_poll",
+                        lambda ledger: asked.append(ledger.cursor) or first_risky_poll(ledger))
     ledger = _grid_ledger(*settings)
     ledger.advance(end)
 
@@ -382,7 +386,7 @@ def test_one_advance_past_the_death_books_what_stepping_every_poll_books(monkeyp
     assert list(ledger.durations.items()) == list(stepped.durations.items())
     assert ledger.battery_remaining_mah.hex() == stepped.battery_remaining_mah.hex()
     assert (ledger.dead_at, ledger.polls) == (stepped.dead_at, stepped.polls)
-    assert len(asked) <= 761 // 2
+    assert len(asked) <= 64
 
 
 def test_poll_window_must_fit_in_the_period():
@@ -391,7 +395,7 @@ def test_poll_window_must_fit_in_the_period():
 
 
 # ---------------------------------------------------------------------------
-# may_run_out on shifted poll windows
+# first_risky_poll on shifted poll windows
 # ---------------------------------------------------------------------------
 
 def _ledger_state(ledger):
@@ -401,18 +405,21 @@ def _ledger_state(ledger):
 
 def _trial_death_poll(ledger, until):
     """Grid tick of the poll, up to `until`, that finds the battery empty,
-    or None: book a copy of the ledger up to `until` and look."""
+    or None: book a copy of the ledger up to `until` and look. A closed-form
+    add does not look for a death, so a copy that booked past one in an add
+    is left with a charge below zero."""
     trial = copy.copy(ledger)
     trial.durations = dict(ledger.durations)
     trial.book_polls(until + 1)
+    assert trial.battery_remaining_mah is None or trial.battery_remaining_mah >= 0
     return None if trial.dead_at is None else trial.next_poll - ledger.poll_ticks
 
 
 @st.composite
 def shifted_ledgers(draw):
     """A live grid ledger whose cursor slices pushed past one or more grid
-    polls, and a tick to ask may_run_out about: on or off the grid, before or
-    after the cursor, or near where the shifted windows end. Some batteries
+    polls, and a tick `until`: on or off the grid, before or after the
+    cursor, or near where the shifted windows end. Some batteries
     are sized to run out a little after that tick, where the bound is
     tightest."""
     poll = draw(st.one_of(st.integers(2, 40), st.sampled_from([333_333, 28 * S])))
@@ -465,19 +472,19 @@ def shifted_ledgers(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(shifted_ledgers())
-def test_may_run_out_on_shifted_windows_is_false_only_where_a_trial_finds_no_death(case):
+def test_no_poll_before_the_first_risky_poll_on_shifted_windows_finds_a_death(case):
     ledger, until = case
     before = _ledger_state(ledger)
-    may = ledger.may_run_out(until)
-    event(f"may run out: {may}")
-    if not may:
-        assert _trial_death_poll(ledger, until) is None
+    risky = ledger.first_risky_poll()
+    event("no risky poll" if risky is None else
+          f"risky poll is the next poll: {risky == ledger.next_poll}")
     assert _ledger_state(ledger) == before  # the bound books nothing
+    assert _trial_death_poll(ledger, until if risky is None else risky - 1) is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(7, 60), st.data())
-def test_may_run_out_sees_a_death_in_the_window_after_until(poll, data):
+def test_the_first_risky_poll_sees_a_death_in_the_window_after_until(poll, data):
     """Once the shifting has ended, the poll at a grid tick `until` books its
     window past `until`; a battery that runs out inside that window is found
     by that poll. Windows draw the base current, so the bound is tight."""
@@ -502,14 +509,31 @@ def test_may_run_out_sees_a_death_in_the_window_after_until(poll, data):
     ledger = sliced(consumed + current * spare / TICKS_PER_HOUR)
     assert not ledger.is_dead
     assert _trial_death_poll(ledger, until) == until
-    assert ledger.may_run_out(until)
+    assert ledger.first_risky_poll() <= until
 
 
 def test_a_dead_ledger_may_run_out():
     ledger = _grid_ledger(PROFILE, PowerState.SLEEPING, 0.01, 0, 10 * S, S)
     ledger.advance(3600 * S)
     assert ledger.is_dead
-    assert ledger.may_run_out(0) and ledger.may_run_out(7200 * S)
+    assert ledger.first_risky_poll() == ledger.next_poll
+
+
+def test_no_poll_is_risky_without_a_grid_a_draw_or_a_finite_reach():
+    def risky(profile, capacity):
+        return _grid_ledger(profile, PowerState.SLEEPING, capacity, 0, 10 * S,
+                            S).first_risky_poll()
+
+    assert risky(PROFILE, None) is None  # mains
+    assert risky(ConsumptionProfile(0.0, 0.0, 0.0), 1.0) is None
+    assert PowerLedger(profile=PROFILE, state=PowerState.SLEEPING,
+                       battery_capacity_mah=1.0).first_risky_poll() is None  # no grid
+    # a reach past the largest float, and one so large that reach - 3 == reach
+    assert risky(PROFILE, 1e306) is None
+    huge = _grid_ledger(PROFILE, PowerState.SLEEPING, 2e14, 0, 28 * S, S)
+    assert huge.first_risky_poll() > 10 ** 22
+    huge.advance(365 * 86400 * S)
+    assert huge.polls == 365 * 86400 // 28 and not huge.is_dead
 
 
 def test_a_shipped_day_has_no_real_poll(three_node_config):
@@ -529,8 +553,8 @@ class ReferenceLedger(PowerLedger):
     """The ledger with spans booked through its helpers, as before the hot
     path was written out: advance, set_state, charge_slice and _integrate go
     through is_dead, consumed_mah and _book. The poll grid (book_polls,
-    _poll_step and the may_run_out bound that sizes book_polls' closed-form
-    runs) is shared, and books through these."""
+    _poll_step and the first_risky_poll bound that sizes book_polls'
+    closed-form runs) is shared, and books through these."""
 
     def advance(self, now):
         if self.next_poll is not None and self.next_poll < now:

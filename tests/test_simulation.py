@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,6 +199,39 @@ def test_frames_buffered_for_a_dead_node_are_purged():
     assert stats.frames_delivered == 0
     assert stats.frames_dropped == {"node_dead": 1}
     assert stats.frames_buffered_pending == 0
+
+
+@pytest.mark.parametrize("battery_mah, poll_s, period_s, dead_at", [
+    (0.1, 1e-6, 3600.0, 17_061_611),
+    (1100.0, 1e-6, 400_000.0, 187_677_725_118),
+    (1100.0, 28.0, 400_000.0, 187_677_725_118),
+])
+def test_a_dying_device_makes_a_few_polls_events_not_every_poll(battery_mah, poll_s,
+                                                                 period_s, dead_at):
+    """A device dies long before its first sample (no poll window, so the
+    sleeping current alone drains it). Its real polls start at the first
+    poll the death bound cannot clear, so the run takes a few hundred events
+    at most, where making every poll from then on an event took 6,702 on
+    the 28 s grid and some 1.9e11 on the 1 us one. Each event is stepped, at
+    most 1,001 of them, so such a regression fails here instead of hanging."""
+    sim = Simulation(make_config(two_node_doc(
+        battery_mah=battery_mah, poll_period_s=poll_s, sample_period_s=period_s,
+        defaults={"poll_wake_duration_s": 0})))
+    steps = 0
+    while steps <= 1000 and sim.step() is not None:
+        steps += 1
+    assert sim.events_processed <= 1000
+    assert len(sim.queue) == 0  # nothing left to run after the death
+    assert sim.runtimes[1].ledger.dead_at == dead_at
+
+
+def test_a_full_parent_buffer_drops_its_oldest_frame_without_a_warning(caplog):
+    """A drop is counted, traced and logged at INFO; nothing reaches a run
+    that has no logging configured."""
+    with caplog.at_level(logging.WARNING):
+        sim = run_case("aligned/5")
+    assert caplog.records == []
+    assert sim.frames_dropped["buffer_full"] == 34
 
 
 def test_buffered_command_is_delivered_at_the_next_poll():
