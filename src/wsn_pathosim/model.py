@@ -14,6 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .engine import has_finite_ticks, ticks_from_seconds
+from .jsontext import dumps_indent2
 from .power import ConsumptionProfile, cyclic_sleep_multiplier
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Sinusoid
 
@@ -603,7 +604,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
         "obstacles": [_OBSTACLE.doc(obstacle) for obstacle in config.obstacles],
         "channels": {str(cid): level for cid, level in sorted(config.channels.items())},
     }
-    return json.dumps(document, indent=2) + "\n"
+    return dumps_indent2(document) + "\n"
 
 
 # --------------------------------------------------------------------------

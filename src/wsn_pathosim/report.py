@@ -4,12 +4,14 @@ render_json and render_text format what it returns.
 
 The JSON layout is deliberately stable (insertion-ordered dicts, stringified
 node ids for keys) so that two identical runs serialize to identical bytes.
+report.json is byte for byte json.dumps(report, indent=2) plus a newline,
+written by jsontext.dumps_indent2, which takes str keys only: every key of
+the report is a str.
 """
 
 from __future__ import annotations
 
-import json
-
+from .jsontext import dumps_indent2
 from .protocol import SAMPLE_LOG_HEADER, sample_log_row
 from .simulation import Simulation
 
@@ -74,7 +76,9 @@ def report_text(sim: Simulation) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The bytes of json.dumps(report, indent=2) + "\\n"; every key must be
+    a str (jsontext.dumps_indent2)."""
+    return dumps_indent2(report) + "\n"
 
 
 def render_text(report: dict) -> str:

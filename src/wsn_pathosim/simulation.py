@@ -28,6 +28,10 @@ hops few. Its conventions:
   all of this.
 - PowerLedger books a span in place: no helper call per span.
 - A trace line is formatted only when tracing is on.
+- An End Device's sensor stream (NodeRuntime.sensor_rng) is built at the
+  device's first step, from the same derived seed: a 1000-device building
+  whose devices do not sample within the horizon then seeds no Mersenne
+  Twister for them.
 """
 
 from __future__ import annotations
@@ -132,7 +136,9 @@ class NodeRuntime:
     device also carries its wake schedule (sleep), the tick of its last
     scheduled external wake, the timer of its one poll that is a real event
     (whose rank places the device's polls among the polls of a tick, after
-    every other event of it) and the guard timer of its round."""
+    every other event of it) and the guard timer of its round. Its sensor
+    stream is built at its first step (Simulation._device_step), so a device
+    that never runs a round holds none."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -282,7 +288,6 @@ class Simulation:
                 runtime = NodeRuntime(
                     spec=node, ledger=ledger, airtime=airtimes[bitrate],
                     device_state=EndDeviceState(node_id=node.id),
-                    sensor_rng=RngStream(derive_seed(self.seed, "sensor", node.id)),
                     sleep=CyclicSleepConfig.from_periods(node.sample_period_s,
                                                          node.radio.poll_period_s))
             else:
@@ -472,8 +477,12 @@ class Simulation:
     def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
         """Step the device's state machine and carry its result out."""
         state = runtime.device_state
-        assert state is not None and runtime.sensor_rng is not None
-        result = end_device_step(state, stimulus, now, runtime.spec, runtime.sensor_rng,
+        assert state is not None
+        sensor_rng = runtime.sensor_rng
+        if sensor_rng is None:
+            sensor_rng = runtime.sensor_rng = RngStream(
+                derive_seed(self.seed, "sensor", runtime.spec.id))
+        result = end_device_step(state, stimulus, now, runtime.spec, sensor_rng,
                                  coordinator_id=self._coordinator.id,
                                  guard_ticks=self._guard_ticks)
         if result.error is not None:

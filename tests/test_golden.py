@@ -42,7 +42,7 @@ import random
 import pytest
 
 from conftest import SCENARIO_DIR, make_config, random_scenario_doc
-from wsn_pathosim.report import report_json, samples_csv
+from wsn_pathosim.report import build_report, render_json, report_json, samples_csv
 from wsn_pathosim.simulation import Simulation
 
 EVENT_COUNTERS = ("events_processed", "poll_wakes_elided")
@@ -204,6 +204,9 @@ def test_outputs_match_the_golden_run(name):
     stats_json = json.loads(report_json(sim))
     assert (stats_json["events_processed"], stats_json["poll_wakes_elided"]) == (
         sim.events_processed, sim.poll_wakes_elided)
+    # report.json is written without json.dumps, to the same bytes
+    report = build_report(sim)
+    assert render_json(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_drain_cases_die_inside_and_between_poll_windows():

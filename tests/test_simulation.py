@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_config, random_scenario_doc, two_node_doc
 from test_golden import aligned_doc, run_case
 from wsn_pathosim import simulation
-from wsn_pathosim.engine import EventKind, ticks_from_seconds
+from wsn_pathosim.engine import EventKind, derive_seed, seconds_from_ticks, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
 from wsn_pathosim.protocol import route_path
 from wsn_pathosim.report import report_json, samples_csv
@@ -138,6 +138,23 @@ def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
     assert stats.rounds[1]["aborted"] > 0
     assert stats.errors_seen["no_sensor"] > 0
     assert stats.samples_per_node == {}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_device_builds_its_sensor_stream_at_its_first_step(seed):
+    doc, _ = random_scenario_doc(seed)
+    sim = Simulation(make_config(doc))
+    devices = [runtime for runtime in sim.runtimes.values() if runtime.is_end_device]
+    first_wake = min(runtime.period_ticks for runtime in devices)
+    sim.run_until(seconds_from_ticks(first_wake - 1))
+    assert all(runtime.sensor_rng is None for runtime in sim.runtimes.values())
+    # past every device's first wake, each has run a round
+    sim.run_until(seconds_from_ticks(max(runtime.period_ticks for runtime in devices)))
+    for runtime in sim.runtimes.values():
+        if runtime.is_end_device:
+            assert runtime.sensor_rng.seed == derive_seed(sim.seed, "sensor", runtime.spec.id)
+        else:
+            assert runtime.sensor_rng is None
 
 
 class SteppedSimulation(Simulation):
