@@ -132,9 +132,10 @@ class EventQueue:
         event.timer = timer
         return event
 
-    def disarm(self, timer: Timer) -> None:
-        """Supersede the timer's event, if it has one that has not popped."""
-        if timer.event is not None:
+    def disarm(self, timer: Timer | None) -> None:
+        """Supersede the timer's event, if it has one that has not popped. A
+        timer not built yet (None) has none."""
+        if timer is not None and timer.event is not None:
             timer.event = None
             self._pending -= 1
 

@@ -247,33 +247,46 @@ class PowerLedger:
         2 or more of them before `before` are booked in one add, and the
         bound is asked again of the new state. Each poll is one cycle: the
         base state up to the poll, then the window if the base state is
-        SLEEPING. Tick totals are integers, so adding k cycles gives the
-        totals of k steps, and the remaining charge re-derived from them has
-        the same bits. Any other poll is stepped, as are a shifted window and
-        a state's first booking (that keeps the dict's key order)."""
+        SLEEPING. A poll before the cursor (a slice shifted it) books only
+        its window, at the cursor, so lag ticks of shift cover
+        (lag - 1) // (poll_ticks - window) + 1 polls. Tick totals are
+        integers, so adding k cycles gives the totals of k steps, and the
+        remaining charge re-derived from them has the same bits. Any other
+        poll is stepped, as is a state's first booking (that keeps the
+        dict's key order)."""
         poll_ticks = self.poll_ticks
         durations = self.durations
         while (first := self.next_poll) is not None and first < before and self.dead_at is None:
             base = self.state
             window = self.poll_window if base is SLEEPING else 0
-            if self.cursor > first or base not in durations or (
-                    window and AWAKE_IDLE not in durations):
-                self._poll_step(first)
-                continue
-            risky = self.first_risky_poll()
-            end = before if risky is None else min(before, risky)
-            count = (end - 1 - first) // poll_ticks + 1
+            lag = self.cursor - first
+            count = (before - 1 - first) // poll_ticks + 1
+            if lag > 0:
+                shifted = (lag - 1) // (poll_ticks - window) + 1
+                if shifted < count:
+                    count = shifted
+            elif base not in durations:
+                count = 0
+            if window and AWAKE_IDLE not in durations:
+                count = 0
+            if count > 1:  # the bound last: it is the dearest of the limits
+                risky = self.first_risky_poll()
+                if risky is not None and risky <= first + (count - 1) * poll_ticks:
+                    count = (risky - 1 - first) // poll_ticks + 1  # the polls before it
             if count < 2:
                 self._poll_step(first)
                 continue
             last = first + (count - 1) * poll_ticks
-            durations[base] += last - self.cursor - (count - 1) * window
+            if lag > 0:
+                self.cursor += count * window
+            else:
+                durations[base] += last - self.cursor - (count - 1) * window
+                self.cursor = last + window
             if window:
                 durations[AWAKE_IDLE] += count * window
             if self.battery_remaining_mah is not None:
                 self.battery_remaining_mah = (self._initial_remaining_mah
                                               - _consumed(self._current, durations))
-            self.cursor = last + window
             self.next_poll = last + poll_ticks
             self.polls += count
 

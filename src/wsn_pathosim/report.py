@@ -133,19 +133,22 @@ def render_text(report: dict) -> str:
     lines.append("")
     lines.append("power")
     for node, entry in report["power"].items():
-        lines.append(f"  node {node}:")
+        # one string per node: a 1000-node report would keep about 9,000
+        # line strings alive until the final join
+        node_lines = [f"  node {node}:"]
         for state, duration in entry["state_durations_s"].items():
-            lines.append(f"    {state:<12} {duration:.6f} s")
-        lines.append(f"    consumed     {entry['consumed_mah']:.6f} mAh")
+            node_lines.append(f"    {state:<12} {duration:.6f} s")
+        node_lines.append(f"    consumed     {entry['consumed_mah']:.6f} mAh")
         if entry["average_ma"] is not None:
-            lines.append(f"    average      {entry['average_ma']:.4f} mA")
+            node_lines.append(f"    average      {entry['average_ma']:.4f} mA")
         if "battery_capacity_mah" in entry:
-            lines.append(f"    capacity     {entry['battery_capacity_mah']:.2f} mAh")
-            lines.append(f"    remaining    {entry['remaining_mah']:.6f} mAh")
+            node_lines.append(f"    capacity     {entry['battery_capacity_mah']:.2f} mAh")
+            node_lines.append(f"    remaining    {entry['remaining_mah']:.6f} mAh")
             if entry["dead_at_s"] is not None:
-                lines.append(f"    died at      {entry['dead_at_s']:.3f} s")
+                node_lines.append(f"    died at      {entry['dead_at_s']:.3f} s")
             elif "projected_lifetime_h" in entry:
-                lines.append(f"    projected    {entry['projected_lifetime_h']:.2f} h")
+                node_lines.append(f"    projected    {entry['projected_lifetime_h']:.2f} h")
+        lines.append("\n".join(node_lines))
     return "\n".join(lines) + "\n"
 
 

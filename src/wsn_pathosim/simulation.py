@@ -29,9 +29,9 @@ hops few. Its conventions:
 - PowerLedger books a span in place: no helper call per span.
 - A trace line is formatted only when tracing is on.
 - An End Device's sensor stream (NodeRuntime.sensor_rng) is built at the
-  device's first step, from the same derived seed: a 1000-device building
-  whose devices do not sample within the horizon then seeds no Mersenne
-  Twister for them.
+  device's first step, from the same derived seed, and every Timer at its
+  first arm: a 1000-device building whose devices do not sample within the
+  horizon then seeds no Mersenne Twister and builds no Timer for them.
 """
 
 from __future__ import annotations
@@ -134,11 +134,12 @@ class NodeRuntime:
     node takes to send it. is_end_device is set from device_state when the
     runtime is built. An End Device's ledger carries its poll grid; the
     device also carries its wake schedule (sleep), the tick of its last
-    scheduled external wake, the timer of its one poll that is a real event
-    (whose rank places the device's polls among the polls of a tick, after
-    every other event of it) and the guard timer of its round. Its sensor
-    stream is built at its first step (Simulation._device_step), so a device
-    that never runs a round holds none."""
+    scheduled external wake, the rank that places its polls among the polls
+    of a tick (after every other event of it), the timer of its one poll
+    that is a real event and the guard timer of its round. Its timers are
+    built at their first arm (poll_timer, guard_timer) and its sensor stream
+    at its first step (Simulation._device_step), so a router or the
+    coordinator holds none, and a device only those it has used."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -149,12 +150,25 @@ class NodeRuntime:
     rounds_lost: int = 0
     death_logged: bool = False
     next_wake: Ticks | None = None
-    real_poll: Timer = field(default_factory=Timer)
-    guard: Timer = field(default_factory=Timer)
+    poll_rank: int = 0
+    real_poll: Timer | None = None
+    guard: Timer | None = None
     is_end_device: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.is_end_device = self.device_state is not None
+
+    def poll_timer(self) -> Timer:
+        """The real poll's timer, built at its first arm."""
+        if self.real_poll is None:
+            self.real_poll = Timer(self.poll_rank)
+        return self.real_poll
+
+    def guard_timer(self) -> Timer:
+        """The round guard's timer, built at its first arm."""
+        if self.guard is None:
+            self.guard = Timer()
+        return self.guard
 
     @property
     def period_ticks(self) -> Ticks:
@@ -222,9 +236,10 @@ class Simulation:
 
     Only timers that can still act are dispatched. A device's guard and real
     poll (NodeRuntime) and each coordinator session's WARMUP_DONE or TIMEOUT
-    are engine Timers: each step re-arms or disarms them, and an event its
-    timer no longer holds could only have been found stale, so no state
-    machine would act on it; it is no event and leaves no trace line.
+    are engine Timers, each built at its first arm: each step re-arms or
+    disarms them, and an event its timer no longer holds could only have
+    been found stale, so no state machine would act on it; it is no event
+    and leaves no trace line.
     """
 
     def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
@@ -239,6 +254,7 @@ class Simulation:
         self.channel: int | None = (select_channel(config.channels)
                                     if config.channels else None)
         self.records: list[SampleRecord] = []
+        self._samples_per_node: dict[int, int] = {}  # records per node, in first-record order
         self.trace_enabled = trace
         self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
         self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
@@ -298,12 +314,12 @@ class Simulation:
         # Same-tick polls run longest period first, then in node order.
         for rank, runtime in enumerate(sorted(self._devices,
                                               key=lambda rt: -rt.ledger.poll_ticks)):
-            runtime.real_poll.rank = rank
+            runtime.poll_rank = rank
 
         self.sessions: dict[int, CoordinatorSession] = {
             device.id: CoordinatorSession(device=device.id)
             for device in config.end_devices()}
-        self._timers = {device: Timer() for device in self.sessions}  # WARMUP_DONE/TIMEOUT
+        self._timers: dict[int, Timer] = {}  # WARMUP_DONE/TIMEOUT, built at a session's first arm
 
         for runtime in self._devices:
             runtime.next_wake = runtime.period_ticks
@@ -369,7 +385,7 @@ class Simulation:
 
     def stats(self) -> RunStats:
         elided = self.poll_wakes_elided
-        samples = dict(Counter(record.node for record in self.records))
+        samples = dict(self._samples_per_node)
         rounds: dict[int, dict[str, int]] = {}
         energy: dict[int, NodeEnergy] = {}
         cyclic: dict[int, CyclicSleepConfig] = {}
@@ -422,7 +438,7 @@ class Simulation:
         now = event.at
         ledger = runtime.ledger
         device = runtime.is_end_device
-        if device and self._polls_ran >= (now, runtime.real_poll.rank):
+        if device and self._polls_ran >= (now, runtime.poll_rank):
             ledger.poll(now)  # scheduled while its tick's polls run, after its own
         ledger.advance(now)
         if ledger.dead_at is not None:
@@ -443,7 +459,7 @@ class Simulation:
         for a sleeping device are delivered."""
         node_id, now = event.node, event.at
         runtime = self.runtimes[node_id]
-        self._polls_ran = (now, runtime.real_poll.rank)
+        self._polls_ran = (now, runtime.poll_rank)
         ledger = runtime.ledger
         if not ledger.poll(now):
             assert ledger.dead_at is not None, "a real poll at a tick whose poll is booked"
@@ -494,7 +510,8 @@ class Simulation:
         if result.round_ended:
             self._on_device_round_end(runtime, result, now)
         elif state.phase is not PHASE_SLEEPING and (deadline := state.guard_until) is not None:
-            self.queue.arm(runtime.guard, deadline, TIMER_FIRED, runtime.spec.id, deadline)
+            self.queue.arm(runtime.guard_timer(), deadline, TIMER_FIRED, runtime.spec.id,
+                           deadline)
 
     def _on_guard(self, runtime: NodeRuntime, deadline: Ticks, now: Ticks) -> None:
         self._device_step(runtime, GuardExpiredStimulus(deadline), now)
@@ -533,10 +550,10 @@ class Simulation:
                 "period", runtime.spec.id,
                 f"effective_s={runtime.sleep.effective_period_s!r}"
                 f" multiplier={runtime.sleep.multiplier}", now)
+        # the first wake after now, on the grid of the wake that began the round
         effective = runtime.period_ticks
-        next_wake = runtime.next_wake + effective  # from the wake that began the round
-        while next_wake <= now:
-            next_wake += effective
+        next_wake = runtime.next_wake
+        next_wake += effective * max(1, (now - next_wake) // effective + 1)
         runtime.next_wake = next_wake
         self.queue.schedule(next_wake, EXTERNAL_WAKE, runtime.spec.id, WAKE_STIMULUS)
 
@@ -548,15 +565,22 @@ class Simulation:
                                   self._next_coord_seq, self._coordinator.id)
         if result.error_seen is not None:
             self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
-        self.records.extend(result.records)
+        if result.records:
+            self.records.extend(result.records)
+            counts = self._samples_per_node
+            for record in result.records:
+                counts[record.node] = counts.get(record.node, 0) + 1
         for frame in result.frames:
             self._send_frame(frame, now)
         if result.timer is not None:
             kind, delay = self._session_timers[type(result.timer)]
-            self.queue.arm(self._timers[device_id], now + delay, kind, self._coordinator.id,
+            timer = self._timers.get(device_id)
+            if timer is None:
+                timer = self._timers[device_id] = Timer()
+            self.queue.arm(timer, now + delay, kind, self._coordinator.id,
                            SessionTimer(device_id, result.timer))
         elif result.round_completed or result.round_aborted:
-            self.queue.disarm(self._timers[device_id])  # the round it serves is over
+            self.queue.disarm(self._timers.get(device_id))  # the round it serves is over
         if result.round_completed:
             self._trace_action("round", session.device, "outcome=completed", now)
         if result.round_aborted:
@@ -673,7 +697,7 @@ class Simulation:
         there, has already run: its ledger booked it, or a real poll of the
         tick ranked at or after it has run."""
         now = self.queue.now
-        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.real_poll.rank)
+        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.poll_rank)
 
     def _book_passed_polls(self) -> None:
         """Book every poll that has run by the current clock. This changes no
@@ -681,8 +705,9 @@ class Simulation:
         now = self.queue.now
         for runtime in self._devices:
             before = now + 1 if self._poll_passed(runtime) else now
-            if (real_poll := runtime.real_poll.event) is not None:
-                before = min(before, real_poll.at)
+            timer = runtime.real_poll
+            if timer is not None and timer.event is not None:
+                before = min(before, timer.event.at)
             runtime.ledger.book_polls(before)
 
     def _plan_poll(self, runtime: NodeRuntime) -> None:
@@ -701,7 +726,7 @@ class Simulation:
             earliest = (0 if sleeping and self.parent_table.buffers.get(runtime.spec.id)
                         else runtime.ledger.first_risky_poll())
             if earliest is not None and earliest <= checkpoint:
-                self.queue.arm(runtime.real_poll, max(self._next_poll_tick(runtime), earliest),
+                self.queue.arm(runtime.poll_timer(), max(self._next_poll_tick(runtime), earliest),
                                POLL_WAKE, runtime.spec.id)
                 return
         self.queue.disarm(runtime.real_poll)

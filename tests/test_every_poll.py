@@ -20,7 +20,7 @@ class EveryPollSimulation(Simulation):
         if runtime.death_logged:
             self.queue.disarm(runtime.real_poll)
         else:
-            self.queue.arm(runtime.real_poll, self._next_poll_tick(runtime),
+            self.queue.arm(runtime.poll_timer(), self._next_poll_tick(runtime),
                            EventKind.POLL_WAKE, runtime.spec.id)
 
 

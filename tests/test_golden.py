@@ -1,9 +1,10 @@
 """Golden outputs: the simulated results of fixed runs, pinned by digest.
 
-Each case is digested three ways:
+Each case is digested four ways:
   * report.json without its event counters (events_processed and
     poll_wakes_elided), so a change may alter how much work a run does but
     not what it finds;
+  * report.txt without the lines of the same two counters;
   * samples.csv, byte for byte;
   * trace.tsv without the seq column and without poll_wake lines: a no-op
     poll is booked in closed form and leaves no line, and seq numbers count
@@ -28,6 +29,10 @@ poll from the first event at which it could not: polls moved back from
 events_processed to poll_wakes_elided, each pair keeping its sum, and no
 digest moved.
 
+The report.txt column was recorded later, from the code that rendered every
+line of the text on its own, before render_text began to join each node's
+power lines into one string; no other digest moved.
+
 The cases: the shipped scenarios, 20 seeds of random_scenario_doc, small
 batteries that die, several inside a poll window, while SET_PERIOD frames
 wait at their parents, and "aligned" scenarios whose airtime, warm-up and
@@ -42,10 +47,12 @@ import random
 import pytest
 
 from conftest import SCENARIO_DIR, make_config, random_scenario_doc
-from wsn_pathosim.report import build_report, render_json, report_json, samples_csv
+from wsn_pathosim.report import (build_report, render_json, report_json, report_text,
+                                 samples_csv)
 from wsn_pathosim.simulation import Simulation
 
 EVENT_COUNTERS = ("events_processed", "poll_wakes_elided")
+TEXT_COUNTER_LINES = ("events processed ", "polls elided ")  # their lines in report.txt
 SHIPPED = {"three_node_building": ("three_node_building", 86400.0),
            "three_node_router_off": ("three_node_router_off", 86400.0),
            "lifetime_single_hop": ("lifetime_single_hop", 86400.0),
@@ -138,12 +145,14 @@ def digests(sim: Simulation) -> dict[str, str]:
         fields = line.split("\t")
         if fields[2] != "poll_wake":
             trace.append("\t".join(fields[:1] + fields[2:]))
+    text = "".join(line for line in report_text(sim).splitlines(keepends=True)
+                   if not line.startswith(TEXT_COUNTER_LINES))
 
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
     return {"report": sha(json.dumps(report, indent=2)), "samples": sha(samples_csv(sim)),
-            "trace": sha("\n".join(trace))}
+            "trace": sha("\n".join(trace)), "text": sha(text)}
 
 
 CASES = ([f"shipped/{name}" for name in SHIPPED]
@@ -151,55 +160,55 @@ CASES = ([f"shipped/{name}" for name in SHIPPED]
          + [f"drain/{base}" for base in DRAIN_BASES_MAH]
          + [f"aligned/{seed}" for seed in range(8)])
 
-# name: (report, samples, trace sha256 prefixes, events_processed,
+# name: (report, samples, trace, report.txt sha256 prefixes, events_processed,
 # poll_wakes_elided)
 GOLDEN = {
-    "shipped/three_node_building":        ("0d1b2da9a39ad4dd", "cd3b0d10222e867d", "1846e71e446ef894", 288, 3085),
-    "shipped/three_node_router_off":      ("a3426c9e60de759c", "19318079f5360c46", "bb32c0e7a17b7554", 96, 3085),
-    "shipped/lifetime_single_hop":        ("3978f7b473485098", "2afb34618f307dd4", "6634e3d7f818b896", 283, 2880),
-    "shipped/lifetime_single_hop_to_death":("a889c52ccdf149b5", "2ac2f4b0ab47697d", "a97cc125312b3309", 617, 6102),
-    "random/0":                           ("de39c42dd41da691", "325e2d441b1ca1b4", "dd8b8496d2fcba45", 426, 194),
-    "random/1":                           ("4c32e78b9e6a0694", "34fbc2f3eb144f9f", "1b6b5f14575faae0", 582, 172),
-    "random/2":                           ("71402fe30a4bd720", "aab55e04e72a6f04", "7bc626a18db19690", 792, 354),
-    "random/3":                           ("6d0f58af37bcf537", "50738c15a5aca6ab", "4f81a6cecd158d67", 243, 55),
-    "random/4":                           ("03157c0afcb95829", "22b83f049d60dc1d", "aa79ac32bddc9257", 396, 132),
-    "random/5":                           ("d25793a0e60a5d46", "19318079f5360c46", "f4632e8bf8d6cbc8", 50, 101),
-    "random/6":                           ("31a418f99c91e459", "6ae9da55dd199236", "17df0a67443d44df", 228, 115),
-    "random/7":                           ("d2b9847e30cb6da6", "ddffd88915d09677", "e7ab0a6dbaf61665", 276, 46),
-    "random/8":                           ("b953a422e15063e3", "15af0b97d5d24ae1", "c31b0ca8bec4a436", 228, 114),
-    "random/9":                           ("413de67487887929", "847bf2c81d7b2d92", "61b50feb8058e175", 1617, 345),
-    "random/10":                          ("9bae9cdc25ebf4d5", "f9e5514db2561ac5", "b42ebcf902d4dbaa", 1050, 279),
-    "random/11":                          ("8b04ca2d3b5c0697", "f3e27398cc91225f", "8175c2e1eb709d07", 295, 100),
-    "random/12":                          ("8320756cf82982c3", "41830077b42defbc", "7b08d40e26144718", 585, 203),
-    "random/13":                          ("1682659b1f487729", "8145d54865a8612f", "95af55801c49c5d6", 3417, 464),
-    "random/14":                          ("e6fbee6a439e054f", "827e4722f1bc9b0d", "d2425225d5ce34fd", 366, 186),
-    "random/15":                          ("925733e95e1155bb", "25a36f0ed6479729", "bbe060e76284f74d", 252, 128),
-    "random/16":                          ("3fb85c4bdebfad9b", "24e6ccc7edd8704e", "25c371f297fb9783", 477, 161),
-    "random/17":                          ("a9cd402cda96cb4e", "323b02f3a679117d", "6ab1dd884a7a7564", 516, 231),
-    "random/18":                          ("0fcb573b9469db7d", "d56a5619beb2b540", "42d952aa5970f75f", 612, 206),
-    "random/19":                          ("aedec0443e251ca1", "432fc7656976090d", "fd78a13d47f9a9ef", 684, 261),
-    "drain/0.3":                          ("2a57f9dcc1e722bc", "3d383e7d9102741c", "6c6d252acf3f1b7e", 125, 19),
-    "drain/0.35":                         ("40123ebcfbc3b0fa", "dac4c2d73e63dd2f", "8d6aad12216fe9a3", 134, 20),
-    "drain/0.36":                         ("93f8d974a23f3040", "dac4c2d73e63dd2f", "185e360118af3532", 136, 20),
-    "drain/0.42":                         ("e11077762ee262ca", "3234208803e83155", "aee022c09888268f", 149, 23),
-    "aligned/0":                          ("371ff63ad65e01eb", "0752f8302171cc74", "a0f506d07d25ab68", 427, 183),
-    "aligned/1":                          ("3d0daa2c665127a1", "8572062f10363b59", "a3687c2bd356aad9", 186, 92),
-    "aligned/2":                          ("b84456d34c76002d", "dc76b5c846b61209", "7969f6b0d43032d8", 173, 107),
-    "aligned/3":                          ("d35500d879429ca7", "ec7ea0587b5a6297", "3da4ffc08f19ebb9", 305, 132),
-    "aligned/4":                          ("66a97e1826d2c3e2", "40e35e4c31820c7e", "5ef57b640e4e9bc1", 256, 147),
-    "aligned/5":                          ("31b2d352404681c1", "f7cffec4bc3d3a95", "7601cd384c23f115", 567, 74),
-    "aligned/6":                          ("da9a672bba7b623c", "a0a29ddcaef80dad", "45e810b36a9a8cfc", 53, 24),
-    "aligned/7":                          ("9ae5d0101cf55d61", "c09c5f8cc200816b", "aef12ad072e3f65a", 220, 170),
+    "shipped/three_node_building":        ("0d1b2da9a39ad4dd", "cd3b0d10222e867d", "1846e71e446ef894", "23149ddef32f7037", 288, 3085),
+    "shipped/three_node_router_off":      ("a3426c9e60de759c", "19318079f5360c46", "bb32c0e7a17b7554", "ac6847a7cff15fe2", 96, 3085),
+    "shipped/lifetime_single_hop":        ("3978f7b473485098", "2afb34618f307dd4", "6634e3d7f818b896", "3453ae7a507efeb6", 283, 2880),
+    "shipped/lifetime_single_hop_to_death":("a889c52ccdf149b5", "2ac2f4b0ab47697d", "a97cc125312b3309", "566e6a96392e280f", 617, 6102),
+    "random/0":                           ("de39c42dd41da691", "325e2d441b1ca1b4", "dd8b8496d2fcba45", "5b44123ed8341295", 426, 194),
+    "random/1":                           ("4c32e78b9e6a0694", "34fbc2f3eb144f9f", "1b6b5f14575faae0", "082735ff08c67e29", 582, 172),
+    "random/2":                           ("71402fe30a4bd720", "aab55e04e72a6f04", "7bc626a18db19690", "808796d596387828", 792, 354),
+    "random/3":                           ("6d0f58af37bcf537", "50738c15a5aca6ab", "4f81a6cecd158d67", "7dac5722ef6b408b", 243, 55),
+    "random/4":                           ("03157c0afcb95829", "22b83f049d60dc1d", "aa79ac32bddc9257", "f28696cab6e549e7", 396, 132),
+    "random/5":                           ("d25793a0e60a5d46", "19318079f5360c46", "f4632e8bf8d6cbc8", "7aa10008ec9fe45e", 50, 101),
+    "random/6":                           ("31a418f99c91e459", "6ae9da55dd199236", "17df0a67443d44df", "4ed705ca01d5003b", 228, 115),
+    "random/7":                           ("d2b9847e30cb6da6", "ddffd88915d09677", "e7ab0a6dbaf61665", "0643d2e3545396eb", 276, 46),
+    "random/8":                           ("b953a422e15063e3", "15af0b97d5d24ae1", "c31b0ca8bec4a436", "4786cfd111861b68", 228, 114),
+    "random/9":                           ("413de67487887929", "847bf2c81d7b2d92", "61b50feb8058e175", "994eb522fd027429", 1617, 345),
+    "random/10":                          ("9bae9cdc25ebf4d5", "f9e5514db2561ac5", "b42ebcf902d4dbaa", "aa617ece8a345313", 1050, 279),
+    "random/11":                          ("8b04ca2d3b5c0697", "f3e27398cc91225f", "8175c2e1eb709d07", "eb1a0e86b4d976f0", 295, 100),
+    "random/12":                          ("8320756cf82982c3", "41830077b42defbc", "7b08d40e26144718", "6cf8ad6901b7e917", 585, 203),
+    "random/13":                          ("1682659b1f487729", "8145d54865a8612f", "95af55801c49c5d6", "3774f8b9ff3a496a", 3417, 464),
+    "random/14":                          ("e6fbee6a439e054f", "827e4722f1bc9b0d", "d2425225d5ce34fd", "38efadfbfeaf9cdd", 366, 186),
+    "random/15":                          ("925733e95e1155bb", "25a36f0ed6479729", "bbe060e76284f74d", "3d876189e814e7b5", 252, 128),
+    "random/16":                          ("3fb85c4bdebfad9b", "24e6ccc7edd8704e", "25c371f297fb9783", "164a2757b21016cb", 477, 161),
+    "random/17":                          ("a9cd402cda96cb4e", "323b02f3a679117d", "6ab1dd884a7a7564", "7cca6e7acf20490c", 516, 231),
+    "random/18":                          ("0fcb573b9469db7d", "d56a5619beb2b540", "42d952aa5970f75f", "fdf97e9f7fe68bd9", 612, 206),
+    "random/19":                          ("aedec0443e251ca1", "432fc7656976090d", "fd78a13d47f9a9ef", "35269c3fcb96029b", 684, 261),
+    "drain/0.3":                          ("2a57f9dcc1e722bc", "3d383e7d9102741c", "6c6d252acf3f1b7e", "e97a8cffda0acbf7", 125, 19),
+    "drain/0.35":                         ("40123ebcfbc3b0fa", "dac4c2d73e63dd2f", "8d6aad12216fe9a3", "353310057d49eea3", 134, 20),
+    "drain/0.36":                         ("93f8d974a23f3040", "dac4c2d73e63dd2f", "185e360118af3532", "6b67630b28f11b67", 136, 20),
+    "drain/0.42":                         ("e11077762ee262ca", "3234208803e83155", "aee022c09888268f", "7907d461fc6e1a8b", 149, 23),
+    "aligned/0":                          ("371ff63ad65e01eb", "0752f8302171cc74", "a0f506d07d25ab68", "ca7ec58007a55b4e", 427, 183),
+    "aligned/1":                          ("3d0daa2c665127a1", "8572062f10363b59", "a3687c2bd356aad9", "a045aa31200b32ab", 186, 92),
+    "aligned/2":                          ("b84456d34c76002d", "dc76b5c846b61209", "7969f6b0d43032d8", "ea7d9964c4ba9a9b", 173, 107),
+    "aligned/3":                          ("d35500d879429ca7", "ec7ea0587b5a6297", "3da4ffc08f19ebb9", "73b7e5efcf55c726", 305, 132),
+    "aligned/4":                          ("66a97e1826d2c3e2", "40e35e4c31820c7e", "5ef57b640e4e9bc1", "d33500a448bd5c4a", 256, 147),
+    "aligned/5":                          ("31b2d352404681c1", "f7cffec4bc3d3a95", "7601cd384c23f115", "e13ebc4e1fee450e", 567, 74),
+    "aligned/6":                          ("da9a672bba7b623c", "a0a29ddcaef80dad", "45e810b36a9a8cfc", "649752674d167734", 53, 24),
+    "aligned/7":                          ("9ae5d0101cf55d61", "c09c5f8cc200816b", "aef12ad072e3f65a", "92c5d41e8c4271c5", 220, 170),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_the_golden_run(name):
     sim = run_case(name)
-    report, samples, trace, events, elided = GOLDEN[name]
+    report, samples, trace, text, events, elided = GOLDEN[name]
     got = digests(sim)
-    assert (got["report"][:16], got["samples"][:16], got["trace"][:16]) == (
-        report, samples, trace)
+    assert (got["report"][:16], got["samples"][:16], got["trace"][:16], got["text"][:16]) == (
+        report, samples, trace, text)
     assert (sim.events_processed, sim.poll_wakes_elided) == (events, elided)
     stats_json = json.loads(report_json(sim))
     assert (stats_json["events_processed"], stats_json["poll_wakes_elided"]) == (

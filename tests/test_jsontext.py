@@ -1,15 +1,18 @@
 """dumps_indent2 writes the bytes of json.dumps(value, indent=2), through the
-C encoder, and holds less than the pure-Python encoder while it does."""
+C encoder or, without one, through the public encoder, and holds less than
+the pure-Python encoder while it does."""
 
 import json
+import json.encoder
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCENARIO_DIR, make_config
-from wsn_pathosim.jsontext import dumps_indent2
+from wsn_pathosim.jsontext import _level, dumps_indent2
 from wsn_pathosim.model import parse_scenario, serialize_scenario
 from wsn_pathosim.report import build_report, render_json
 from wsn_pathosim.simulation import Simulation
@@ -36,15 +39,63 @@ documents = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=200)
-@given(documents)
-@example({})
-@example([])
-@example({"a": {}, "b": [], "c": [[], {}], "d": [1, {"e": []}, 2.5, "x"]})
-@example({"é\x00": [math.nan, math.inf, -math.inf, -0.0, 1e300, 2 ** 100, -(2 ** 70)]})
-@example([True, False, None, {"k": [None]}, "☃\n\t\"\\"])
+EXAMPLES = (
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": [1, {"e": []}, 2.5, "x"]},
+    {"é\x00": [math.nan, math.inf, -math.inf, -0.0, 1e300, 2 ** 100, -(2 ** 70)]},
+    [True, False, None, {"k": [None]}, "☃\n\t\"\\"],
+    # runs of scalar and empty members between containers, at both ends
+    {"a": 1, "b": [], "c": {"d": [2]}, "e": None, "f": {}, "g": [3, [4]], "h": "x"},
+    [[1], 2, (), {}, 3.5, [[]], "y", [5], [], 6],
+)
+
+
+def on_documents(test):
+    """Run `test` on 200 drawn documents and on EXAMPLES."""
+    for value in EXAMPLES:
+        test = example(value)(test)
+    return settings(max_examples=200)(given(documents)(test))
+
+
+@contextmanager
+def without_c_encoder():
+    """dumps_indent2 as it runs where json.encoder.c_make_encoder is None;
+    yields the C encoder type it hides (None on an interpreter without)."""
+    c_make_encoder = json.encoder.c_make_encoder
+    json.encoder.c_make_encoder = None
+    _level.cache_clear()
+    try:
+        yield c_make_encoder
+    finally:
+        json.encoder.c_make_encoder = c_make_encoder
+        _level.cache_clear()
+
+
+@on_documents
 def test_dumps_indent2_is_json_dumps_indent_2(value):
     assert dumps_indent2(value) == json.dumps(value, indent=2)
+
+
+@on_documents
+def test_the_fallback_writer_is_json_dumps_indent_2(value):
+    with without_c_encoder() as c_make_encoder:
+        assert c_make_encoder is None or not isinstance(_level(0)[2], c_make_encoder)
+        assert dumps_indent2(value) == json.dumps(value, indent=2)
+
+
+def test_a_failed_call_leaves_no_state_behind():
+    """A C encoder that raises keeps the containers it was inside as
+    markers, and would take the same containers, written again once
+    mended, for a cycle; the encoders are built anew after an error."""
+    document = {"a": [1, {"b": [object()]}], "c": [[object()], 2]}
+    with pytest.raises(TypeError):
+        dumps_indent2(document)
+    document["a"][1]["b"][0] = 3
+    with pytest.raises(TypeError):
+        dumps_indent2(document)
+    document["c"][0][0] = None
+    assert dumps_indent2(document) == json.dumps(document, indent=2)
 
 
 def building_doc(devices: int) -> dict:

@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +156,44 @@ def test_a_device_builds_its_sensor_stream_at_its_first_step(seed):
             assert runtime.sensor_rng.seed == derive_seed(sim.seed, "sensor", runtime.spec.id)
         else:
             assert runtime.sensor_rng is None
+
+
+@pytest.mark.parametrize("case", [f"random/{seed}" for seed in range(8)]
+                         + ["drain/0.3", "aligned/0"])
+def test_a_timer_is_built_at_its_first_arm(case):
+    sim = run_case(case)
+    fresh = Simulation(sim.config)
+    # batteries that last past the first wake plan no real poll, and no
+    # device has woken yet, so none holds a timer
+    if case.startswith("random"):
+        assert all(runtime.real_poll is None and runtime.guard is None
+                   for runtime in fresh.runtimes.values())
+    assert fresh._timers == {}
+    for node, runtime in sim.runtimes.items():
+        if not runtime.is_end_device:
+            assert runtime.real_poll is None and runtime.guard is None
+            continue
+        # every device has woken, and an awake device arms its guard
+        assert runtime.guard is not None and runtime.guard.rank is None
+        if runtime.real_poll is not None:
+            assert runtime.real_poll.rank == runtime.poll_rank
+        session = sim.sessions[node]
+        if session.rounds_completed or session.rounds_aborted:
+            assert node in sim._timers
+    assert set(sim._timers) <= set(sim.sessions)
+    if case.startswith("drain"):  # dying devices make real polls
+        assert any(runtime.real_poll is not None for runtime in sim.runtimes.values())
+
+
+@pytest.mark.parametrize("case", ["shipped/three_node_building", "random/9", "random/13",
+                                  "aligned/0", "drain/0.3"])
+def test_samples_per_node_counts_the_records_in_first_record_order(case):
+    sim = run_case(case)
+    counts = sim.stats().samples_per_node
+    assert list(counts.items()) == list(Counter(record.node for record in sim.records).items())
+    assert sum(counts.values()) == len(sim.records) > 0
+    counts.clear()  # a snapshot: the next one still counts every record
+    assert sum(sim.stats().samples_per_node.values()) == len(sim.records)
 
 
 class SteppedSimulation(Simulation):
@@ -512,7 +551,7 @@ def test_a_guard_rearmed_to_its_deadline_keeps_its_event(three_node_config):
     runtime, queue, pending = sim.runtimes[2], sim.queue, len(sim.queue)
 
     def arm_guard(deadline):
-        return queue.arm(runtime.guard, deadline, EventKind.TIMER_FIRED, 2, deadline)
+        return queue.arm(runtime.guard_timer(), deadline, EventKind.TIMER_FIRED, 2, deadline)
 
     first = arm_guard(5_000_000)
     assert arm_guard(5_000_000) is first and runtime.guard.event is first
