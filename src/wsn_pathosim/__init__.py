@@ -17,8 +17,7 @@ from .propagation import (DEFAULT_PATH_LOSS_TABLE, LinkBudget, PathLossTable,
 from .sensors import (Constant, GaugeNotHeatedError, GaugeState, Ramp,
                       SensorKind, SensorSpec, Sinusoid, ground_truth, sample)
 from .power import (ConsumptionProfile, CyclicSleepConfig, PowerLedger,
-                    PowerState, average_current, cyclic_sleep_multiplier,
-                    estimate_lifetime, wake_timeline)
+                    PowerState, average_current, estimate_lifetime, wake_timeline)
 from .protocol import (ChecksumError, CoordinatorSession, EndDeviceState,
                        ErrorReason, FrameDecodeError, MessageFrame, MessageKind,
                        ParentTable, SampleRecord, build_parent_table,
@@ -44,7 +43,7 @@ __all__ = [
     "SchedulingInPastError", "SchemaError", "SensorKind", "SensorSpec",
     "SimEvent", "Simulation", "Sinusoid", "Ticks", "Timer", "UnknownNodeError",
     "US_PER_SECOND", "Violation", "average_current", "build_parent_table",
-    "build_report", "coordinator_step", "cyclic_sleep_multiplier",
+    "build_report", "coordinator_step",
     "decode_frame", "derive_seed", "encode_frame", "end_device_step",
     "err_payload", "estimate_lifetime", "free_space_loss", "ground_truth",
     "is_connected", "link_budget", "load_scenario", "measure_rssi",

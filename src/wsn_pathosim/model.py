@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .engine import has_finite_ticks, ticks_from_seconds
 from .jsontext import dumps_indent2
-from .power import ConsumptionProfile, cyclic_sleep_multiplier
+from .power import ConsumptionProfile
 from .sensors import Constant, Ramp, SensorKind, SensorSpec, Sinusoid
 
 DEFAULT_FLOOR_LOSS_DB = 13.08
@@ -697,11 +697,7 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                     rule="sample period must be >= poll period", node=prefix,
                     field="sample_period_s", message=f"{node.sample_period_s} < {poll_s}"))
             elif poll_ticks:
-                try:
-                    _, wake_s = cyclic_sleep_multiplier(node.sample_period_s, poll_s)
-                except ValueError:  # the ratio of the two periods overflows
-                    wake_s = math.inf
-                finite_ticks(wake_s, "sample_period_s", prefix, "wake period")
+                finite_ticks(node.sample_period_s, "sample_period_s", prefix, "sample period")
             window_s = config.poll_wake_duration_s
             if (poll_ticks and has_finite_ticks(window_s)
                     and poll_ticks <= ticks_from_seconds(window_s)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
-from .engine import Ticks
+from .engine import Ticks, has_finite_ticks, seconds_from_ticks, ticks_from_seconds
 
 TICKS_PER_HOUR = 3_600 * 1_000_000
 
@@ -71,47 +71,47 @@ class NonPositiveCurrentError(ValueError):
     """Average current must be > 0 for a lifetime to be finite."""
 
 
-def cyclic_sleep_multiplier(sample_period_s: float, poll_period_s: float) -> tuple[int, float]:
-    """Whole number of poll periods closest to the requested external period.
-
-    Returns (multiplier, effective_period_s): the radio can only wake on its
-    poll grid, so the externally requested period quantizes to
-    multiplier x poll_period with half-up rounding and a minimum of one.
-    A ratio of the two that overflows a float raises ValueError.
-    """
-    if sample_period_s <= 0 or poll_period_s <= 0:
-        raise NonPositivePeriodError(
-            f"periods must be positive, got sample={sample_period_s} poll={poll_period_s}")
-    ratio = sample_period_s / poll_period_s
-    if not math.isfinite(ratio):
-        raise ValueError(f"sample period {sample_period_s} s is not a finite number of"
-                         f" {poll_period_s} s poll periods")
-    multiplier = max(1, math.floor(ratio + 0.5))
-    return multiplier, multiplier * poll_period_s
-
-
 @dataclass(frozen=True)
 class CyclicSleepConfig:
-    """Resolved wake schedule for one End Device."""
+    """Resolved wake schedule for one End Device: it wakes every period_ticks,
+    a whole number (multiplier) of its poll periods."""
 
     sample_period_s: float
     poll_period_s: float
     multiplier: int
-    effective_period_s: float
+    period_ticks: Ticks
+
+    @property
+    def effective_period_s(self) -> float:
+        return seconds_from_ticks(self.period_ticks)
 
     @classmethod
     def from_periods(cls, sample_period_s: float, poll_period_s: float) -> "CyclicSleepConfig":
-        multiplier, effective = cyclic_sleep_multiplier(sample_period_s, poll_period_s)
-        return cls(sample_period_s, poll_period_s, multiplier, effective)
+        """The radio can only wake on its poll grid, so the requested sample
+        period quantizes to the closest whole number of polls, at least one,
+        with ties rounded up. Both periods are rounded to ticks first, and the
+        rule is applied in ticks."""
+        if sample_period_s <= 0 or poll_period_s <= 0:
+            raise NonPositivePeriodError(
+                f"periods must be positive, got sample={sample_period_s} poll={poll_period_s}")
+        for name, seconds in (("sample", sample_period_s), ("poll", poll_period_s)):
+            if not has_finite_ticks(seconds):
+                raise ValueError(f"{name} period {seconds} s is not a finite number of 1 us ticks")
+        sample_ticks = ticks_from_seconds(sample_period_s)
+        poll_ticks = ticks_from_seconds(poll_period_s)
+        if poll_ticks == 0:
+            raise ValueError(f"poll period {poll_period_s} s rounds to 0 ticks of 1 us")
+        multiplier = max(1, (2 * sample_ticks + poll_ticks) // (2 * poll_ticks))
+        return cls(sample_period_s, poll_period_s, multiplier, multiplier * poll_ticks)
 
 
 def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[float], list[float]]:
     """(poll wake times, external wake times) in seconds, within the horizon.
 
-    Polls land at k x poll_period for k >= 1; every multiplier-th poll is also
+    Polls land at k x poll ticks for k >= 1; every multiplier-th poll is also
     an external wake. t = 0 is not a wake. External wakes are a subset of the
-    poll wakes by construction; the simulator keeps that true in ticks by
-    waking every multiplier x (poll period in ticks).
+    poll wakes by construction, and are the simulator's own wakes while no
+    round overruns its period and no SET_PERIOD is committed.
 
     The simulator runs this grid without an event per poll: a poll that finds
     nothing buffered for the sleeping device, or the device awake, only books
@@ -119,18 +119,10 @@ def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[flo
     line; the run report counts them as poll_wakes_elided. Near a death, the
     first poll that PowerLedger.first_risky_poll cannot clear is an event.
     """
-    polls: list[float] = []
-    externals: list[float] = []
-    k = 1
-    while True:
-        t = k * config.poll_period_s
-        if t > horizon_s:
-            break
-        polls.append(t)
-        if k % config.multiplier == 0:
-            externals.append(t)
-        k += 1
-    return polls, externals
+    poll_ticks = config.period_ticks // config.multiplier
+    polls = range(poll_ticks, ticks_from_seconds(horizon_s) + 1, poll_ticks)
+    return ([seconds_from_ticks(t) for t in polls],
+            [seconds_from_ticks(t) for t in polls[config.multiplier - 1::config.multiplier]])
 
 
 def average_current(profile: ConsumptionProfile, cycle_s: float, active_s: float,
@@ -139,7 +131,7 @@ def average_current(profile: ConsumptionProfile, cycle_s: float, active_s: float
     active stretch of `active_s` seconds in `active_state`."""
     if cycle_s <= 0:
         raise NonPositivePeriodError(f"cycle must be positive, got {cycle_s}")
-    if active_s < 0 or active_s > cycle_s:
+    if not 0 <= active_s <= cycle_s:  # fails a nan active_s too
         raise ActiveExceedsCycleError(
             f"active time {active_s} s does not fit in a {cycle_s} s cycle")
     active_ma = profile.current_ma(active_state)

@@ -170,12 +170,6 @@ class NodeRuntime:
             self.guard = Timer()
         return self.guard
 
-    @property
-    def period_ticks(self) -> Ticks:
-        """The external-wake period: a whole number of polls."""
-        assert self.sleep is not None
-        return self.sleep.multiplier * self.ledger.poll_ticks
-
 
 @dataclass
 class NodeEnergy:
@@ -295,6 +289,8 @@ class Simulation:
                     for length in WIRE_LENGTHS}
             if node.role is NodeRole.END_DEVICE:
                 assert node.battery is not None and node.sample_period_s is not None
+                sleep = CyclicSleepConfig.from_periods(node.sample_period_s,
+                                                       node.radio.poll_period_s)
                 ledger = PowerLedger(profile=config.consumption,
                                      state=PowerState.SLEEPING,
                                      battery_capacity_mah=node.battery.capacity_mah,
@@ -304,8 +300,8 @@ class Simulation:
                 runtime = NodeRuntime(
                     spec=node, ledger=ledger, airtime=airtimes[bitrate],
                     device_state=EndDeviceState(node_id=node.id),
-                    sleep=CyclicSleepConfig.from_periods(node.sample_period_s,
-                                                         node.radio.poll_period_s))
+                    sleep=sleep, next_wake=sleep.period_ticks)
+                self.queue.schedule(sleep.period_ticks, EXTERNAL_WAKE, node.id, WAKE_STIMULUS)
             else:
                 runtime = NodeRuntime(spec=node, airtime=airtimes[bitrate], ledger=PowerLedger(
                     profile=config.consumption, state=PowerState.AWAKE_IDLE))
@@ -321,10 +317,6 @@ class Simulation:
             for device in config.end_devices()}
         self._timers: dict[int, Timer] = {}  # WARMUP_DONE/TIMEOUT, built at a session's first arm
 
-        for runtime in self._devices:
-            runtime.next_wake = runtime.period_ticks
-            self.queue.schedule(runtime.period_ticks, EXTERNAL_WAKE, runtime.spec.id,
-                                WAKE_STIMULUS)
         for runtime in self._devices:
             self._plan_poll(runtime)
 
@@ -542,16 +534,16 @@ class Simulation:
         if result.round_lost:
             runtime.rounds_lost += 1
             self._trace_action("round", runtime.spec.id, "outcome=lost", now)
+        sleep = runtime.sleep
+        assert sleep is not None
         if result.applied_period_s is not None:
-            assert runtime.sleep is not None
-            runtime.sleep = CyclicSleepConfig.from_periods(
-                result.applied_period_s, runtime.sleep.poll_period_s)
+            sleep = runtime.sleep = CyclicSleepConfig.from_periods(
+                result.applied_period_s, sleep.poll_period_s)
             self._trace_action(
                 "period", runtime.spec.id,
-                f"effective_s={runtime.sleep.effective_period_s!r}"
-                f" multiplier={runtime.sleep.multiplier}", now)
+                f"effective_s={sleep.effective_period_s!r} multiplier={sleep.multiplier}", now)
         # the first wake after now, on the grid of the wake that began the round
-        effective = runtime.period_ticks
+        effective = sleep.period_ticks
         next_wake = runtime.next_wake
         next_wake += effective * max(1, (now - next_wake) // effective + 1)
         runtime.next_wake = next_wake

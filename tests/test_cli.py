@@ -239,7 +239,28 @@ def test_lifetime_refuses_a_wake_period_past_the_last_finite_tick(tmp_path, caps
     path.write_text(json.dumps(doc))
     assert main(["lifetime", "--scenario", str(path), "--node", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error: sample period 1e+303 s is not a finite number of 1e-06 s poll periods\n")
+        "error: sample period 1e+303 s is not a finite number of 1 us ticks\n")
+
+
+def test_lifetime_refuses_a_poll_period_that_run_refuses(tmp_path, capsys):
+    doc = two_node_doc(sample_period_s=1.0)
+    doc["nodes"][1]["radio"] = {"poll_period_s": 1e-7}
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    assert _refused_run(tmp_path, doc).startswith("error: node 1.radio.poll_period_s")
+    assert main(["lifetime", "--scenario", str(path), "--node", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: poll period 1e-07 s rounds to 0 ticks of 1 us\n"
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_lifetime_refuses_a_nan_active_time(capsys, output):
+    assert main(["lifetime", "--scenario", LIFETIME, "--node", "1",
+                 "--active-s", "nan"] + output) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: active time nan s does not fit in a 1800.0 s cycle\n"
 
 
 def test_lifetime_rejects_the_coordinator(capsys):

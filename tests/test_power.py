@@ -8,8 +8,7 @@ from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 CyclicSleepConfig, NonPositiveCurrentError,
                                 NonPositivePeriodError, PowerLedger, PowerState,
                                 TICKS_PER_HOUR, average_current,
-                                cyclic_sleep_multiplier, estimate_lifetime,
-                                wake_timeline)
+                                estimate_lifetime, wake_timeline)
 from wsn_pathosim.simulation import Simulation
 
 PROFILE = ConsumptionProfile()
@@ -34,34 +33,48 @@ def test_profile_default_currents():
     (42.0, 28.0, 2, 56.0),    # exactly 1.5 rounds up
     (5.0, 28.0, 1, 28.0),     # never below one poll period
     (14.0, 28.0, 1, 28.0),    # exactly 0.5 rounds up to one
+    (0.35, 0.1, 4, 0.4),      # 3.5 polls in ticks, though 0.35 / 0.1 < 3.5 in floats
+    (0.15, 0.1, 2, 0.2),      # 1.5 polls in ticks, though 0.15 / 0.1 < 1.5 in floats
 ])
 def test_cyclic_sleep_quantization(sample, poll, multiplier, effective):
-    assert cyclic_sleep_multiplier(sample, poll) == (multiplier, effective)
+    sleep = CyclicSleepConfig.from_periods(sample, poll)
+    assert (sleep.multiplier, sleep.effective_period_s) == (multiplier, effective)
+    assert sleep.period_ticks == multiplier * round(poll * 1_000_000)
 
 
 def test_cyclic_sleep_rejects_non_positive_periods():
     with pytest.raises(NonPositivePeriodError):
-        cyclic_sleep_multiplier(0.0, 28.0)
+        CyclicSleepConfig.from_periods(0.0, 28.0)
     with pytest.raises(NonPositivePeriodError):
-        cyclic_sleep_multiplier(120.0, -1.0)
+        CyclicSleepConfig.from_periods(120.0, -1.0)
 
 
-def test_cyclic_sleep_rejects_a_ratio_that_overflows():
-    with pytest.raises(ValueError, match="not a finite number of 1e-06 s poll periods"):
-        cyclic_sleep_multiplier(1e303, 1e-6)
+def test_cyclic_sleep_rejects_a_period_past_the_last_finite_tick():
+    with pytest.raises(ValueError, match="sample period 1e\\+303 s is not a finite number of 1 us"):
+        CyclicSleepConfig.from_periods(1e303, 1e-6)
+    with pytest.raises(ValueError, match="poll period nan s is not a finite number of 1 us"):
+        CyclicSleepConfig.from_periods(120.0, math.nan)
+
+
+def test_cyclic_sleep_rejects_a_poll_period_of_no_tick():
+    with pytest.raises(ValueError, match="poll period 1e-07 s rounds to 0 ticks"):
+        CyclicSleepConfig.from_periods(1.0, 1e-7)
 
 
 @given(st.floats(min_value=0.1, max_value=10_000.0),
        st.floats(min_value=0.1, max_value=100.0))
 def test_effective_period_is_closest_poll_multiple(sample, poll):
-    multiplier, effective = cyclic_sleep_multiplier(sample, poll)
+    sleep = CyclicSleepConfig.from_periods(sample, poll)
+    sample_ticks, poll_ticks = round(sample * 1_000_000), round(poll * 1_000_000)
+    multiplier = sleep.multiplier
     assert multiplier >= 1
-    assert effective == multiplier * poll
-    # no other positive multiple is closer (half-up keeps ties at the upper one)
-    best = abs(effective - sample)
+    assert sleep.period_ticks == multiplier * poll_ticks
+    # no other positive multiple is closer in ticks, and a tie goes to the
+    # upper one, all in exact integer arithmetic
+    best = abs(sleep.period_ticks - sample_ticks)
     if multiplier >= 2:
-        assert abs((multiplier - 1) * poll - sample) >= best - 1e-9
-    assert abs((multiplier + 1) * poll - sample) >= best - 1e-9
+        assert abs((multiplier - 1) * poll_ticks - sample_ticks) >= best
+    assert abs((multiplier + 1) * poll_ticks - sample_ticks) > best
 
 
 def test_wake_timeline_polls_and_externals():
@@ -88,6 +101,11 @@ def test_average_current_bounds():
         average_current(PROFILE, 100.0, 101.0, PowerState.TRANSMITTING)
     with pytest.raises(NonPositivePeriodError):
         average_current(PROFILE, 0.0, 0.0, PowerState.TRANSMITTING)
+
+
+def test_average_current_rejects_a_nan_active_time():
+    with pytest.raises(ActiveExceedsCycleError):
+        average_current(PROFILE, 100.0, math.nan, PowerState.TRANSMITTING)
 
 
 def test_estimate_lifetime_oracle():

@@ -2,13 +2,14 @@ import logging
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
 from test_golden import aligned_doc, run_case
 from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, derive_seed, seconds_from_ticks, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
+from wsn_pathosim.power import wake_timeline
 from wsn_pathosim.protocol import route_path
 from wsn_pathosim.report import report_json, samples_csv
 from wsn_pathosim.simulation import InvalidScenarioError, Simulation
@@ -146,11 +147,11 @@ def test_a_device_builds_its_sensor_stream_at_its_first_step(seed):
     doc, _ = random_scenario_doc(seed)
     sim = Simulation(make_config(doc))
     devices = [runtime for runtime in sim.runtimes.values() if runtime.is_end_device]
-    first_wake = min(runtime.period_ticks for runtime in devices)
+    first_wake = min(runtime.sleep.period_ticks for runtime in devices)
     sim.run_until(seconds_from_ticks(first_wake - 1))
     assert all(runtime.sensor_rng is None for runtime in sim.runtimes.values())
     # past every device's first wake, each has run a round
-    sim.run_until(seconds_from_ticks(max(runtime.period_ticks for runtime in devices)))
+    sim.run_until(seconds_from_ticks(max(runtime.sleep.period_ticks for runtime in devices)))
     for runtime in sim.runtimes.values():
         if runtime.is_end_device:
             assert runtime.sensor_rng.seed == derive_seed(sim.seed, "sensor", runtime.spec.id)
@@ -453,6 +454,84 @@ def test_external_wakes_are_poll_ticks_for_any_poll_period(poll_s, ratio, new_pe
     wakes += _external_wake_ticks(sim, horizon_s + 2 * new_period_s)
     assert wakes
     assert all(tick % poll == 0 for tick in wakes)
+
+
+@st.composite
+def _wake_runs(draw):
+    """A scenario, its horizon in seconds and, in some runs, one SET_PERIOD
+    (device, injection time, period). The off-grid scenarios put periods
+    anywhere in 0.1-7 s (poll) and up to 19.99 s (sample), not on the 0.01 s
+    grid of the other two."""
+    family = draw(st.sampled_from(("random", "aligned", "off_grid")))
+    seed = draw(st.integers(min_value=0, max_value=500))
+    if family == "aligned":
+        doc, horizon_s = aligned_doc(seed), 40.0
+    else:
+        doc, horizon_s = random_scenario_doc(seed)
+        horizon_s *= 3
+    if family == "off_grid":
+        doc["defaults"]["poll_wake_duration_s"] = 0.05
+        for node in doc["nodes"]:
+            if node["role"] == "end_device":
+                poll = draw(st.floats(min_value=0.1, max_value=7.0))
+                node["radio"]["poll_period_s"] = poll
+                node["sample_period_s"] = draw(st.floats(min_value=max(0.01, poll),
+                                                         max_value=19.99))
+        horizon_s = 60.0
+    devices = [node["id"] for node in doc["nodes"] if node["role"] == "end_device"]
+    command = draw(st.none() | st.tuples(st.sampled_from(devices),
+                                         st.floats(min_value=0.0, max_value=horizon_s / 2),
+                                         st.integers(min_value=1, max_value=30)))
+    return doc, horizon_s, command
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wake_runs())
+def test_external_wakes_keep_the_schedule_in_ticks(run):
+    doc, horizon_s, command = run
+    sim = Simulation(make_config(doc), trace=True)
+    schedules = {node: runtime.sleep for node, runtime in sim.runtimes.items()
+                 if runtime.is_end_device}
+    if command is not None:
+        device, at_s, period_s = command
+        sim.run_until(at_s)
+        sim.inject_set_period(device, period_s)
+    sim.run_until(horizon_s)
+    lines = [line.split("\t") for line in sim.trace_text().splitlines()]
+    for node, sleep in schedules.items():
+        poll_ticks = sleep.period_ticks // sleep.multiplier
+        period = sleep.period_ticks
+        wakes: list[int] = []
+        committed = None  # how many wakes came before the first commit
+        for tick, _, kind, who, detail in lines:
+            if who != str(node):
+                continue
+            if kind == "external_wake":
+                if wakes:
+                    # a round that overran its period skips grid wakes
+                    gap = int(tick) - wakes[-1]
+                    assert gap > 0 and gap % period == 0
+                    if gap > period:
+                        event("a round overran its period")
+                wakes.append(int(tick))
+            elif kind == "period":  # a commit: the period from the next wake on
+                fields = dict(item.split("=") for item in detail.split())
+                period = ticks_from_seconds(float(fields["effective_s"]))
+                assert period == int(fields["multiplier"]) * poll_ticks
+                committed = len(wakes) if committed is None else committed
+                event("a SET_PERIOD commit")
+        dead_at = sim.runtimes[node].ledger.dead_at
+        if not wakes:  # only a battery empty before the first wake has none
+            assert dead_at is not None and dead_at <= sleep.period_ticks
+            continue
+        assert seconds_from_ticks(wakes[0]) == sleep.effective_period_s
+        # up to the first skipped grid wake or commit, the grid wake_timeline lists
+        first = wakes[:committed]
+        on_grid = next((i for i, tick in enumerate(first)
+                        if tick != (i + 1) * sleep.period_ticks), len(first))
+        short_s = seconds_from_ticks(wakes[on_grid - 1])
+        assert wake_timeline(sleep, short_s)[1] == [seconds_from_ticks(tick)
+                                                    for tick in wakes[:on_grid]]
 
 
 def _watch_timers(sim: Simulation) -> list[tuple[str, bool]]:
