@@ -25,7 +25,7 @@ from . import report
 from .model import NodeRole, ScenarioError, load_scenario
 from .power import (CyclicSleepConfig, PowerState, average_current, estimate_lifetime)
 from .propagation import is_connected, link_budget
-from .simulation import Simulation
+from .simulation import Simulation, check_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -117,19 +117,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _write_outputs(sim: Simulation, out_dir: str, trace_path: str | None) -> str:
-    """Write every output from one report; return the text of report.txt."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "samples.csv").write_text(report.samples_csv(sim))
-    numbers = report.build_report(sim)
-    text = report.render_text(numbers)
-    (out / "report.json").write_text(report.render_json(numbers))
-    (out / "report.txt").write_text(text)
+def _write_outputs(sim: Simulation, out_dir: str | None, trace_path: str | None) -> str:
+    """Write every output from one report into out_dir and the trace to
+    trace_path, each if given, making missing directories; return the text
+    of report.txt ("" without out_dir)."""
+    text = ""
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "samples.csv").write_text(report.samples_csv(sim))
+        numbers = report.build_report(sim)
+        text = report.render_text(numbers)
+        (out / "report.json").write_text(report.render_json(numbers))
+        (out / "report.txt").write_text(text)
     if trace_path is not None:
         trace = Path(trace_path)
-        if trace.parent != Path(""):
-            trace.parent.mkdir(parents=True, exist_ok=True)
+        trace.parent.mkdir(parents=True, exist_ok=True)
         trace.write_text(sim.trace_text())
     return text
 
@@ -143,7 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_linkbudget(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    config = check_scenario(load_scenario(args.scenario))  # refused as run refuses it
     if args.src == args.dst:
         print("error: --from and --to must differ", file=sys.stderr)
         return 2
@@ -178,13 +181,13 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    config = check_scenario(load_scenario(args.scenario))  # refused as run refuses it
     node = config.node(args.node)
-    if node.role is not NodeRole.END_DEVICE or node.battery is None \
-            or node.sample_period_s is None:
+    if node.role is not NodeRole.END_DEVICE:
         print(f"error: node {args.node} is not a battery-powered end device",
               file=sys.stderr)
         return 2
+    assert node.battery is not None and node.sample_period_s is not None  # validated
     sleep = CyclicSleepConfig.from_periods(node.sample_period_s,
                                            node.radio.poll_period_s)
     state = _ACTIVE_STATES[args.active_state]
@@ -281,10 +284,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 print(f"unknown command: {line.strip()}")
         except (ScenarioError, ValueError, OSError) as exc:
             print(f"error: {exc}")
-    if args.out is not None:
-        _write_outputs(sim, args.out, args.trace)
-    elif args.trace is not None:
-        Path(args.trace).write_text(sim.trace_text())
+    _write_outputs(sim, args.out, args.trace)
     return 0
 
 

@@ -33,6 +33,10 @@ class PowerState(Enum):
 # __getattr__, which turns every PowerState.SLEEPING-style read into a generic
 # attribute lookup of about 150 ns, against about 14 ns for a module global.
 SLEEPING, AWAKE_IDLE, TRANSMITTING, DEAD = PowerState
+_DRAWING = (SLEEPING, AWAKE_IDLE, TRANSMITTING)  # the states _consumed sums, in its order
+# Every ledger's tick totals start as a copy of this: on CPython 3.11 a copy
+# takes about 0.1 us, iterating the Enum for each ledger about 2.4 us.
+_NO_TICKS = dict.fromkeys(PowerState, 0)
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,10 @@ class PowerLedger:
     decides both which poll the simulator makes its first real poll near a
     death and how many polls book_polls books at once in closed form.
 
+    durations holds a tick total for every state from construction, 0 at
+    first, and the charge is summed over them in a fixed order (_consumed),
+    so it depends on the totals alone, not on the order of the bookings.
+
     Mains-powered nodes pass battery capacity None and simply accumulate
     consumption. Battery nodes die the exact tick their charge crosses zero;
     from then on the state is DEAD and nothing accrues, polls included.
@@ -183,7 +191,7 @@ class PowerLedger:
     battery_remaining_mah: float | None = None
     cursor: Ticks = 0
     dead_at: Ticks | None = None
-    durations: dict[PowerState, int] = field(default_factory=dict)
+    durations: dict[PowerState, int] = field(default_factory=_NO_TICKS.copy)
     poll_ticks: Ticks = 0
     poll_window: Ticks = 0
     next_poll: Ticks | None = None
@@ -212,7 +220,7 @@ class PowerLedger:
         return _consumed(self._current, self.durations)
 
     def duration_ticks(self, state: PowerState) -> int:
-        return self.durations.get(state, 0)
+        return self.durations[state]
 
     def advance(self, now: Ticks) -> None:
         """Book the grid polls before `now`, then integrate the current state
@@ -244,8 +252,7 @@ class PowerLedger:
         (lag - 1) // (poll_ticks - window) + 1 polls. Tick totals are
         integers, so adding k cycles gives the totals of k steps, and the
         remaining charge re-derived from them has the same bits. Any other
-        poll is stepped, as is a state's first booking (that keeps the
-        dict's key order)."""
+        poll is stepped."""
         poll_ticks = self.poll_ticks
         durations = self.durations
         while (first := self.next_poll) is not None and first < before and self.dead_at is None:
@@ -257,10 +264,6 @@ class PowerLedger:
                 shifted = (lag - 1) // (poll_ticks - window) + 1
                 if shifted < count:
                     count = shifted
-            elif base not in durations:
-                count = 0
-            if window and AWAKE_IDLE not in durations:
-                count = 0
             if count > 1:  # the bound last: it is the dearest of the limits
                 risky = self.first_risky_poll()
                 if risky is not None and risky <= first + (count - 1) * poll_ticks:
@@ -342,8 +345,7 @@ class PowerLedger:
     def _integrate(self, now: Ticks) -> None:
         """Book the span from the cursor to `now` in the current state. A
         battery that runs out inside it books only the live part, and the
-        rest as DEAD. The tick totals are added to in place, so a state keeps
-        the place in the dict of its first booking."""
+        rest as DEAD."""
         cursor = self.cursor
         if now <= cursor:
             return
@@ -358,21 +360,19 @@ class PowerLedger:
             if current * span / TICKS_PER_HOUR >= remaining:
                 # Died partway through the span: book only the live part.
                 live = min(math.floor(remaining * TICKS_PER_HOUR / current), span)
-                if live > 0:
-                    durations[state] = durations.get(state, 0) + live
-                if span > live:
-                    durations[DEAD] = durations.get(DEAD, 0) + span - live
+                durations[state] += live
+                durations[DEAD] += span - live
                 self.battery_remaining_mah = 0.0
                 self.dead_at = cursor + live
                 self.state = DEAD
                 return
-            durations[state] = durations.get(state, 0) + span
+            durations[state] += span
             # Re-derive from the tick totals rather than subtracting demand:
             # the result is then independent of how often advance() was called.
             self.battery_remaining_mah = (self._initial_remaining_mah
                                           - _consumed(currents, durations))
             return
-        durations[state] = durations.get(state, 0) + span
+        durations[state] += span
 
     def _poll_step(self, tick: Ticks) -> bool:
         """One grid poll: the span up to it, then its window if asleep."""
@@ -397,11 +397,15 @@ class PowerLedger:
 
 
 def _consumed(currents: dict[PowerState, float], durations: dict[PowerState, int]) -> float:
-    """Charge (mAh) drawn over the tick totals, summed left to right in the
-    dict's order. Not sum(): from Python 3.12 it compensates float rounding,
-    so its bits would depend on the interpreter. Starts from the int 0, as
-    sum() does, so an empty ledger still reports 0."""
+    """Charge (mAh) drawn over the tick totals: current x ticks of SLEEPING,
+    AWAKE_IDLE and TRANSMITTING, summed left to right in that order, so its
+    bits depend on the totals alone. DEAD draws nothing. Not sum(): from
+    Python 3.12 it compensates float rounding, so its bits would depend on
+    the interpreter. Starts from the int 0, as sum() does, and skips zero
+    totals, so a ledger that booked no live tick still reports 0."""
     total: float = 0
-    for state, ticks in durations.items():
-        total += currents[state] * ticks / TICKS_PER_HOUR
+    for state in _DRAWING:
+        ticks = durations[state]
+        if ticks:
+            total += currents[state] * ticks / TICKS_PER_HOUR
     return total

@@ -128,6 +128,15 @@ class InvalidScenarioError(ScenarioError):
         self.violations = violations
 
 
+def check_scenario(config: ScenarioConfig) -> ScenarioConfig:
+    """The config, if validate_scenario finds no violation in it; else
+    InvalidScenarioError."""
+    violations = validate_scenario(config)
+    if violations:
+        raise InvalidScenarioError(violations)
+    return config
+
+
 @dataclass(slots=True)
 class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
@@ -238,10 +247,7 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
                  trace: bool = False) -> None:
-        violations = validate_scenario(config)
-        if violations:
-            raise InvalidScenarioError(violations)
-        self.config = config
+        self.config = check_scenario(config)
         self.seed = config.seed if seed is None else seed
         self.queue = EventQueue()
         self.parent_table: ParentTable = build_parent_table(config)
@@ -270,7 +276,8 @@ class Simulation:
             FRAME_DELIVERED: self._on_frame,
             WARMUP_DONE: self._on_session_timer,
             TIMEOUT: self._on_session_timer,
-            COMMAND_INJECTED: self._on_command}
+            COMMAND_INJECTED: self._on_command,
+            POLL_WAKE: self._on_poll_wake}
         self._coord_seq = 0
         self._routes: dict[tuple[int, int], list[int] | None] = {}
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
@@ -387,7 +394,7 @@ class Simulation:
             consumed = ledger.consumed_mah
             energy[node_id] = NodeEnergy(
                 durations_s={_STATE_NAME[state]: ticks / 1e6
-                             for state, ticks in ledger.durations.items()},
+                             for state, ticks in ledger.durations.items() if ticks},
                 consumed_mah=consumed,
                 average_ma=(consumed / elapsed_h) if elapsed_h > 0 else None,
                 battery_capacity_mah=ledger.battery_capacity_mah,
@@ -423,14 +430,13 @@ class Simulation:
 
     def _dispatch(self, event: SimEvent) -> None:
         kind = event.kind
-        if kind is POLL_WAKE:
-            self._on_poll_wake(event)
-            return
         runtime = self.runtimes[event.node]
         now = event.at
         ledger = runtime.ledger
         device = runtime.is_end_device
-        if device and self._polls_ran >= (now, runtime.poll_rank):
+        if kind is POLL_WAKE:  # _on_poll_wake books it if the battery lasts to now
+            self._polls_ran = (now, runtime.poll_rank)
+        elif device and self._polls_ran >= (now, runtime.poll_rank):
             ledger.poll(now)  # scheduled while its tick's polls run, after its own
         ledger.advance(now)
         if ledger.dead_at is not None:
@@ -446,27 +452,21 @@ class Simulation:
         if device:
             self._plan_poll(runtime)
 
-    def _on_poll_wake(self, event: SimEvent) -> None:
-        """A real poll: the battery may be found empty, and frames buffered
-        for a sleeping device are delivered."""
-        node_id, now = event.node, event.at
-        runtime = self.runtimes[node_id]
-        self._polls_ran = (now, runtime.poll_rank)
+    # The handlers of every kind: (node the event is for, payload, clock).
+
+    def _on_poll_wake(self, runtime: NodeRuntime, payload: None, now: Ticks) -> None:
+        """A real poll of a device found alive at its tick: its window is
+        booked, and frames buffered for a sleeping device are delivered."""
         ledger = runtime.ledger
-        if not ledger.poll(now):
-            assert ledger.dead_at is not None, "a real poll at a tick whose poll is booked"
-            self._note_death(runtime, now)
-            self.dead_skips += 1
-            return
+        found_alive = ledger.poll(now)
+        assert found_alive, "a real poll at a tick whose poll is booked"
         self._real_polls += 1
-        self.events_processed += 1
-        if self.trace_enabled:
-            self._trace_event(event)
         if ledger.dead_at is not None:  # ran out inside the poll window
             self._note_death(runtime, now)
             return
         state = runtime.device_state
         assert state is not None
+        node_id = runtime.spec.id
         buffer = self.parent_table.buffers.get(node_id)
         parent_id = self.parent_table.parent.get(node_id)
         while state.phase is PHASE_SLEEPING and buffer and parent_id is not None:
@@ -478,9 +478,6 @@ class Simulation:
             if self.trace_enabled:
                 self._trace_action("deliver", node_id, _frame_detail(delivered), now)
             self._on_frame(runtime, delivered, now)
-        self._plan_poll(runtime)
-
-    # The handlers of every kind but POLL_WAKE: (node the event is for, payload, clock).
 
     def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
         """Step the device's state machine and carry its result out."""
@@ -674,9 +671,7 @@ class Simulation:
 
     def _settle_ledgers(self, limit: Ticks) -> None:
         for runtime in self.runtimes.values():
-            if runtime.is_end_device:
-                runtime.ledger.poll(limit)  # every poll up to the horizon has run
-            runtime.ledger.advance(limit)
+            runtime.ledger.poll(limit)  # every poll up to the horizon has run (mains: none)
             if runtime.ledger.dead_at is not None:
                 self._note_death(runtime, limit)
 

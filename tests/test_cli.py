@@ -233,25 +233,54 @@ def test_lifetime_text_output(capsys):
     assert "lifetime          52.13 h" in out
 
 
+def _refused_as_run_refuses(tmp_path, capsys, doc: dict, argv: list[str]) -> str:
+    """Check that the subcommand of argv (without --scenario) refuses the
+    scenario as run does: exit 2, nothing on stdout and run's one stderr
+    line. Returns that line."""
+    line = _refused_run(tmp_path, doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv[:1] + ["--scenario", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    return line
+
+
 def test_lifetime_refuses_a_wake_period_past_the_last_finite_tick(tmp_path, capsys):
     doc = two_node_doc(sample_period_s=1e303, poll_period_s=1e-6)
-    path = tmp_path / "long.json"
-    path.write_text(json.dumps(doc))
-    assert main(["lifetime", "--scenario", str(path), "--node", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: sample period 1e+303 s is not a finite number of 1 us ticks\n")
+    line = _refused_as_run_refuses(tmp_path, capsys, doc, ["lifetime", "--node", "1"])
+    assert line.startswith("error: node 1.sample_period_s: sample period must be a finite")
 
 
 def test_lifetime_refuses_a_poll_period_that_run_refuses(tmp_path, capsys):
     doc = two_node_doc(sample_period_s=1.0)
     doc["nodes"][1]["radio"] = {"poll_period_s": 1e-7}
-    path = tmp_path / "fast.json"
-    path.write_text(json.dumps(doc))
-    assert _refused_run(tmp_path, doc).startswith("error: node 1.radio.poll_period_s")
-    assert main(["lifetime", "--scenario", str(path), "--node", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: poll period 1e-07 s rounds to 0 ticks of 1 us\n"
+    line = _refused_as_run_refuses(tmp_path, capsys, doc, ["lifetime", "--node", "1"])
+    assert line.startswith("error: node 1.radio.poll_period_s")
+
+
+def _sample_faster_than_poll() -> dict:
+    return two_node_doc(sample_period_s=5.0)  # on 28 s polls
+
+
+def _wall_that_amplifies() -> dict:
+    doc = two_node_doc()
+    doc["obstacles"] = [{"kind": "brick_wall", "from": {"x": 1.0, "y": -1.0},
+                         "to": {"x": 1.0, "y": 1.0}, "attenuation_db": -5}]
+    return doc
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [["lifetime", "--node", "1"],
+                                  ["linkbudget", "--from", "1", "--to", "0"]])
+@pytest.mark.parametrize("doc, rule", [
+    (_sample_faster_than_poll(), "sample period must be >= poll period (5.0 < 28.0)"),
+    (_wall_that_amplifies(), "obstacle attenuation must be >= 0"),
+])
+def test_every_subcommand_refuses_what_run_refuses(tmp_path, capsys, doc, rule, argv, output):
+    line = _refused_as_run_refuses(tmp_path, capsys, doc, argv + output)
+    assert line.endswith(rule)
 
 
 @pytest.mark.parametrize("output", [[], ["--json"]])
@@ -317,6 +346,32 @@ def test_repl_outputs_match_a_straight_run(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     for name in ("samples.csv", "report.json", "report.txt", "trace.tsv"):
         assert (repl_out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_repl_writes_a_trace_without_outputs_into_a_new_directory(tmp_path, capsys,
+                                                                  monkeypatch):
+    run_out = tmp_path / "run"
+    assert main(["run", "--scenario", THREE_NODE, "--until", "7200",
+                 "--out", str(run_out), "--trace", str(run_out / "trace.tsv")]) == 0
+    trace = tmp_path / "sub" / "dir" / "t.tsv"
+    code = _run_repl(monkeypatch, ["run-until 7200", "quit"],
+                     ["--scenario", THREE_NODE, "--trace", str(trace)])
+    assert code == 0
+    capsys.readouterr()
+    assert trace.read_bytes() == (run_out / "trace.tsv").read_bytes()
+
+
+def test_a_run_to_zero_reports_no_charge(tmp_path, capsys):
+    """A ledger that booked no tick lists no state and reports the int 0."""
+    assert main(["run", "--scenario", THREE_NODE, "--until", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "report.json").read_text()
+    power = json.loads(text)["power"]
+    assert len(power) == 3
+    for entry in power.values():
+        assert entry["state_durations_s"] == {}
+        assert type(entry["consumed_mah"]) is int and entry["consumed_mah"] == 0
+    assert text.count('"consumed_mah": 0,') == 3
 
 
 def test_repl_reports_a_bad_dump_path_and_carries_on(tmp_path, capsys, monkeypatch):

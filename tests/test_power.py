@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import pytest
@@ -223,6 +224,35 @@ def test_ledger_durations_always_sum_to_elapsed_time(steps):
     assert ledger.conservation_error_mah() < 1e-6
 
 
+LIVE_STATES = [PowerState.SLEEPING, PowerState.AWAKE_IDLE, PowerState.TRANSMITTING]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 400 * 86400 * S), min_size=3, max_size=3),
+       st.one_of(st.just(PROFILE), st.lists(st.floats(0.0, 150.0), min_size=3, max_size=3)
+                 .map(lambda currents: ConsumptionProfile(*currents))),
+       st.one_of(st.none(), st.floats(1.0, 2.0)))
+def test_the_charge_depends_only_on_the_tick_totals(totals, profile, headroom):
+    """Ledgers that book the same tick total per state, their first
+    bookings in any order, report the same consumed and remaining charge
+    to the bit. A battery, when there is one, outlasts the totals."""
+    drawn = sum(profile.current_ma(state) * ticks / TICKS_PER_HOUR
+                for state, ticks in zip(LIVE_STATES, totals))
+    capacity = None if headroom is None else headroom * drawn + 1.0
+    seen = set()
+    for order in itertools.permutations(zip(LIVE_STATES, totals)):
+        ledger = PowerLedger(profile=profile, state=order[0][0],
+                             battery_capacity_mah=capacity)
+        now = 0
+        for state, ticks in order:
+            ledger.set_state(state, now)
+            now += ticks
+        ledger.advance(now)
+        assert not ledger.is_dead
+        seen.add((repr(ledger.consumed_mah), repr(ledger.battery_remaining_mah)))
+    assert len(seen) == 1
+
+
 # ---------------------------------------------------------------------------
 # Poll grid booked in closed form
 # ---------------------------------------------------------------------------
@@ -290,7 +320,7 @@ def test_closed_form_poll_grid_matches_the_per_poll_loop(case):
     ledger = _grid_ledger(profile, state, capacity, cursor, poll, window)
     for stop in stops:
         ledger.advance(stop)
-    # the dict's key order is compared too: it orders the float sum
+    # every state's tick total, DEAD included
     assert list(ledger.durations.items()) == list(reference.durations.items())
     assert ledger.battery_remaining_mah == reference.battery_remaining_mah  # same bits
     assert (ledger.dead_at, ledger.cursor, ledger.state) == (
@@ -312,7 +342,8 @@ def test_no_poll_before_the_first_risky_poll_finds_the_battery_empty(case):
     if death_poll is not None:
         assert risky is not None and risky <= death_poll
     assert risky is None or (risky >= ledger.next_poll and (risky - ledger.next_poll) % poll == 0)
-    assert ledger.durations == {} and ledger.cursor == cursor  # the bound books nothing
+    # the bound books nothing
+    assert set(ledger.durations.values()) == {0} and ledger.cursor == cursor
 
 
 @pytest.mark.parametrize("capacity, inside", [
@@ -622,9 +653,6 @@ class ReferenceLedger(PowerLedger):
             self.durations[state] = self.durations.get(state, 0) + span
 
 
-LIVE_STATES = [PowerState.SLEEPING, PowerState.AWAKE_IDLE, PowerState.TRANSMITTING]
-
-
 @st.composite
 def ledger_scripts(draw):
     """A ledger's settings and a script of calls at non-decreasing clock
@@ -673,7 +701,7 @@ def _compare_with_reference(profile, state, capacity, poll, window, calls):
                                            window, calls)
     reference, expected, _ = _run_script(ReferenceLedger, profile, state, capacity, poll,
                                          window, calls)
-    # the dict's key order is compared too: it orders the float sum
+    # every state's tick total, DEAD included
     assert list(ledger.durations.items()) == list(reference.durations.items())
     assert ledger.battery_remaining_mah == reference.battery_remaining_mah  # same bits
     assert (ledger.dead_at, ledger.cursor, ledger.state, ledger.next_poll, ledger.polls) == (
