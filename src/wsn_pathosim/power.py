@@ -34,9 +34,7 @@ class PowerState(Enum):
 # attribute lookup of about 150 ns, against about 14 ns for a module global.
 SLEEPING, AWAKE_IDLE, TRANSMITTING, DEAD = PowerState
 _DRAWING = (SLEEPING, AWAKE_IDLE, TRANSMITTING)  # the states _consumed sums, in its order
-# Every ledger's tick totals start as a copy of this: on CPython 3.11 a copy
-# takes about 0.1 us, iterating the Enum for each ledger about 2.4 us.
-_NO_TICKS = dict.fromkeys(PowerState, 0)
+_NO_TICKS = dict.fromkeys(PowerState, 0)  # copied per ledger: 25x cheaper than the Enum walk
 
 
 @dataclass(frozen=True)
