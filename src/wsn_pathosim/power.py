@@ -179,8 +179,14 @@ class PowerLedger:
     so it depends on the totals alone, not on the order of the bookings.
 
     Mains-powered nodes pass battery capacity None and simply accumulate
-    consumption. Battery nodes die the exact tick their charge crosses zero;
-    from then on the state is DEAD and nothing accrues, polls included.
+    consumption. A ledger with neither a battery nor a poll grid has no
+    death or poll to find in a span, so charge_slice books a slice on it in
+    place, without advance or _integrate: two integer adds to durations
+    (the gap from the cursor to the slice in the base state, then the
+    slice) and the cursor moved past the slice. The totals are those the
+    general path books, so the charge has the same bits. Battery nodes die
+    the exact tick their charge crosses zero; from then on the state is
+    DEAD and nothing accrues, polls included.
     """
 
     profile: ConsumptionProfile
@@ -303,11 +309,16 @@ class PowerLedger:
         if self.dead_at is not None or next_poll is None:
             return next_poll
         remaining = self.battery_remaining_mah
-        top = max(self._current[self.state], self._current[AWAKE_IDLE])
+        # max() of two floats, written out: the same float, without the calls
+        top, idle = self._current[self.state], self._current[AWAKE_IDLE]
+        if idle > top:
+            top = idle
         if remaining is None or top <= 0:
             return None
-        margin = 1e-9 * max(self._initial_remaining_mah, 1.0)
-        reach = max(0.0, remaining - margin) * TICKS_PER_HOUR / top * (1 - 1e-9)
+        initial = self._initial_remaining_mah
+        margin = 1e-9 * (1.0 if 1.0 > initial else initial)
+        left = remaining - margin
+        reach = (left if left > 0.0 else 0.0) * TICKS_PER_HOUR / top * (1 - 1e-9)
         if not math.isfinite(reach):
             return None
         lag = self.cursor - next_poll
@@ -330,6 +341,15 @@ class PowerLedger:
     def charge_slice(self, state: PowerState, duration: Ticks, now: Ticks) -> None:
         """Book a transient excursion of `duration` starting at `now` (or at
         the cursor, if later), returning to the current base state after."""
+        if self.battery_remaining_mah is None and self.next_poll is None:  # mains: in place
+            durations = self.durations
+            cursor = self.cursor
+            if now > cursor:
+                durations[self.state] += now - cursor
+                cursor = now
+            durations[state] += duration
+            self.cursor = cursor + duration
+            return
         self.advance(now)
         if self.dead_at is not None:
             self._integrate(self.cursor + duration)  # all of it DEAD

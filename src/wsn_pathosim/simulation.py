@@ -26,8 +26,17 @@ hops few. Its conventions:
   keywords took twice as long. A NamedTuple compares as a tuple, so record
   types are told apart by type, never by ==. tests/test_records.py holds
   all of this.
-- PowerLedger books a span in place: no helper call per span.
-- A trace line is formatted only when tracing is on.
+- PowerLedger books a span in place: no helper call per span, and a
+  mains ledger books a slice as two adds.
+- A route is resolved once per (src, dst) into Hops: the destination's
+  runtime and the runtimes that send on the way. A frame then charges its
+  senders and draws its RSSI from the last hop's link without looking a
+  node up.
+- A trace line is formatted only when tracing is on. The send and
+  frame_delivered lines, one per frame each, are each one f-string over
+  the frame's fields.
+- stats() reads the frames in flight from a counter: +1 when a delivery is
+  scheduled, -1 when one pops, dispatched or dead-skipped.
 - An End Device's sensor stream (NodeRuntime.sensor_rng) is built at the
   device's first step, from the same derived seed, and every Timer at its
   first arm: a 1000-device building whose devices do not sample within the
@@ -48,9 +57,9 @@ from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNo
                     Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
 from .propagation import link_budget, select_channel
-from .protocol import (PARENT_BUFFER_CAPACITY, WIRE_LENGTHS, CoordinatorSession,
-                       CoordinatorStimulus, DeliveredFrame, DevicePhase, DeviceStepResult,
-                       DeviceStimulus, EndDeviceState, ExternalWakeStimulus,
+from .protocol import (_KIND_NAME, FRAME_OVERHEAD, PARENT_BUFFER_CAPACITY, WIRE_LENGTHS,
+                       CoordinatorSession, CoordinatorStimulus, DeliveredFrame, DevicePhase,
+                       DeviceStepResult, DeviceStimulus, EndDeviceState, ExternalWakeStimulus,
                        GuardExpiredStimulus, MessageFrame, MessageKind, ParentTable,
                        ResponseTimeoutStimulus, SampleRecord, WarmupDoneStimulus,
                        build_parent_table, coordinator_step, end_device_step, route_path,
@@ -96,22 +105,17 @@ class SetPeriodCommand(NamedTuple):
     seconds: int
 
 
-def _frame_detail(delivered: DeliveredFrame) -> str:
-    """Trace detail of a frame_delivered event and of a deliver action."""
-    return f"{delivered.frame.summary()} rssi={delivered.rssi_dbm!r}"
-
-
 # The trace kind column of each event kind and the report key of each power
 # state, read once: Enum.value goes through a Python-level descriptor on
 # every read.
 _EVENT_NAME = {kind: kind.value for kind in EventKind}
 _STATE_NAME = {state: state.value for state in PowerState}
 
-# The trace detail of each event kind, from its payload (docs/protocol.md, "Trace lines").
+# The trace detail of each event kind, from its payload (docs/protocol.md,
+# "Trace lines"). A frame_delivered line is written by _dispatch itself.
 _EVENT_DETAIL: dict[EventKind, Callable[[Any], str]] = {
     POLL_WAKE: lambda _: "",
     EXTERNAL_WAKE: lambda _: "",
-    FRAME_DELIVERED: _frame_detail,
     TIMER_FIRED: lambda deadline: f"guard deadline={deadline}",
     WARMUP_DONE: lambda t: f"device={t.device} round={t.stimulus.round_no}",
     TIMEOUT: lambda t: (f"device={t.device} round={t.stimulus.round_no}"
@@ -178,6 +182,18 @@ class NodeRuntime:
         if self.guard is None:
             self.guard = Timer()
         return self.guard
+
+
+class Hops(NamedTuple):
+    """A route resolved to runtimes: the destination, every node that sends
+    on the way (the source first, the destination's parent last), the last
+    hop's (sender, receiver) key in ParentTable.links and the destination's
+    shadowing sigma; immutable."""
+
+    destination: NodeRuntime
+    senders: tuple[NodeRuntime, ...]
+    link: tuple[int, int]
+    sigma_db: float
 
 
 @dataclass
@@ -262,6 +278,7 @@ class Simulation:
         self.dead_skips = 0
         self.frames_sent = 0
         self.frames_delivered = 0
+        self.frames_in_flight = 0  # FRAME_DELIVERED events scheduled and not popped
         self.frames_dropped: Counter[str] = Counter()
         self.errors_seen: Counter[str] = Counter()
         self._coordinator = config.coordinator()
@@ -279,10 +296,10 @@ class Simulation:
             COMMAND_INJECTED: self._on_command,
             POLL_WAKE: self._on_poll_wake}
         self._coord_seq = 0
-        self._routes: dict[tuple[int, int], list[int] | None] = {}
+        self._hops: dict[tuple[int, int], Hops | None] = {}  # per (src, dst), at its first frame
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
         self._real_polls = 0
-        self._polls_ran = (-1, 0)  # (tick, rank) of the last real poll dispatched
+        self._polls_tick, self._polls_rank = -1, 0  # of the last real poll dispatched
 
         window = ticks_from_seconds(config.poll_wake_duration_s)
         override = config.tx_airtime_override_s
@@ -409,8 +426,6 @@ class Simulation:
                 assert runtime.sleep is not None
                 cyclic[node_id] = runtime.sleep
         pending = sum(len(buffer) for buffer in self.parent_table.buffers.values())
-        in_flight = sum(1 for event in self.queue.pending()
-                        if event.kind is FRAME_DELIVERED)
         return RunStats(events_processed=self.events_processed,
                         poll_wakes_elided=elided,
                         clock_ticks=self.queue.now,
@@ -418,7 +433,7 @@ class Simulation:
                         frames_delivered=self.frames_delivered,
                         frames_dropped=dict(self.frames_dropped),
                         frames_buffered_pending=pending,
-                        frames_in_flight=in_flight,
+                        frames_in_flight=self.frames_in_flight,
                         samples_per_node=samples, rounds=rounds, energy=energy,
                         unreachable=self.parent_table.unreachable,
                         channel=self.channel, cyclic_sleep=cyclic,
@@ -434,20 +449,30 @@ class Simulation:
         now = event.at
         ledger = runtime.ledger
         device = runtime.is_end_device
+        # The last real poll ran at or after this device's poll of this tick
+        # when it ran in this tick at a rank >= this device's: ticks never
+        # go back.
         if kind is POLL_WAKE:  # _on_poll_wake books it if the battery lasts to now
-            self._polls_ran = (now, runtime.poll_rank)
-        elif device and self._polls_ran >= (now, runtime.poll_rank):
+            self._polls_tick, self._polls_rank = now, runtime.poll_rank
+        elif device and self._polls_tick == now and self._polls_rank >= runtime.poll_rank:
             ledger.poll(now)  # scheduled while its tick's polls run, after its own
         ledger.advance(now)
         if ledger.dead_at is not None:
             self._note_death(runtime, now)
             if kind is FRAME_DELIVERED:
+                self.frames_in_flight -= 1
                 self._drop(event.payload.frame, DROP_NODE_DEAD, now)
             self.dead_skips += 1
             return
         self.events_processed += 1
         if self.trace_enabled:
-            self._trace_event(event)
+            if kind is FRAME_DELIVERED:
+                frame, rssi = event.payload
+                self._trace(f"{now}\t{event.seq}\t{_EVENT_NAME[kind]}\t{event.node}\t"
+                            f"{_KIND_NAME[frame.kind]} {frame.src}->{frame.dst} seq={frame.seq}"
+                            f" rssi={rssi!r}\n")
+            else:
+                self._trace_event(event)
         self._handlers[kind](runtime, event.payload, now)
         if device:
             self._plan_poll(runtime)
@@ -474,10 +499,11 @@ class Simulation:
             parent_rt = self.runtimes[parent_id]
             parent_rt.ledger.charge_slice(
                 TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
-            delivered = DeliveredFrame(frame, self._rssi(parent_id, node_id))
+            rssi = self._rssi(parent_id, node_id)
             if self.trace_enabled:
-                self._trace_action("deliver", node_id, _frame_detail(delivered), now)
-            self._on_frame(runtime, delivered, now)
+                self._trace_action("deliver", node_id, f"{frame.summary()} rssi={rssi!r}", now)
+            self.frames_delivered += 1
+            self._device_step(runtime, DeliveredFrame(frame, rssi), now)
 
     def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
         """Step the device's state machine and carry its result out."""
@@ -507,6 +533,7 @@ class Simulation:
 
     def _on_frame(self, runtime: NodeRuntime, delivered: DeliveredFrame, now: Ticks) -> None:
         """Frames go to end devices and to the coordinator, never to routers."""
+        self.frames_in_flight -= 1
         self.frames_delivered += 1
         if runtime.is_end_device:
             self._device_step(runtime, delivered, now)
@@ -536,9 +563,10 @@ class Simulation:
         if result.applied_period_s is not None:
             sleep = runtime.sleep = CyclicSleepConfig.from_periods(
                 result.applied_period_s, sleep.poll_period_s)
-            self._trace_action(
-                "period", runtime.spec.id,
-                f"effective_s={sleep.effective_period_s!r} multiplier={sleep.multiplier}", now)
+            if self.trace_enabled:
+                self._trace_action(
+                    "period", runtime.spec.id,
+                    f"effective_s={sleep.effective_period_s!r} multiplier={sleep.multiplier}", now)
         # the first wake after now, on the grid of the wake that began the round
         effective = sleep.period_ticks
         next_wake = runtime.next_wake
@@ -583,40 +611,48 @@ class Simulation:
         self.frames_sent += 1
         src, dst = frame.src, frame.dst
         if self.trace_enabled:
-            self._trace_action("send", src, frame.summary(), now)
-        route = self._route(src, dst)
-        if route is None or len(route) < 2:
+            self._trace(f"{now}\t-\tsend\t{src}\t"
+                        f"{_KIND_NAME[frame.kind]} {src}->{dst} seq={frame.seq}\n")
+        try:
+            hops = self._hops[src, dst]
+        except KeyError:
+            hops = self._resolve_hops(src, dst)
+        if hops is None:
             self._drop(frame, DROP_NO_ROUTE, now)
             return
-        destination = self.runtimes[dst]
+        destination, senders, link, sigma = hops
         if destination.ledger.dead_at is not None:
             self._drop(frame, DROP_NODE_DEAD, now)
             return
 
         device_state = destination.device_state
         buffering = device_state is not None and device_state.phase is PHASE_SLEEPING
-        length = frame.wire_length
-        runtimes = self.runtimes
-        elapsed = 0
-        # Every node on the route but the last sends, and while the device
-        # sleeps its parent holds the frame instead.
-        for sender_id in route[:-2] if buffering else route[:-1]:
-            sender = runtimes[sender_id]
+        length = FRAME_OVERHEAD + len(frame.payload)  # frame.wire_length, without the call
+        at = now
+        # Every sender charges its airtime in turn, and while the device
+        # sleeps its parent, the last sender, holds the frame instead.
+        for sender in senders[:-1] if buffering else senders:
             air = sender.airtime[length]
-            sender.ledger.charge_slice(TRANSMITTING, air, now + elapsed)
-            elapsed += air
+            sender.ledger.charge_slice(TRANSMITTING, air, at)
+            at += air
         if buffering:
-            parent_id = route[-2]
             buffer = self.parent_table.buffer_for(dst)
             if len(buffer) >= PARENT_BUFFER_CAPACITY:
                 self._drop(buffer.popleft(), DROP_BUFFER_FULL, now)
             buffer.append(frame)
             if self.trace_enabled:
-                self._trace_action("buffer", dst, f"{frame.summary()} at_parent={parent_id}", now)
+                self._trace_action("buffer", dst, f"{frame.summary()} at_parent={link[0]}", now)
             self._plan_poll(destination)
             return
-        rssi = self._rssi(route[-2], dst)
-        self.queue.schedule(now + elapsed, FRAME_DELIVERED, dst, DeliveredFrame(frame, rssi))
+        # the last hop's RSSI, drawn as _rssi draws it
+        links = self.parent_table.links
+        rssi = links.get(link)
+        if rssi is None:
+            rssi = links[link] = link_budget(self.config, *link).received_power
+        if sigma > 0:
+            rssi += self._shadow_rng.normal(0.0, sigma)
+        self.frames_in_flight += 1
+        self.queue.schedule(at, FRAME_DELIVERED, dst, DeliveredFrame(frame, rssi))
 
     def _drop(self, frame: MessageFrame, reason: str, now: Ticks) -> None:
         self.frames_dropped[reason] += 1
@@ -625,19 +661,24 @@ class Simulation:
         if logger.isEnabledFor(logging.INFO):
             logger.info("dropped %s (%s)", frame.summary(), reason)
 
-    def _route(self, src: int, dst: int) -> list[int] | None:
-        """route_path over the static tree, computed once per (src, dst)."""
-        key = (src, dst)
-        try:
-            return self._routes[key]
-        except KeyError:
-            route = self._routes[key] = route_path(self.parent_table, src, dst)
-            return route
+    def _resolve_hops(self, src: int, dst: int) -> Hops | None:
+        """route_path over the static tree as Hops, kept in the hop table;
+        None when the route has no sender (no route, or src is dst)."""
+        route = route_path(self.parent_table, src, dst)
+        hops = None
+        if route is not None and len(route) > 1:
+            runtimes = self.runtimes
+            destination = runtimes[dst]
+            hops = Hops(destination, tuple(runtimes[node] for node in route[:-1]),
+                        (route[-2], dst), destination.spec.radio.shadowing_sigma_db)
+        self._hops[src, dst] = hops
+        return hops
 
     def _rssi(self, sender_id: int, receiver_id: int) -> float:
         """Received power of the link, from the parent table's link cache
         (the parent search budgets the downlinks; an uplink is budgeted at
-        its first delivery), plus shadowing."""
+        its first delivery), plus shadowing. _send_frame draws its frames'
+        RSSI the same way inline, without the call."""
         links = self.parent_table.links
         key = (sender_id, receiver_id)
         power = links.get(key)
@@ -663,7 +704,8 @@ class Simulation:
         runtime.death_logged = True
         self.queue.disarm(runtime.real_poll)
         dead_at = runtime.ledger.dead_at
-        self._trace_action("death", runtime.spec.id, f"dead_at={dead_at}", now)
+        if self.trace_enabled:
+            self._trace_action("death", runtime.spec.id, f"dead_at={dead_at}", now)
         logger.info("node %d battery exhausted at %s ticks", runtime.spec.id, dead_at)
         buffer = self.parent_table.buffers.get(runtime.spec.id)
         while buffer:
@@ -684,7 +726,8 @@ class Simulation:
         there, has already run: its ledger booked it, or a real poll of the
         tick ranked at or after it has run."""
         now = self.queue.now
-        return runtime.ledger.next_poll > now or self._polls_ran >= (now, runtime.poll_rank)
+        return runtime.ledger.next_poll > now or (self._polls_tick == now
+                                                  and self._polls_rank >= runtime.poll_rank)
 
     def _book_passed_polls(self) -> None:
         """Book every poll that has run by the current clock. This changes no
@@ -729,7 +772,8 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _trace_event(self, event: SimEvent) -> None:
-        """Trace line of a dispatched event; the caller checks trace_enabled."""
+        """Trace line of a dispatched event other than a frame delivery (its
+        line is _dispatch's own); the caller checks trace_enabled."""
         node = event.node if event.node is not None else "-"
         self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{node}\t"
                     f"{_EVENT_DETAIL[event.kind](event.payload)}\n")

@@ -206,6 +206,46 @@ def test_mains_ledger_has_no_battery_and_never_dies():
     assert ledger.conservation_error_mah() == 0.0
 
 
+def _slice_through_integrate(ledger, duration, now):
+    """charge_slice of a TRANSMITTING slice on an AWAKE_IDLE ledger, through
+    advance and _integrate: the path of a ledger with a battery or a grid."""
+    ledger.advance(now)
+    ledger.state = PowerState.TRANSMITTING
+    ledger._integrate(ledger.cursor + duration)
+    ledger.state = PowerState.AWAKE_IDLE
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(["advance", "charge_slice"]),
+                          st.integers(0, 2 * S),  # clock step: slices often overrun it
+                          st.one_of(st.just(0), st.integers(0, 3 * S))),  # slice ticks
+                max_size=40),
+       st.one_of(st.just(PROFILE), st.lists(st.floats(0.0, 150.0), min_size=3, max_size=3)
+                 .map(lambda currents: ConsumptionProfile(*currents))))
+def test_a_mains_slice_is_booked_in_place(calls, profile):
+    """A mains ledger (no battery, no grid) books each slice in place; the
+    totals follow the model below, and the charge is the general path's."""
+    ledger = PowerLedger(profile=profile, state=PowerState.AWAKE_IDLE)
+    general = PowerLedger(profile=profile, state=PowerState.AWAKE_IDLE)
+    now = cursor = sliced = 0
+    for op, step, duration in calls:
+        now += step
+        if op == "advance":
+            ledger.advance(now)
+            general.advance(now)
+            cursor = max(cursor, now)
+        else:
+            ledger.charge_slice(PowerState.TRANSMITTING, duration, now)
+            _slice_through_integrate(general, duration, now)
+            cursor = max(cursor, now) + duration  # a slice before the cursor starts at it
+            sliced += duration
+        assert ledger.cursor == cursor
+    assert ledger.durations == {PowerState.SLEEPING: 0, PowerState.AWAKE_IDLE: cursor - sliced,
+                                PowerState.TRANSMITTING: sliced, PowerState.DEAD: 0}
+    assert ledger.state is PowerState.AWAKE_IDLE and ledger.dead_at is None
+    assert repr(ledger.consumed_mah) == repr(general.consumed_mah)
+
+
 @given(st.lists(st.tuples(st.sampled_from(list(PowerState)),
                           st.integers(min_value=0, max_value=10 * S)),
                 max_size=30))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
-from test_golden import aligned_doc, run_case
+from test_golden import CASES, aligned_doc, digests, run_case
 from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, derive_seed, seconds_from_ticks, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
@@ -651,7 +651,41 @@ def test_each_route_is_the_tree_route(case, router_off_config):
     ids = [node.id for node in config.nodes]
     assert any(route_path(sim.parent_table, a, b) is None for a in ids for b in ids) == (
         case != "random/9")
-    for _ in range(2):  # computed, then served from the table
+    for resolve in (sim._resolve_hops, lambda a, b: sim._hops[a, b]):  # then from the table
         for a in ids:
             for b in ids:
-                assert sim._route(a, b) == route_path(sim.parent_table, a, b), (a, b)
+                route, hops = route_path(sim.parent_table, a, b), resolve(a, b)
+                if hops is None:  # nothing to send on: the frame is dropped as no_route
+                    assert route is None or route == [a] == [b], (a, b)
+                    continue
+                assert [sender.spec.id for sender in hops.senders] + [b] == route, (a, b)
+                assert hops.destination is sim.runtimes[b]
+                assert hops.link == (route[-2], b)
+
+
+class SteppedSimulation(Simulation):
+    """Takes every event through step() and, after each, counts the frames
+    in flight by scanning the queue; run_until then only moves the clock."""
+
+    dead_deliveries = 0  # FRAME_DELIVERED events popped for a dead node
+
+    def run_until(self, horizon_s: float):
+        limit = ticks_from_seconds(horizon_s)
+        while (at := self.queue.peek_time()) is not None and at <= limit:
+            skips = self.dead_skips
+            event = self.step()
+            if event.kind is EventKind.FRAME_DELIVERED and self.dead_skips > skips:
+                self.dead_deliveries += 1
+            scanned = sum(1 for queued in self.queue.pending()
+                          if queued.kind is EventKind.FRAME_DELIVERED)
+            assert self.frames_in_flight == scanned, (event.at, event.seq)
+        return super().run_until(horizon_s)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_in_flight_counter_is_the_queued_deliveries(case):
+    sim = run_case(case, SteppedSimulation)
+    assert sim.stats().frames_in_flight == sim.frames_in_flight
+    assert digests(sim) == digests(run_case(case))  # stepping ran the same run
+    if case == "aligned/3":  # its batteries run out with frames in flight to them
+        assert sim.dead_deliveries == 4
