@@ -32,7 +32,9 @@ hops few. Its conventions:
   runtime and the runtimes that send on the way. A frame then charges its
   senders and draws its RSSI from the last hop's link without looking a
   node up.
-- A trace line is formatted only when tracing is on. The send and
+- A trace line is formatted only when tracing is on, and kept by a bare
+  list.append (Simulation._trace): _dispatch joins the kept lines into a
+  block once there are TRACE_BLOCK_LINES of them. The send and
   frame_delivered lines, one per frame each, are each one f-string over
   the frame's fields.
 - stats() reads the frames in flight from a counter: +1 when a delivery is
@@ -274,6 +276,7 @@ class Simulation:
         self.trace_enabled = trace
         self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
         self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
+        self._trace = self._trace_pending.append  # keep a line; _dispatch joins the blocks
         self.events_processed = 0
         self.dead_skips = 0
         self.frames_sent = 0
@@ -466,6 +469,8 @@ class Simulation:
             return
         self.events_processed += 1
         if self.trace_enabled:
+            if len(self._trace_pending) >= TRACE_BLOCK_LINES:
+                self._join_trace_block()
             if kind is FRAME_DELIVERED:
                 frame, rssi = event.payload
                 self._trace(f"{now}\t{event.seq}\t{_EVENT_NAME[kind]}\t{event.node}\t"
@@ -782,14 +787,12 @@ class Simulation:
         if self.trace_enabled:
             self._trace(f"{now}\t-\t{kind}\t{node}\t{detail}\n")
 
-    def _trace(self, line: str) -> None:
-        """Keep a line; every TRACE_BLOCK_LINES lines become one joined block,
-        which holds them in far less memory than one string each."""
-        pending = self._trace_pending
-        pending.append(line)
-        if len(pending) == TRACE_BLOCK_LINES:
-            self._trace_blocks.append("".join(pending))
-            pending.clear()
+    def _join_trace_block(self) -> None:
+        """Join the lines kept since the last block into one block, which
+        holds them in far less memory than one string each. _dispatch joins
+        them once TRACE_BLOCK_LINES have been kept, before an event's line."""
+        self._trace_blocks.append("".join(self._trace_pending))
+        self._trace_pending.clear()
 
     def trace_text(self) -> str:
         """The trace so far, one line per event or action, each ending in a
@@ -797,8 +800,7 @@ class Simulation:
         joins nothing."""
         blocks = self._trace_blocks
         if self._trace_pending:
-            blocks.append("".join(self._trace_pending))
-            self._trace_pending.clear()
+            self._join_trace_block()
         if len(blocks) > 1:
             blocks[:] = ["".join(blocks)]
         return blocks[0] if blocks else ""

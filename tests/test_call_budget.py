@@ -4,16 +4,17 @@ cProfile counts every call into a function of the wsn_pathosim package over
 the run phase of a golden case (construction excluded), and the count per
 processed event must stay within a budget about 10% above the figure when
 each frame's route was resolved once into hops, a mains ledger booked a
-slice in place and the send and frame_delivered trace lines were each one
-f-string. The figures below are CPython 3.10's and 3.11's, and "before"
-is the count before that change. 3.12 and 3.13 inline comprehensions,
-which the older interpreters count as calls, and read lower: 0.01 lower
-on random/9, 1.14 lower on drain/0.3.
+slice in place, the send and frame_delivered trace lines were each one
+f-string and each trace line was kept by a bare list.append. The figures
+below are CPython 3.10's and 3.11's, and "before" is the count before
+that change. 3.12 and 3.13 inline comprehensions, which the older
+interpreters count as calls, and read lower: 0.01 lower on random/9,
+1.14 lower on drain/0.3.
 
     case         trace   figure   budget   before
-    random/9     on      22.38    24.6     30.00
+    random/9     on      20.40    22.4     30.00
     random/9     off     20.05    22.0     23.54
-    drain/0.3    on      36.92    40.6     45.36
+    drain/0.3    on      34.47    37.9     45.36
 """
 
 import cProfile
@@ -50,9 +51,9 @@ def calls_per_event(case: str, trace: bool) -> float:
 
 
 @pytest.mark.parametrize("case, trace, budget", [
-    ("random/9", True, 24.6),  # two routers: frames relayed over two hops
+    ("random/9", True, 22.4),  # two routers: frames relayed over two hops
     ("random/9", False, 22.0),
-    ("drain/0.3", True, 40.6),  # deaths, drops and staged SET_PERIOD frames
+    ("drain/0.3", True, 37.9),  # deaths, drops and staged SET_PERIOD frames
 ])
 def test_python_calls_per_event_stay_within_budget(case, trace, budget):
     assert calls_per_event(case, trace) <= budget
