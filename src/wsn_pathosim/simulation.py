@@ -507,7 +507,7 @@ class Simulation:
             rssi = self._rssi(parent_id, node_id)
             if self.trace_enabled:
                 self._trace_action("deliver", node_id, f"{frame.summary()} rssi={rssi!r}", now)
-            self.frames_delivered += 1
+            self.frames_delivered += 1  # not through _on_frame: it was never in flight
             self._device_step(runtime, DeliveredFrame(frame, rssi), now)
 
     def _device_step(self, runtime: NodeRuntime, stimulus: DeviceStimulus, now: Ticks) -> None:
