@@ -199,8 +199,14 @@ def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_Indexe
     return {floor: tuple(entries) for floor, entries in by_floor.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario; immutable, so vary one with dataclasses.replace. Its id
+    index (the first node wins when ids repeat) and its obstacles grouped by
+    floor, each with its bounding box, are built with it. They are plain
+    attributes, not fields, so fields(), ==, repr, replace and
+    serialize_scenario see only the scenario."""
+
     nodes: tuple[NodeSpec, ...]
     obstacles: tuple[Obstacle, ...] = ()
     channels: dict[int, float] = field(default_factory=dict)
@@ -213,34 +219,18 @@ class ScenarioConfig:
     poll_wake_duration_s: float = 0.1
     consumption: ConsumptionProfile = field(default_factory=ConsumptionProfile)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_node_index", _index_nodes(self.nodes))
+        object.__setattr__(self, "_obstacle_index", _index_obstacles(self.obstacles))
+
     def node(self, node_id: int) -> NodeSpec:
-        node = self._nodes_by_id().get(node_id)
+        node = self._node_index.get(node_id)
         if node is None:
             raise UnknownNodeError(f"no node with id {node_id}")
         return node
 
     def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes_by_id()
-
-    def _nodes_by_id(self) -> dict[int, NodeSpec]:
-        """Id index over `nodes`; the first node wins when ids repeat."""
-        return self._derived("_node_index", self.nodes, _index_nodes)
-
-    def _obstacles_by_floor(self) -> dict[int, tuple[_IndexedObstacle, ...]]:
-        """Obstacles grouped by floor, each with its bounding box."""
-        return self._derived("_obstacle_index", self.obstacles, _index_obstacles)
-
-    def _derived(self, slot: str, source, build):
-        """build(source), kept in `slot` with the object it was built from,
-        so reassigning the field rebuilds it. A field that is not a tuple may
-        be mutated in place and is rebuilt on every call."""
-        cached = self.__dict__.get(slot)
-        if cached is not None and cached[0] is source:
-            return cached[1]
-        value = build(source)
-        if type(source) is tuple:
-            self.__dict__[slot] = (source, value)
-        return value
+        return node_id in self._node_index
 
     def coordinator(self) -> NodeSpec:
         for node in self.nodes:
@@ -845,7 +835,7 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
     xmin, xmax = min(ax, bx), max(ax, bx)
     ymin, ymax = min(ay, by), max(ay, by)
 
-    by_floor = config._obstacles_by_floor()
+    by_floor = config._obstacle_index
     hits: list[tuple[float, int, ObstacleCrossing]] = []
     for floor in range(lo, hi + 1):
         for oxmin, oxmax, oymin, oymax, cx, cy, dx, dy, position, crossing in \

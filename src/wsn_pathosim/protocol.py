@@ -551,10 +551,10 @@ class ParentTable:
     parent maps node id -> parent id (None for the root); nodes absent from
     parent are unreachable. links is the one link-budget cache: the received
     power (dBm) of each directed (sender, receiver) pair budgeted so far, by
-    the parent search and then by the simulation's deliveries. A pair the
-    loss bound ruled out has no entry. buffers hold frames addressed to
-    sleeping End Devices, capped at PARENT_BUFFER_CAPACITY each (oldest
-    dropped first).
+    the parent search and then, for an uplink, when the simulation resolves
+    a route. A pair the loss bound ruled out has no entry. buffers hold
+    frames addressed to sleeping End Devices, capped at
+    PARENT_BUFFER_CAPACITY each (oldest dropped first).
     """
 
     root: int

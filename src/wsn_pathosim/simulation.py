@@ -29,9 +29,10 @@ hops few. Its conventions:
 - PowerLedger books a span in place: no helper call per span, and a
   mains ledger books a slice as two adds.
 - A route is resolved once per (src, dst) into Hops: the destination's
-  runtime and the runtimes that send on the way. A frame then charges its
-  senders and draws its RSSI from the last hop's link without looking a
-  node up.
+  runtime, the runtimes that send on the way and the last hop's received
+  power. A frame then charges its senders without looking a node up, and
+  both delivery paths, in flight (_send_frame) and handed over at a poll
+  (_on_poll_wake), draw its RSSI from that power.
 - A trace line is formatted only when tracing is on, and kept by a bare
   list.append (Simulation._trace): _dispatch joins the kept lines into a
   block once there are TRACE_BLOCK_LINES of them. The send and
@@ -189,12 +190,12 @@ class NodeRuntime:
 class Hops(NamedTuple):
     """A route resolved to runtimes: the destination, every node that sends
     on the way (the source first, the destination's parent last), the last
-    hop's (sender, receiver) key in ParentTable.links and the destination's
-    shadowing sigma; immutable."""
+    hop's received power before shadowing and the destination's shadowing
+    sigma; immutable."""
 
     destination: NodeRuntime
     senders: tuple[NodeRuntime, ...]
-    link: tuple[int, int]
+    power_dbm: float
     sigma_db: float
 
 
@@ -498,13 +499,14 @@ class Simulation:
         assert state is not None
         node_id = runtime.spec.id
         buffer = self.parent_table.buffers.get(node_id)
-        parent_id = self.parent_table.parent.get(node_id)
-        while state.phase is PHASE_SLEEPING and buffer and parent_id is not None:
+        while state.phase is PHASE_SLEEPING and buffer:
             frame = buffer.popleft()
-            parent_rt = self.runtimes[parent_id]
+            # the route it came on: its last sender is the device's parent
+            _, senders, power, sigma = self._hops[frame.src, node_id]
+            parent_rt = senders[-1]
             parent_rt.ledger.charge_slice(
                 TRANSMITTING, parent_rt.airtime[frame.wire_length], now)
-            rssi = self._rssi(parent_id, node_id)
+            rssi = power + self._shadow_rng.normal(0.0, sigma) if sigma > 0 else power
             if self.trace_enabled:
                 self._trace_action("deliver", node_id, f"{frame.summary()} rssi={rssi!r}", now)
             self.frames_delivered += 1  # not through _on_frame: it was never in flight
@@ -625,7 +627,7 @@ class Simulation:
         if hops is None:
             self._drop(frame, DROP_NO_ROUTE, now)
             return
-        destination, senders, link, sigma = hops
+        destination, senders, power, sigma = hops
         if destination.ledger.dead_at is not None:
             self._drop(frame, DROP_NODE_DEAD, now)
             return
@@ -646,16 +648,11 @@ class Simulation:
                 self._drop(buffer.popleft(), DROP_BUFFER_FULL, now)
             buffer.append(frame)
             if self.trace_enabled:
-                self._trace_action("buffer", dst, f"{frame.summary()} at_parent={link[0]}", now)
+                self._trace_action("buffer", dst,
+                                   f"{frame.summary()} at_parent={senders[-1].spec.id}", now)
             self._plan_poll(destination)
             return
-        # the last hop's RSSI, drawn as _rssi draws it
-        links = self.parent_table.links
-        rssi = links.get(link)
-        if rssi is None:
-            rssi = links[link] = link_budget(self.config, *link).received_power
-        if sigma > 0:
-            rssi += self._shadow_rng.normal(0.0, sigma)
+        rssi = power + self._shadow_rng.normal(0.0, sigma) if sigma > 0 else power
         self.frames_in_flight += 1
         self.queue.schedule(at, FRAME_DELIVERED, dst, DeliveredFrame(frame, rssi))
 
@@ -668,31 +665,23 @@ class Simulation:
 
     def _resolve_hops(self, src: int, dst: int) -> Hops | None:
         """route_path over the static tree as Hops, kept in the hop table;
-        None when the route has no sender (no route, or src is dst)."""
+        None when the route has no sender (no route, or src is dst). The
+        last hop's power comes from the parent table's link cache: the
+        parent search budgets the downlinks, and an uplink is budgeted here."""
         route = route_path(self.parent_table, src, dst)
         hops = None
         if route is not None and len(route) > 1:
             runtimes = self.runtimes
             destination = runtimes[dst]
+            links = self.parent_table.links
+            link = (route[-2], dst)
+            power = links.get(link)
+            if power is None:
+                power = links[link] = link_budget(self.config, *link).received_power
             hops = Hops(destination, tuple(runtimes[node] for node in route[:-1]),
-                        (route[-2], dst), destination.spec.radio.shadowing_sigma_db)
+                        power, destination.spec.radio.shadowing_sigma_db)
         self._hops[src, dst] = hops
         return hops
-
-    def _rssi(self, sender_id: int, receiver_id: int) -> float:
-        """Received power of the link, from the parent table's link cache
-        (the parent search budgets the downlinks; an uplink is budgeted at
-        its first delivery), plus shadowing. _send_frame draws its frames'
-        RSSI the same way inline, without the call."""
-        links = self.parent_table.links
-        key = (sender_id, receiver_id)
-        power = links.get(key)
-        if power is None:
-            power = links[key] = link_budget(self.config, sender_id, receiver_id).received_power
-        sigma = self.runtimes[receiver_id].spec.radio.shadowing_sigma_db
-        if sigma > 0:
-            return power + self._shadow_rng.normal(0.0, sigma)
-        return power
 
     def _next_coord_seq(self) -> int:
         seq = self._coord_seq

@@ -701,13 +701,15 @@ def test_indexes_follow_reassigned_nodes_and_obstacles():
         {"kind": "brick_wall", "from": {"x": 5.0, "y": -1.0}, "to": {"x": 5.0, "y": 1.0}},
     ])
     assert len(obstacles_on_path(config, 0, 1)) == 1
-    config.obstacles = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.obstacles = ()
+    config = dataclasses.replace(config, obstacles=())
     assert obstacles_on_path(config, 0, 1) == []
     assert config.node(1).position.x == 10.0
     moved = NodeSpec(1, NodeRole.END_DEVICE, Position(3.0, 0.0), config.node(1).radio)
-    config.nodes = (config.node(0), moved)
+    config = dataclasses.replace(config, nodes=(config.node(0), moved))
     assert config.node(1) is moved
-    config.nodes = (config.node(0),)
+    config = dataclasses.replace(config, nodes=(config.node(0),))
     assert not config.has_node(1)
     with pytest.raises(UnknownNodeError):
         config.node(1)

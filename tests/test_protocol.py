@@ -673,7 +673,8 @@ def test_a_router_stacked_above_the_coordinator_builds_and_runs(three_node_confi
     # a router at the coordinator's x/y one floor up: a 0 m in-plane distance
     router = dataclasses.replace(three_node_config.nodes[1], id=3,
                                  position=Position(0.0, 0.0, 1))
-    three_node_config.nodes += (router,)
+    three_node_config = dataclasses.replace(
+        three_node_config, nodes=three_node_config.nodes + (router,))
     assert validate_scenario(three_node_config) == []
     sim = Simulation(three_node_config)
     assert sim.parent_table.parent[3] == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
-from test_golden import CASES, aligned_doc, digests, run_case
+from test_golden import CASES, aligned_doc, digests, drain_doc, run_case
 from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, derive_seed, seconds_from_ticks, ticks_from_seconds
 from wsn_pathosim.model import UnknownNodeError
@@ -660,7 +660,8 @@ def test_each_route_is_the_tree_route(case, router_off_config):
                     continue
                 assert [sender.spec.id for sender in hops.senders] + [b] == route, (a, b)
                 assert hops.destination is sim.runtimes[b]
-                assert hops.link == (route[-2], b)
+                assert hops.power_dbm == sim.parent_table.links[(route[-2], b)]
+                assert hops.senders[-1].spec.id == route[-2]
 
 
 class SteppedSimulation(Simulation):
@@ -682,10 +683,47 @@ class SteppedSimulation(Simulation):
         return super().run_until(horizon_s)
 
 
-@pytest.mark.parametrize("case", CASES)
+def test_a_death_line_comes_before_or_after_its_dead_at():
+    # A death is noted when something next advances the ledger past it
+    # (docs/protocol.md, "Trace lines"). Devices 2, 5 and 4 each book a
+    # transmit slice whole at send time, which empties the battery ahead of
+    # the clock, so the line comes first; device 3's battery runs out first
+    # and the line follows. ROADMAP Direction 6 (a death is an event at its
+    # exact tick) will make each line's tick equal its dead_at.
+    sim = run_case("aligned/7")
+    fields = (line.split("\t") for line in sim.trace_lines)
+    assert [(int(tick), int(node), detail)
+            for tick, _, kind, node, detail in fields if kind == "death"] == [
+        (20_000_000, 2, "dead_at=21600182"),
+        (24_000_000, 5, "dead_at=24379781"),
+        (78_000_000, 4, "dead_at=78816939"),
+        (124_000_000, 3, "dead_at=123830945"),
+    ]
+
+
+# drain_doc(0.3) at a 0.5 s airtime, run plainly for 200 s. The golden drain
+# cases send in a few milliseconds, too short for a device to die with a frame
+# in flight to it: none of them pops a delivery for a dead node.
+SLOW_DRAIN = "drain/0.3 airtime=0.5"
+
+
+def run_slow_drain(cls: type[Simulation] = Simulation) -> Simulation:
+    doc = drain_doc(0.3)
+    doc["defaults"]["tx_airtime_s"] = 0.5
+    sim = cls(make_config(doc), trace=True)
+    sim.run_until(200.0)
+    return sim
+
+
+@pytest.mark.parametrize("case", CASES + [SLOW_DRAIN])
 def test_the_in_flight_counter_is_the_queued_deliveries(case):
-    sim = run_case(case, SteppedSimulation)
+    def run(cls=Simulation):
+        return run_slow_drain(cls) if case == SLOW_DRAIN else run_case(case, cls)
+
+    sim = run(SteppedSimulation)
     assert sim.stats().frames_in_flight == sim.frames_in_flight
-    assert digests(sim) == digests(run_case(case))  # stepping ran the same run
+    assert digests(sim) == digests(run())  # stepping ran the same run
     if case == "aligned/3":  # its batteries run out with frames in flight to them
         assert sim.dead_deliveries == 4
+    if case == SLOW_DRAIN:  # 2 of them
+        assert sim.dead_deliveries > 0
