@@ -181,13 +181,6 @@ class _IndexedObstacle(NamedTuple):
     crossing: ObstacleCrossing
 
 
-def _index_nodes(nodes: tuple[NodeSpec, ...]) -> dict[int, NodeSpec]:
-    index: dict[int, NodeSpec] = {}
-    for node in nodes:
-        index.setdefault(node.id, node)
-    return index
-
-
 def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_IndexedObstacle, ...]]:
     by_floor: dict[int, list[_IndexedObstacle]] = {}
     for position, obstacle in enumerate(obstacles):
@@ -201,11 +194,12 @@ def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_Indexe
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario; immutable, so vary one with dataclasses.replace. Its id
-    index (the first node wins when ids repeat) and its obstacles grouped by
-    floor, each with its bounding box, are built with it. They are plain
-    attributes, not fields, so fields(), ==, repr, replace and
-    serialize_scenario see only the scenario."""
+    """A scenario; immutable, so vary one with dataclasses.replace. Its nodes
+    and obstacles are kept as tuples of what it is given. Its id index (the
+    first node wins when ids repeat) and its obstacles grouped by floor, each
+    with its bounding box, are built with it. They are plain attributes, not
+    fields, so fields(), ==, repr, replace and serialize_scenario see only
+    the scenario."""
 
     nodes: tuple[NodeSpec, ...]
     obstacles: tuple[Obstacle, ...] = ()
@@ -220,8 +214,11 @@ class ScenarioConfig:
     consumption: ConsumptionProfile = field(default_factory=ConsumptionProfile)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_node_index", _index_nodes(self.nodes))
-        object.__setattr__(self, "_obstacle_index", _index_obstacles(self.obstacles))
+        nodes, obstacles = tuple(self.nodes), tuple(self.obstacles)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "_node_index", {node.id: node for node in reversed(nodes)})
+        object.__setattr__(self, "_obstacle_index", _index_obstacles(obstacles))
 
     def node(self, node_id: int) -> NodeSpec:
         node = self._node_index.get(node_id)
@@ -570,7 +567,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if not 0 <= seed < (1 << 64):
             raise SchemaError("$.seed", "must be an unsigned 64-bit integer")
 
-    return ScenarioConfig(nodes=tuple(nodes), obstacles=obstacles,
+    return ScenarioConfig(nodes=nodes, obstacles=obstacles,
                           channels=channels, seed=seed, **settings)
 
 
@@ -606,7 +603,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 
     Unlike parse_scenario (which rejects malformed documents), this also covers
     configs built programmatically. Every duration the simulation turns into
-    ticks must be a finite number of them (has_finite_ticks).
+    ticks must be a finite number of them (has_finite_ticks), and every one
+    that must be > 0 must round to at least one tick.
     """
     from .protocol import WIRE_LENGTHS  # protocol imports this module
 
@@ -620,7 +618,22 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                                     node=node, field=field, message=f"{seconds} s"))
         return False
 
+    def positive_ticks(seconds: float, field: str, node: int | None, what: str) -> int:
+        """Its ticks if > 0 s and at least one tick, else 0 and a violation."""
+        if not seconds > 0:
+            violations.append(Violation(rule=f"{what} must be > 0", node=node, field=field))
+            return 0
+        if not finite_ticks(seconds, field, node, what):
+            return 0
+        ticks = ticks_from_seconds(seconds)
+        if ticks == 0:
+            violations.append(Violation(rule=f"{what} must round to at least one 1 us tick",
+                                        node=node, field=field, message=f"{seconds} s"))
+        return ticks
+
     seen: set[int] = set()
+    airtimes_ok: set[float] = set()  # bitrates whose frame airtimes passed
+    shortest_bits, largest_bits = min(WIRE_LENGTHS) * 8, max(WIRE_LENGTHS) * 8
     coordinators = [n for n in config.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) != 1:
         violations.append(Violation(rule="exactly one coordinator required",
@@ -651,23 +664,18 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if not node.radio.shadowing_sigma_db >= 0:
             violations.append(Violation(rule="shadowing sigma must be >= 0",
                                         node=prefix, field="radio.shadowing_sigma_db"))
-        if not node.radio.bitrate_bps > 0:
+        bitrate = node.radio.bitrate_bps
+        if not bitrate > 0:
             violations.append(Violation(rule="bitrate must be > 0",
                                         node=prefix, field="radio.bitrate_bps"))
-        elif config.tx_airtime_override_s is None:
-            finite_ticks(max(WIRE_LENGTHS) * 8 / node.radio.bitrate_bps, "radio.bitrate_bps",
-                         prefix, "the largest frame's airtime")
+        elif config.tx_airtime_override_s is None and bitrate not in airtimes_ok:
+            if (finite_ticks(largest_bits / bitrate, "radio.bitrate_bps", prefix,
+                             "the largest frame's airtime")
+                    and positive_ticks(shortest_bits / bitrate, "radio.bitrate_bps", prefix,
+                                       "the shortest frame's airtime")):
+                airtimes_ok.add(bitrate)
         poll_s = node.radio.poll_period_s
-        poll_ticks = 0  # stays 0 unless the poll period is valid
-        if not poll_s > 0:
-            violations.append(Violation(rule="poll period must be > 0",
-                                        node=prefix, field="radio.poll_period_s"))
-        elif finite_ticks(poll_s, "radio.poll_period_s", prefix, "poll period"):
-            poll_ticks = ticks_from_seconds(poll_s)
-            if poll_ticks == 0:
-                violations.append(Violation(
-                    rule="poll period must round to at least one 1 us tick", node=prefix,
-                    field="radio.poll_period_s", message=f"{poll_s} s"))
+        poll_ticks = positive_ticks(poll_s, "radio.poll_period_s", prefix, "poll period")
         if not math.isfinite(node.radio.tx_power_dbm):
             violations.append(Violation(rule="tx power must be finite",
                                         node=prefix, field="radio.tx_power_dbm"))
@@ -725,12 +733,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                 violations.append(Violation(rule="signal period must be > 0",
                                             node=prefix, field=f"sensors[{i}].signal"))
             if sensor.kind is SensorKind.STRAIN_GAUGE:
-                if sensor.heat_duration_s is not None and not sensor.heat_duration_s > 0:
-                    violations.append(Violation(rule="heat duration must be > 0",
-                                                node=prefix, field=f"sensors[{i}].heat_duration_s"))
-                elif sensor.heat_duration_s is not None:
-                    finite_ticks(sensor.heat_duration_s, f"sensors[{i}].heat_duration_s",
-                                 prefix, "heat duration")
+                if sensor.heat_duration_s is not None:
+                    positive_ticks(sensor.heat_duration_s, f"sensors[{i}].heat_duration_s",
+                                   prefix, "heat duration")
             elif sensor.heat_duration_s is not None:
                 violations.append(Violation(rule="heat duration applies to strain gauges only",
                                             node=prefix, field=f"sensors[{i}].heat_duration_s"))
@@ -765,21 +770,16 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         violations.append(Violation(rule="floor loss must be >= 0", field="floor_loss_db"))
     if not config.warmup_delay_s >= 0:
         violations.append(Violation(rule="warmup delay must be >= 0", field="warmup_delay_s"))
-    if not config.response_timeout_s > 0:
-        violations.append(Violation(rule="response timeout must be > 0",
-                                    field="response_timeout_s"))
     warmup_ok = finite_ticks(config.warmup_delay_s, "warmup_delay_s")
-    if finite_ticks(config.response_timeout_s, "response_timeout_s") and warmup_ok:
+    if positive_ticks(config.response_timeout_s, "response_timeout_s", None,
+                      "response timeout") and warmup_ok:
+        # warm-up >= 0 and a timeout of at least one tick: a guard of at least one
         finite_ticks(config.warmup_delay_s + config.response_timeout_s,
                      "warmup_delay_s + response_timeout_s", what="device guard")
     if not config.max_retries >= 0:
         violations.append(Violation(rule="max retries must be >= 0", field="max_retries"))
     if config.tx_airtime_override_s is not None:
-        if not config.tx_airtime_override_s > 0:
-            violations.append(Violation(rule="airtime override must be > 0",
-                                        field="tx_airtime_s"))
-        else:
-            finite_ticks(config.tx_airtime_override_s, "tx_airtime_s")
+        positive_ticks(config.tx_airtime_override_s, "tx_airtime_s", None, "airtime override")
     if not config.poll_wake_duration_s >= 0:
         violations.append(Violation(rule="poll wake duration must be >= 0",
                                     field="poll_wake_duration_s"))

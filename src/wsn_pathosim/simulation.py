@@ -253,8 +253,9 @@ class Simulation:
     scheduling order, then the real polls of t by rank, so a parent
     answers a poll with every frame it holds at the end of t. A ledger books
     its polls at t when the clock leaves t, and the horizon of run_until
-    books them at the horizon. An event scheduled at t while the polls of t
-    run (a delay of 0 ticks) runs before the polls left, after those done.
+    books them at the horizon. A delay to a device's event is at least one
+    tick, so only a command injected between step() calls is scheduled at t
+    while the polls of t run: it runs before the polls left, after those done.
 
     Only timers that can still act are dispatched. A device's guard and real
     poll (NodeRuntime) and each coordinator session's WARMUP_DONE or TIMEOUT
@@ -303,7 +304,8 @@ class Simulation:
         self._hops: dict[tuple[int, int], Hops | None] = {}  # per (src, dst), at its first frame
         self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
         self._real_polls = 0
-        self._polls_tick, self._polls_rank = -1, 0  # of the last real poll dispatched
+        # The last real poll: _poll_passed reads it for a SET_PERIOD injected between step()s.
+        self._polls_tick, self._polls_rank = -1, 0
 
         window = ticks_from_seconds(config.poll_wake_duration_s)
         override = config.tx_airtime_override_s
@@ -453,13 +455,8 @@ class Simulation:
         now = event.at
         ledger = runtime.ledger
         device = runtime.is_end_device
-        # The last real poll ran at or after this device's poll of this tick
-        # when it ran in this tick at a rank >= this device's: ticks never
-        # go back.
         if kind is POLL_WAKE:  # _on_poll_wake books it if the battery lasts to now
             self._polls_tick, self._polls_rank = now, runtime.poll_rank
-        elif device and self._polls_tick == now and self._polls_rank >= runtime.poll_rank:
-            ledger.poll(now)  # scheduled while its tick's polls run, after its own
         ledger.advance(now)
         if ledger.dead_at is not None:
             self._note_death(runtime, now)
@@ -718,7 +715,8 @@ class Simulation:
     def _poll_passed(self, runtime: NodeRuntime) -> bool:
         """Whether the device's poll at the current clock tick, if it has one
         there, has already run: its ledger booked it, or a real poll of the
-        tick ranked at or after it has run."""
+        tick ranked at or after it has run (between step() calls, the polls of
+        the tick may be part run)."""
         now = self.queue.now
         return runtime.ledger.next_poll > now or (self._polls_tick == now
                                                   and self._polls_rank >= runtime.poll_rank)

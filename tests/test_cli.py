@@ -216,6 +216,39 @@ def test_run_refuses_a_duration_with_no_finite_tick_count(tmp_path, node, defaul
     assert line.startswith(f"error: {where}") and "finite number of 1 us ticks" in line
 
 
+@pytest.mark.parametrize("node, defaults, where", [
+    ({}, {"tx_airtime_s": 1e-7}, "scenario.tx_airtime_s: airtime override"),
+    ({}, {"response_timeout_s": 1e-7}, "scenario.response_timeout_s: response timeout"),
+    ({"sensors": [dict(GAUGE, heat_duration_s=1e-7)]}, {},
+     "node 1.sensors[0].heat_duration_s: heat duration"),
+    # no airtime override: the 10-byte frame takes 0.08 us at 1 Gb/s
+    ({"radio": {"bitrate_bps": 1e9}}, {},
+     "node 1.radio.bitrate_bps: the shortest frame's airtime"),
+], ids=["tx_airtime_s", "response_timeout_s", "heat_duration_s", "bitrate_bps"])
+def test_run_refuses_a_duration_that_rounds_to_zero_ticks(tmp_path, node, defaults, where):
+    doc = two_node_doc(sample_period_s=120.0, defaults=defaults)
+    doc["nodes"][1].update(node)
+    seconds = "8e-08" if "bitrate" in where else "1e-07"
+    assert _refused_run(tmp_path, doc) == (
+        f"error: {where} must round to at least one 1 us tick ({seconds} s)")
+
+
+@pytest.mark.parametrize("radio, defaults", [
+    ({}, {"tx_airtime_s": 1e-6}),
+    ({"bitrate_bps": 8e7}, {}),  # the 10-byte frame takes 1 us
+], ids=["tx_airtime_s", "bitrate_bps"])
+def test_run_accepts_durations_of_exactly_one_tick(tmp_path, capsys, radio, defaults):
+    doc = two_node_doc(sample_period_s=120.0, sensor=dict(GAUGE, heat_duration_s=1e-6),
+                       defaults=dict(defaults, response_timeout_s=1e-6, warmup_delay_s=0.0))
+    doc["nodes"][1]["radio"] = radio
+    path = tmp_path / "one_tick.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--until", "600", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    assert json.loads((out / "report.json").read_text())["frames"]["sent"] > 0
+
+
 def test_lifetime_matches_the_closed_form(capsys):
     code = main(["lifetime", "--scenario", LIFETIME, "--node", "1",
                  "--active-s", "5", "--json"])

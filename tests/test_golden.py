@@ -127,6 +127,16 @@ def aligned_doc(seed: int) -> dict:
             "nodes": nodes, "obstacles": []}
 
 
+def run_aligned(doc: dict, cls: type[Simulation] = Simulation) -> Simulation:
+    """An aligned scenario to 150 s, with a SET_PERIOD for node 2 every 6 s."""
+    sim = cls(make_config(doc), trace=True)
+    for stage in range(1, 8):
+        sim.run_until(6.0 * stage)
+        sim.inject_set_period(2, stage % 3 + 1)
+    sim.run_until(150.0)
+    return sim
+
+
 def run_case(name: str, cls: type[Simulation] = Simulation) -> Simulation:
     kind, _, arg = name.partition("/")
     if kind == "shipped":
@@ -139,11 +149,7 @@ def run_case(name: str, cls: type[Simulation] = Simulation) -> Simulation:
         sim = cls(make_config(doc), trace=True)
         sim.run_until(20 * horizon)
     elif kind == "aligned":
-        sim = cls(make_config(aligned_doc(int(arg))), trace=True)
-        for stage in range(1, 8):
-            sim.run_until(6.0 * stage)
-            sim.inject_set_period(2, stage % 3 + 1)
-        sim.run_until(150.0)
+        sim = run_aligned(aligned_doc(int(arg)), cls)
     else:
         sim = cls(make_config(drain_doc(float(arg))), trace=True)
         for stage, horizon in enumerate(range(25, 100, 5)):

@@ -715,6 +715,20 @@ def test_indexes_follow_reassigned_nodes_and_obstacles():
         config.node(1)
 
 
+def test_a_config_keeps_no_list_it_was_built_from():
+    config = make_config(two_node_doc())
+    nodes, obstacles = [config.node(0)], [Obstacle(ObstacleKind.BRICK_WALL, Position(
+        1.0, -1.0), Position(1.0, 1.0))]
+    built = ScenarioConfig(nodes=nodes, obstacles=obstacles)
+    nodes.append(config.node(1))
+    obstacles.clear()
+    assert built.nodes == (config.node(0),) and not built.has_node(1)
+    assert len(built.obstacles) == 1
+    # hashing stays unsupported: channels is a dict
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(ScenarioConfig(nodes=()))
+
+
 def test_node_lookup_stays_a_plain_method():
     # callers, and tools that wrap it, look it up on the class
     assert inspect.isfunction(vars(ScenarioConfig)["node"])

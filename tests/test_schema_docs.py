@@ -10,7 +10,8 @@ import pytest
 
 from conftest import make_config
 from wsn_pathosim import model
-from wsn_pathosim.model import RadioConfig, SchemaError
+from wsn_pathosim.model import RadioConfig, SchemaError, validate_scenario
+from wsn_pathosim.protocol import WIRE_LENGTHS
 
 SCHEMA_DOC = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
 
@@ -170,3 +171,26 @@ def test_null_means_the_same_as_leaving_the_key_out(key):
 def test_a_defaults_key_not_named_as_nullable_rejects_null(key):
     with pytest.raises(SchemaError, match=f"defaults.{key}"):
         make_config(_minimal(**{key: None}))
+
+
+def test_the_one_tick_rule_names_the_durations_it_refuses_below_one_tick():
+    """Each duration key of the tables is set to 0.1 us in turn (bitrate_bps
+    to the rate at which the shortest frame takes that long); the bullet
+    names exactly those refused for rounding to 0 ticks."""
+    bullet = next(item for item in _section("Validation rules").split("\n* ")
+                  if item.startswith("every positive duration rounds to at least one tick"))
+    keys = [key for table in (DEFAULTS_TABLE, NODES_TABLE, SENSORS_TABLE)
+            for key in table if key.endswith("_s")]
+    refused = set()
+    for key in keys + ["bitrate_bps"]:
+        doc = _fuller()
+        where = doc["defaults"]
+        if key in NODES_TABLE:
+            where = doc["nodes"][1]
+        elif key in SENSORS_TABLE:
+            where = doc["nodes"][1]["sensors"][0]
+        where[key] = min(WIRE_LENGTHS) * 8 / 1e-7 if key == "bitrate_bps" else 1e-7
+        refused |= {violation.field.rsplit(".", 1)[-1]
+                    for violation in validate_scenario(make_config(doc))
+                    if violation.rule.endswith("must round to at least one 1 us tick")}
+    assert refused == set(re.findall(r"`(\w+)`", bullet))
