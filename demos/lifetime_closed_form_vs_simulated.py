@@ -23,13 +23,14 @@ print()
 
 print("simulating the same device until the battery crosses zero...")
 sim = Simulation(config)
-stats = sim.run_until(60.0 * 3600.0)
-energy = stats.energy[1]
-dead_h = energy.dead_at_s / 3600.0
+sim.run_until(60.0 * 3600.0)
+stats = sim.stats()
+energy = stats["power"]["1"]
+dead_h = energy["dead_at_s"] / 3600.0
 print(f"  died at          {dead_h:.2f} h")
 print(f"  time in state    " + ", ".join(
-    f"{state} {seconds:.0f} s" for state, seconds in energy.durations_s.items()))
-print(f"  samples reported {stats.samples_per_node.get(1, 0)}")
+    f"{state} {seconds:.0f} s" for state, seconds in energy["state_durations_s"].items()))
+print(f"  samples reported {stats['samples_per_node'].get('1', 0)}")
 print()
 gap = (dead_h - hours) / hours * 100.0
 print(f"simulated vs predicted: {gap:+.1f}%. the closed form ignores the")

@@ -26,7 +26,7 @@ from .protocol import (ChecksumError, CoordinatorSession, EndDeviceState,
                        parse_sample_resp, parse_set_period, route_path,
                        sample_resp_payload, set_period_payload)
 from .report import build_report, report_json, report_text, samples_csv
-from .simulation import InvalidScenarioError, RunStats, Simulation
+from .simulation import InvalidScenarioError, Simulation
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "InvalidScenarioError", "LinkBudget", "MessageFrame", "MessageKind",
     "NodeRole", "NodeSpec", "Obstacle", "ObstacleCrossing", "ObstacleKind",
     "ParentTable", "PathLossTable", "Position", "PowerLedger", "PowerState",
-    "RadioConfig", "Ramp", "RngStream", "RunStats", "SampleRecord",
+    "RadioConfig", "Ramp", "RngStream", "SampleRecord",
     "ScenarioConfig", "ScenarioError", "ScenarioSyntaxError",
     "SchedulingInPastError", "SchemaError", "SensorKind", "SensorSpec",
     "SimEvent", "Simulation", "Sinusoid", "Ticks", "Timer", "UnknownNodeError",

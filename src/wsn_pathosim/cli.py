@@ -103,13 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive
@@ -230,11 +224,11 @@ def _repl_status(sim: Simulation) -> str:
             state = runtime.device_state
             assert state is not None
             parts.append(f"phase={state.phase.value}")
-            energy = stats.energy[node_id]
-            if energy.battery_capacity_mah is not None:
-                parts.append(f"battery={energy.remaining_mah:.3f}"
-                             f"/{energy.battery_capacity_mah:.1f} mAh")
-            parts.append(f"period={stats.cyclic_sleep[node_id].sample_period_s} s")
+            energy = stats["power"][str(node_id)]
+            if "battery_capacity_mah" in energy:
+                parts.append(f"battery={energy['remaining_mah']:.3f}"
+                             f"/{energy['battery_capacity_mah']:.1f} mAh")
+            parts.append(f"period={stats['cyclic_sleep'][str(node_id)]['requested_period_s']} s")
             if state.pending_period_s is not None:
                 parts.append(f"pending={state.pending_period_s} s")
             parent = sim.parent_table.parent.get(node_id)
@@ -269,9 +263,8 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                     node = event.node if event.node is not None else "-"
                     print(f"t={event.at / 1e6:.6f} s {event.kind.value} node={node}")
             elif command == "run-until" and len(tokens) == 2:
-                stats = sim.run_until(float(tokens[1]))
-                print(f"clock {stats.clock_s:.6f} s,"
-                      f" {stats.events_processed} events processed")
+                sim.run_until(float(tokens[1]))
+                print(f"clock {sim.now / 1e6:.6f} s, {sim.events_processed} events processed")
             elif command == "set-period" and len(tokens) == 3:
                 sim.inject_set_period(int(tokens[1]), int(tokens[2]))
                 print(f"queued set-period {tokens[2]} s for node {tokens[1]}")

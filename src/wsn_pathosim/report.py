@@ -1,6 +1,7 @@
 """Run reports: one JSON document, an aligned text rendering of the same
-numbers, and the sample log as CSV. build_report gathers the numbers once;
-render_json and render_text format what it returns.
+numbers, and the sample log as CSV. The numbers are Simulation.stats(), the
+one run summary; build_report returns it, and render_json and render_text
+format what it returns.
 
 The JSON layout is deliberately stable (insertion-ordered dicts, stringified
 node ids for keys) so that two identical runs serialize to identical bytes.
@@ -17,54 +18,7 @@ from .simulation import Simulation
 
 
 def build_report(sim: Simulation) -> dict:
-    stats = sim.stats()
-    report: dict = {
-        "seed": sim.seed,
-        "clock_s": stats.clock_s,
-        "events_processed": stats.events_processed,
-        "poll_wakes_elided": stats.poll_wakes_elided,
-        "channel": sim.channel,
-        "parents": {str(child): parent
-                    for child, parent in sorted(sim.parent_table.parent.items())
-                    if parent is not None},
-        "unreachable": list(stats.unreachable),
-        "frames": {
-            "sent": stats.frames_sent,
-            "delivered": stats.frames_delivered,
-            "dropped": stats.total_dropped,
-            "dropped_by_reason": dict(sorted(stats.frames_dropped.items())),
-            "buffered_pending": stats.frames_buffered_pending,
-            "in_flight": stats.frames_in_flight,
-        },
-        "samples_per_node": {str(node): count
-                             for node, count in sorted(stats.samples_per_node.items())},
-        "errors_seen": dict(sorted(stats.errors_seen.items())),
-        "rounds": {str(node): counts for node, counts in sorted(stats.rounds.items())},
-        "cyclic_sleep": {},
-        "power": {},
-    }
-    for node, sleep in sorted(stats.cyclic_sleep.items()):
-        report["cyclic_sleep"][str(node)] = {
-            "requested_period_s": sleep.sample_period_s,
-            "poll_period_s": sleep.poll_period_s,
-            "multiplier": sleep.multiplier,
-            "effective_period_s": sleep.effective_period_s,
-        }
-    for node, energy in sorted(stats.energy.items()):
-        entry: dict = {
-            "state_durations_s": dict(sorted(energy.durations_s.items())),
-            "consumed_mah": energy.consumed_mah,
-            "average_ma": energy.average_ma,
-        }
-        if energy.battery_capacity_mah is not None:
-            entry["battery_capacity_mah"] = energy.battery_capacity_mah
-            entry["remaining_mah"] = energy.remaining_mah
-            entry["dead_at_s"] = energy.dead_at_s
-            if energy.dead_at_s is None and energy.average_ma:
-                entry["projected_lifetime_h"] = (
-                    energy.battery_capacity_mah / energy.average_ma)
-        report["power"][str(node)] = entry
-    return report
+    return sim.stats()
 
 
 def report_json(sim: Simulation) -> str:

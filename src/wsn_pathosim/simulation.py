@@ -199,43 +199,6 @@ class Hops(NamedTuple):
     sigma_db: float
 
 
-@dataclass
-class NodeEnergy:
-    durations_s: dict[str, float]
-    consumed_mah: float
-    average_ma: float | None
-    battery_capacity_mah: float | None
-    remaining_mah: float | None
-    dead_at_s: float | None
-
-
-@dataclass
-class RunStats:
-    events_processed: int
-    poll_wakes_elided: int
-    clock_ticks: Ticks
-    frames_sent: int
-    frames_delivered: int
-    frames_dropped: dict[str, int]
-    frames_buffered_pending: int
-    frames_in_flight: int
-    samples_per_node: dict[int, int]
-    rounds: dict[int, dict[str, int]]
-    energy: dict[int, NodeEnergy]
-    unreachable: tuple[int, ...]
-    channel: int | None
-    cyclic_sleep: dict[int, CyclicSleepConfig]
-    errors_seen: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clock_s(self) -> float:
-        return seconds_from_ticks(self.clock_ticks)
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.frames_dropped.values())
-
-
 class Simulation:
     """One runnable world built from a validated scenario.
 
@@ -274,7 +237,7 @@ class Simulation:
         self.channel: int | None = (select_channel(config.channels)
                                     if config.channels else None)
         self.records: list[SampleRecord] = []
-        self._samples_per_node: dict[int, int] = {}  # records per node, in first-record order
+        self._samples_per_node: dict[int, int] = {}  # records per node
         self.trace_enabled = trace
         self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
         self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
@@ -358,9 +321,9 @@ class Simulation:
     def now(self) -> Ticks:
         return self.queue.now
 
-    def run_until(self, horizon_s: float) -> RunStats:
+    def run_until(self, horizon_s: float) -> None:
         """Process every event up to the horizon (virtual seconds), then
-        advance the clock to it and return the statistics snapshot."""
+        advance the clock to it; stats() reads the run's figures."""
         if not math.isfinite(horizon_s):
             raise ValueError(f"horizon must be a finite number of seconds, got {horizon_s}")
         if not has_finite_ticks(horizon_s):
@@ -373,7 +336,6 @@ class Simulation:
             dispatch(event)
         self.queue.now = limit
         self._settle_ledgers(limit)
-        return self.stats()
 
     def step(self) -> SimEvent | None:
         """Process exactly one pending event (advancing the clock to it)."""
@@ -405,45 +367,75 @@ class Simulation:
         self._book_passed_polls()
         return sum(runtime.ledger.polls for runtime in self._devices) - self._real_polls
 
-    def stats(self) -> RunStats:
-        elided = self.poll_wakes_elided
-        samples = dict(self._samples_per_node)
-        rounds: dict[int, dict[str, int]] = {}
-        energy: dict[int, NodeEnergy] = {}
-        cyclic: dict[int, CyclicSleepConfig] = {}
-        elapsed_h = seconds_from_ticks(self.queue.now) / 3600.0
-        for node_id, runtime in self.runtimes.items():
+    def stats(self) -> dict:
+        """The run summary that report.json holds, built fresh on each call.
+
+        Every key is a str: node ids are stringified, every map is sorted by
+        node id or by name, and the dict's insertion order is the report's
+        field order, so render_json(sim.stats()) is the report's bytes."""
+        elided = self.poll_wakes_elided  # books the passed polls before any ledger is read
+        clock_s = seconds_from_ticks(self.queue.now)
+        elapsed_h = clock_s / 3600.0
+        rounds: dict[str, dict[str, int]] = {}
+        cyclic: dict[str, dict[str, Any]] = {}
+        power: dict[str, dict[str, Any]] = {}
+        for node_id, runtime in sorted(self.runtimes.items()):
+            key = str(node_id)
             ledger = runtime.ledger
             consumed = ledger.consumed_mah
-            energy[node_id] = NodeEnergy(
-                durations_s={_STATE_NAME[state]: ticks / 1e6
-                             for state, ticks in ledger.durations.items() if ticks},
-                consumed_mah=consumed,
-                average_ma=(consumed / elapsed_h) if elapsed_h > 0 else None,
-                battery_capacity_mah=ledger.battery_capacity_mah,
-                remaining_mah=ledger.battery_remaining_mah,
-                dead_at_s=(seconds_from_ticks(ledger.dead_at)
-                           if ledger.dead_at is not None else None))
+            average = (consumed / elapsed_h) if elapsed_h > 0 else None
+            entry: dict[str, Any] = {
+                "state_durations_s": dict(sorted((_STATE_NAME[state], ticks / 1e6)
+                                                 for state, ticks in ledger.durations.items()
+                                                 if ticks)),
+                "consumed_mah": consumed,
+                "average_ma": average}
+            capacity = ledger.battery_capacity_mah
+            if capacity is not None:
+                entry["battery_capacity_mah"] = capacity
+                entry["remaining_mah"] = ledger.battery_remaining_mah
+                dead_at = ledger.dead_at
+                entry["dead_at_s"] = None if dead_at is None else seconds_from_ticks(dead_at)
+                if dead_at is None and average:
+                    entry["projected_lifetime_h"] = capacity / average
+            power[key] = entry
             if runtime.is_end_device:
                 session = self.sessions[node_id]
-                rounds[node_id] = {"completed": session.rounds_completed,
-                                   "aborted": session.rounds_aborted,
-                                   "lost": runtime.rounds_lost}
-                assert runtime.sleep is not None
-                cyclic[node_id] = runtime.sleep
-        pending = sum(len(buffer) for buffer in self.parent_table.buffers.values())
-        return RunStats(events_processed=self.events_processed,
-                        poll_wakes_elided=elided,
-                        clock_ticks=self.queue.now,
-                        frames_sent=self.frames_sent,
-                        frames_delivered=self.frames_delivered,
-                        frames_dropped=dict(self.frames_dropped),
-                        frames_buffered_pending=pending,
-                        frames_in_flight=self.frames_in_flight,
-                        samples_per_node=samples, rounds=rounds, energy=energy,
-                        unreachable=self.parent_table.unreachable,
-                        channel=self.channel, cyclic_sleep=cyclic,
-                        errors_seen=dict(self.errors_seen))
+                rounds[key] = {"completed": session.rounds_completed,
+                               "aborted": session.rounds_aborted,
+                               "lost": runtime.rounds_lost}
+                sleep = runtime.sleep
+                assert sleep is not None
+                cyclic[key] = {"requested_period_s": sleep.sample_period_s,
+                               "poll_period_s": sleep.poll_period_s,
+                               "multiplier": sleep.multiplier,
+                               "effective_period_s": sleep.effective_period_s}
+        return {
+            "seed": self.seed,
+            "clock_s": clock_s,
+            "events_processed": self.events_processed,
+            "poll_wakes_elided": elided,
+            "channel": self.channel,
+            "parents": {str(child): parent
+                        for child, parent in sorted(self.parent_table.parent.items())
+                        if parent is not None},
+            "unreachable": list(self.parent_table.unreachable),
+            "frames": {
+                "sent": self.frames_sent,
+                "delivered": self.frames_delivered,
+                "dropped": sum(self.frames_dropped.values()),
+                "dropped_by_reason": dict(sorted(self.frames_dropped.items())),
+                "buffered_pending": sum(len(buffer)
+                                        for buffer in self.parent_table.buffers.values()),
+                "in_flight": self.frames_in_flight,
+            },
+            "samples_per_node": {str(node): count
+                                 for node, count in sorted(self._samples_per_node.items())},
+            "errors_seen": dict(sorted(self.errors_seen.items())),
+            "rounds": rounds,
+            "cyclic_sleep": cyclic,
+            "power": power,
+        }
 
     # ------------------------------------------------------------------
     # Event dispatch

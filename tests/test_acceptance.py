@@ -49,14 +49,16 @@ def test_acceptance_2_link_budget_breakdown(three_node_config):
 
 
 def test_acceptance_3_daily_collection(three_node_config, router_off_config):
-    healthy = Simulation(three_node_config).run_until(86400.0)
-    samples = healthy.samples_per_node.get(2, 0)
-    severed = Simulation(router_off_config).run_until(86400.0)
-    ok = (47 <= samples <= 49 and severed.samples_per_node == {}
-          and severed.unreachable == (2,))
+    healthy, severed = Simulation(three_node_config), Simulation(router_off_config)
+    healthy.run_until(86400.0)
+    severed.run_until(86400.0)
+    samples = healthy.stats()["samples_per_node"].get("2", 0)
+    cut = severed.stats()
+    ok = (47 <= samples <= 49 and cut["samples_per_node"] == {}
+          and cut["unreachable"] == [2])
     _verdict("3 daily collection", ok,
-             f"{samples} samples with the router, {sum(severed.samples_per_node.values())}"
-             f" without (node 2 unreachable: {2 in severed.unreachable})")
+             f"{samples} samples with the router, {sum(cut['samples_per_node'].values())}"
+             f" without (node 2 unreachable: {2 in cut['unreachable']})")
 
 
 def test_acceptance_4_cyclic_sleep_grid():
@@ -81,8 +83,8 @@ def test_acceptance_5_battery_lifetime(lifetime_config):
                               PowerState.TRANSMITTING)
     hours = estimate_lifetime(node.battery.capacity_mah, average)
     sim = Simulation(lifetime_config)
-    stats = sim.run_until(60.0 * 3600.0)
-    dead_at_s = stats.energy[1].dead_at_s
+    sim.run_until(60.0 * 3600.0)
+    dead_at_s = sim.stats()["power"]["1"]["dead_at_s"]
     simulated_h = dead_at_s / 3600.0 if dead_at_s is not None else float("inf")
     gap = (simulated_h - hours) / hours
     ok = 50.0 <= hours <= 53.0 and abs(gap) <= 0.05
@@ -214,7 +216,7 @@ def test_acceptance_7_property_suites():
         doc, horizon = random_scenario_doc(seed)
         config = make_config(doc)
         first = Simulation(config, trace=True)
-        stats = first.run_until(horizon)
+        first.run_until(horizon)
         second = Simulation(config, trace=True)
         second.run_until(horizon)
         assert (report_json(first), samples_csv(first), first.trace_text()) \
@@ -222,9 +224,9 @@ def test_acceptance_7_property_suites():
         _check_parent_table(first, config)
         _check_rounds(first)
         _check_energy(first)
-        assert stats.frames_sent == (stats.frames_delivered + stats.total_dropped
-                                     + stats.frames_buffered_pending
-                                     + stats.frames_in_flight)
+        frames = first.stats()["frames"]
+        assert frames["sent"] == (frames["delivered"] + frames["dropped"]
+                                  + frames["buffered_pending"] + frames["in_flight"])
     _verdict("7 property suites", True,
              f"codec round-trip + bit flips, parent tables, round ordering,"
              f" energy conservation, determinism: {codec_cases} cases each")
@@ -237,9 +239,10 @@ def test_acceptance_8_gauge_heat_deficit():
         defaults={"warmup_delay_s": 10.0})
     sim = Simulation(make_config(doc))
     # the 32nd wake lands at 3584 s and its round aborts at about 3609 s
-    stats = sim.run_until(3620.0)
-    counts = stats.rounds[1]
-    errors = stats.errors_seen.get("gauge_not_heated", 0)
+    sim.run_until(3620.0)
+    stats = sim.stats()
+    counts = stats["rounds"]["1"]
+    errors = stats["errors_seen"].get("gauge_not_heated", 0)
     # 32 wakes on the 112 s grid, three failed attempts per round
     ok = (len(sim.records) == 0 and counts["completed"] == 0
           and counts["aborted"] == 32 and errors == 96)

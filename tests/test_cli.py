@@ -367,6 +367,39 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     assert dump.read_text().count("\n") == 3  # header + rounds at 1792 and 3584
 
 
+# The whole stdout of a scripted session: the status lines read Simulation.stats().
+REPL_SCRIPT = ["status", "step", "run-until 2000", "set-period 2 600", "run-until 2100",
+               "status", "run-until 4000", "status", "bogus", "quit"]
+REPL_TRANSCRIPT = (
+    "commands: step, run-until <s>, set-period <node> <seconds>, status,"
+    " dump-samples <path>, quit\n"
+    "clock 0.000000 s, 0 events processed, 1 pending\n"
+    "  node 0 coordinator\n"
+    "  node 1 router\n"
+    "  node 2 end_device phase=sleeping battery=1100.000/1100.0 mAh period=1800.0 s parent=1\n"
+    "t=1792.000000 s external_wake node=2\n"
+    "clock 2000.000000 s, 6 events processed\n"
+    "queued set-period 600 s for node 2\n"
+    "clock 2100.000000 s, 9 events processed\n"
+    "clock 2100.000000 s, 9 events processed, 1 pending\n"
+    "  node 0 coordinator\n"
+    "  node 1 router\n"
+    "  node 2 end_device phase=sleeping battery=1087.591/1100.0 mAh period=1800.0 s"
+    " pending=600.0 s parent=1\n"
+    "clock 4000.000000 s, 15 events processed\n"
+    "clock 4000.000000 s, 15 events processed, 1 pending\n"
+    "  node 0 coordinator\n"
+    "  node 1 router\n"
+    "  node 2 end_device phase=sleeping battery=1076.366/1100.0 mAh period=600.0 s parent=1\n"
+    "unknown command: bogus\n"
+)
+
+
+def test_repl_transcript(capsys, monkeypatch):
+    assert _run_repl(monkeypatch, REPL_SCRIPT, ["--scenario", THREE_NODE]) == 0
+    assert capsys.readouterr().out == REPL_TRANSCRIPT
+
+
 def test_repl_outputs_match_a_straight_run(tmp_path, capsys, monkeypatch):
     run_out = tmp_path / "run"
     assert main(["run", "--scenario", THREE_NODE, "--until", "7200",

@@ -60,11 +60,12 @@ def test_a_shipped_day_reads_no_enum_member_through_its_class(three_node_config,
     monkeypatch.setattr(ENUM_TYPE, "__getattribute__", counting_getattribute)
     sys.setprofile(profile)
     try:
-        stats = sim.run_until(86400.0)
+        sim.run_until(86400.0)
+        stats = sim.stats()
     finally:
         sys.setprofile(None)
     monkeypatch.undo()
-    assert stats.rounds[2]["completed"] == 48
+    assert stats["rounds"]["2"]["completed"] == 48
     assert hook_calls == []
     assert member_reads == []
     assert enum_code == []

@@ -58,6 +58,7 @@ timeouts are whole seconds on 1-3 s poll grids, so that events of every kind
 fall on poll ticks and their order against the poll matters.
 """
 
+import copy
 import hashlib
 import json
 import random
@@ -242,16 +243,41 @@ def test_outputs_match_the_golden_run(name):
     assert render_json(report) == json.dumps(report, indent=2) + "\n"
 
 
+def _mark_every_container(value) -> None:
+    """Add a key to every dict, and an item to every list, nested in value."""
+    children = value.values() if isinstance(value, dict) else value
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            _mark_every_container(child)
+    if isinstance(value, dict):
+        value["marked"] = True
+    else:
+        value.append("marked")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_run_summary_is_report_json(name):
+    sim = run_case(name)
+    summary = sim.stats()
+    assert render_json(summary) == report_json(sim)
+    assert json.loads(report_json(sim)) == summary
+    second = sim.stats()
+    assert second == summary
+    kept = copy.deepcopy(second)
+    _mark_every_container(summary)  # each call builds its own containers
+    assert second == kept == sim.stats() != summary
+
+
 def test_drain_cases_die_inside_and_between_poll_windows():
     inside = between = 0
     for base in DRAIN_BASES_MAH:
         stats = run_case(f"drain/{base}").stats()
         for node, poll in enumerate(DRAIN_POLLS_S, start=2):
-            dead_at = stats.energy[node].dead_at_s
+            dead_at = stats["power"][str(node)]["dead_at_s"]
             assert dead_at is not None
             if dead_at % poll < 1.5:
                 inside += 1
             else:
                 between += 1
-        assert stats.frames_dropped["node_dead"] > 0
+        assert stats["frames"]["dropped_by_reason"]["node_dead"] > 0
     assert inside >= 5 and between >= 5

@@ -630,7 +630,7 @@ def test_a_shipped_day_has_no_real_poll(three_node_config):
     for a sleeping device, and no battery comes near empty in a day."""
     sim = Simulation(three_node_config, trace=True)
     sim.run_until(86400.0)
-    assert sim.stats().rounds[2]["completed"] == 48
+    assert sim.stats()["rounds"]["2"]["completed"] == 48
     assert [line for line in sim.trace_lines if line.split("\t")[2] == "poll_wake"] == []
 
 

@@ -17,19 +17,21 @@ from wsn_pathosim.simulation import InvalidScenarioError, Simulation
 
 def test_two_hour_run_on_the_corridor_scenario(three_node_config):
     sim = Simulation(three_node_config)
-    stats = sim.run_until(7200.0)
+    sim.run_until(7200.0)
+    stats = sim.stats()
     # effective period is 1792 s (64 polls), so wakes land at 1792..7168
-    assert stats.rounds[2] == {"completed": 4, "aborted": 0, "lost": 0}
-    assert stats.samples_per_node == {2: 4}
+    assert stats["rounds"]["2"] == {"completed": 4, "aborted": 0, "lost": 0}
+    assert stats["samples_per_node"] == {"2": 4}
     # each round: AWAKE, SAMPLE_REQ, SAMPLE_RESP, SLEEP_REQ, ACK
-    assert stats.frames_sent == 20
-    assert stats.frames_delivered == 20
-    assert stats.frames_dropped == {}
-    assert stats.frames_buffered_pending == 0
-    assert stats.channel == 15
-    assert stats.unreachable == ()
-    assert stats.errors_seen == {}
-    assert stats.clock_s == 7200.0
+    frames = stats["frames"]
+    assert frames["sent"] == 20
+    assert frames["delivered"] == 20
+    assert frames["dropped_by_reason"] == {}
+    assert frames["buffered_pending"] == 0
+    assert stats["channel"] == 15
+    assert stats["unreachable"] == []
+    assert stats["errors_seen"] == {}
+    assert stats["clock_s"] == 7200.0
 
 
 def test_sample_records_carry_context(three_node_config):
@@ -46,12 +48,12 @@ def test_sample_records_carry_context(three_node_config):
 
 def test_state_durations_account_for_the_whole_clock(three_node_config):
     sim = Simulation(three_node_config)
-    stats = sim.run_until(7200.0)
-    for node_id, energy in stats.energy.items():
-        assert sum(energy.durations_s.values()) == pytest.approx(7200.0, abs=1e-6)
-        if energy.battery_capacity_mah is not None:
-            drained = energy.battery_capacity_mah - energy.remaining_mah
-            assert drained == pytest.approx(energy.consumed_mah, abs=1e-9)
+    sim.run_until(7200.0)
+    for node_id, energy in sim.stats()["power"].items():
+        assert sum(energy["state_durations_s"].values()) == pytest.approx(7200.0, abs=1e-6)
+        if "battery_capacity_mah" in energy:
+            drained = energy["battery_capacity_mah"] - energy["remaining_mah"]
+            assert drained == pytest.approx(energy["consumed_mah"], abs=1e-9)
 
 
 def test_runs_are_bitwise_deterministic(three_node_config):
@@ -82,8 +84,8 @@ def test_run_until_can_be_resumed(three_node_config):
         staged = Simulation(three_node_config, trace=True)
         for horizon in stages:
             staged.run_until(horizon)
-        stats = staged.run_until(7200.0)
-        assert stats == straight.stats(), stages
+        staged.run_until(7200.0)
+        assert staged.stats() == straight.stats(), stages
         assert staged.trace_text() == straight.trace_text(), stages
     with pytest.raises(ValueError):
         staged.run_until(100.0)
@@ -121,7 +123,10 @@ def test_run_until_rejects_a_horizon_that_is_not_finite(three_node_config, horiz
     with pytest.raises(ValueError, match="horizon must be a finite number of seconds"):
         sim.run_until(horizon)
     assert sim.now == ticks_from_seconds(100.0)
-    assert sim.run_until(7200.0) == Simulation(three_node_config).run_until(7200.0)
+    sim.run_until(7200.0)
+    straight = Simulation(three_node_config)
+    straight.run_until(7200.0)
+    assert sim.stats() == straight.stats()
 
 
 def test_run_until_rejects_a_horizon_past_the_last_finite_tick(three_node_config):
@@ -135,11 +140,13 @@ def test_run_until_rejects_a_horizon_past_the_last_finite_tick(three_node_config
 def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
     doc = two_node_doc()
     doc["nodes"][1]["sensors"] = []
-    stats = Simulation(make_config(doc)).run_until(600.0)
-    assert stats.rounds[1]["completed"] == 0
-    assert stats.rounds[1]["aborted"] > 0
-    assert stats.errors_seen["no_sensor"] > 0
-    assert stats.samples_per_node == {}
+    sim = Simulation(make_config(doc))
+    sim.run_until(600.0)
+    stats = sim.stats()
+    assert stats["rounds"]["1"]["completed"] == 0
+    assert stats["rounds"]["1"]["aborted"] > 0
+    assert stats["errors_seen"]["no_sensor"] > 0
+    assert stats["samples_per_node"] == {}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -188,26 +195,15 @@ def test_a_timer_is_built_at_its_first_arm(case):
 
 @pytest.mark.parametrize("case", ["shipped/three_node_building", "random/9", "random/13",
                                   "aligned/0", "drain/0.3"])
-def test_samples_per_node_counts_the_records_in_first_record_order(case):
+def test_samples_per_node_counts_the_records_in_node_order(case):
     sim = run_case(case)
-    counts = sim.stats().samples_per_node
-    assert list(counts.items()) == list(Counter(record.node for record in sim.records).items())
+    counts = sim.stats()["samples_per_node"]
+    assert list(counts.items()) == [
+        (str(node), count)
+        for node, count in sorted(Counter(record.node for record in sim.records).items())]
     assert sum(counts.values()) == len(sim.records) > 0
     counts.clear()  # a snapshot: the next one still counts every record
-    assert sum(sim.stats().samples_per_node.values()) == len(sim.records)
-
-
-class SteppedSimulation(Simulation):
-    """Steps every event up to a horizon one at a time, then runs to it."""
-
-    def run_until(self, horizon_s):
-        limit = ticks_from_seconds(horizon_s)
-        while (at := self.queue.peek_time()) is not None and at <= limit:
-            assert self.step() is not None
-        events = self.events_processed
-        stats = super().run_until(horizon_s)
-        assert self.events_processed == events  # nothing was left to run
-        return stats
+    assert sum(sim.stats()["samples_per_node"].values()) == len(sim.records)
 
 
 def test_stepping_visits_the_same_events_as_run_until():
@@ -222,25 +218,27 @@ def test_stepping_visits_the_same_events_as_run_until():
 
 def test_unrouteable_device_loses_every_round(router_off_config):
     sim = Simulation(router_off_config)
-    stats = sim.run_until(7300.0)
-    assert stats.unreachable == (2,)
-    assert stats.samples_per_node == {}
-    assert stats.rounds[2]["lost"] == 4
-    assert stats.frames_delivered == 0
-    assert stats.frames_dropped == {"no_route": 4}
+    sim.run_until(7300.0)
+    stats = sim.stats()
+    assert stats["unreachable"] == [2]
+    assert stats["samples_per_node"] == {}
+    assert stats["rounds"]["2"]["lost"] == 4
+    assert stats["frames"]["delivered"] == 0
+    assert stats["frames"]["dropped_by_reason"] == {"no_route": 4}
 
 
 def test_depleted_battery_silences_the_node():
     doc = two_node_doc(battery_mah=0.01)  # dies 1.7 s in, before the first poll
     sim = Simulation(make_config(doc), trace=True)
-    stats = sim.run_until(600.0)
-    energy = stats.energy[1]
+    sim.run_until(600.0)
+    stats = sim.stats()
+    energy = stats["power"]["1"]
     # exact crossing: remaining_mah * ticks_per_hour / sleep current
-    assert energy.dead_at_s == pytest.approx(0.01 * 3600.0 / 21.10, abs=1e-6)
-    assert energy.remaining_mah == 0.0
-    assert stats.frames_sent == 0
-    assert stats.rounds[1] == {"completed": 0, "aborted": 0, "lost": 0}
-    dead_at_ticks = ticks_from_seconds(energy.dead_at_s)
+    assert energy["dead_at_s"] == pytest.approx(0.01 * 3600.0 / 21.10, abs=1e-6)
+    assert energy["remaining_mah"] == 0.0
+    assert stats["frames"]["sent"] == 0
+    assert stats["rounds"]["1"] == {"completed": 0, "aborted": 0, "lost": 0}
+    dead_at_ticks = ticks_from_seconds(energy["dead_at_s"])
     for line in sim.trace_lines:
         at, seq, kind, node = line.split("\t")[:4]
         if node == "1" and seq != "-":
@@ -251,11 +249,12 @@ def test_frames_buffered_for_a_dead_node_are_purged():
     doc = two_node_doc(battery_mah=0.1)  # dies ~17 s in, before the 28 s poll
     sim = Simulation(make_config(doc))
     sim.inject_set_period(1, 900)
-    stats = sim.run_until(60.0)
-    assert stats.frames_sent == 1
-    assert stats.frames_delivered == 0
-    assert stats.frames_dropped == {"node_dead": 1}
-    assert stats.frames_buffered_pending == 0
+    sim.run_until(60.0)
+    frames = sim.stats()["frames"]
+    assert frames["sent"] == 1
+    assert frames["delivered"] == 0
+    assert frames["dropped_by_reason"] == {"node_dead": 1}
+    assert frames["buffered_pending"] == 0
 
 
 @pytest.mark.parametrize("battery_mah, poll_s, period_s, dead_at", [
@@ -294,12 +293,13 @@ def test_a_full_parent_buffer_drops_its_oldest_frame_without_a_warning(caplog):
 def test_buffered_command_is_delivered_at_the_next_poll():
     sim = Simulation(make_config(two_node_doc(sample_period_s=560)))
     sim.inject_set_period(1, 280)
-    mid = sim.run_until(20.0)
-    assert mid.frames_buffered_pending == 1  # parked until the device polls
-    stats = sim.run_until(600.0)
-    assert stats.frames_buffered_pending == 0
-    assert stats.cyclic_sleep[1].sample_period_s == 280.0
-    assert stats.cyclic_sleep[1].effective_period_s == 280.0
+    sim.run_until(20.0)
+    assert sim.stats()["frames"]["buffered_pending"] == 1  # parked until the device polls
+    sim.run_until(600.0)
+    stats = sim.stats()
+    assert stats["frames"]["buffered_pending"] == 0
+    assert stats["cyclic_sleep"]["1"]["requested_period_s"] == 280.0
+    assert stats["cyclic_sleep"]["1"]["effective_period_s"] == 280.0
 
 
 def test_a_poll_delivers_a_frame_buffered_earlier_in_its_tick():
@@ -339,7 +339,7 @@ def test_timers_fire_their_configured_delay_after_they_are_armed():
     doc["nodes"].append(dict(doc["nodes"][1], id=2, position={"x": 300.0, "y": 0.0}))
     sim = Simulation(make_config(doc), trace=True)
     sim.run_until(600.0)
-    assert sim.stats().unreachable == (2,)
+    assert sim.stats()["unreachable"] == [2]
     warmup, timeout = ticks_from_seconds(0.4000004), ticks_from_seconds(1.2345674)
     guard = ticks_from_seconds(0.4000004 + 1.2345674)
     assert (warmup, timeout, guard) == (400_000, 1_234_567, 1_634_568)
@@ -364,10 +364,10 @@ def test_frame_conservation_on_canned_and_random_scenarios(three_node_config):
         horizons.append(horizon)
     for config, horizon in zip(configs, horizons):
         sim = Simulation(config)
-        stats = sim.run_until(horizon)
-        assert stats.frames_sent == (stats.frames_delivered + stats.total_dropped
-                                     + stats.frames_buffered_pending
-                                     + stats.frames_in_flight)
+        sim.run_until(horizon)
+        frames = sim.stats()["frames"]
+        assert frames["sent"] == (frames["delivered"] + frames["dropped"]
+                                  + frames["buffered_pending"] + frames["in_flight"])
 
 
 def test_invalid_scenario_is_rejected_at_construction():
@@ -619,7 +619,8 @@ def test_no_tick_holds_more_events_than_one_round_of_every_device(family, seed):
         tick, count = event.at, (count + 1 if event.at == tick else 1)
         assert count <= devices * (12 + 3 * config.max_retries) + 3 * commands, tick
     events = sim.events_processed
-    assert sim.run_until(horizon).clock_ticks == limit
+    sim.run_until(horizon)
+    assert sim.now == limit
     assert sim.events_processed == events
 
 
@@ -680,7 +681,9 @@ class SteppedSimulation(Simulation):
             scanned = sum(1 for queued in self.queue.pending()
                           if queued.kind is EventKind.FRAME_DELIVERED)
             assert self.frames_in_flight == scanned, (event.at, event.seq)
-        return super().run_until(horizon_s)
+        events = self.events_processed
+        super().run_until(horizon_s)
+        assert self.events_processed == events  # nothing was left to run
 
 
 def test_a_death_line_comes_before_or_after_its_dead_at():
@@ -721,7 +724,7 @@ def test_the_in_flight_counter_is_the_queued_deliveries(case):
         return run_slow_drain(cls) if case == SLOW_DRAIN else run_case(case, cls)
 
     sim = run(SteppedSimulation)
-    assert sim.stats().frames_in_flight == sim.frames_in_flight
+    assert sim.stats()["frames"]["in_flight"] == sim.frames_in_flight
     assert digests(sim) == digests(run())  # stepping ran the same run
     if case == "aligned/3":  # its batteries run out with frames in flight to them
         assert sim.dead_deliveries == 4

@@ -130,9 +130,9 @@ def test_stepped_polls_and_round_ends_are_bounded_per_event(name, monkeypatch):
         # a day of one device on a poll of 10 ms or less: up to 8.6e8 polls
         assert sim.poll_wakes_elided > 1000 * sim.events_processed
     if name.endswith("dies"):
-        assert sim.stats().energy[1].dead_at_s is not None
+        assert sim.stats()["power"]["1"]["dead_at_s"] is not None
     else:
-        assert sim.stats().rounds[1]["completed"] > 0
+        assert sim.stats()["rounds"]["1"]["completed"] > 0
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
