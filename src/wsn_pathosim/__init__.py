@@ -11,8 +11,7 @@ from .model import (BatteryState, FloorCrossing, NodeRole, NodeSpec, Obstacle,
                     SchemaError, UnknownNodeError, Violation, load_scenario,
                     obstacles_on_path, parse_scenario, serialize_scenario,
                     validate_scenario)
-from .propagation import (DEFAULT_PATH_LOSS_TABLE, LinkBudget, PathLossTable,
-                          free_space_loss, is_connected, link_budget,
+from .propagation import (LinkBudget, free_space_loss, is_connected, link_budget,
                           measure_rssi, select_channel)
 from .sensors import (Constant, GaugeNotHeatedError, GaugeState, Ramp,
                       SensorKind, SensorSpec, Sinusoid, ground_truth, sample)
@@ -32,12 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatteryState", "ChecksumError", "Constant", "ConsumptionProfile",
-    "CoordinatorSession", "CyclicSleepConfig", "DEFAULT_PATH_LOSS_TABLE",
-    "EndDeviceState", "ErrorReason", "EventKind", "EventQueue",
+    "CoordinatorSession", "CyclicSleepConfig", "EndDeviceState", "ErrorReason",
+    "EventKind", "EventQueue",
     "FloorCrossing", "FrameDecodeError", "GaugeNotHeatedError", "GaugeState",
     "InvalidScenarioError", "LinkBudget", "MessageFrame", "MessageKind",
     "NodeRole", "NodeSpec", "Obstacle", "ObstacleCrossing", "ObstacleKind",
-    "ParentTable", "PathLossTable", "Position", "PowerLedger", "PowerState",
+    "ParentTable", "Position", "PowerLedger", "PowerState",
     "RadioConfig", "Ramp", "RngStream", "SampleRecord",
     "ScenarioConfig", "ScenarioError", "ScenarioSyntaxError",
     "SchedulingInPastError", "SchemaError", "SensorKind", "SensorSpec",

@@ -3,50 +3,33 @@
 Subcommands:
 
 * ``run``        simulate a scenario for a given horizon and write outputs
-* ``linkbudget`` print the attenuation breakdown between two nodes
+* ``linkbudget`` print the attenuation breakdown between two nodes, from the
+                 paper's measured path-loss anchors (one fixed table)
 * ``lifetime``   closed-form battery lifetime estimate for an End Device
 * ``repl``       drive a simulation interactively, one event at a time
 
 Exit codes: 0 on success, 2 for scenario or usage problems, 1 for anything
-unexpected. Set PATHOSIM_LOG=error|warn|info|debug to tune diagnostics.
+unexpected. A successful command writes nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import logging
-import os
 import sys
 import traceback
 from pathlib import Path
 
 from . import report
-from .model import NodeRole, ScenarioError, load_scenario
+from .model import NodeRole, ScenarioConfig, ScenarioError, load_scenario
 from .power import (CyclicSleepConfig, PowerState, average_current, estimate_lifetime)
 from .propagation import is_connected, link_budget
 from .simulation import Simulation, check_scenario
 
-logger = logging.getLogger(__name__)
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "warning": logging.WARNING, "info": logging.INFO,
-               "debug": logging.DEBUG}
-
 _ACTIVE_STATES = {"sleeping": PowerState.SLEEPING,
                   "awake_idle": PowerState.AWAKE_IDLE,
                   "transmitting": PowerState.TRANSMITTING}
-
-
-def _configure_logging() -> None:
-    raw = os.environ.get("PATHOSIM_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-    if raw not in _LOG_LEVELS:
-        logger.warning("unknown PATHOSIM_LOG value %r; using warn", raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--until", required=True, type=float,
                      help="virtual horizon in seconds (finite)")
     run.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
+                     help="run the scenario with this seed in place of its own")
     run.add_argument("--out", default="out",
                      help="output directory (default: out)")
     run.add_argument("--trace", default=None,
@@ -89,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     repl = sub.add_parser("repl", help="interactive stepping")
     repl.add_argument("--scenario", required=True)
-    repl.add_argument("--seed", type=int, default=None)
+    repl.add_argument("--seed", type=int, default=None,
+                      help="run the scenario with this seed in place of its own")
     repl.add_argument("--out", default=None,
                       help="write samples.csv/report.json/report.txt here on quit")
     repl.add_argument("--trace", default=None, help="write the trace here on quit")
@@ -98,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -131,9 +114,16 @@ def _write_outputs(sim: Simulation, out_dir: str | None, trace_path: str | None)
     return text
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The --scenario file, with --seed in place of its seed if given."""
     config = load_scenario(args.scenario)
-    sim = Simulation(config, seed=args.seed, trace=args.trace is not None)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    return config
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    sim = Simulation(_scenario(args), trace=args.trace is not None)
     sim.run_until(args.until)
     print(_write_outputs(sim, args.out, args.trace), end="")
     return 0
@@ -147,8 +137,6 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
     budget = link_budget(config, args.src, args.dst)
     sensitivity = config.node(args.dst).radio.sensitivity_dbm
     connected = is_connected(budget, sensitivity)
-    logger.debug("link %d -> %d: received %.2f dBm, sensitivity %.2f dBm",
-                  args.src, args.dst, budget.received_power, sensitivity)
     if args.json:
         doc = {"from": args.src, "to": args.dst,
                "distance_m": budget.distance,
@@ -238,8 +226,7 @@ def _repl_status(sim: Simulation) -> str:
 
 
 def _cmd_repl(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
-    sim = Simulation(config, seed=args.seed, trace=args.trace is not None)
+    sim = Simulation(_scenario(args), trace=args.trace is not None)
     prompt = "pathosim> " if sys.stdin.isatty() else ""
     print("commands: step, run-until <s>, set-period <node> <seconds>,"
           " status, dump-samples <path>, quit")

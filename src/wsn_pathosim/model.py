@@ -564,8 +564,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
     seed = 0
     if "seed" in root:
         seed = _expect_int(root["seed"], "$.seed")
-        if not 0 <= seed < (1 << 64):
-            raise SchemaError("$.seed", "must be an unsigned 64-bit integer")
 
     return ScenarioConfig(nodes=nodes, obstacles=obstacles,
                           channels=channels, seed=seed, **settings)
@@ -766,6 +764,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
             violations.append(Violation(rule="interference must be >= 0",
                                         field=f"channels.{channel_id}"))
 
+    if type(config.seed) is not int or not 0 <= config.seed < (1 << 64):
+        violations.append(Violation(rule="seed must be an unsigned 64-bit integer",
+                                    field="seed", message=repr(config.seed)))
     if not config.floor_loss_db >= 0:
         violations.append(Violation(rule="floor loss must be >= 0", field="floor_loss_db"))
     if not config.warmup_delay_s >= 0:

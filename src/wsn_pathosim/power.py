@@ -194,14 +194,20 @@ class PowerLedger:
     battery_capacity_mah: float | None = None
     battery_remaining_mah: float | None = None
     cursor: Ticks = 0
-    dead_at: Ticks | None = None
-    durations: dict[PowerState, int] = field(default_factory=_NO_TICKS.copy)
+    dead_at: Ticks | None = field(init=False)
+    durations: dict[PowerState, int] = field(init=False, default_factory=_NO_TICKS.copy)
     poll_ticks: Ticks = 0
     poll_window: Ticks = 0
-    next_poll: Ticks | None = None
-    polls: int = 0
+    next_poll: Ticks | None = field(init=False)
+    polls: int = field(init=False)
 
     def __post_init__(self) -> None:
+        # Set on every ledger here, not left to class-level defaults, so that
+        # all ledgers store one set of attributes in one order and share one
+        # key table (instance attributes added in differing orders would not).
+        self.dead_at = None
+        self.next_poll = None
+        self.polls = 0
         if self.battery_capacity_mah is not None and self.battery_remaining_mah is None:
             self.battery_remaining_mah = self.battery_capacity_mah
         self._initial_remaining_mah = self.battery_remaining_mah
@@ -210,9 +216,8 @@ class PowerLedger:
             if not 0 <= self.poll_window < self.poll_ticks:
                 raise ValueError(f"poll window {self.poll_window} must fit in the poll period "
                                  f"{self.poll_ticks}")
-            if self.next_poll is None:
-                # first positive multiple of the period at or after the cursor
-                self.next_poll = max(1, -(-self.cursor // self.poll_ticks)) * self.poll_ticks
+            # first positive multiple of the period at or after the cursor
+            self.next_poll = max(1, -(-self.cursor // self.poll_ticks)) * self.poll_ticks
 
     @property
     def is_dead(self) -> bool:

@@ -1,8 +1,9 @@
 """Radio attenuation and received power.
 
-Free-space loss follows a measured anchor table, interpolated linearly in
-log10(distance); obstacle and floor losses add on top. Connectivity is a
-deterministic threshold test; RSSI measurement adds seeded Gaussian shadowing.
+Free-space loss follows one fixed table, the paper's measured indoor anchors,
+interpolated linearly in log10(distance); obstacle and floor losses add on
+top. Connectivity is a deterministic threshold test; RSSI measurement adds
+seeded Gaussian shadowing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ DEFAULT_PATH_LOSS_ANCHORS: tuple[tuple[float, float], ...] = (
     (8.0, 23.93),
     (11.0, 29.61),
 )
+# Distances are positive and strictly increasing, losses non-decreasing: the
+# parent search's loss bound relies on it. The log10 of every anchor distance
+# and the slope of the last segment are computed once, here.
+_XS = tuple(math.log10(d) for d, _ in DEFAULT_PATH_LOSS_ANCHORS)
+_YS = tuple(a for _, a in DEFAULT_PATH_LOSS_ANCHORS)
+_END_SLOPE = (_YS[-1] - _YS[-2]) / (_XS[-1] - _XS[-2])
 
 FLOOR_CROSSING_LABEL = "floor_crossing"
 # Each obstacle kind's label, read once: Enum.value goes through a
@@ -37,35 +44,7 @@ class EmptyChannelMapError(ValueError):
     """Channel selection over an empty interference map."""
 
 
-@dataclass(frozen=True)
-class PathLossTable:
-    """Distance/attenuation anchors (m, dB): strictly increasing distances,
-    non-decreasing attenuations. The log10 of every anchor distance and the
-    slope of the last segment are computed once, here."""
-
-    anchors: tuple[tuple[float, float], ...] = DEFAULT_PATH_LOSS_ANCHORS
-
-    def __post_init__(self) -> None:
-        if len(self.anchors) < 2:
-            raise ValueError("a path-loss table needs at least two anchors")
-        for (d1, a1), (d2, a2) in zip(self.anchors, self.anchors[1:]):
-            if d2 <= d1:
-                raise ValueError(f"anchor distances must increase: {d1} then {d2}")
-            if a2 < a1:
-                raise ValueError(f"anchor attenuations must not decrease: {a1} then {a2}")
-        if self.anchors[0][0] <= 0:
-            raise ValueError("anchor distances must be positive")
-        xs = tuple(math.log10(d) for d, _ in self.anchors)
-        ys = tuple(a for _, a in self.anchors)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_end_slope", (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
-
-
-DEFAULT_PATH_LOSS_TABLE = PathLossTable()
-
-
-def free_space_loss(distance_m: float, table: PathLossTable = DEFAULT_PATH_LOSS_TABLE) -> float:
+def free_space_loss(distance_m: float) -> float:
     """Unobstructed attenuation (dB) at a distance, from the anchor table.
 
     Distances at or below the first anchor, 0 m included (two nodes stacked
@@ -76,13 +55,12 @@ def free_space_loss(distance_m: float, table: PathLossTable = DEFAULT_PATH_LOSS_
     """
     if distance_m < 0:
         raise NonPositiveDistanceError(f"distance must be >= 0 m, got {distance_m}")
-    anchors = table.anchors
-    if distance_m <= anchors[0][0]:
-        return anchors[0][1]
+    if distance_m <= DEFAULT_PATH_LOSS_ANCHORS[0][0]:
+        return DEFAULT_PATH_LOSS_ANCHORS[0][1]
     x = math.log10(distance_m)
-    xs, ys = table._xs, table._ys
+    xs, ys = _XS, _YS
     if x >= xs[-1]:
-        return ys[-1] + table._end_slope * (x - xs[-1])
+        return ys[-1] + _END_SLOPE * (x - xs[-1])
     for i in range(len(xs) - 1):
         if x <= xs[i + 1]:
             t = (x - xs[i]) / (xs[i + 1] - xs[i])
@@ -107,8 +85,7 @@ class LinkBudget:
     received_power: float
 
 
-def link_budget(config: ScenarioConfig, a: int, b: int,
-                table: PathLossTable = DEFAULT_PATH_LOSS_TABLE) -> LinkBudget:
+def link_budget(config: ScenarioConfig, a: int, b: int) -> LinkBudget:
     """Budget of the a -> b link using a's transmit power.
 
     Distance is 2-D (in-plane); floor separation enters as per-floor crossing
@@ -119,7 +96,7 @@ def link_budget(config: ScenarioConfig, a: int, b: int,
     node_b = config.node(b)
     distance = math.hypot(node_b.position.x - node_a.position.x,
                           node_b.position.y - node_a.position.y)
-    fsl = free_space_loss(distance, table)
+    fsl = free_space_loss(distance)
     losses: list[tuple[str, float]] = []
     for crossing in obstacles_on_path(config, a, b):
         if isinstance(crossing, ObstacleCrossing):

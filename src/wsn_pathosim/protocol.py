@@ -13,7 +13,6 @@ nothing.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from collections import deque
@@ -24,10 +23,8 @@ from typing import NamedTuple
 from .engine import RngStream, Ticks
 from .model import NodeSpec, ScenarioConfig
 from .power import PowerState
-from .propagation import DEFAULT_PATH_LOSS_TABLE, PathLossTable, free_space_loss, link_budget
+from .propagation import free_space_loss, link_budget
 from .sensors import GaugeNotHeatedError, GaugeState, SensorKind, sample
-
-logger = logging.getLogger(__name__)
 
 FRAME_MAGIC = 0xA5
 FRAME_VERSION = 0x01
@@ -301,8 +298,6 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
 
     if isinstance(stimulus, ExternalWakeStimulus):
         if state.phase is not SLEEPING:
-            logger.debug("node %d external wake ignored in phase %s",
-                         state.node_id, state.phase.value)
             return result
         state.phase = AWAKE_IDLE
         state.guard_until = now + guard_ticks
@@ -488,7 +483,6 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
 
     if kind is AWAKE:
         if session.phase is not WAITING_AWAKE and session.phase is not DONE:
-            logger.debug("stale AWAKE from node %d ignored mid-round", session.device)
             return result
         session.round_no += 1
         session.attempt = 0
@@ -519,15 +513,10 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         return result
 
     if kind is ERR:
-        # Log only; the armed response timeout drives any retry.
+        # Counted in errors_seen only; the armed response timeout drives any
+        # retry.
         result.error_seen = parse_err(frame)
-        logger.info("node %d reported %s", frame.src, result.error_seen.name)
-        return result
-
-    if kind is ACK:
-        return result
-
-    logger.debug("coordinator ignoring unexpected %s", frame.summary())
+    # An ACK, or a kind the coordinator never expects, changes nothing.
     return result
 
 
@@ -588,18 +577,16 @@ class ParentTable:
 LOSS_BOUND_SLACK_DB = 1e-9
 
 
-def _power_bound(config: ScenarioConfig, sender: NodeSpec, receiver: NodeSpec,
-                 table: PathLossTable) -> float:
+def _power_bound(config: ScenarioConfig, sender: NodeSpec, receiver: NodeSpec) -> float:
     """Upper bound on the sender -> receiver received power: the transmit
     power less the free-space and floor losses alone."""
     pa, pb = sender.position, receiver.position
     distance = math.hypot(pb.x - pa.x, pb.y - pa.y)
-    return sender.radio.tx_power_dbm - (free_space_loss(distance, table)
+    return sender.radio.tx_power_dbm - (free_space_loss(distance)
                                         + abs(pb.floor - pa.floor) * config.floor_loss_db)
 
 
-def build_parent_table(config: ScenarioConfig,
-                       table: PathLossTable = DEFAULT_PATH_LOSS_TABLE) -> ParentTable:
+def build_parent_table(config: ScenarioConfig) -> ParentTable:
     """Choose each node's parent from downlink budgets.
 
     A link counts as connected when the candidate parent's transmission meets
@@ -630,7 +617,7 @@ def build_parent_table(config: ScenarioConfig,
 
     def best_parent(child: NodeSpec, candidates: list[NodeSpec]) -> int | None:
         sensitivity = child.radio.sensitivity_dbm
-        ranked = sorted(((_power_bound(config, up, child, table), up) for up in candidates),
+        ranked = sorted(((_power_bound(config, up, child), up) for up in candidates),
                         key=lambda item: (-item[0], item[1].id))
         best_id: int | None = None
         best_power = -math.inf
@@ -638,8 +625,8 @@ def build_parent_table(config: ScenarioConfig,
             if prune and (bound < sensitivity - LOSS_BOUND_SLACK_DB
                           or bound < best_power - LOSS_BOUND_SLACK_DB):
                 break  # neither this candidate nor any after it can win
-            power = links[(up.id, child.id)] = link_budget(config, up.id, child.id,
-                                                            table).received_power
+            power = links[(up.id, child.id)] = link_budget(config, up.id,
+                                                            child.id).received_power
             if power >= sensitivity and (best_id is None
                                          or (power, -up.id) > (best_power, -best_id)):
                 best_id, best_power = up.id, power

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
 
 from .engine import RngStream, Ticks, seconds_from_ticks, ticks_from_seconds
@@ -72,7 +71,7 @@ class SensorSpec:
     def requires_heating(self) -> bool:
         return self.kind is STRAIN_GAUGE
 
-    @cached_property
+    @property
     def heat_duration_ticks(self) -> Ticks:
         duration = self.heat_duration_s
         if duration is None:

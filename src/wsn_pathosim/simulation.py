@@ -1,9 +1,9 @@
 """World orchestration: wires the scenario, protocol, radio, and power models
 into one deterministic event loop.
 
-Identical (scenario, seed) pairs replay bit for bit: every random draw comes
-from a derived named stream, every container iterates in insertion order, and
-virtual time is integer microseconds.
+Identical scenarios, seed included, replay bit for bit: every random draw
+comes from a derived named stream, every container iterates in insertion
+order, and virtual time is integer microseconds.
 
 A building-scale day dispatches tens of thousands of events, so the path
 from Simulation._dispatch down to the PowerLedgers keeps its Python-level
@@ -48,7 +48,6 @@ hops few. Its conventions:
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,8 +66,6 @@ from .protocol import (_KIND_NAME, FRAME_OVERHEAD, PARENT_BUFFER_CAPACITY, WIRE_
                        ResponseTimeoutStimulus, SampleRecord, WarmupDoneStimulus,
                        build_parent_table, coordinator_step, end_device_step, route_path,
                        set_period_payload)
-
-logger = logging.getLogger(__name__)
 
 DROP_NO_ROUTE = "no_route"
 DROP_NODE_DEAD = "node_dead"
@@ -228,10 +225,8 @@ class Simulation:
     and leaves no trace line.
     """
 
-    def __init__(self, config: ScenarioConfig, *, seed: int | None = None,
-                 trace: bool = False) -> None:
+    def __init__(self, config: ScenarioConfig, *, trace: bool = False) -> None:
         self.config = check_scenario(config)
-        self.seed = config.seed if seed is None else seed
         self.queue = EventQueue()
         self.parent_table: ParentTable = build_parent_table(config)
         self.channel: int | None = (select_channel(config.channels)
@@ -265,7 +260,7 @@ class Simulation:
             POLL_WAKE: self._on_poll_wake}
         self._coord_seq = 0
         self._hops: dict[tuple[int, int], Hops | None] = {}  # per (src, dst), at its first frame
-        self._shadow_rng = RngStream(derive_seed(self.seed, "shadowing"))
+        self._shadow_rng = RngStream(derive_seed(config.seed, "shadowing"))
         self._real_polls = 0
         # The last real poll: _poll_passed reads it for a SET_PERIOD injected between step()s.
         self._polls_tick, self._polls_rank = -1, 0
@@ -411,7 +406,7 @@ class Simulation:
                                "multiplier": sleep.multiplier,
                                "effective_period_s": sleep.effective_period_s}
         return {
-            "seed": self.seed,
+            "seed": self.config.seed,
             "clock_s": clock_s,
             "events_processed": self.events_processed,
             "poll_wakes_elided": elided,
@@ -508,7 +503,7 @@ class Simulation:
         sensor_rng = runtime.sensor_rng
         if sensor_rng is None:
             sensor_rng = runtime.sensor_rng = RngStream(
-                derive_seed(self.seed, "sensor", runtime.spec.id))
+                derive_seed(self.config.seed, "sensor", runtime.spec.id))
         result = end_device_step(state, stimulus, now, runtime.spec, sensor_rng,
                                  coordinator_id=self._coordinator.id,
                                  guard_ticks=self._guard_ticks)
@@ -649,8 +644,6 @@ class Simulation:
         self.frames_dropped[reason] += 1
         if self.trace_enabled:
             self._trace_action("drop", frame.dst, f"{frame.summary()} reason={reason}", now)
-        if logger.isEnabledFor(logging.INFO):
-            logger.info("dropped %s (%s)", frame.summary(), reason)
 
     def _resolve_hops(self, src: int, dst: int) -> Hops | None:
         """route_path over the static tree as Hops, kept in the hop table;
@@ -686,10 +679,8 @@ class Simulation:
             return
         runtime.death_logged = True
         self.queue.disarm(runtime.real_poll)
-        dead_at = runtime.ledger.dead_at
         if self.trace_enabled:
-            self._trace_action("death", runtime.spec.id, f"dead_at={dead_at}", now)
-        logger.info("node %d battery exhausted at %s ticks", runtime.spec.id, dead_at)
+            self._trace_action("death", runtime.spec.id, f"dead_at={runtime.ledger.dead_at}", now)
         buffer = self.parent_table.buffers.get(runtime.spec.id)
         while buffer:
             self._drop(buffer.popleft(), DROP_NODE_DEAD, now)

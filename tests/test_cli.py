@@ -66,6 +66,63 @@ def test_run_with_seed_override_changes_values(tmp_path):
     assert outs[0] != outs[1]
 
 
+OUTPUT_FILES = ("report.json", "report.txt", "samples.csv", "trace.tsv")
+
+
+def _with_seed(tmp_path, seed: int) -> str:
+    """A copy of three_node_building.json whose seed field reads `seed`."""
+    doc = json.loads(Path(THREE_NODE).read_text())
+    doc["seed"] = seed
+    path = tmp_path / f"seed_{seed}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_seed_flag_runs_the_scenario_with_that_seed(tmp_path, capsys, monkeypatch):
+    """`--seed N` on run and on a scripted repl session writes the four files
+    a scenario whose seed field reads N writes, byte for byte."""
+    edited = _with_seed(tmp_path, 7)
+    for name, argv in (("flag", ["--scenario", THREE_NODE, "--seed", "7"]),
+                       ("file", ["--scenario", edited])):
+        out = tmp_path / "run" / name
+        assert main(["run", "--until", "7200", "--out", str(out),
+                     "--trace", str(out / "trace.tsv")] + argv) == 0
+        out = tmp_path / "repl" / name
+        assert _run_repl(monkeypatch, REPL_SCRIPT,
+                         argv + ["--out", str(out), "--trace", str(out / "trace.tsv")]) == 0
+    capsys.readouterr()
+    for command in ("run", "repl"):
+        assert json.loads((tmp_path / command / "flag" / "report.json").read_text())["seed"] == 7
+        for file in OUTPUT_FILES:
+            assert ((tmp_path / command / "flag" / file).read_bytes()
+                    == (tmp_path / command / "file" / file).read_bytes()), (command, file)
+
+
+@pytest.mark.parametrize("command", ["run", "repl"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_a_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, command, seed):
+    """A seed the scenario file could not hold is refused on the command line
+    too: -1 and 2^64 would otherwise name the runs of 2^64 - 1 and 0."""
+    argv = ["--scenario", THREE_NODE, "--seed", seed, "--out", str(tmp_path)]
+    if command == "run":
+        code = main(["run", "--until", "3600"] + argv)
+    else:
+        code = _run_repl(monkeypatch, ["quit"], argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed must be an unsigned 64-bit integer" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_64_bit_seed_runs(tmp_path, capsys):
+    assert main(["run", "--scenario", THREE_NODE, "--until", "3600", "--out", str(tmp_path),
+                 "--seed", str((1 << 64) - 1)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == (1 << 64) - 1
+
+
 def test_linkbudget_text_breakdown(capsys):
     code = main(["linkbudget", "--scenario", THREE_NODE, "--from", "0", "--to", "1"])
     assert code == 0
@@ -477,10 +534,7 @@ def test_console_script_smoke(tmp_path):
         [sys.executable, "-m", "wsn_pathosim", "linkbudget", "--scenario", THREE_NODE,
          "--from", "0", "--to", "1", "--json"],
         capture_output=True, text=True, cwd=tmp_path,
-        env={"PATH": "/usr/local/bin:/usr/bin:/bin", "PATHOSIM_LOG": "debug",
-             "PYTHONPATH": str(package_root)})
+        env={"PATH": "/usr/local/bin:/usr/bin:/bin", "PYTHONPATH": str(package_root)})
     assert result.returncode == 0
-    # the subcommand logs at debug level, so a log handler pointed at stdout
-    # would break the JSON below
-    assert "DEBUG wsn_pathosim.cli: link 0 -> 1" in result.stderr
+    assert result.stderr == ""  # a successful command writes nothing to stderr
     assert json.loads(result.stdout)["received_power_dbm"] == pytest.approx(-29.53)

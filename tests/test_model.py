@@ -216,13 +216,23 @@ def test_booleans_are_not_numbers():
 
 
 def test_seed_must_fit_unsigned_64_bits():
+    """One rule, in the validator, for a file's seed and a config built in
+    code: each seed out of range, or not an int (a float would fail in
+    derive_seed, a bool would be reported as true), is one violation on
+    `seed`."""
+    config = make_config(two_node_doc())
+    for seed in (-1, 1 << 64, 1.5, True):
+        bad = dataclasses.replace(config, seed=seed)
+        violations = validate_scenario(bad)
+        assert [(v.field, v.rule) for v in violations] == [
+            ("seed", "seed must be an unsigned 64-bit integer")]
+        with pytest.raises(InvalidScenarioError, match="scenario.seed"):
+            Simulation(bad)
     doc = two_node_doc()
-    doc["seed"] = -1
-    with pytest.raises(SchemaError, match="seed"):
-        make_config(doc)
-    doc["seed"] = 1 << 64
-    with pytest.raises(SchemaError, match="seed"):
-        make_config(doc)
+    doc["seed"] = -1  # the parser reads any integer; the validator judges it
+    assert [v.field for v in validate_scenario(make_config(doc))] == ["seed"]
+    for seed in (0, (1 << 64) - 1):
+        assert validate_scenario(dataclasses.replace(config, seed=seed)) == []
 
 
 def test_channel_keys_must_be_integers():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsn_pathosim.engine import RngStream
-from wsn_pathosim.propagation import (DEFAULT_PATH_LOSS_TABLE, EmptyChannelMapError,
-                                      NonPositiveDistanceError, PathLossTable,
-                                      free_space_loss, is_connected, link_budget,
-                                      measure_rssi, select_channel)
+from wsn_pathosim.propagation import (DEFAULT_PATH_LOSS_ANCHORS, EmptyChannelMapError,
+                                      NonPositiveDistanceError, free_space_loss,
+                                      is_connected, link_budget, measure_rssi,
+                                      select_channel)
 
 ANCHORS = [(0.5, 0.00), (1.0, 8.16), (2.0, 11.65), (4.0, 19.91),
            (8.0, 23.93), (11.0, 29.61)]
@@ -50,21 +50,17 @@ def test_loss_never_decreases_with_distance(d1, d2):
     assert free_space_loss(lo) <= free_space_loss(hi) + 1e-12
 
 
-def test_custom_table_validation():
-    with pytest.raises(ValueError):
-        PathLossTable(anchors=((1.0, 5.0),))  # need at least two points
-    with pytest.raises(ValueError):
-        PathLossTable(anchors=((2.0, 5.0), (1.0, 8.0)))  # distances not increasing
-    with pytest.raises(ValueError):
-        PathLossTable(anchors=((1.0, 8.0), (2.0, 5.0)))  # loss decreasing
-    with pytest.raises(ValueError):
-        PathLossTable(anchors=((0.0, 0.0), (1.0, 8.0)))  # first distance not positive
-
-
-def test_custom_table_is_used():
-    table = PathLossTable(anchors=((1.0, 10.0), (10.0, 30.0)))
-    assert free_space_loss(1.0, table) == 10.0
-    assert free_space_loss(math.sqrt(10.0), table) == pytest.approx(20.0)
+def test_the_measured_anchors_form_a_valid_table():
+    """At least two anchors, a positive first distance, strictly increasing
+    distances and non-decreasing losses: interpolation needs the first three,
+    and the parent search's loss bound needs the loss to grow with distance."""
+    anchors = DEFAULT_PATH_LOSS_ANCHORS
+    assert list(anchors) == ANCHORS
+    assert len(anchors) >= 2
+    assert anchors[0][0] > 0
+    for (d1, a1), (d2, a2) in zip(anchors, anchors[1:]):
+        assert d2 > d1
+        assert a2 >= a1
 
 
 def test_link_budget_breakdown_through_two_walls(three_node_config):
@@ -158,25 +154,12 @@ def _free_space_loss_inline(distance_m: float, anchors) -> float:
     raise AssertionError("unreachable")
 
 
-@st.composite
-def loss_tables(draw):
-    first = draw(st.floats(min_value=0.01, max_value=5.0))
-    ratios = draw(st.lists(st.floats(min_value=1.01, max_value=4.0), min_size=1, max_size=7))
-    distances = [first]
-    for ratio in ratios:
-        distances.append(distances[-1] * ratio)
-    losses = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=80.0),
-                                  min_size=len(distances), max_size=len(distances))))
-    return PathLossTable(tuple(zip(distances, losses)))
-
-
-@given(st.one_of(st.just(DEFAULT_PATH_LOSS_TABLE), loss_tables()),
-       st.lists(st.floats(min_value=1e-3, max_value=1e4), max_size=20))
-def test_precomputed_anchors_give_the_formula_bit_for_bit(table, distances):
-    anchors = table.anchors
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e4), max_size=20))
+def test_precomputed_anchors_give_the_formula_bit_for_bit(distances):
+    anchors = DEFAULT_PATH_LOSS_ANCHORS
     probes = list(distances) + [d for d, _ in anchors]          # each anchor
     probes += [anchors[0][0] / 2, anchors[0][0]]                # clamp region
     probes += [anchors[-1][0] * 1.5, anchors[-1][0] * 100]      # extrapolation
     probes += [math.sqrt(a * b) for (a, _), (b, _) in zip(anchors, anchors[1:])]
     for distance in probes:
-        assert free_space_loss(distance, table) == _free_space_loss_inline(distance, anchors)
+        assert free_space_loss(distance) == _free_space_loss_inline(distance, anchors)

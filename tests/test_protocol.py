@@ -591,9 +591,9 @@ def test_parent_search_skips_budgets_the_loss_bound_rules_out(monkeypatch):
     budgeted = []
     real_link_budget = protocol.link_budget
 
-    def counting_link_budget(config, a, b, table):
+    def counting_link_budget(config, a, b):
         budgeted.append((a, b))
-        return real_link_budget(config, a, b, table)
+        return real_link_budget(config, a, b)
 
     monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
     table = build_parent_table(config)
@@ -614,9 +614,9 @@ def test_an_end_device_budgets_only_the_candidates_that_can_still_win(monkeypatc
     budgeted = []
     real_link_budget = protocol.link_budget
 
-    def counting_link_budget(config, a, b, table):
+    def counting_link_budget(config, a, b):
         budgeted.append((a, b))
-        return real_link_budget(config, a, b, table)
+        return real_link_budget(config, a, b)
 
     monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
     table = build_parent_table(config)
@@ -641,9 +641,9 @@ def test_a_router_budgets_only_the_candidates_that_can_still_win(monkeypatch):
     budgeted = []
     real_link_budget = protocol.link_budget
 
-    def counting_link_budget(config, a, b, table):
+    def counting_link_budget(config, a, b):
         budgeted.append((a, b))
-        return real_link_budget(config, a, b, table)
+        return real_link_budget(config, a, b)
 
     monkeypatch.setattr(protocol, "link_budget", counting_link_budget)
     table = build_parent_table(config)

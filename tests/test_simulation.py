@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from collections import Counter
 
@@ -68,7 +69,7 @@ def test_runs_are_bitwise_deterministic(three_node_config):
 def test_seed_changes_the_sampled_values(three_node_config):
     values = []
     for seed in (42, 43):
-        sim = Simulation(three_node_config, seed=seed)
+        sim = Simulation(dataclasses.replace(three_node_config, seed=seed))
         sim.run_until(7200.0)
         values.append([record.value for record in sim.records])
     assert len(values[0]) == len(values[1]) == 4
@@ -161,7 +162,8 @@ def test_a_device_builds_its_sensor_stream_at_its_first_step(seed):
     sim.run_until(seconds_from_ticks(max(runtime.sleep.period_ticks for runtime in devices)))
     for runtime in sim.runtimes.values():
         if runtime.is_end_device:
-            assert runtime.sensor_rng.seed == derive_seed(sim.seed, "sensor", runtime.spec.id)
+            assert runtime.sensor_rng.seed == derive_seed(sim.config.seed, "sensor",
+                                                          runtime.spec.id)
         else:
             assert runtime.sensor_rng is None
 
@@ -282,9 +284,8 @@ def test_a_dying_device_makes_a_few_polls_events_not_every_poll(battery_mah, pol
 
 
 def test_a_full_parent_buffer_drops_its_oldest_frame_without_a_warning(caplog):
-    """A drop is counted, traced and logged at INFO; nothing reaches a run
-    that has no logging configured."""
-    with caplog.at_level(logging.WARNING):
+    """A drop is counted and traced, and logs nothing at any level."""
+    with caplog.at_level(logging.DEBUG):
         sim = run_case("aligned/5")
     assert caplog.records == []
     assert sim.frames_dropped["buffer_full"] == 34
@@ -413,11 +414,10 @@ def test_inject_set_period_sends_a_whole_float_as_its_int(three_node_config):
     assert sent[float] == sent[int]
 
 
-def test_explicit_seed_overrides_the_scenario(three_node_config):
+def test_the_run_reports_its_scenario_seed(three_node_config):
     assert three_node_config.seed == 42
-    sim = Simulation(three_node_config, seed=7)
-    assert sim.seed == 7
-    assert Simulation(three_node_config).seed == 42
+    assert Simulation(three_node_config).stats()["seed"] == 42
+    assert Simulation(dataclasses.replace(three_node_config, seed=7)).stats()["seed"] == 7
 
 
 def _external_wake_ticks(sim: Simulation, horizon_s: float) -> list[int]:

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from wsn_pathosim.model import (BatteryState, FloorCrossing, NodeRole, NodeSpec, Obstacle,
                                 ObstacleCrossing, ObstacleKind, Position, RadioConfig,
                                 ScenarioConfig, UnknownNodeError, _crossing_param)
-from wsn_pathosim.propagation import (DEFAULT_PATH_LOSS_TABLE, FLOOR_CROSSING_LABEL,
-                                      LinkBudget, free_space_loss)
+from wsn_pathosim.propagation import FLOOR_CROSSING_LABEL, LinkBudget, free_space_loss
 from wsn_pathosim.protocol import ParentTable
 
 
@@ -50,7 +49,7 @@ def reference_link_budget(config: ScenarioConfig, a: int, b: int) -> LinkBudget:
     node_a, node_b = scan_node(config, a), scan_node(config, b)
     distance = math.hypot(node_b.position.x - node_a.position.x,
                           node_b.position.y - node_a.position.y)
-    fsl = free_space_loss(distance, DEFAULT_PATH_LOSS_TABLE)
+    fsl = free_space_loss(distance)
     losses = []
     for crossing in reference_obstacles_on_path(config, a, b):
         if isinstance(crossing, ObstacleCrossing):
