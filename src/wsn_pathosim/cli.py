@@ -202,7 +202,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def _repl_status(sim: Simulation) -> str:
-    stats = sim.stats()
+    sim.poll_wakes_elided  # books the passed polls, as stats() does, before a ledger is read
     lines = [f"clock {sim.now / 1e6:.6f} s, {sim.events_processed} events processed,"
              f" {len(sim.queue)} pending"]
     for node_id, runtime in sim.runtimes.items():
@@ -212,11 +212,12 @@ def _repl_status(sim: Simulation) -> str:
             state = runtime.device_state
             assert state is not None
             parts.append(f"phase={state.phase.value}")
-            energy = stats["power"][str(node_id)]
-            if "battery_capacity_mah" in energy:
-                parts.append(f"battery={energy['remaining_mah']:.3f}"
-                             f"/{energy['battery_capacity_mah']:.1f} mAh")
-            parts.append(f"period={stats['cyclic_sleep'][str(node_id)]['requested_period_s']} s")
+            ledger, sleep = runtime.ledger, runtime.sleep
+            assert sleep is not None
+            if ledger.battery_capacity_mah is not None:
+                parts.append(f"battery={ledger.battery_remaining_mah:.3f}"
+                             f"/{ledger.battery_capacity_mah:.1f} mAh")
+            parts.append(f"period={sleep.sample_period_s} s")
             if state.pending_period_s is not None:
                 parts.append(f"pending={state.pending_period_s} s")
             parent = sim.parent_table.parent.get(node_id)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 from .engine import has_finite_ticks, ticks_from_seconds
@@ -181,7 +183,9 @@ class _IndexedObstacle(NamedTuple):
     crossing: ObstacleCrossing
 
 
-def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_IndexedObstacle, ...]]:
+def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple]:
+    """Each floor's (xmins, running maximum of xmaxes, obstacles), the
+    obstacles sorted by xmin (see obstacles_on_path)."""
     by_floor: dict[int, list[_IndexedObstacle]] = {}
     for position, obstacle in enumerate(obstacles):
         start, end = obstacle.start, obstacle.end
@@ -189,7 +193,11 @@ def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple[_Indexe
             min(start.x, end.x), max(start.x, end.x), min(start.y, end.y),
             max(start.y, end.y), start.x, start.y, end.x, end.y, position,
             ObstacleCrossing(kind=obstacle.kind, loss_db=obstacle.loss_db)))
-    return {floor: tuple(entries) for floor, entries in by_floor.items()}
+    for entries in by_floor.values():
+        entries.sort(key=lambda entry: entry.xmin)
+    return {floor: ([entry.xmin for entry in entries],
+                    list(accumulate((entry.xmax for entry in entries), max)), tuple(entries))
+            for floor, entries in by_floor.items()}
 
 
 @dataclass(frozen=True)
@@ -197,7 +205,7 @@ class ScenarioConfig:
     """A scenario; immutable, so vary one with dataclasses.replace. Its nodes
     and obstacles are kept as tuples of what it is given. Its id index (the
     first node wins when ids repeat) and its obstacles grouped by floor, each
-    with its bounding box, are built with it. They are plain attributes, not
+    with its bounding box and sorted by its xmin, are built with it. They are plain attributes, not
     fields, so fields(), ==, repr, replace and serialize_scenario see only
     the scenario."""
 
@@ -262,60 +270,77 @@ class Violation:
 # Strict JSON helpers
 # --------------------------------------------------------------------------
 
-def _expect_object(value: object, path: str) -> dict:
+class _Refusal(Exception):
+    """A reader's refusal of a JSON value. As it unwinds, each reader that
+    holds the value adds its step (".key", "[i]") to `steps`, innermost
+    first; parse_scenario raises it as a SchemaError at the path they spell."""
+
+    def __init__(self, message: str, *steps: str) -> None:
+        self.message, self.steps = message, list(steps)
+
+
+def _at(step: str, read, *args):
+    """read(*args), with `step` added to the path of a refusal."""
+    try:
+        return read(*args)
+    except _Refusal as refusal:
+        refusal.steps.append(step)
+        raise
+
+
+def _expect_object(value: object) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
+        raise _Refusal(f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _expect_array(value: object, path: str) -> list:
+def _expect_array(value: object) -> list:
     if not isinstance(value, list):
-        raise SchemaError(path, f"expected an array, got {type(value).__name__}")
+        raise _Refusal(f"expected an array, got {type(value).__name__}")
     return value
 
 
-def _expect_number(value: object, path: str) -> float:
+def _expect_number(value: object) -> float:
     if type(value) is float and math.isfinite(value):  # most numbers json.loads gives
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+        raise _Refusal(f"expected a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
-        raise SchemaError(path, "expected a finite number, got an integer too large"
-                                " for a float") from None
+        raise _Refusal("expected a finite number, got an integer too large for a float") from None
     if not math.isfinite(number):
-        raise SchemaError(path, f"expected a finite number, got {value}")
+        raise _Refusal(f"expected a finite number, got {value}")
     return number
 
 
-def _expect_number_or_null(value: object, path: str) -> float | None:
-    return None if value is None else _expect_number(value, path)
+def _expect_number_or_null(value: object) -> float | None:
+    return None if value is None else _expect_number(value)
 
 
-def _expect_positive(value: object, path: str) -> float:
-    number = _expect_number(value, path)
+def _expect_positive(value: object) -> float:
+    number = _expect_number(value)
     if number <= 0:
-        raise SchemaError(path, "must be > 0")
+        raise _Refusal("must be > 0")
     return number
 
 
-def _expect_int(value: object, path: str) -> int:
+def _expect_int(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+        raise _Refusal(f"expected an integer, got {type(value).__name__}")
     return value
 
 
-def _expect_string(value: object, path: str) -> str:
+def _expect_string(value: object) -> str:
     if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
+        raise _Refusal(f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str] | frozenset[str], path: str) -> None:
+def _check_keys(obj: dict, allowed: set[str] | frozenset[str]) -> None:
     if not allowed.issuperset(obj):  # builds no set, unlike obj.keys() - allowed
         unknown = obj.keys() - allowed
-        raise SchemaError(path, f"unknown key(s): {', '.join(sorted(unknown))}")
+        raise _Refusal(f"unknown key(s): {', '.join(sorted(unknown))}")
 
 
 # The {value: member} table of each enum a scenario names, in member order.
@@ -326,18 +351,19 @@ _SENSOR_KINDS = {kind.value: kind for kind in SensorKind}
 _OBSTACLE_KINDS = {kind.value: kind for kind in ObstacleKind}
 
 
-def _enum_value(members: dict[str, object], value: object, path: str):
+def _enum_value(members: dict[str, object], value: object):
     """The member that a {value: member} table gives for a string value."""
-    name = _expect_string(value, path)
+    name = _expect_string(value)
     member = members.get(name)
     if member is None:
-        raise SchemaError(path, f"expected one of [{', '.join(members)}], got {name!r}")
+        raise _Refusal(f"expected one of [{', '.join(members)}], got {name!r}")
     return member
 
 
-# A reader is called as read(value, path) and gives a field's value from a
-# JSON value. One whose field's value is not itself that JSON value also has
-# doc(field_value), which gives the JSON value that reads back to it.
+# A reader is called as read(value) and gives a field's value from a JSON
+# value; the path of a refusal is added as it unwinds (_Refusal). One whose
+# field's value is not itself that JSON value also has doc(field_value),
+# which gives the JSON value that reads back to it.
 
 class _Enum:
     """A string naming a member of a {value: member} table."""
@@ -345,8 +371,8 @@ class _Enum:
     def __init__(self, members: dict[str, Enum]) -> None:
         self.members = members
 
-    def __call__(self, value: object, path: str) -> Enum:
-        return _enum_value(self.members, value, path)
+    def __call__(self, value: object) -> Enum:
+        return _enum_value(self.members, value)
 
     @staticmethod
     def doc(member: Enum) -> str:
@@ -356,10 +382,10 @@ class _Enum:
 def _int_in(lo: int, hi: int):
     """The reader of an integer in lo..hi."""
 
-    def read(value: object, path: str) -> int:
-        number = _expect_int(value, path)
+    def read(value: object) -> int:
+        number = _expect_int(value)
         if not lo <= number <= hi:
-            raise SchemaError(path, f"must be in {lo}..{hi}, got {number}")
+            raise _Refusal(f"must be in {lo}..{hi}, got {number}")
         return number
     return read
 
@@ -370,10 +396,15 @@ class _Array:
     def __init__(self, read) -> None:
         self.read = read
 
-    def __call__(self, value: object, path: str) -> tuple:
-        read = self.read
-        return tuple([read(item, f"{path}[{i}]")
-                      for i, item in enumerate(_expect_array(value, path))])
+    def __call__(self, value: object) -> tuple:
+        items, done = _expect_array(value), []
+        try:
+            for item in items:
+                done.append(self.read(item))
+        except _Refusal as refusal:
+            refusal.steps.append(f"[{len(done)}]")
+            raise
+        return tuple(done)
 
     def doc(self, items: tuple) -> list:
         return [self.read.doc(item) for item in items]
@@ -386,13 +417,13 @@ class _Shapes:
         self.records = records
         self.names = {record: record.names | {"shape"} for record in records.values()}
 
-    def __call__(self, value: object, path: str):
-        obj = _expect_object(value, path)
+    def __call__(self, value: object):
+        obj = _expect_object(value)
         if "shape" not in obj:
-            raise _missing(path, ["shape"])
-        record = _enum_value(self.records, obj["shape"], f"{path}.shape")
-        _check_keys(obj, self.names[record], path)
-        return record.build(record.read(obj, path), path)
+            raise _missing(["shape"])
+        record = _at(".shape", _enum_value, self.records, obj["shape"])
+        _check_keys(obj, self.names[record])
+        return record.build(record.read(obj))
 
     def doc(self, value) -> dict:
         shape = next(shape for shape, record in self.records.items() if type(value) is record.cls)
@@ -406,15 +437,15 @@ class _Layer:
     def __init__(self, record: _Record) -> None:
         self.record = record
 
-    def __call__(self, value: object, path: str) -> dict | None:
-        return None if value is None else self.record.values(value, path)
+    def __call__(self, value: object) -> dict | None:
+        return None if value is None else self.record.values(value)
 
     def doc(self, instance) -> dict:
         return self.record.doc(instance)
 
 
-def _missing(path: str, keys) -> SchemaError:
-    return SchemaError(path, f"missing required key(s): {', '.join(sorted(keys))}")
+def _missing(keys) -> _Refusal:
+    return _Refusal(f"missing required key(s): {', '.join(sorted(keys))}")
 
 
 class _Record:
@@ -438,32 +469,36 @@ class _Record:
         self.required = frozenset(f.name for f in fields(cls)
                                   if f.default is MISSING and f.default_factory is MISSING)
 
-    def read(self, obj: dict, path: str) -> dict:
+    def read(self, obj: dict) -> dict:
         """{field: value} for each of the record's keys that obj holds, read
         in obj's order."""
         values = {}
         readers = self.readers
-        for key, value in obj.items():
-            entry = readers.get(key)
-            if entry is not None:
-                values[entry[1]] = entry[0](value, f"{path}.{key}")
+        try:
+            for key, value in obj.items():
+                entry = readers.get(key)
+                if entry is not None:
+                    values[entry[1]] = entry[0](value)
+        except _Refusal as refusal:
+            refusal.steps.append(f".{key}")
+            raise
         return values
 
-    def values(self, value: object, path: str) -> dict:
+    def values(self, value: object) -> dict:
         """read() of the object `value`, which holds none but the record's keys."""
-        obj = _expect_object(value, path)
-        _check_keys(obj, self.names, path)
-        return self.read(obj, path)
+        obj = _expect_object(value)
+        _check_keys(obj, self.names)
+        return self.read(obj)
 
-    def build(self, values: dict, path: str):
+    def build(self, values: dict):
         """The instance whose fields `values` sets, once it sets each required one."""
         if not values.keys() >= self.required:
-            raise _missing(path, [key for key, _, name in self.keys
-                                  if name in self.required and name not in values])
+            raise _missing([key for key, _, name in self.keys
+                            if name in self.required and name not in values])
         return self.cls(**values)
 
-    def __call__(self, value: object, path: str):
-        return self.build(self.values(value, path), path)
+    def __call__(self, value: object):
+        return self.build(self.values(value))
 
     def doc(self, instance) -> dict:
         """The JSON object whose reading gives back `instance`."""
@@ -482,7 +517,7 @@ _POSITION = _Record(Position, floor=_int_in(-MAX_FLOOR, MAX_FLOOR))
 _SENSOR = _Record(SensorSpec, kind=_Enum(_SENSOR_KINDS), heat_duration_s=_expect_number_or_null,
                   signal=_Shapes(constant=_Record(Constant), ramp=_Record(Ramp),
                                  sinusoid=_Record(Sinusoid, period_hours=_expect_positive)))
-# A node's radio and battery are read as layers: _read_node lays each over
+# A node's radio and battery are read as layers: _read_nodes lays each over
 # the defaults object's keys.
 _NODE = _Record(NodeSpec, id=_int_in(0, MAX_NODE_ID), role=_Enum(_ROLES), position=_POSITION,
                 radio=_Layer(_RADIO), battery=_Layer(_BATTERY), sensors=_Array(_SENSOR),
@@ -501,16 +536,44 @@ _SETTINGS = _Record(
 _DEFAULTS_KEYS = _RADIO.names | _DEFAULT_BATTERY.names | _SETTINGS.names
 
 
-def _read_node(value: object, path: str, radio: dict, battery: dict) -> NodeSpec:
-    """A node whose radio and battery objects are laid over `radio` and
-    `battery`, the defaults object's keys. An end device that declares no
-    battery gets the defaults' battery; another node gets none."""
-    node = _NODE.values(value, path)
-    node["radio"] = _RADIO.build({**radio, **(node.get("radio") or {})}, f"{path}.radio")
-    own = node.get("battery")
-    if own is not None or node.get("role") is NodeRole.END_DEVICE:
-        node["battery"] = _BATTERY.build({**battery, **(own or {})}, f"{path}.battery")
-    return _NODE.build(node, path)
+def _read_defaults(value: object) -> tuple[dict, dict, dict]:
+    """The defaults object's radio keys, battery keys and settings."""
+    defaults = _expect_object(value)
+    _check_keys(defaults, _DEFAULTS_KEYS)
+    return _RADIO.read(defaults), _DEFAULT_BATTERY.read(defaults), _SETTINGS.read(defaults)
+
+
+def _read_nodes(value: object, radio: dict, battery: dict) -> list[NodeSpec]:
+    """The nodes, each radio and battery object laid over `radio` and
+    `battery`, the defaults object's keys. The nodes with no radio object
+    share one RadioConfig, built at the first of them. An end device that
+    declares no battery gets the defaults' battery; another node gets none."""
+    nodes: list[NodeSpec] = []
+    seen_ids: set[int] = set()
+    shared_radio = None
+    items = _expect_array(value)
+    try:
+        for item in items:
+            node = _NODE.values(item)
+            own = node.get("radio")
+            if own:
+                node["radio"] = _at(".radio", _RADIO.build, {**radio, **own})
+            else:
+                node["radio"] = shared_radio = shared_radio or _at(".radio", _RADIO.build, radio)
+            own = node.get("battery")
+            if own is not None or node.get("role") is NodeRole.END_DEVICE:
+                node["battery"] = _at(".battery", _BATTERY.build, {**battery, **(own or {})})
+            spec = _NODE.build(node)
+            if spec.id in seen_ids:
+                raise _Refusal(f"duplicate node id {spec.id}", ".id")
+            seen_ids.add(spec.id)
+            nodes.append(spec)
+    except _Refusal as refusal:
+        refusal.steps.append(f"[{len(nodes)}]")
+        raise
+    if not any(n.role is NodeRole.COORDINATOR for n in nodes):
+        raise _Refusal("scenario declares no coordinator")
+    return nodes
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -526,45 +589,22 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise ScenarioSyntaxError(str(exc)) from exc
-
-    root = _expect_object(document, "$")
-    _check_keys(root, {"nodes", "obstacles", "channels", "seed", "defaults"}, "$")
-    if "nodes" not in root:
-        raise _missing("$", ["nodes"])
-
-    radio_defaults = battery_defaults = settings = {}
-    if "defaults" in root:
-        defaults = _expect_object(root["defaults"], "$.defaults")
-        _check_keys(defaults, _DEFAULTS_KEYS, "$.defaults")
-        radio_defaults = _RADIO.read(defaults, "$.defaults")
-        battery_defaults = _DEFAULT_BATTERY.read(defaults, "$.defaults")
-        settings = _SETTINGS.read(defaults, "$.defaults")
-
-    nodes: list[NodeSpec] = []
-    seen_ids: set[int] = set()
-    for i, item in enumerate(_expect_array(root["nodes"], "$.nodes")):
-        node = _read_node(item, f"$.nodes[{i}]", radio_defaults, battery_defaults)
-        if node.id in seen_ids:
-            raise SchemaError(f"$.nodes[{i}].id", f"duplicate node id {node.id}")
-        seen_ids.add(node.id)
-        nodes.append(node)
-    if not any(n.role is NodeRole.COORDINATOR for n in nodes):
-        raise SchemaError("$.nodes", "scenario declares no coordinator")
-
-    obstacles = _Array(_OBSTACLE)(root["obstacles"], "$.obstacles") if "obstacles" in root else ()
-
-    channels: dict[int, float] = {}
-    if "channels" in root:
-        mapping = _expect_object(root["channels"], "$.channels")
-        for key, value in mapping.items():
+    try:
+        root = _expect_object(document)
+        _check_keys(root, {"nodes", "obstacles", "channels", "seed", "defaults"})
+        if "nodes" not in root:
+            raise _missing(["nodes"])
+        radio, battery, settings = _at(".defaults", _read_defaults, root.get("defaults", {}))
+        nodes = _at(".nodes", _read_nodes, root["nodes"], radio, battery)
+        obstacles = _at(".obstacles", _Array(_OBSTACLE), root.get("obstacles", []))
+        channels: dict[int, float] = {}
+        for key, level in _at(".channels", _expect_object, root.get("channels", {})).items():
             if not (key.isascii() and key.removeprefix("-").isdigit()):
-                raise SchemaError(f"$.channels.{key}", "channel ids must be integers")
-            channels[int(key)] = _expect_number(value, f"$.channels.{key}")
-
-    seed = 0
-    if "seed" in root:
-        seed = _expect_int(root["seed"], "$.seed")
-
+                raise _Refusal("channel ids must be integers", f".channels.{key}")
+            channels[int(key)] = _at(f".channels.{key}", _expect_number, level)
+        seed = _at(".seed", _expect_int, root.get("seed", 0))
+    except _Refusal as refusal:
+        raise SchemaError("$" + "".join(reversed(refusal.steps)), refusal.message) from None
     return ScenarioConfig(nodes=nodes, obstacles=obstacles,
                           channels=channels, seed=seed, **settings)
 
@@ -608,25 +648,26 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 
     violations: list[Violation] = []
 
+    def flag(rule: str, node: int | None, field: str | None, message: str = "") -> None:
+        violations.append(Violation(rule, node, field, message))
+
     def finite_ticks(seconds: float, field: str, node: int | None = None,
                      what: str = "duration") -> bool:
         if has_finite_ticks(seconds):
             return True
-        violations.append(Violation(rule=f"{what} must be a finite number of 1 us ticks",
-                                    node=node, field=field, message=f"{seconds} s"))
+        flag(f"{what} must be a finite number of 1 us ticks", node, field, f"{seconds} s")
         return False
 
     def positive_ticks(seconds: float, field: str, node: int | None, what: str) -> int:
         """Its ticks if > 0 s and at least one tick, else 0 and a violation."""
         if not seconds > 0:
-            violations.append(Violation(rule=f"{what} must be > 0", node=node, field=field))
+            flag(f"{what} must be > 0", node, field)
             return 0
         if not finite_ticks(seconds, field, node, what):
             return 0
         ticks = ticks_from_seconds(seconds)
         if ticks == 0:
-            violations.append(Violation(rule=f"{what} must round to at least one 1 us tick",
-                                        node=node, field=field, message=f"{seconds} s"))
+            flag(f"{what} must round to at least one 1 us tick", node, field, f"{seconds} s")
         return ticks
 
     seen: set[int] = set()
@@ -634,38 +675,28 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     shortest_bits, largest_bits = min(WIRE_LENGTHS) * 8, max(WIRE_LENGTHS) * 8
     coordinators = [n for n in config.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) != 1:
-        violations.append(Violation(rule="exactly one coordinator required",
-                                    message=f"found {len(coordinators)}"))
+        flag("exactly one coordinator required", None, None, f"found {len(coordinators)}")
     elif coordinators[0].id != 0:
-        violations.append(Violation(rule="coordinator must use the reserved id 0",
-                                    node=coordinators[0].id, field="id"))
+        flag("coordinator must use the reserved id 0", coordinators[0].id, "id")
 
     for node in config.nodes:
         prefix = node.id
         if node.id in seen:
-            violations.append(Violation(rule="duplicate node id", node=node.id, field="id"))
+            flag("duplicate node id", node.id, "id")
         seen.add(node.id)
         if not 0 <= node.id <= MAX_NODE_ID:
-            violations.append(Violation(rule=f"node id outside 0..{MAX_NODE_ID}",
-                                        node=node.id, field="id"))
+            flag(f"node id outside 0..{MAX_NODE_ID}", node.id, "id")
         if node.id == 0 and node.role is not NodeRole.COORDINATOR:
-            violations.append(Violation(rule="id 0 is reserved for the coordinator",
-                                        node=node.id, field="id"))
-        for coordinate in (node.position.x, node.position.y):
-            if not math.isfinite(coordinate):
-                violations.append(Violation(rule="position must be finite",
-                                            node=prefix, field="position"))
-                break
+            flag("id 0 is reserved for the coordinator", node.id, "id")
+        if not (math.isfinite(node.position.x) and math.isfinite(node.position.y)):
+            flag("position must be finite", prefix, "position")
         if not -MAX_FLOOR <= node.position.floor <= MAX_FLOOR:
-            violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
-                                        node=prefix, field="position.floor"))
+            flag(f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}", prefix, "position.floor")
         if not node.radio.shadowing_sigma_db >= 0:
-            violations.append(Violation(rule="shadowing sigma must be >= 0",
-                                        node=prefix, field="radio.shadowing_sigma_db"))
+            flag("shadowing sigma must be >= 0", prefix, "radio.shadowing_sigma_db")
         bitrate = node.radio.bitrate_bps
         if not bitrate > 0:
-            violations.append(Violation(rule="bitrate must be > 0",
-                                        node=prefix, field="radio.bitrate_bps"))
+            flag("bitrate must be > 0", prefix, "radio.bitrate_bps")
         elif config.tx_airtime_override_s is None and bitrate not in airtimes_ok:
             if (finite_ticks(largest_bits / bitrate, "radio.bitrate_bps", prefix,
                              "the largest frame's airtime")
@@ -675,102 +706,80 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         poll_s = node.radio.poll_period_s
         poll_ticks = positive_ticks(poll_s, "radio.poll_period_s", prefix, "poll period")
         if not math.isfinite(node.radio.tx_power_dbm):
-            violations.append(Violation(rule="tx power must be finite",
-                                        node=prefix, field="radio.tx_power_dbm"))
+            flag("tx power must be finite", prefix, "radio.tx_power_dbm")
         if not math.isfinite(node.radio.sensitivity_dbm):
-            violations.append(Violation(rule="sensitivity must be finite",
-                                        node=prefix, field="radio.sensitivity_dbm"))
+            flag("sensitivity must be finite", prefix, "radio.sensitivity_dbm")
 
         if node.role is NodeRole.END_DEVICE:
             if node.battery is None:
-                violations.append(Violation(rule="end devices are battery powered",
-                                            node=prefix, field="battery"))
+                flag("end devices are battery powered", prefix, "battery")
             if node.sample_period_s is None or not node.sample_period_s > 0:
-                violations.append(Violation(rule="end devices need sample_period_s > 0",
-                                            node=prefix, field="sample_period_s"))
+                flag("end devices need sample_period_s > 0", prefix, "sample_period_s")
             elif node.sample_period_s < poll_s:
-                violations.append(Violation(
-                    rule="sample period must be >= poll period", node=prefix,
-                    field="sample_period_s", message=f"{node.sample_period_s} < {poll_s}"))
+                flag("sample period must be >= poll period", prefix, "sample_period_s",
+                     f"{node.sample_period_s} < {poll_s}")
             elif poll_ticks:
                 finite_ticks(node.sample_period_s, "sample_period_s", prefix, "sample period")
             window_s = config.poll_wake_duration_s
             if (poll_ticks and has_finite_ticks(window_s)
                     and poll_ticks <= ticks_from_seconds(window_s)):
-                violations.append(Violation(
-                    rule="poll wake duration must be shorter than the poll period",
-                    node=prefix, field="poll_wake_duration_s",
-                    message=f"{config.poll_wake_duration_s} >= {node.radio.poll_period_s}"))
+                flag("poll wake duration must be shorter than the poll period", prefix,
+                     "poll_wake_duration_s",
+                     f"{config.poll_wake_duration_s} >= {node.radio.poll_period_s}")
         else:
             if node.battery is not None:
-                violations.append(Violation(rule="coordinator/router are mains powered (no battery)",
-                                            node=prefix, field="battery"))
+                flag("coordinator/router are mains powered (no battery)", prefix, "battery")
             if node.sample_period_s is not None:
-                violations.append(Violation(rule="sample_period_s applies to end devices only",
-                                            node=prefix, field="sample_period_s"))
+                flag("sample_period_s applies to end devices only", prefix, "sample_period_s")
             if node.sensors:
-                violations.append(Violation(rule="sensors attach to end devices only",
-                                            node=prefix, field="sensors"))
+                flag("sensors attach to end devices only", prefix, "sensors")
 
         if node.battery is not None:
             remaining = node.battery.remaining_mah or 0.0
             if not 0 <= remaining <= node.battery.capacity_mah:  # fails a capacity < 0 or nan
-                violations.append(Violation(
-                    rule="battery must satisfy 0 <= remaining <= capacity",
-                    node=prefix, field="battery"))
+                flag("battery must satisfy 0 <= remaining <= capacity", prefix, "battery")
 
         for i, sensor in enumerate(node.sensors):
             if not sensor.noise_sigma >= 0:
-                violations.append(Violation(rule="noise sigma must be >= 0",
-                                            node=prefix, field=f"sensors[{i}].noise_sigma"))
+                flag("noise sigma must be >= 0", prefix, f"sensors[{i}].noise_sigma")
             signal = sensor.signal  # ground_truth divides by a sinusoid's period
             if not all(map(math.isfinite, vars(signal).values())):
-                violations.append(Violation(rule="signal numbers must be finite",
-                                            node=prefix, field=f"sensors[{i}].signal"))
+                flag("signal numbers must be finite", prefix, f"sensors[{i}].signal")
             elif isinstance(signal, Sinusoid) and not signal.period_hours > 0:
-                violations.append(Violation(rule="signal period must be > 0",
-                                            node=prefix, field=f"sensors[{i}].signal"))
+                flag("signal period must be > 0", prefix, f"sensors[{i}].signal")
             if sensor.kind is SensorKind.STRAIN_GAUGE:
                 if sensor.heat_duration_s is not None:
                     positive_ticks(sensor.heat_duration_s, f"sensors[{i}].heat_duration_s",
                                    prefix, "heat duration")
             elif sensor.heat_duration_s is not None:
-                violations.append(Violation(rule="heat duration applies to strain gauges only",
-                                            node=prefix, field=f"sensors[{i}].heat_duration_s"))
+                flag("heat duration applies to strain gauges only", prefix,
+                     f"sensors[{i}].heat_duration_s")
 
     for i, obstacle in enumerate(config.obstacles):
         start, end = obstacle.start, obstacle.end
         if not all(map(math.isfinite, (start.x, start.y, end.x, end.y))):
-            violations.append(Violation(rule="position must be finite",
-                                        field=f"obstacles[{i}]"))
+            flag("position must be finite", None, f"obstacles[{i}]")
         if start.floor != end.floor:
-            violations.append(Violation(rule="obstacle endpoints must share a floor",
-                                        field=f"obstacles[{i}]"))
+            flag("obstacle endpoints must share a floor", None, f"obstacles[{i}]")
         if not -MAX_FLOOR <= start.floor <= MAX_FLOOR:
-            violations.append(Violation(rule=f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}",
-                                        field=f"obstacles[{i}]"))
+            flag(f"floor outside -{MAX_FLOOR}..{MAX_FLOOR}", None, f"obstacles[{i}]")
         if (start.x, start.y) == (end.x, end.y):
-            violations.append(Violation(rule="obstacle segment must have nonzero length",
-                                        field=f"obstacles[{i}]"))
+            flag("obstacle segment must have nonzero length", None, f"obstacles[{i}]")
         if not obstacle.loss_db >= 0:
-            violations.append(Violation(rule="obstacle attenuation must be >= 0",
-                                        field=f"obstacles[{i}].attenuation_db"))
+            flag("obstacle attenuation must be >= 0", None, f"obstacles[{i}].attenuation_db")
 
     for channel_id, interference in config.channels.items():
         if channel_id not in CHANNEL_RANGE:
-            violations.append(Violation(rule="channel ids must be in 11..26",
-                                        field=f"channels.{channel_id}"))
+            flag("channel ids must be in 11..26", None, f"channels.{channel_id}")
         if not interference >= 0:
-            violations.append(Violation(rule="interference must be >= 0",
-                                        field=f"channels.{channel_id}"))
+            flag("interference must be >= 0", None, f"channels.{channel_id}")
 
     if type(config.seed) is not int or not 0 <= config.seed < (1 << 64):
-        violations.append(Violation(rule="seed must be an unsigned 64-bit integer",
-                                    field="seed", message=repr(config.seed)))
+        flag("seed must be an unsigned 64-bit integer", None, "seed", repr(config.seed))
     if not config.floor_loss_db >= 0:
-        violations.append(Violation(rule="floor loss must be >= 0", field="floor_loss_db"))
+        flag("floor loss must be >= 0", None, "floor_loss_db")
     if not config.warmup_delay_s >= 0:
-        violations.append(Violation(rule="warmup delay must be >= 0", field="warmup_delay_s"))
+        flag("warmup delay must be >= 0", None, "warmup_delay_s")
     warmup_ok = finite_ticks(config.warmup_delay_s, "warmup_delay_s")
     if positive_ticks(config.response_timeout_s, "response_timeout_s", None,
                       "response timeout") and warmup_ok:
@@ -778,18 +787,16 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         finite_ticks(config.warmup_delay_s + config.response_timeout_s,
                      "warmup_delay_s + response_timeout_s", what="device guard")
     if not config.max_retries >= 0:
-        violations.append(Violation(rule="max retries must be >= 0", field="max_retries"))
+        flag("max retries must be >= 0", None, "max_retries")
     if config.tx_airtime_override_s is not None:
         positive_ticks(config.tx_airtime_override_s, "tx_airtime_s", None, "airtime override")
     if not config.poll_wake_duration_s >= 0:
-        violations.append(Violation(rule="poll wake duration must be >= 0",
-                                    field="poll_wake_duration_s"))
+        flag("poll wake duration must be >= 0", None, "poll_wake_duration_s")
     finite_ticks(config.poll_wake_duration_s, "poll_wake_duration_s")
     profile = config.consumption
     if not (0 <= profile.sleeping_ma <= profile.awake_idle_ma <= profile.transmitting_ma):
-        violations.append(Violation(
-            rule="consumption must satisfy 0 <= sleeping <= awake_idle <= transmitting",
-            field="consumption_profile"))
+        flag("consumption must satisfy 0 <= sleeping <= awake_idle <= transmitting", None,
+             "consumption_profile")
     return violations
 
 
@@ -827,7 +834,13 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
 
     Only the floors in range are visited, and an obstacle whose bounding box
     misses the path's is never segment-tested: a proper crossing is an
-    interior point of both segments, so it lies in both boxes.
+    interior point of both segments, so it lies in both boxes. A floor's
+    obstacles are sorted by xmin, beside the running maximum of their xmaxes,
+    which never falls. So those whose xmin is at most the path's xmax are a
+    prefix (bisect_right), and those whose running maximum is below the
+    path's xmin, which all end before the path begins, are a shorter prefix
+    (bisect_left). Only the slice between is scanned, with the same exact
+    comparisons.
     """
     pa = config.node(a).position
     pb = config.node(b).position
@@ -839,9 +852,10 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
     by_floor = config._obstacle_index
     hits: list[tuple[float, int, ObstacleCrossing]] = []
     for floor in range(lo, hi + 1):
-        for oxmin, oxmax, oymin, oymax, cx, cy, dx, dy, position, crossing in \
-                by_floor.get(floor, ()):
-            if oxmax < xmin or oxmin > xmax or oymax < ymin or oymin > ymax:
+        starts, ends, entries = by_floor.get(floor, ((), (), ()))
+        for _, oxmax, oymin, oymax, cx, cy, dx, dy, position, crossing in \
+                entries[bisect_left(ends, xmin):bisect_right(starts, xmax)]:
+            if oxmax < xmin or oymax < ymin or oymin > ymax:
                 continue
             t = _crossing_param(ax, ay, bx, by, cx, cy, dx, dy)
             if t is not None:

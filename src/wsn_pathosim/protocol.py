@@ -577,15 +577,6 @@ class ParentTable:
 LOSS_BOUND_SLACK_DB = 1e-9
 
 
-def _power_bound(config: ScenarioConfig, sender: NodeSpec, receiver: NodeSpec) -> float:
-    """Upper bound on the sender -> receiver received power: the transmit
-    power less the free-space and floor losses alone."""
-    pa, pb = sender.position, receiver.position
-    distance = math.hypot(pb.x - pa.x, pb.y - pa.y)
-    return sender.radio.tx_power_dbm - (free_space_loss(distance)
-                                        + abs(pb.floor - pa.floor) * config.floor_loss_db)
-
-
 def build_parent_table(config: ScenarioConfig) -> ParentTable:
     """Choose each node's parent from downlink budgets.
 
@@ -600,54 +591,66 @@ def build_parent_table(config: ScenarioConfig) -> ParentTable:
 
     The search budgets only the candidates whose loss bound can still win.
     A pair's received power is at most its transmit power less its
-    free-space and floor losses (_power_bound), up to LOSS_BOUND_SLACK_DB of
-    rounding, whenever no obstacle loss is negative. The search visits the
-    candidates from the highest bound down, lower id first on ties, and
-    stops at the first one whose bound is below the child's sensitivity or
-    the best connected power found so far. So the table, to the last bit of
-    each received power, is the one the full search gives. Given a negative
-    obstacle loss, every candidate is budgeted.
+    free-space and floor losses, up to LOSS_BOUND_SLACK_DB of rounding,
+    whenever no obstacle loss is negative. The search visits the candidates
+    from the highest bound down, lower id first on ties, and stops at the
+    first one whose bound is below the child's sensitivity or the best
+    connected power found so far. So the table, to the last bit of each
+    received power, is the one the full search gives. Given a negative
+    obstacle loss, every candidate is budgeted. Each level of routers, and
+    the attached nodes, are placed once as (x, y, floor, tx_power_dbm, id)
+    candidates, so a bound reads plain locals.
 
     Every budget computed lands in the table's links, keyed (sender,
     receiver).
     """
     coordinator = config.coordinator()
+    floor_loss_db = config.floor_loss_db
     prune = all(o.loss_db >= 0 for o in config.obstacles)
     links: dict[tuple[int, int], float] = {}
 
-    def best_parent(child: NodeSpec, candidates: list[NodeSpec]) -> int | None:
+    def placed(nodes: list[NodeSpec]) -> list[tuple]:
+        return [(node.position.x, node.position.y, node.position.floor,
+                 node.radio.tx_power_dbm, node.id) for node in nodes]
+
+    def best_parent(child: NodeSpec, candidates: list[tuple]) -> int | None:
         sensitivity = child.radio.sensitivity_dbm
-        ranked = sorted(((_power_bound(config, up, child), up) for up in candidates),
-                        key=lambda item: (-item[0], item[1].id))
+        position = child.position
+        cx, cy, cf = position.x, position.y, position.floor
+        # (-bound, id): the highest bound first, then the lowest id
+        ranked = sorted([(-(tx - (free_space_loss(math.hypot(cx - x, cy - y))
+                                  + abs(cf - f) * floor_loss_db)), up)
+                         for x, y, f, tx, up in candidates])
         best_id: int | None = None
         best_power = -math.inf
-        for bound, up in ranked:
+        for negated, up in ranked:
+            bound = -negated
             if prune and (bound < sensitivity - LOSS_BOUND_SLACK_DB
                           or bound < best_power - LOSS_BOUND_SLACK_DB):
                 break  # neither this candidate nor any after it can win
-            power = links[(up.id, child.id)] = link_budget(config, up.id,
-                                                            child.id).received_power
+            power = links[(up, child.id)] = link_budget(config, up, child.id).received_power
             if power >= sensitivity and (best_id is None
-                                         or (power, -up.id) > (best_power, -best_id)):
-                best_id, best_power = up.id, power
+                                         or (power, -up) > (best_power, -best_id)):
+                best_id, best_power = up, power
         return best_id
 
     routers = config.routers()
     above: dict[int, int] = {}  # each attached router's parent
-    frontier = [coordinator]
+    frontier = placed([coordinator])
     while frontier:
         level = []
         for router in routers:
             if router.id not in above and (up := best_parent(router, frontier)) is not None:
                 above[router.id] = up
                 level.append(router)
-        frontier = level
+        frontier = placed(level)
 
     attached = [coordinator] + [router for router in routers if router.id in above]
     parent: dict[int, int | None] = {node.id: above.get(node.id) for node in attached}
     unreachable = [router.id for router in routers if router.id not in above]
+    candidates = placed(attached)
     for device in config.end_devices():
-        up = best_parent(device, attached)
+        up = best_parent(device, candidates)
         if up is None:
             unreachable.append(device.id)
         else:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, Timer, derive_seed,
@@ -268,6 +269,8 @@ class Simulation:
         window = ticks_from_seconds(config.poll_wake_duration_s)
         override = config.tx_airtime_override_s
         airtimes: dict[float, dict[int, Ticks]] = {}  # shared by nodes of one bitrate
+        # One per pair of periods, shared; typed, as the report prints 60 and 60.0 apart.
+        sleep_config = lru_cache(maxsize=None, typed=True)(CyclicSleepConfig.from_periods)
         self.runtimes: dict[int, NodeRuntime] = {}
         for node in config.nodes:
             bitrate = node.radio.bitrate_bps
@@ -277,8 +280,7 @@ class Simulation:
                     for length in WIRE_LENGTHS}
             if node.role is NodeRole.END_DEVICE:
                 assert node.battery is not None and node.sample_period_s is not None
-                sleep = CyclicSleepConfig.from_periods(node.sample_period_s,
-                                                       node.radio.poll_period_s)
+                sleep = sleep_config(node.sample_period_s, node.radio.poll_period_s)
                 ledger = PowerLedger(profile=config.consumption,
                                      state=PowerState.SLEEPING,
                                      battery_capacity_mah=node.battery.capacity_mah,

@@ -1,4 +1,4 @@
-"""The per-event path stays a few Python calls deep.
+"""The per-event path, and setup per node, stay a few Python calls deep.
 
 cProfile counts every call into a function of the wsn_pathosim package over
 the run phase of a golden case (construction excluded), and the count per
@@ -17,16 +17,28 @@ as measured against the "before" figures.
     random/9     on      20.38    22.4     20.40
     random/9     off     20.03    22.0     20.05
     drain/0.3    on      33.51    36.9     34.47
+
+Setup is counted per node, over parse_scenario and Simulation(config) of a
+207-node building generated here (campus_text). The figure is the count
+once the readers add a refusal's path only as it unwinds, the parent search
+places its candidates as plain tuples, and nodes share their radio and
+sleep configs; "before" is the count without those.
+
+    case         figure   budget   before
+    setup        105.33   116.0    130.55
 """
 
 import cProfile
+import json
 import pstats
+import random
 from pathlib import Path
 
 import pytest
 
 import wsn_pathosim
 from test_golden import run_case
+from wsn_pathosim.model import parse_scenario
 from wsn_pathosim.simulation import Simulation
 
 PACKAGE_DIR = Path(wsn_pathosim.__file__).resolve().parent
@@ -59,3 +71,57 @@ def calls_per_event(case: str, trace: bool) -> float:
 ])
 def test_python_calls_per_event_stay_within_budget(case, trace, budget):
     assert calls_per_event(case, trace) <= budget
+
+
+def campus_text(rng: random.Random) -> str:
+    """A scenario document: 3 floors of 4 x 3 rooms of 8 x 6 m with a brick
+    wall along each room edge, the coordinator and 2 routers per floor, and
+    200 end devices, each with its own battery and a ramp sensor."""
+    walls = []
+    for floor in range(3):
+        for i in range(5):
+            for j in range(3):
+                walls.append(((8.0 * i, 6.0 * j), (8.0 * i, 6.0 * j + 6.0), floor))
+        for j in range(4):
+            for i in range(4):
+                walls.append(((8.0 * i, 6.0 * j), (8.0 * i + 8.0, 6.0 * j), floor))
+
+    def spot(floor: int) -> dict:
+        return {"x": round(rng.uniform(0.5, 31.5), 2), "y": round(rng.uniform(0.5, 17.5), 2),
+                "floor": floor}
+
+    nodes = [{"id": 0, "role": "coordinator", "position": {"x": 15.0, "y": 9.0}}]
+    nodes += [{"id": node_id, "role": "router", "position": spot((node_id - 1) // 2)}
+              for node_id in range(1, 7)]
+    nodes += [{"id": node_id, "role": "end_device", "position": spot(rng.randrange(3)),
+               "sample_period_s": 1800.0,
+               "battery": {"capacity_mah": round(rng.uniform(800.0, 1100.0), 1)},
+               "sensors": [{"kind": "displacement",
+                            "signal": {"shape": "ramp", "start": rng.uniform(0.0, 5.0),
+                                       "slope_per_hour": 0.01}}]}
+              for node_id in range(7, 207)]
+    return json.dumps({
+        "seed": 1, "defaults": {"sensitivity_dbm": -95.0, "poll_period_s": 28.0},
+        "nodes": nodes,
+        "obstacles": [{"kind": "brick_wall", "from": {"x": x0, "y": y0, "floor": floor},
+                       "to": {"x": x1, "y": y1, "floor": floor}}
+                      for (x0, y0), (x1, y1), floor in walls]})
+
+
+def setup_calls_per_node() -> float:
+    """Python calls into the package per node, over parse_scenario and
+    Simulation(config) of campus_text(random.Random(0))."""
+    text = campus_text(random.Random(0))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        sim = Simulation(parse_scenario(text))
+    finally:
+        profiler.disable()
+    calls = sum(stat[1] for (filename, _, _), stat in pstats.Stats(profiler).stats.items()
+                if Path(filename).resolve().parent == PACKAGE_DIR)
+    return calls / len(sim.runtimes)
+
+
+def test_python_calls_per_node_in_setup_stay_within_budget():
+    assert setup_calls_per_node() <= 116.0

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import wsn_pathosim
-from conftest import SCENARIO_DIR, two_node_doc
+from conftest import SCENARIO_DIR, make_config, two_node_doc
 import wsn_pathosim.report as report_module
-from wsn_pathosim.cli import main
+from test_golden import drain_doc
+from wsn_pathosim.cli import _repl_status, main
+from wsn_pathosim.simulation import Simulation
 
 THREE_NODE = str(SCENARIO_DIR / "three_node_building.json")
 LIFETIME = str(SCENARIO_DIR / "lifetime_single_hop.json")
@@ -424,7 +426,7 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     assert dump.read_text().count("\n") == 3  # header + rounds at 1792 and 3584
 
 
-# The whole stdout of a scripted session: the status lines read Simulation.stats().
+# The whole stdout of a scripted session.
 REPL_SCRIPT = ["status", "step", "run-until 2000", "set-period 2 600", "run-until 2100",
                "status", "run-until 4000", "status", "bogus", "quit"]
 REPL_TRANSCRIPT = (
@@ -455,6 +457,39 @@ REPL_TRANSCRIPT = (
 def test_repl_transcript(capsys, monkeypatch):
     assert _run_repl(monkeypatch, REPL_SCRIPT, ["--scenario", THREE_NODE]) == 0
     assert capsys.readouterr().out == REPL_TRANSCRIPT
+
+
+def test_repl_status_figures_equal_the_run_summary():
+    """At each single step after a run in which one device has died and
+    another has committed a SET_PERIOD, each device's battery and period on
+    a status line equal the same fields of stats(), taken after it. The
+    other devices' batteries last, so their polls are booked without events:
+    a step leaves those since each device's last event unbooked, and status
+    must book them itself."""
+    doc = drain_doc(0.3)
+    for node in doc["nodes"][3:]:
+        node["battery"]["capacity_mah"] = 50.0
+    sim = Simulation(make_config(doc))
+    sim.run_until(30.0)
+    sim.inject_set_period(3, 40)
+    sim.run_until(40.0)
+    steps = 0
+    while sim.step().at < 100_000_000:
+        steps += 1
+        status = _repl_status(sim)
+        stats = sim.stats()
+        assert [node for node, energy in stats["power"].items()
+                if energy.get("dead_at_s") is not None] == ["2"]
+        assert stats["cyclic_sleep"]["3"]["requested_period_s"] == 40
+        devices = re.findall(r"node (\d+) end_device \S+ battery=(\S+)/(\S+) mAh"
+                             r" period=(\S+) s", status)
+        assert [node for node, *_ in devices] == [str(node) for node in range(2, 8)]
+        for node, remaining, capacity, period in devices:
+            energy = stats["power"][node]
+            assert remaining == f"{energy['remaining_mah']:.3f}"
+            assert capacity == f"{energy['battery_capacity_mah']:.1f}"
+            assert period == str(stats["cyclic_sleep"][node]["requested_period_s"])
+    assert steps > 50
 
 
 def test_repl_outputs_match_a_straight_run(tmp_path, capsys, monkeypatch):

@@ -196,7 +196,7 @@ def test_every_enum_value_parses_to_its_member(enum_cls):
              ObstacleKind: model._OBSTACLE_KINDS}[enum_cls]
     assert list(table.items()) == [(member.value, member) for member in enum_cls]
     for member in enum_cls:
-        assert model._enum_value(table, member.value, "$.x") is member
+        assert model._enum_value(table, member.value) is member
 
 
 @pytest.mark.parametrize("radio", [5, "ab", [], False])
@@ -690,6 +690,27 @@ def test_stacked_walls_crossed_at_one_point_keep_the_obstacle_order():
     crossings = obstacles_on_path(config, 0, 1)
     assert [c.kind for c in crossings[:3]] == [kind for _, kind, _ in wall]
     assert crossings == reference_obstacles_on_path(config, 0, 1)
+
+
+def test_walls_ending_at_a_vertical_path_match_the_full_scan():
+    """A vertical path has xmin == xmax, the tightest x-slice. Walls whose
+    boxes end exactly at the path's x, or one float either side of it, are
+    in the slice exactly when the full scan can find them."""
+    x = 5.0
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    spans = [(0.0, x), (0.0, above), (0.0, below), (x, 10.0), (below, 10.0), (above, 10.0),
+             (below, above), (x, x), (above, above), (-30.0, 30.0), (below, below)]
+    walls = [Obstacle(ObstacleKind.BRICK_WALL, Position(x0, -8.0 + i, 0),
+                      Position(x1, -7.5 + i + (x0 == x1), 0), attenuation_db=float(i))
+             for i, (x0, x1) in enumerate(spans)]
+    config = ScenarioConfig(
+        nodes=(NodeSpec(0, NodeRole.COORDINATOR, Position(x, -10.0, 0), RadioConfig(-40.0)),
+               NodeSpec(1, NodeRole.ROUTER, Position(x, 10.0, 0), RadioConfig(-40.0))),
+        obstacles=tuple(walls))
+    for a, b in ((0, 1), (1, 0)):
+        crossings = obstacles_on_path(config, a, b)
+        assert crossings == reference_obstacles_on_path(config, a, b)
+        assert sorted(c.loss_db for c in crossings) == [1.0, 4.0, 6.0, 9.0]
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 8))

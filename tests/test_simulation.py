@@ -9,7 +9,7 @@ from conftest import make_config, random_scenario_doc, two_node_doc
 from test_golden import CASES, aligned_doc, digests, drain_doc, run_case
 from wsn_pathosim import simulation
 from wsn_pathosim.engine import EventKind, derive_seed, seconds_from_ticks, ticks_from_seconds
-from wsn_pathosim.model import UnknownNodeError
+from wsn_pathosim.model import UnknownNodeError, parse_scenario, serialize_scenario
 from wsn_pathosim.power import wake_timeline
 from wsn_pathosim.protocol import route_path
 from wsn_pathosim.report import report_json, samples_csv
@@ -730,3 +730,43 @@ def test_the_in_flight_counter_is_the_queued_deliveries(case):
         assert sim.dead_deliveries == 4
     if case == SLOW_DRAIN:  # 2 of them
         assert sim.dead_deliveries > 0
+
+
+def test_shared_radio_and_sleep_configs_stay_per_node():
+    """Nodes with no radio object share one RadioConfig, and devices with
+    one pair of periods share one CyclicSleepConfig. Both are frozen, and a
+    SET_PERIOD replaces its device's config, so a change to one device
+    reaches no other."""
+    doc = two_node_doc()
+    device = doc["nodes"][1]
+    doc["nodes"] += [dict(device, id=node_id, position={"x": 1.0 + node_id, "y": 1.0})
+                     for node_id in (2, 3)]
+    doc["nodes"][3]["radio"] = {"tx_power_dbm": 5.0}
+    config = make_config(doc)
+    shared = config.node(0).radio
+    assert config.node(1).radio is shared and config.node(2).radio is shared
+    own = config.node(3).radio
+    assert own is not shared and own.tx_power_dbm == 5.0
+    assert parse_scenario(serialize_scenario(config)) == config
+
+    sim = Simulation(config)
+    sleep = sim.runtimes[1].sleep
+    assert all(sim.runtimes[node_id].sleep is sleep for node_id in (2, 3))
+    before = sim.stats()["cyclic_sleep"]
+    sim.inject_set_period(2, 600)
+    sim.run_until(2 * 3600.0)
+    after = sim.stats()["cyclic_sleep"]
+    assert after["2"]["requested_period_s"] == 600
+    assert {key: after[key] for key in ("1", "3")} == {key: before[key] for key in ("1", "3")}
+    assert sim.runtimes[1].sleep is sleep and sim.runtimes[3].sleep is sleep
+
+
+def test_devices_whose_periods_differ_only_in_type_keep_their_own():
+    """60 == 60.0, but the report prints each device's periods as it was
+    given them, so devices share a sleep config only when the types match."""
+    config = make_config(two_node_doc(sample_period_s=120.0))
+    device = config.node(1)
+    twin = dataclasses.replace(device, id=2, sample_period_s=120)
+    sim = Simulation(dataclasses.replace(config, nodes=config.nodes + (twin,)))
+    cyclic = sim.stats()["cyclic_sleep"]
+    assert [type(cyclic[key]["requested_period_s"]) for key in ("1", "2")] == [float, int]

@@ -115,8 +115,8 @@ def reference_parent_table(config: ScenarioConfig) -> ParentTable:
 
 # Coarse grid values make shared coordinates, touching and collinear segments
 # common; arbitrary floats cover the general position.
-coordinates = st.one_of(st.integers(0, 24).map(float),
-                        st.floats(0.0, 24.0, allow_nan=False, allow_infinity=False))
+coordinates = st.one_of(st.integers(-24, 24).map(float),
+                        st.floats(-24.0, 24.0, allow_nan=False, allow_infinity=False))
 floors = st.integers(-1, 3)
 attenuations = st.one_of(st.none(), st.sampled_from([0.0, 0.1, 1.46]), st.floats(0.0, 20.0))
 
@@ -138,7 +138,10 @@ def walls(draw) -> list[Obstacle]:
 @st.composite
 def buildings(draw, max_nodes: int = 9, max_walls: int = 8) -> ScenarioConfig:
     """A coordinator, routers and end devices spread over floors -1..3, with
-    walls (some stacked on several floors) listed in shuffled floor order."""
+    walls (some stacked on several floors) listed in shuffled floor order.
+    Sometimes one wall spans the whole floor, so the running maximum of the
+    walls' xmax (obstacles_on_path's x-slice) stays past every short wall
+    listed after it."""
     count = draw(st.integers(2, max_nodes))
     nodes = []
     for node_id in range(count):
@@ -154,6 +157,11 @@ def buildings(draw, max_nodes: int = 9, max_walls: int = 8) -> ScenarioConfig:
                               battery=BatteryState() if end_device else None,
                               sample_period_s=120.0 if end_device else None))
     stacked = [o for group in draw(st.lists(walls(), max_size=max_walls)) for o in group]
+    if draw(st.booleans()):
+        stacked.append(Obstacle(kind=draw(st.sampled_from(ObstacleKind)),
+                                start=Position(-30.0, draw(coordinates), floor := draw(floors)),
+                                end=Position(30.0, draw(coordinates), floor),
+                                attenuation_db=draw(attenuations)))
     obstacles = draw(st.permutations(stacked))
     floor_loss = draw(st.one_of(st.sampled_from([0.0, 13.08]), st.floats(0.0, 30.0)))
     return ScenarioConfig(nodes=tuple(nodes), obstacles=tuple(obstacles),
