@@ -44,6 +44,12 @@ from wsn_pathosim.simulation import Simulation
 PACKAGE_DIR = Path(wsn_pathosim.__file__).resolve().parent
 
 
+def package_calls(profiler: cProfile.Profile) -> int:
+    """The calls the profiler counted into functions of the package."""
+    return sum(stat[1] for (filename, _, _), stat in pstats.Stats(profiler).stats.items()
+               if Path(filename).resolve().parent == PACKAGE_DIR)
+
+
 def calls_per_event(case: str, trace: bool) -> float:
     """Python calls into the package per processed event, over the run
     phase of the golden case, with the trace on or off."""
@@ -59,9 +65,7 @@ def calls_per_event(case: str, trace: bool) -> float:
         sim = run_case(case, RunProfiled)
     finally:
         profiler.disable()
-    calls = sum(stat[1] for (filename, _, _), stat in pstats.Stats(profiler).stats.items()
-                if Path(filename).resolve().parent == PACKAGE_DIR)
-    return calls / sim.events_processed
+    return package_calls(profiler) / sim.events_processed
 
 
 @pytest.mark.parametrize("case, trace, budget", [
@@ -118,9 +122,7 @@ def setup_calls_per_node() -> float:
         sim = Simulation(parse_scenario(text))
     finally:
         profiler.disable()
-    calls = sum(stat[1] for (filename, _, _), stat in pstats.Stats(profiler).stats.items()
-                if Path(filename).resolve().parent == PACKAGE_DIR)
-    return calls / len(sim.runtimes)
+    return package_calls(profiler) / len(sim.runtimes)
 
 
 def test_python_calls_per_node_in_setup_stay_within_budget():

@@ -121,7 +121,7 @@ def test_an_unknown_key_is_named_at_its_object(name):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_a_missing_required_key_is_named_at_its_object(name):
+def test_a_deleted_key_is_refused_at_its_object_if_required(name):
     doc = full_document(name)
     for path, container in list(containers(doc)):
         if not isinstance(container, dict):

@@ -158,8 +158,9 @@ def buildings(draw, max_nodes: int = 9, max_walls: int = 8) -> ScenarioConfig:
                               sample_period_s=120.0 if end_device else None))
     stacked = [o for group in draw(st.lists(walls(), max_size=max_walls)) for o in group]
     if draw(st.booleans()):
+        floor = draw(floors)
         stacked.append(Obstacle(kind=draw(st.sampled_from(ObstacleKind)),
-                                start=Position(-30.0, draw(coordinates), floor := draw(floors)),
+                                start=Position(-30.0, draw(coordinates), floor),
                                 end=Position(30.0, draw(coordinates), floor),
                                 attenuation_db=draw(attenuations)))
     obstacles = draw(st.permutations(stacked))
