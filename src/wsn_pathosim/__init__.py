@@ -5,9 +5,8 @@ battery accounting, and a discrete-event engine gluing them together."""
 from .engine import (EventKind, EventQueue, RngStream, SchedulingInPastError,
                      SimEvent, Ticks, Timer, US_PER_SECOND, derive_seed,
                      seconds_from_ticks, ticks_from_seconds)
-from .model import (BatteryState, FloorCrossing, NodeRole, NodeSpec, Obstacle,
-                    ObstacleCrossing, ObstacleKind, Position, RadioConfig,
-                    ScenarioConfig, ScenarioError, ScenarioSyntaxError,
+from .model import (BatteryState, NodeRole, NodeSpec, Obstacle, ObstacleKind,
+                    Position, RadioConfig, ScenarioConfig, ScenarioError, ScenarioSyntaxError,
                     SchemaError, UnknownNodeError, Violation, load_scenario,
                     obstacles_on_path, parse_scenario, serialize_scenario,
                     validate_scenario)
@@ -33,9 +32,9 @@ __all__ = [
     "BatteryState", "ChecksumError", "Constant", "ConsumptionProfile",
     "CoordinatorSession", "CyclicSleepConfig", "EndDeviceState", "ErrorReason",
     "EventKind", "EventQueue",
-    "FloorCrossing", "FrameDecodeError", "GaugeNotHeatedError", "GaugeState",
+    "FrameDecodeError", "GaugeNotHeatedError", "GaugeState",
     "InvalidScenarioError", "LinkBudget", "MessageFrame", "MessageKind",
-    "NodeRole", "NodeSpec", "Obstacle", "ObstacleCrossing", "ObstacleKind",
+    "NodeRole", "NodeSpec", "Obstacle", "ObstacleKind",
     "ParentTable", "Position", "PowerLedger", "PowerState",
     "RadioConfig", "Ramp", "RngStream", "SampleRecord",
     "ScenarioConfig", "ScenarioError", "ScenarioSyntaxError",

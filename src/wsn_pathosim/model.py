@@ -23,11 +23,16 @@ from .sensors import Constant, Ramp, SensorKind, SensorSpec, Sinusoid
 DEFAULT_FLOOR_LOSS_DB = 13.08
 
 MAX_NODE_ID = 0xFFFF
+# The one id a coordinator may take (validate_scenario), so the address of
+# every frame to or from it.
+COORDINATOR_ID = 0
 # Floor indices lie in -MAX_FLOOR..MAX_FLOOR. The tallest buildings have
 # under 200 floors, and a link's budget (and its obstacle scan) costs one
 # step per floor between its ends, so the bound keeps that cost small.
 MAX_FLOOR = 255
 CHANNEL_RANGE = range(11, 27)
+# The label of one floor boundary in a link's itemized losses.
+FLOOR_CROSSING_LABEL = "floor_crossing"
 
 
 class ScenarioError(Exception):
@@ -67,8 +72,7 @@ class ObstacleKind(Enum):
     """Obstruction categories with their measured default attenuation."""
 
     # Hash by identity, not through Enum.__hash__ (a Python-level call): the
-    # kinds key the attenuation and label tables, and no set of them is
-    # iterated.
+    # kinds key the attenuation table, and no set of them is iterated.
     __hash__ = object.__hash__
 
     WINDOW_OPEN_BLINDS = "window_open_blinds"
@@ -116,20 +120,6 @@ class Obstacle:
 
 
 @dataclass(frozen=True)
-class ObstacleCrossing:
-    kind: ObstacleKind
-    loss_db: float
-
-
-@dataclass(frozen=True)
-class FloorCrossing:
-    loss_db: float
-
-
-Crossing = ObstacleCrossing | FloorCrossing
-
-
-@dataclass(frozen=True)
 class RadioConfig:
     """Per-node radio parameters. Sensitivity has no universal default and must
     come from the node or the scenario defaults section."""
@@ -168,8 +158,8 @@ class NodeSpec:
 
 class _IndexedObstacle(NamedTuple):
     """An obstacle as obstacles_on_path scans it: its bounding box, its
-    endpoints, its position in `ScenarioConfig.obstacles` and the crossing it
-    contributes."""
+    endpoints, its position in `ScenarioConfig.obstacles` and the (label, dB)
+    pair it contributes to a link budget."""
 
     xmin: float
     xmax: float
@@ -180,7 +170,7 @@ class _IndexedObstacle(NamedTuple):
     x1: float
     y1: float
     position: int
-    crossing: ObstacleCrossing
+    crossing: tuple[str, float]
 
 
 def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple]:
@@ -192,7 +182,7 @@ def _index_obstacles(obstacles: tuple[Obstacle, ...]) -> dict[int, tuple]:
         by_floor.setdefault(start.floor, []).append(_IndexedObstacle(
             min(start.x, end.x), max(start.x, end.x), min(start.y, end.y),
             max(start.y, end.y), start.x, start.y, end.x, end.y, position,
-            ObstacleCrossing(kind=obstacle.kind, loss_db=obstacle.loss_db)))
+            (obstacle.kind.value, obstacle.loss_db)))
     for entries in by_floor.values():
         entries.sort(key=lambda entry: entry.xmin)
     return {floor: ([entry.xmin for entry in entries],
@@ -673,11 +663,15 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     seen: set[int] = set()
     airtimes_ok: set[float] = set()  # bitrates whose frame airtimes passed
     shortest_bits, largest_bits = min(WIRE_LENGTHS) * 8, max(WIRE_LENGTHS) * 8
+    # The poll window's ticks, worked out once for every end device; the
+    # window's own rules are checked after the nodes'.
+    window_s = config.poll_wake_duration_s
+    window_ticks = ticks_from_seconds(window_s) if has_finite_ticks(window_s) else None
     coordinators = [n for n in config.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) != 1:
         flag("exactly one coordinator required", None, None, f"found {len(coordinators)}")
-    elif coordinators[0].id != 0:
-        flag("coordinator must use the reserved id 0", coordinators[0].id, "id")
+    elif coordinators[0].id != COORDINATOR_ID:
+        flag(f"coordinator must use the reserved id {COORDINATOR_ID}", coordinators[0].id, "id")
 
     for node in config.nodes:
         prefix = node.id
@@ -686,8 +680,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         seen.add(node.id)
         if not 0 <= node.id <= MAX_NODE_ID:
             flag(f"node id outside 0..{MAX_NODE_ID}", node.id, "id")
-        if node.id == 0 and node.role is not NodeRole.COORDINATOR:
-            flag("id 0 is reserved for the coordinator", node.id, "id")
+        if node.id == COORDINATOR_ID and node.role is not NodeRole.COORDINATOR:
+            flag(f"id {COORDINATOR_ID} is reserved for the coordinator", node.id, "id")
         if not (math.isfinite(node.position.x) and math.isfinite(node.position.y)):
             flag("position must be finite", prefix, "position")
         if not -MAX_FLOOR <= node.position.floor <= MAX_FLOOR:
@@ -720,12 +714,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
                      f"{node.sample_period_s} < {poll_s}")
             elif poll_ticks:
                 finite_ticks(node.sample_period_s, "sample_period_s", prefix, "sample period")
-            window_s = config.poll_wake_duration_s
-            if (poll_ticks and has_finite_ticks(window_s)
-                    and poll_ticks <= ticks_from_seconds(window_s)):
+            if poll_ticks and window_ticks is not None and poll_ticks <= window_ticks:
                 flag("poll wake duration must be shorter than the poll period", prefix,
-                     "poll_wake_duration_s",
-                     f"{config.poll_wake_duration_s} >= {node.radio.poll_period_s}")
+                     "poll_wake_duration_s", f"{window_s} >= {node.radio.poll_period_s}")
         else:
             if node.battery is not None:
                 flag("coordinator/router are mains powered (no battery)", prefix, "battery")
@@ -790,9 +781,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         flag("max retries must be >= 0", None, "max_retries")
     if config.tx_airtime_override_s is not None:
         positive_ticks(config.tx_airtime_override_s, "tx_airtime_s", None, "airtime override")
-    if not config.poll_wake_duration_s >= 0:
+    if not window_s >= 0:
         flag("poll wake duration must be >= 0", None, "poll_wake_duration_s")
-    finite_ticks(config.poll_wake_duration_s, "poll_wake_duration_s")
+    finite_ticks(window_s, "poll_wake_duration_s")
     profile = config.consumption
     if not (0 <= profile.sleeping_ma <= profile.awake_idle_ma <= profile.transmitting_ma):
         flag("consumption must satisfy 0 <= sleeping <= awake_idle <= transmitting", None,
@@ -823,14 +814,16 @@ def _crossing_param(ax: float, ay: float, bx: float, by: float,
     return None
 
 
-def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
-    """Obstructions on the straight path between two nodes, ordered from a to b.
+def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[tuple[str, float]]:
+    """The (label, dB) pairs of the obstructions on the straight path between
+    two nodes, ordered from a to b: the pairs LinkBudget.obstacle_losses holds.
 
     An obstacle participates when its floor lies within the endpoints' floor
-    range and its segment properly crosses the 2-D projection of the path.
-    Crossings at the same point along the path keep the order of
-    `config.obstacles`. One FloorCrossing (at floor_loss_db each) is appended
-    per unit of floor difference. Swapping a and b permutes only the ordering.
+    range and its segment properly crosses the 2-D projection of the path;
+    its pair is (its kind's value, its loss_db). Crossings at the same point
+    along the path keep the order of `config.obstacles`. One
+    (FLOOR_CROSSING_LABEL, floor_loss_db) pair follows per unit of floor
+    difference. Swapping a and b permutes only the ordering.
 
     Only the floors in range are visited, and an obstacle whose bounding box
     misses the path's is never segment-tested: a proper crossing is an
@@ -850,7 +843,7 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
     ymin, ymax = min(ay, by), max(ay, by)
 
     by_floor = config._obstacle_index
-    hits: list[tuple[float, int, ObstacleCrossing]] = []
+    hits: list[tuple[float, int, tuple[str, float]]] = []
     for floor in range(lo, hi + 1):
         starts, ends, entries = by_floor.get(floor, ((), (), ()))
         for _, oxmax, oymin, oymax, cx, cy, dx, dy, position, crossing in \
@@ -862,7 +855,6 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[Crossing]:
                 hits.append((t, position, crossing))
     hits.sort()
 
-    crossings: list[Crossing] = [crossing for _, _, crossing in hits]
-    crossings.extend(FloorCrossing(loss_db=config.floor_loss_db)
-                     for _ in range(hi - lo))
+    crossings = [crossing for _, _, crossing in hits]
+    crossings.extend([(FLOOR_CROSSING_LABEL, config.floor_loss_db)] * (hi - lo))
     return crossings

@@ -9,11 +9,12 @@ seeded Gaussian shadowing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
 from .engine import RngStream
-from .model import ObstacleCrossing, ObstacleKind, ScenarioConfig, obstacles_on_path
+from .model import ScenarioConfig, obstacles_on_path
 
 DEFAULT_PATH_LOSS_ANCHORS: tuple[tuple[float, float], ...] = (
     (0.5, 0.00),
@@ -30,11 +31,6 @@ _XS = tuple(math.log10(d) for d, _ in DEFAULT_PATH_LOSS_ANCHORS)
 _YS = tuple(a for _, a in DEFAULT_PATH_LOSS_ANCHORS)
 _END_SLOPE = (_YS[-1] - _YS[-2]) / (_XS[-1] - _XS[-2])
 
-FLOOR_CROSSING_LABEL = "floor_crossing"
-# Each obstacle kind's label, read once: Enum.value goes through a
-# Python-level descriptor on every read.
-_OBSTACLE_LABEL = {kind: kind.value for kind in ObstacleKind}
-
 
 class NonPositiveDistanceError(ValueError):
     """Distance must be >= 0 for a loss to be defined."""
@@ -50,10 +46,10 @@ def free_space_loss(distance_m: float) -> float:
     Distances at or below the first anchor, 0 m included (two nodes stacked
     at one x/y point on different floors), clamp to its attenuation; between
     anchors the loss is linear in log10(distance); beyond the last anchor the
-    final segment's slope extrapolates. A negative distance raises
-    NonPositiveDistanceError.
+    final segment's slope extrapolates, so inf gives inf. A negative or NaN
+    distance raises NonPositiveDistanceError.
     """
-    if distance_m < 0:
+    if not distance_m >= 0:  # NaN fails every comparison
         raise NonPositiveDistanceError(f"distance must be >= 0 m, got {distance_m}")
     if distance_m <= DEFAULT_PATH_LOSS_ANCHORS[0][0]:
         return DEFAULT_PATH_LOSS_ANCHORS[0][1]
@@ -61,11 +57,11 @@ def free_space_loss(distance_m: float) -> float:
     xs, ys = _XS, _YS
     if x >= xs[-1]:
         return ys[-1] + _END_SLOPE * (x - xs[-1])
-    for i in range(len(xs) - 1):
-        if x <= xs[i + 1]:
-            t = (x - xs[i]) / (xs[i + 1] - xs[i])
-            return ys[i] * (1.0 - t) + ys[i + 1] * t
-    return ys[-1]  # unreachable; the extrapolation branch covers x >= xs[-1]
+    # The first segment that ends at or past x: xs[i - 1] < x <= xs[i], or
+    # i = 1 when x rounds to xs[0] itself.
+    i = bisect_left(xs, x, 1)
+    t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return ys[i - 1] * (1.0 - t) + ys[i] * t
 
 
 @dataclass(frozen=True)
@@ -97,12 +93,7 @@ def link_budget(config: ScenarioConfig, a: int, b: int) -> LinkBudget:
     distance = math.hypot(node_b.position.x - node_a.position.x,
                           node_b.position.y - node_a.position.y)
     fsl = free_space_loss(distance)
-    losses: list[tuple[str, float]] = []
-    for crossing in obstacles_on_path(config, a, b):
-        if isinstance(crossing, ObstacleCrossing):
-            losses.append((_OBSTACLE_LABEL[crossing.kind], crossing.loss_db))
-        else:
-            losses.append((FLOOR_CROSSING_LABEL, crossing.loss_db))
+    losses = obstacles_on_path(config, a, b)
     # Left to right, not sum(): from Python 3.12 sum() compensates float
     # rounding, so its bits would depend on the interpreter.
     obstructed = 0.0

@@ -21,7 +21,7 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .engine import RngStream, Ticks
-from .model import NodeSpec, ScenarioConfig
+from .model import COORDINATOR_ID, NodeSpec, ScenarioConfig
 from .power import PowerState
 from .propagation import free_space_loss, link_budget
 from .sensors import GaugeNotHeatedError, GaugeState, SensorKind, sample
@@ -285,7 +285,7 @@ class DeviceStepResult:
 
 
 def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
-                    device: NodeSpec, rng: RngStream, *, coordinator_id: int = 0,
+                    device: NodeSpec, rng: RngStream, *,
                     guard_ticks: Ticks = 125_000_000) -> DeviceStepResult:
     """Advance an End Device by one stimulus.
 
@@ -303,7 +303,7 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
         state.guard_until = now + guard_ticks
         result.power_state = POWER_AWAKE_IDLE
         result.frames.append(MessageFrame(AWAKE, state.node_id,
-                                          coordinator_id, state.next_seq()))
+                                          COORDINATOR_ID, state.next_seq()))
         return result
 
     if isinstance(stimulus, GuardExpiredStimulus):
@@ -447,7 +447,7 @@ class CoordinatorStepResult:
 
 def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
                      now: Ticks, config: ScenarioConfig, device: NodeSpec,
-                     next_seq, coordinator_id: int = 0) -> CoordinatorStepResult:
+                     next_seq) -> CoordinatorStepResult:
     """Advance one device's collection session.
 
     next_seq is a callable yielding the coordinator's next frame sequence
@@ -459,7 +459,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
 
     if isinstance(stimulus, WarmupDoneStimulus):
         if session.phase is HEAT_REQUESTED and stimulus.round_no == session.round_no:
-            _request_sample(session, result, next_seq, coordinator_id)
+            _request_sample(session, result, next_seq)
         return result
 
     if isinstance(stimulus, ResponseTimeoutStimulus):
@@ -469,9 +469,9 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
             return result  # stale timer
         if session.retries_left > 0:
             session.retries_left -= 1
-            _request_sample(session, result, next_seq, coordinator_id)
+            _request_sample(session, result, next_seq)
         else:
-            result.frames.append(MessageFrame(SLEEP_REQ, coordinator_id, session.device,
+            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
                                               next_seq()))
             session.phase = DONE
             session.rounds_aborted += 1
@@ -491,11 +491,11 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         sensor = device.primary_sensor
         if sensor is not None and sensor.requires_heating:
             session.phase = HEAT_REQUESTED
-            result.frames.append(MessageFrame(HEAT_GAUGE_REQ, coordinator_id, session.device,
+            result.frames.append(MessageFrame(HEAT_GAUGE_REQ, COORDINATOR_ID, session.device,
                                               next_seq()))
             result.timer = WarmupDoneStimulus(session.round_no)
         else:
-            _request_sample(session, result, next_seq, coordinator_id)
+            _request_sample(session, result, next_seq)
         return result
 
     if kind is SAMPLE_RESP:
@@ -505,7 +505,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
                                            value=value, sampled_at=sampled_at,
                                            received_at=now, rssi_dbm=stimulus.rssi_dbm))
         if session.phase is WAITING_SAMPLE:
-            result.frames.append(MessageFrame(SLEEP_REQ, coordinator_id, session.device,
+            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
                                               next_seq()))
             session.phase = DONE
             session.rounds_completed += 1
@@ -521,11 +521,11 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
 
 
 def _request_sample(session: CoordinatorSession, result: CoordinatorStepResult,
-                    next_seq, coordinator_id: int) -> None:
+                    next_seq) -> None:
     """Send the round's next SAMPLE_REQ and arm its response timeout."""
     session.attempt += 1
     session.phase = WAITING_SAMPLE
-    result.frames.append(MessageFrame(SAMPLE_REQ, coordinator_id, session.device, next_seq()))
+    result.frames.append(MessageFrame(SAMPLE_REQ, COORDINATOR_ID, session.device, next_seq()))
     result.timer = ResponseTimeoutStimulus(session.round_no, session.attempt)
 
 

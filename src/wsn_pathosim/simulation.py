@@ -56,8 +56,8 @@ from typing import Any, Callable, NamedTuple
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, Timer, derive_seed,
                      has_finite_ticks, seconds_from_ticks, ticks_from_seconds)
-from .model import (NodeRole, NodeSpec, ScenarioConfig, ScenarioError, UnknownNodeError,
-                    Violation, validate_scenario)
+from .model import (COORDINATOR_ID, NodeRole, NodeSpec, ScenarioConfig, ScenarioError,
+                    UnknownNodeError, Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
 from .propagation import link_budget, select_channel
 from .protocol import (_KIND_NAME, FRAME_OVERHEAD, PARENT_BUFFER_CAPACITY, WIRE_LENGTHS,
@@ -245,7 +245,6 @@ class Simulation:
         self.frames_in_flight = 0  # FRAME_DELIVERED events scheduled and not popped
         self.frames_dropped: Counter[str] = Counter()
         self.errors_seen: Counter[str] = Counter()
-        self._coordinator = config.coordinator()
         # Every duration the loop schedules, in ticks.
         self._guard_ticks = ticks_from_seconds(config.warmup_delay_s + config.response_timeout_s)
         self._session_timers = {  # the event each coordinator timer becomes, and its delay
@@ -355,7 +354,7 @@ class Simulation:
             raise ValueError(f"period must be a whole number of seconds, got {period_s!r}")
         if period_s <= 0 or period_s > 0xFFFFFFFF:
             raise ValueError(f"period must be in 1..2^32-1 s, got {period_s}")
-        self.queue.schedule(self.queue.now, COMMAND_INJECTED, self._coordinator.id,
+        self.queue.schedule(self.queue.now, COMMAND_INJECTED, COORDINATOR_ID,
                             SetPeriodCommand(node_id, int(period_s)))
 
     @property
@@ -507,7 +506,6 @@ class Simulation:
             sensor_rng = runtime.sensor_rng = RngStream(
                 derive_seed(self.config.seed, "sensor", runtime.spec.id))
         result = end_device_step(state, stimulus, now, runtime.spec, sensor_rng,
-                                 coordinator_id=self._coordinator.id,
                                  guard_ticks=self._guard_ticks)
         if result.error is not None:
             self.errors_seen[result.error.name.lower()] += 1
@@ -537,7 +535,7 @@ class Simulation:
         self._session_step(self.runtimes[timer.device].spec, timer.stimulus, now)
 
     def _on_command(self, runtime: NodeRuntime, command: SetPeriodCommand, now: Ticks) -> None:
-        self._send_frame(MessageFrame(SET_PERIOD, self._coordinator.id,
+        self._send_frame(MessageFrame(SET_PERIOD, COORDINATOR_ID,
                                       command.node, self._next_coord_seq(),
                                       set_period_payload(command.seconds)), now)
 
@@ -572,7 +570,7 @@ class Simulation:
         device_id = device.id
         session = self.sessions[device_id]
         result = coordinator_step(session, stimulus, now, self.config, device,
-                                  self._next_coord_seq, self._coordinator.id)
+                                  self._next_coord_seq)
         if result.error_seen is not None:
             self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
         if result.records:
@@ -587,7 +585,7 @@ class Simulation:
             timer = self._timers.get(device_id)
             if timer is None:
                 timer = self._timers[device_id] = Timer()
-            self.queue.arm(timer, now + delay, kind, self._coordinator.id,
+            self.queue.arm(timer, now + delay, kind, COORDINATOR_ID,
                            SessionTimer(device_id, result.timer))
         elif result.round_completed or result.round_aborted:
             self.queue.disarm(self._timers.get(device_id))  # the round it serves is over

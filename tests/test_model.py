@@ -11,8 +11,8 @@ from conftest import make_config, random_scenario_doc, two_node_doc
 from topology_reference import (buildings, reference_link_budget,
                                 reference_obstacles_on_path, scan_node)
 from wsn_pathosim import model
-from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, MAX_FLOOR, FloorCrossing, NodeRole,
-                                NodeSpec, Obstacle, ObstacleCrossing, ObstacleKind, Position,
+from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, FLOOR_CROSSING_LABEL, MAX_FLOOR,
+                                NodeRole, NodeSpec, Obstacle, ObstacleKind, Position,
                                 RadioConfig, ScenarioConfig, ScenarioSyntaxError,
                                 SchemaError, UnknownNodeError, obstacles_on_path,
                                 parse_scenario, serialize_scenario, validate_scenario)
@@ -368,7 +368,7 @@ def _rules(config):
     return {violation.rule for violation in validate_scenario(config)}
 
 
-def test_validator_requires_coordinator_id_zero():
+def test_validator_requires_the_coordinator_at_id_zero():
     doc = two_node_doc()
     doc["nodes"][0]["id"] = 5
     doc["nodes"].insert(0, {"id": 0, "role": "router",
@@ -605,11 +605,9 @@ def test_crossings_are_ordered_along_the_path():
         {"kind": "wall_closed_door", "from": {"x": 5.0, "y": -1.0}, "to": {"x": 5.0, "y": 1.0}},
     ])
     crossings = obstacles_on_path(config, 0, 1)
-    kinds = [c.kind for c in crossings]
-    assert kinds == [ObstacleKind.BRICK_WALL, ObstacleKind.WALL_CLOSED_DOOR,
-                     ObstacleKind.WALL_OPEN_DOOR]
-    reverse = obstacles_on_path(config, 1, 0)
-    assert [c.kind for c in reverse] == list(reversed(kinds))
+    assert crossings == [("brick_wall", 1.46), ("wall_closed_door", 1.19),
+                         ("wall_open_door", 0.39)]
+    assert obstacles_on_path(config, 1, 0) == list(reversed(crossings))
 
 
 def test_parallel_and_off_path_obstacles_do_not_count():
@@ -634,8 +632,7 @@ def test_floor_crossings_counted_per_floor():
     doc = two_node_doc(ed_position={"x": 10.0, "y": 0.0, "floor": 2})
     config = make_config(doc)
     crossings = obstacles_on_path(config, 0, 1)
-    assert crossings == [FloorCrossing(loss_db=DEFAULT_FLOOR_LOSS_DB),
-                         FloorCrossing(loss_db=DEFAULT_FLOOR_LOSS_DB)]
+    assert crossings == [(FLOOR_CROSSING_LABEL, DEFAULT_FLOOR_LOSS_DB)] * 2
 
 
 def test_obstacle_on_intermediate_floor_participates():
@@ -647,10 +644,9 @@ def test_obstacle_on_intermediate_floor_participates():
          "to": {"x": 5.0, "y": 1.0, "floor": 7}},
     ]
     config = make_config(doc)
-    crossings = obstacles_on_path(config, 0, 1)
-    obstacle_hits = [c for c in crossings if isinstance(c, ObstacleCrossing)]
-    assert len(obstacle_hits) == 1  # floor 7 wall is outside the 0..2 range
-    assert sum(isinstance(c, FloorCrossing) for c in crossings) == 2
+    # the floor 7 wall is outside the 0..2 range
+    assert obstacles_on_path(config, 0, 1) == [("brick_wall", 1.46)] + [
+        (FLOOR_CROSSING_LABEL, DEFAULT_FLOOR_LOSS_DB)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +684,7 @@ def test_stacked_walls_crossed_at_one_point_keep_the_obstacle_order():
         obstacles=tuple(Obstacle(kind, Position(5.0, -1.0, floor), Position(5.0, 1.0, floor),
                                  attenuation_db=db) for floor, kind, db in wall))
     crossings = obstacles_on_path(config, 0, 1)
-    assert [c.kind for c in crossings[:3]] == [kind for _, kind, _ in wall]
+    assert crossings[:3] == [(kind.value, db) for _, kind, db in wall]
     assert crossings == reference_obstacles_on_path(config, 0, 1)
 
 
@@ -710,7 +706,7 @@ def test_walls_ending_at_a_vertical_path_match_the_full_scan():
     for a, b in ((0, 1), (1, 0)):
         crossings = obstacles_on_path(config, a, b)
         assert crossings == reference_obstacles_on_path(config, a, b)
-        assert sorted(c.loss_db for c in crossings) == [1.0, 4.0, 6.0, 9.0]
+        assert sorted(db for _, db in crossings) == [1.0, 4.0, 6.0, 9.0]
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 8))

@@ -43,6 +43,15 @@ def test_non_positive_distance_rejected():
         free_space_loss(-3.0)
 
 
+def test_nan_distance_rejected():
+    with pytest.raises(NonPositiveDistanceError, match=">= 0 m, got nan"):
+        free_space_loss(math.nan)
+
+
+def test_infinite_distance_extrapolates_to_infinity():
+    assert free_space_loss(math.inf) == math.inf
+
+
 @given(st.floats(min_value=0.01, max_value=500.0),
        st.floats(min_value=0.01, max_value=500.0))
 def test_loss_never_decreases_with_distance(d1, d2):

@@ -13,10 +13,10 @@ import math
 
 from hypothesis import strategies as st
 
-from wsn_pathosim.model import (BatteryState, FloorCrossing, NodeRole, NodeSpec, Obstacle,
-                                ObstacleCrossing, ObstacleKind, Position, RadioConfig,
-                                ScenarioConfig, UnknownNodeError, _crossing_param)
-from wsn_pathosim.propagation import FLOOR_CROSSING_LABEL, LinkBudget, free_space_loss
+from wsn_pathosim.model import (FLOOR_CROSSING_LABEL, BatteryState, NodeRole, NodeSpec,
+                                Obstacle, ObstacleKind, Position, RadioConfig, ScenarioConfig,
+                                UnknownNodeError, _crossing_param)
+from wsn_pathosim.propagation import LinkBudget, free_space_loss
 from wsn_pathosim.protocol import ParentTable
 
 
@@ -38,10 +38,10 @@ def reference_obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list:
                             obstacle.start.x, obstacle.start.y,
                             obstacle.end.x, obstacle.end.y)
         if t is not None:
-            hits.append((t, ObstacleCrossing(kind=obstacle.kind, loss_db=obstacle.loss_db)))
+            hits.append((t, (obstacle.kind.value, obstacle.loss_db)))
     hits.sort(key=lambda item: item[0])
     crossings = [crossing for _, crossing in hits]
-    crossings.extend(FloorCrossing(loss_db=config.floor_loss_db) for _ in range(hi - lo))
+    crossings.extend((FLOOR_CROSSING_LABEL, config.floor_loss_db) for _ in range(hi - lo))
     return crossings
 
 
@@ -50,13 +50,13 @@ def reference_link_budget(config: ScenarioConfig, a: int, b: int) -> LinkBudget:
     distance = math.hypot(node_b.position.x - node_a.position.x,
                           node_b.position.y - node_a.position.y)
     fsl = free_space_loss(distance)
-    losses = []
-    for crossing in reference_obstacles_on_path(config, a, b):
-        if isinstance(crossing, ObstacleCrossing):
-            losses.append((crossing.kind.value, crossing.loss_db))
-        else:
-            losses.append((FLOOR_CROSSING_LABEL, crossing.loss_db))
-    total = fsl + sum(loss for _, loss in losses)
+    losses = reference_obstacles_on_path(config, a, b)
+    # Left to right, as link_budget documents: from Python 3.12 sum()
+    # compensates float rounding.
+    obstructed = 0.0
+    for _, loss in losses:
+        obstructed += loss
+    total = fsl + obstructed
     tx_power = node_a.radio.tx_power_dbm
     return LinkBudget(distance=distance, free_space_loss=fsl,
                       obstacle_losses=tuple(losses), total_attenuation=total,
