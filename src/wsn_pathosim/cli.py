@@ -208,9 +208,8 @@ def _repl_status(sim: Simulation) -> str:
     for node_id, runtime in sim.runtimes.items():
         spec = runtime.spec
         parts = [f"node {node_id} {spec.role.value}"]
-        if runtime.is_end_device:
-            state = runtime.device_state
-            assert state is not None
+        state = runtime.device_state
+        if state is not None:
             parts.append(f"phase={state.phase.value}")
             ledger, sleep = runtime.ledger, runtime.sleep
             assert sleep is not None

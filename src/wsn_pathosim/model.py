@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -223,9 +224,6 @@ class ScenarioConfig:
         if node is None:
             raise UnknownNodeError(f"no node with id {node_id}")
         return node
-
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._node_index
 
     def coordinator(self) -> NodeSpec:
         for node in self.nodes:
@@ -795,23 +793,71 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 # Path geometry
 # --------------------------------------------------------------------------
 
+# The side of a point from a line is the sign of an orientation p - q, where
+# p and q are products of coordinate differences. Its float value has the
+# exact sign when |p - q| > ORIENT_BOUND * |p + q|: Shewchuk's orient2d bound,
+# (3 + 16 eps) eps for eps = 2**-53, rounded up, for p and q of one sign. Of
+# opposite signs, the float sign is exact anyway. _crossing_param compares
+# the squares, with no call. That comparison fails, and the exact path
+# decides, wherever the bound may not hold: after an overflow (inf > inf, or a
+# nan), and when p and q are too small to trust (below about 1e-162, p - q
+# squares to 0).
+ORIENT_BOUND = 3.3306690738754716e-16
+
+
 def _crossing_param(ax: float, ay: float, bx: float, by: float,
                     cx: float, cy: float, dx: float, dy: float) -> float | None:
     """Parameter along a->b of a proper crossing with segment c->d, else None.
 
     Proper means the segments cross at an interior point of both: touching at
-    an endpoint or running collinearly does not count.
+    an endpoint or running collinearly does not count. That is decided
+    exactly: c and d lie strictly on opposite sides of the line a-b, and a
+    and b of the line c-d. Each side is the sign of a float orientation when
+    ORIENT_BOUND vouches for it, else all four come from _exact_crossing.
+    The parameter only orders crossings: the float quotient, or the exact
+    one rounded when the quotient does not lie in (0, 1).
     """
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
-    denominator = rx * sy - ry * sx
-    if denominator == 0:
+    acx, acy = cx - ax, cy - ay
+    # the sides of c and d, which most often settle it: both on one side
+    p, q = rx * acy, ry * acx
+    side_c, error_c = p - q, ORIENT_BOUND * (p + q)
+    p, q = rx * (dy - ay), ry * (dx - ax)
+    side_d, error_d = p - q, ORIENT_BOUND * (p + q)
+    if not (side_c * side_c > error_c * error_c and side_d * side_d > error_d * error_d):
+        if _exact_crossing(ax, ay, bx, by, cx, cy, dx, dy) is None:
+            return None
+    elif (side_c > 0.0) is (side_d > 0.0):
         return None
-    t = ((cx - ax) * sy - (cy - ay) * sx) / denominator
-    u = ((cx - ax) * ry - (cy - ay) * rx) / denominator
-    if 0.0 < t < 1.0 and 0.0 < u < 1.0:
+    else:  # the sides of a and b
+        p, q = sx * -acy, sy * -acx
+        side_a, error_a = p - q, ORIENT_BOUND * (p + q)
+        p, q = sx * (by - cy), sy * (bx - cx)
+        side_b, error_b = p - q, ORIENT_BOUND * (p + q)
+        if not (side_a * side_a > error_a * error_a and side_b * side_b > error_b * error_b):
+            if _exact_crossing(ax, ay, bx, by, cx, cy, dx, dy) is None:
+                return None
+        elif (side_a > 0.0) is (side_b > 0.0):
+            return None
+    denominator = rx * sy - ry * sx
+    t = (acx * sy - acy * sx) / denominator if denominator else math.nan
+    if 0.0 < t < 1.0:
         return t
-    return None
+    return float(_exact_crossing(ax, ay, bx, by, cx, cy, dx, dy))
+
+
+def _exact_crossing(*coordinates: float) -> Fraction | None:
+    """_crossing_param's decision and parameter in exact rational arithmetic."""
+    ax, ay, bx, by, cx, cy, dx, dy = map(Fraction, coordinates)
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    side_c = rx * (cy - ay) - ry * (cx - ax)
+    side_d = rx * (dy - ay) - ry * (dx - ax)
+    side_a = sx * (ay - cy) - sy * (ax - cx)
+    side_b = sx * (by - cy) - sy * (bx - cx)
+    if side_c * side_d >= 0 or side_a * side_b >= 0:
+        return None
+    return side_a / (side_a - side_b)
 
 
 def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[tuple[str, float]]:
@@ -827,13 +873,14 @@ def obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list[tuple[str,
 
     Only the floors in range are visited, and an obstacle whose bounding box
     misses the path's is never segment-tested: a proper crossing is an
-    interior point of both segments, so it lies in both boxes. A floor's
-    obstacles are sorted by xmin, beside the running maximum of their xmaxes,
-    which never falls. So those whose xmin is at most the path's xmax are a
-    prefix (bisect_right), and those whose running maximum is below the
-    path's xmin, which all end before the path begins, are a shorter prefix
-    (bisect_left). Only the slice between is scanned, with the same exact
-    comparisons.
+    interior point of both segments, so it lies in both boxes, and
+    _crossing_param decides crossings exactly, so no rounding finds one
+    outside them. A floor's obstacles are sorted by xmin, beside the running
+    maximum of their xmaxes, which never falls. So those whose xmin is at
+    most the path's xmax are a prefix (bisect_right), and those whose
+    running maximum is below the path's xmin, which all end before the path
+    begins, are a shorter prefix (bisect_left). Only the slice between is
+    scanned, with the same exact comparisons.
     """
     pa = config.node(a).position
     pb = config.node(b).position

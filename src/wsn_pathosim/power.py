@@ -220,16 +220,9 @@ class PowerLedger:
             self.next_poll = max(1, -(-self.cursor // self.poll_ticks)) * self.poll_ticks
 
     @property
-    def is_dead(self) -> bool:
-        return self.dead_at is not None
-
-    @property
     def consumed_mah(self) -> float:
         """Derived from the per-state tick totals; never accumulated separately."""
         return _consumed(self._current, self.durations)
-
-    def duration_ticks(self, state: PowerState) -> int:
-        return self.durations[state]
 
     def advance(self, now: Ticks) -> None:
         """Book the grid polls before `now`, then integrate the current state
@@ -412,10 +405,12 @@ class PowerLedger:
         return True
 
     def conservation_error_mah(self) -> float:
-        """|booked battery draw - derived consumption|; ~0 up to float rounding."""
-        if self.battery_capacity_mah is None or self.battery_remaining_mah is None:
+        """|booked battery draw - derived consumption|; ~0 up to float rounding.
+        The draw is measured from the charge the battery started with, which
+        may be less than its capacity."""
+        if self.battery_remaining_mah is None:
             return 0.0
-        drawn = self.battery_capacity_mah - self.battery_remaining_mah
+        drawn = self._initial_remaining_mah - self.battery_remaining_mah
         return abs(drawn - self.consumed_mah)
 
 

@@ -285,12 +285,12 @@ class DeviceStepResult:
 
 
 def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
-                    device: NodeSpec, rng: RngStream, *,
-                    guard_ticks: Ticks = 125_000_000) -> DeviceStepResult:
+                    device: NodeSpec, rng: RngStream, *, guard_ticks: Ticks) -> DeviceStepResult:
     """Advance an End Device by one stimulus.
 
     Illegal stimuli are answered with ERR and leave the state unchanged. The
-    guard deadline (guard_ticks after each stimulus while awake) makes the
+    guard deadline (guard_ticks after each stimulus while awake; the
+    simulation passes the scenario's warm-up plus response timeout) makes the
     device give the round up and sleep if the coordinator goes silent; a pending
     period change commits whenever the round ends, normally or not.
     """
@@ -396,23 +396,23 @@ class SessionPhase(Enum):
     WAITING_AWAKE = "waiting_awake"
     HEAT_REQUESTED = "heat_requested"
     WAITING_SAMPLE = "waiting_sample"
-    DONE = "done"
 
 
-WAITING_AWAKE, HEAT_REQUESTED, WAITING_SAMPLE, DONE = SessionPhase
+WAITING_AWAKE, HEAT_REQUESTED, WAITING_SAMPLE = SessionPhase
 
 
 @dataclass
 class CoordinatorSession:
-    """Per-device collection session; phases advance monotonically per round and
-    the session returns to WAITING_AWAKE for the next one."""
+    """Per-device collection session. Each AWAKE starts a round: round_no
+    counts them, and attempt counts the round's SAMPLE_REQs, so the round has
+    retries left while attempt <= config.max_retries. The phases advance
+    monotonically through a round, and the session returns to WAITING_AWAKE
+    when the round completes or aborts."""
 
     device: int
     phase: SessionPhase = WAITING_AWAKE
     round_no: int = 0
     attempt: int = 0
-    retries_left: int = 0
-    started_at: Ticks = 0
     rounds_completed: int = 0
     rounds_aborted: int = 0
 
@@ -467,13 +467,12 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
                 or stimulus.round_no != session.round_no
                 or stimulus.attempt != session.attempt):
             return result  # stale timer
-        if session.retries_left > 0:
-            session.retries_left -= 1
+        if session.attempt <= config.max_retries:
             _request_sample(session, result, next_seq)
         else:
             result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
                                               next_seq()))
-            session.phase = DONE
+            session.phase = WAITING_AWAKE
             session.rounds_aborted += 1
             result.round_aborted = True
         return result
@@ -482,12 +481,10 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
     kind = frame.kind
 
     if kind is AWAKE:
-        if session.phase is not WAITING_AWAKE and session.phase is not DONE:
+        if session.phase is not WAITING_AWAKE:
             return result
         session.round_no += 1
         session.attempt = 0
-        session.retries_left = config.max_retries
-        session.started_at = now
         sensor = device.primary_sensor
         if sensor is not None and sensor.requires_heating:
             session.phase = HEAT_REQUESTED
@@ -507,7 +504,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         if session.phase is WAITING_SAMPLE:
             result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
                                               next_seq()))
-            session.phase = DONE
+            session.phase = WAITING_AWAKE
             session.rounds_completed += 1
             result.round_completed = True
         return result
@@ -546,17 +543,10 @@ class ParentTable:
     PARENT_BUFFER_CAPACITY each (oldest dropped first).
     """
 
-    root: int
     parent: dict[int, int | None]
     unreachable: tuple[int, ...]
     links: dict[tuple[int, int], float]
     buffers: dict[int, deque[MessageFrame]] = field(default_factory=dict)
-
-    @property
-    def received_power(self) -> dict[int, float]:
-        """Each attached node's received power from its parent."""
-        return {child: self.links[(up, child)]
-                for child, up in self.parent.items() if up is not None}
 
     def buffer_for(self, child: int) -> deque[MessageFrame]:
         buffer = self.buffers.get(child)
@@ -656,8 +646,7 @@ def build_parent_table(config: ScenarioConfig) -> ParentTable:
         else:
             parent[device.id] = up
 
-    return ParentTable(root=coordinator.id, parent=parent,
-                       unreachable=tuple(sorted(unreachable)), links=links)
+    return ParentTable(parent=parent, unreachable=tuple(sorted(unreachable)), links=links)
 
 
 def route_path(table: ParentTable, src: int, dst: int) -> list[int] | None:

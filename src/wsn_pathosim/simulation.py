@@ -16,9 +16,9 @@ hops few. Its conventions:
   lookup. An enum's name or value comes from a module table (_EVENT_NAME,
   _STATE_NAME, protocol._KIND_NAME), not from its descriptor.
   tests/test_enum_reads.py holds a shipped day to none.
-- What is fixed when a node is built is a field, not a property
-  (NodeRuntime.is_end_device), and a ledger's death is read as
-  `dead_at is not None`.
+- A fact is read where it is kept, not from a copy or a property: a node
+  is an End Device when `device_state is not None`, and a ledger's death
+  is read as `dead_at is not None`.
 - Records built per event (frames, delivered frames, stimuli, timers,
   samples) are NamedTuples or plain slotted classes, never frozen
   dataclasses, and events are built positionally: a frozen dataclass sets
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
@@ -145,15 +145,15 @@ def check_scenario(config: ScenarioConfig) -> ScenarioConfig:
 @dataclass(slots=True)
 class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
-    node takes to send it. is_end_device is set from device_state when the
-    runtime is built. An End Device's ledger carries its poll grid; the
-    device also carries its wake schedule (sleep), the tick of its last
-    scheduled external wake, the rank that places its polls among the polls
-    of a tick (after every other event of it), the timer of its one poll
-    that is a real event and the guard timer of its round. Its timers are
-    built at their first arm (poll_timer, guard_timer) and its sensor stream
-    at its first step (Simulation._device_step), so a router or the
-    coordinator holds none, and a device only those it has used."""
+    node takes to send it. Only an End Device has a device_state. Its ledger
+    carries its poll grid; the device also carries its wake schedule
+    (sleep), the tick of its last scheduled external wake, the rank that
+    places its polls among the polls of a tick (after every other event of
+    it), the timer of its one poll that is a real event and the guard timer
+    of its round. Its timers are built at their first arm (poll_timer,
+    guard_timer) and its sensor stream at its first step
+    (Simulation._device_step), so a router or the coordinator holds none,
+    and a device only those it has used."""
 
     spec: NodeSpec
     ledger: PowerLedger
@@ -167,10 +167,6 @@ class NodeRuntime:
     poll_rank: int = 0
     real_poll: Timer | None = None
     guard: Timer | None = None
-    is_end_device: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.is_end_device = self.device_state is not None
 
     def poll_timer(self) -> Timer:
         """The real poll's timer, built at its first arm."""
@@ -295,7 +291,8 @@ class Simulation:
                 runtime = NodeRuntime(spec=node, airtime=airtimes[bitrate], ledger=PowerLedger(
                     profile=config.consumption, state=PowerState.AWAKE_IDLE))
             self.runtimes[node.id] = runtime
-        self._devices = [runtime for runtime in self.runtimes.values() if runtime.is_end_device]
+        self._devices = [runtime for runtime in self.runtimes.values()
+                         if runtime.device_state is not None]
         # Same-tick polls run longest period first, then in node order.
         for rank, runtime in enumerate(sorted(self._devices,
                                               key=lambda rt: -rt.ledger.poll_ticks)):
@@ -395,7 +392,7 @@ class Simulation:
                 if dead_at is None and average:
                     entry["projected_lifetime_h"] = capacity / average
             power[key] = entry
-            if runtime.is_end_device:
+            if runtime.device_state is not None:
                 session = self.sessions[node_id]
                 rounds[key] = {"completed": session.rounds_completed,
                                "aborted": session.rounds_aborted,
@@ -442,7 +439,6 @@ class Simulation:
         runtime = self.runtimes[event.node]
         now = event.at
         ledger = runtime.ledger
-        device = runtime.is_end_device
         if kind is POLL_WAKE:  # _on_poll_wake books it if the battery lasts to now
             self._polls_tick, self._polls_rank = now, runtime.poll_rank
         ledger.advance(now)
@@ -465,7 +461,7 @@ class Simulation:
             else:
                 self._trace_event(event)
         self._handlers[kind](runtime, event.payload, now)
-        if device:
+        if runtime.device_state is not None:
             self._plan_poll(runtime)
 
     # The handlers of every kind: (node the event is for, payload, clock).
@@ -526,7 +522,7 @@ class Simulation:
         """Frames go to end devices and to the coordinator, never to routers."""
         self.frames_in_flight -= 1
         self.frames_delivered += 1
-        if runtime.is_end_device:
+        if runtime.device_state is not None:
             self._device_step(runtime, delivered, now)
         else:
             self._session_step(self.runtimes[delivered.frame.src].spec, delivered, now)

@@ -9,7 +9,7 @@ import random
 
 from conftest import make_config, random_scenario_doc, two_node_doc
 from wsn_pathosim.engine import RngStream, derive_seed, ticks_from_seconds
-from wsn_pathosim.model import DEFAULT_FLOOR_LOSS_DB, ObstacleKind
+from wsn_pathosim.model import COORDINATOR_ID, DEFAULT_FLOOR_LOSS_DB, ObstacleKind
 from wsn_pathosim.power import CyclicSleepConfig, PowerState, average_current, estimate_lifetime
 from wsn_pathosim.propagation import free_space_loss, link_budget, measure_rssi
 from wsn_pathosim.protocol import ChecksumError, ErrorReason, MessageFrame, MessageKind, decode_frame, encode_frame, err_payload, sample_resp_payload, set_period_payload
@@ -145,12 +145,12 @@ def _check_parent_table(sim: Simulation, config) -> None:
     table = sim.parent_table
     for child, parent in table.parent.items():
         if parent is None:
-            assert child == table.root
+            assert child == COORDINATOR_ID
             continue
         assert config.node(parent).role.value != "end_device"
-        assert table.received_power[child] >= config.node(child).radio.sensitivity_dbm
+        assert table.links[(parent, child)] >= config.node(child).radio.sensitivity_dbm
         hops, seen = child, set()
-        while hops != table.root:
+        while hops != COORDINATOR_ID:
             assert hops not in seen, f"cycle through {hops}"
             seen.add(hops)
             hops = table.parent[hops]
@@ -183,7 +183,7 @@ def _check_rounds(sim: Simulation) -> None:
             device = int(node)
             window = frames.get(device, [])
             assert window and window[0][1] == "AWAKE" and window[0][2] == device
-            from_root = [(i, name) for i, name, src in window if src == sim.parent_table.root]
+            from_root = [(i, name) for i, name, src in window if src == COORDINATOR_ID]
             assert from_root and from_root[-1][1] == "SLEEP_REQ"
             if heated.get(device):
                 first_req = next(i for i, name in from_root if name == "SAMPLE_REQ")

@@ -69,7 +69,7 @@ def test_results_are_those_of_a_run_where_every_poll_is_an_event(case):
 class OrderCheckSimulation(Simulation):
     def _dispatch(self, event: SimEvent) -> None:
         runtime = self.runtimes[event.node]
-        assert not (runtime.is_end_device and self._polls_tick == event.at
+        assert not (runtime.device_state is not None and self._polls_tick == event.at
                     and self._polls_rank >= runtime.poll_rank), \
             f"{event.kind.value} for node {event.node} after its poll of tick {event.at}"
         super()._dispatch(event)
@@ -113,7 +113,8 @@ def test_a_command_injected_between_polls_of_a_tick_keeps_the_order():
     for each device in turn: some find their poll of the tick run, some find
     it still to come."""
     sim = OrderCheckSimulation(make_config(aligned_doc(5)), trace=True)
-    devices = [runtime for runtime in sim.runtimes.values() if runtime.is_end_device]
+    devices = [runtime for runtime in sim.runtimes.values()
+               if runtime.device_state is not None]
     injected, passed, ahead = 0, 0, 0
     while (event := sim.step()) is not None and sim.now <= 150_000_000:
         if event.kind is EventKind.POLL_WAKE:

@@ -5,17 +5,19 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_config, random_scenario_doc, two_node_doc
-from topology_reference import (buildings, reference_link_budget,
+from topology_reference import (FLOAT_CROSSING_CASES, buildings, exact_crossing,
+                                near_degenerate_crossings, reference_link_budget,
                                 reference_obstacles_on_path, scan_node)
 from wsn_pathosim import model
 from wsn_pathosim.model import (DEFAULT_FLOOR_LOSS_DB, FLOOR_CROSSING_LABEL, MAX_FLOOR,
                                 NodeRole, NodeSpec, Obstacle, ObstacleKind, Position,
                                 RadioConfig, ScenarioConfig, ScenarioSyntaxError,
-                                SchemaError, UnknownNodeError, obstacles_on_path,
-                                parse_scenario, serialize_scenario, validate_scenario)
+                                SchemaError, UnknownNodeError, _crossing_param,
+                                obstacles_on_path, parse_scenario, serialize_scenario,
+                                validate_scenario)
 from wsn_pathosim.propagation import link_budget
 from wsn_pathosim.sensors import SensorKind, Sinusoid
 from wsn_pathosim.simulation import InvalidScenarioError, Simulation
@@ -275,8 +277,7 @@ def test_unknown_node_lookup():
     config = make_config(two_node_doc())
     with pytest.raises(UnknownNodeError):
         config.node(99)
-    assert config.has_node(1)
-    assert not config.has_node(99)
+    assert config.node(1).id == 1
 
 
 def test_serialize_parse_round_trip_preserves_everything():
@@ -661,6 +662,8 @@ def _pairs(config):
 
 @settings(max_examples=150, deadline=None)
 @given(buildings())
+@example(FLOAT_CROSSING_CASES[0])
+@example(FLOAT_CROSSING_CASES[1])
 def test_obstacles_on_path_matches_the_full_scan(config):
     for a, b in _pairs(config):
         assert obstacles_on_path(config, a, b) == reference_obstacles_on_path(config, a, b)
@@ -668,10 +671,37 @@ def test_obstacles_on_path_matches_the_full_scan(config):
 
 @settings(max_examples=150, deadline=None)
 @given(buildings())
+@example(FLOAT_CROSSING_CASES[0])
+@example(FLOAT_CROSSING_CASES[1])
 def test_link_budget_is_bit_identical_to_the_full_scan(config):
     for a, b in _pairs(config):
         # repr shows every bit of a float, the sign of zero included
         assert repr(link_budget(config, a, b)) == repr(reference_link_budget(config, a, b))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(near_degenerate_crossings())
+@example((6.0, 0.0, 0.0, 5.0, -10.503238454750212, 0.0, -7.306833761509982e-197, 5.0))
+@example((8.0, -6.0, -7.0, 0.0, 3.795537844298938, 13.0, -7.0, 1.5021069440635825e-137))
+@example((0.0, 0.0, 11.0, 0.0, 5.0, -1e308, 5.0, 1e308))
+def test_crossings_are_decided_exactly(coordinates):
+    t = _crossing_param(*coordinates)
+    exact = exact_crossing(*coordinates)
+    assert (t is None) == (exact is None)
+    if t is not None:
+        assert 0.0 <= t <= 1.0
+
+
+@pytest.mark.parametrize("reach", [1e300, 1e308])
+def test_a_wall_reaching_the_largest_floats_is_crossed(reach):
+    doc = two_node_doc(ed_position={"x": 11.0, "y": 0.0})
+    doc["obstacles"] = [{"kind": "brick_wall", "from": {"x": 5.0, "y": -reach},
+                         "to": {"x": 5.0, "y": reach}}]
+    config = make_config(doc)
+    assert validate_scenario(config) == []
+    assert obstacles_on_path(config, 0, 1) == [("brick_wall", 1.46)]
+    assert obstacles_on_path(config, 1, 0) == [("brick_wall", 1.46)]
+    assert round(link_budget(config, 0, 1).received_power, 2) == -28.07
 
 
 def test_stacked_walls_crossed_at_one_point_keep_the_obstacle_order():
@@ -716,11 +746,9 @@ def test_node_lookup_returns_the_first_node_with_an_id(ids, wanted):
     config = ScenarioConfig(nodes=nodes)
     if wanted in ids:
         assert config.node(wanted) is scan_node(config, wanted)
-        assert config.has_node(wanted)
     else:
         with pytest.raises(UnknownNodeError, match=f"no node with id {wanted}"):
             config.node(wanted)
-        assert not config.has_node(wanted)
 
 
 def test_indexes_follow_reassigned_nodes_and_obstacles():
@@ -737,7 +765,6 @@ def test_indexes_follow_reassigned_nodes_and_obstacles():
     config = dataclasses.replace(config, nodes=(config.node(0), moved))
     assert config.node(1) is moved
     config = dataclasses.replace(config, nodes=(config.node(0),))
-    assert not config.has_node(1)
     with pytest.raises(UnknownNodeError):
         config.node(1)
 
@@ -749,7 +776,9 @@ def test_a_config_keeps_no_list_it_was_built_from():
     built = ScenarioConfig(nodes=nodes, obstacles=obstacles)
     nodes.append(config.node(1))
     obstacles.clear()
-    assert built.nodes == (config.node(0),) and not built.has_node(1)
+    assert built.nodes == (config.node(0),)
+    with pytest.raises(UnknownNodeError):
+        built.node(1)
     assert len(built.obstacles) == 1
     # hashing stays unsupported: channels is a dict
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import itertools
 import math
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from wsn_pathosim.model import BatteryState
 from wsn_pathosim.power import (ActiveExceedsCycleError, ConsumptionProfile,
                                 CyclicSleepConfig, NonPositiveCurrentError,
                                 NonPositivePeriodError, PowerLedger, PowerState,
@@ -132,7 +134,7 @@ def test_ledger_integrates_single_state():
     ledger = PowerLedger(profile=PROFILE, state=PowerState.SLEEPING,
                          battery_capacity_mah=1100.0)
     ledger.advance(1795 * S)
-    assert ledger.duration_ticks(PowerState.SLEEPING) == 1795 * S
+    assert ledger.durations[PowerState.SLEEPING] == 1795 * S
     expected = 21.10 * 1795 * S / TICKS_PER_HOUR
     assert ledger.consumed_mah == pytest.approx(expected)
     assert ledger.battery_remaining_mah == pytest.approx(1100.0 - expected)
@@ -145,8 +147,8 @@ def test_ledger_set_state_splits_durations():
     ledger.set_state(PowerState.AWAKE_IDLE, 10 * S)
     ledger.set_state(PowerState.SLEEPING, 12 * S)
     ledger.advance(20 * S)
-    assert ledger.duration_ticks(PowerState.SLEEPING) == 18 * S
-    assert ledger.duration_ticks(PowerState.AWAKE_IDLE) == 2 * S
+    assert ledger.durations[PowerState.SLEEPING] == 18 * S
+    assert ledger.durations[PowerState.AWAKE_IDLE] == 2 * S
     assert sum(ledger.durations.values()) == 20 * S
 
 
@@ -156,8 +158,8 @@ def test_ledger_charge_slice_returns_to_base():
     ledger.charge_slice(PowerState.TRANSMITTING, 2 * S, 10 * S)
     assert ledger.state is PowerState.SLEEPING
     ledger.advance(20 * S)
-    assert ledger.duration_ticks(PowerState.TRANSMITTING) == 2 * S
-    assert ledger.duration_ticks(PowerState.SLEEPING) == 18 * S
+    assert ledger.durations[PowerState.TRANSMITTING] == 2 * S
+    assert ledger.durations[PowerState.SLEEPING] == 18 * S
 
 
 def test_ledger_overlapping_slices_serialize():
@@ -167,22 +169,47 @@ def test_ledger_overlapping_slices_serialize():
     ledger.charge_slice(PowerState.TRANSMITTING, 2 * S, 11 * S)  # starts mid-first
     ledger.advance(20 * S)
     # the second excursion is pushed after the first: 5 s transmitting in total
-    assert ledger.duration_ticks(PowerState.TRANSMITTING) == 5 * S
-    assert ledger.duration_ticks(PowerState.SLEEPING) == 15 * S
+    assert ledger.durations[PowerState.TRANSMITTING] == 5 * S
+    assert ledger.durations[PowerState.SLEEPING] == 15 * S
 
 
 def test_ledger_death_is_interpolated_to_the_exact_tick():
     ledger = PowerLedger(profile=PROFILE, state=PowerState.SLEEPING,
                          battery_capacity_mah=0.01)
     ledger.advance(10 * S)
-    assert ledger.is_dead
+    assert ledger.dead_at is not None
     # 0.01 mAh at 21.1 mA: floor(0.01 * 3.6e9 / 21.1) ticks of life
     assert ledger.dead_at == int(0.01 * TICKS_PER_HOUR / 21.10)
     assert ledger.state is PowerState.DEAD
     assert ledger.battery_remaining_mah == 0.0
-    assert ledger.duration_ticks(PowerState.SLEEPING) == ledger.dead_at
-    assert ledger.duration_ticks(PowerState.DEAD) == 10 * S - ledger.dead_at
+    assert ledger.durations[PowerState.SLEEPING] == ledger.dead_at
+    assert ledger.durations[PowerState.DEAD] == 10 * S - ledger.dead_at
     assert ledger.conservation_error_mah() < 1e-6
+
+
+def test_conservation_counts_the_draw_from_the_initial_charge():
+    ledger = PowerLedger(profile=PROFILE, state=PowerState.SLEEPING,
+                         battery_capacity_mah=1100.0, battery_remaining_mah=500.0)
+    ledger.advance(3600 * S)
+    assert ledger.battery_remaining_mah == pytest.approx(500.0 - 21.10)
+    assert ledger.conservation_error_mah() < 1e-9
+    ledger.advance(30 * 3600 * S)  # past the death, about 23.7 h in
+    assert ledger.dead_at is not None
+    assert ledger.conservation_error_mah() < 1e-6
+
+
+@pytest.mark.parametrize("horizon_s", [3600.0, 200_000.0])  # the second is past the death
+def test_a_half_charged_device_conserves_energy(lifetime_config, horizon_s):
+    device = dataclasses.replace(lifetime_config.node(1), battery=BatteryState(
+        capacity_mah=1100.0, remaining_mah=500.0))
+    config = dataclasses.replace(lifetime_config,
+                                 nodes=(lifetime_config.node(0), device))
+    sim = Simulation(config)
+    sim.run_until(horizon_s)
+    ledger = sim.runtimes[1].ledger
+    assert (ledger.dead_at is not None) == (horizon_s > 3600.0)
+    assert max(runtime.ledger.conservation_error_mah()
+               for runtime in sim.runtimes.values()) < 1e-6
 
 
 def test_dead_ledger_accrues_nothing_more():
@@ -200,7 +227,7 @@ def test_dead_ledger_accrues_nothing_more():
 def test_mains_ledger_has_no_battery_and_never_dies():
     ledger = PowerLedger(profile=PROFILE, state=PowerState.AWAKE_IDLE)
     ledger.advance(3600 * S)
-    assert not ledger.is_dead
+    assert ledger.dead_at is None
     assert ledger.battery_remaining_mah is None
     assert ledger.consumed_mah == pytest.approx(69.80)
     assert ledger.conservation_error_mah() == 0.0
@@ -288,7 +315,7 @@ def test_the_charge_depends_only_on_the_tick_totals(totals, profile, headroom):
             ledger.set_state(state, now)
             now += ticks
         ledger.advance(now)
-        assert not ledger.is_dead
+        assert ledger.dead_at is None
         seen.add((repr(ledger.consumed_mah), repr(ledger.battery_remaining_mah)))
     assert len(seen) == 1
 
@@ -306,15 +333,15 @@ def per_poll_reference(profile, state, capacity, cursor, poll, window, stops):
     tick = max(1, -(-cursor // poll)) * poll
     polls, death_poll = 0, None
     for stop in stops:
-        while tick < stop and not ledger.is_dead:
+        while tick < stop and ledger.dead_at is None:
             ledger.advance(tick)
-            if ledger.is_dead:
+            if ledger.dead_at is not None:
                 death_poll = tick
                 break
             polls += 1
             if ledger.state is PowerState.SLEEPING:
                 ledger.charge_slice(PowerState.AWAKE_IDLE, window, tick)
-                if ledger.is_dead:
+                if ledger.dead_at is not None:
                     death_poll = tick
             tick += poll
         ledger.advance(stop)
@@ -366,7 +393,7 @@ def test_closed_form_poll_grid_matches_the_per_poll_loop(case):
     assert (ledger.dead_at, ledger.cursor, ledger.state) == (
         reference.dead_at, reference.cursor, reference.state)
     assert ledger.polls == polls
-    event("battery ran out" if ledger.is_dead else "battery lasted")
+    event("battery ran out" if ledger.dead_at is not None else "battery lasted")
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,7 +438,7 @@ def test_poll_books_the_grid_tick_itself():
     assert ledger.poll(20 * S)
     assert ledger.polls == 2 and ledger.next_poll == 30 * S
     assert ledger.cursor == 21 * S
-    assert ledger.duration_ticks(PowerState.AWAKE_IDLE) == 2 * S
+    assert ledger.durations[PowerState.AWAKE_IDLE] == 2 * S
     assert not ledger.poll(25 * S)  # not a grid tick: just an advance
     assert ledger.polls == 2 and ledger.cursor == 25 * S
 
@@ -555,7 +582,7 @@ def shifted_ledgers(draw):
     else:
         capacity = draw(st.one_of(st.none(), st.floats(0.0, 1e-6), st.floats(0.0, 5.0)))
     ledger = replay(capacity)
-    assume(not ledger.is_dead)
+    assume(ledger.dead_at is None)
     return ledger, until
 
 
@@ -596,7 +623,7 @@ def test_the_first_risky_poll_sees_a_death_in_the_window_after_until(poll, data)
     until = (mains.cursor // poll + data.draw(st.integers(1, 4))) * poll
     spare = until - cursor + data.draw(st.integers(5, window - 1))  # ticks the battery lasts
     ledger = sliced(consumed + current * spare / TICKS_PER_HOUR)
-    assert not ledger.is_dead
+    assert ledger.dead_at is None
     assert _trial_death_poll(ledger, until) == until
     assert ledger.first_risky_poll() <= until
 
@@ -604,7 +631,7 @@ def test_the_first_risky_poll_sees_a_death_in_the_window_after_until(poll, data)
 def test_a_dead_ledger_may_run_out():
     ledger = _grid_ledger(PROFILE, PowerState.SLEEPING, 0.01, 0, 10 * S, S)
     ledger.advance(3600 * S)
-    assert ledger.is_dead
+    assert ledger.dead_at is not None
     assert ledger.first_risky_poll() == ledger.next_poll
 
 
@@ -622,7 +649,7 @@ def test_no_poll_is_risky_without_a_grid_a_draw_or_a_finite_reach():
     huge = _grid_ledger(PROFILE, PowerState.SLEEPING, 2e14, 0, 28 * S, S)
     assert huge.first_risky_poll() > 10 ** 22
     huge.advance(365 * 86400 * S)
-    assert huge.polls == 365 * 86400 // 28 and not huge.is_dead
+    assert huge.polls == 365 * 86400 // 28 and huge.dead_at is None
 
 
 def test_a_shipped_day_has_no_real_poll(three_node_config):
@@ -644,6 +671,10 @@ class ReferenceLedger(PowerLedger):
     through is_dead, consumed_mah and _book. The poll grid (book_polls,
     _poll_step and the first_risky_poll bound that sizes book_polls'
     closed-form runs) is shared, and books through these."""
+
+    @property
+    def is_dead(self):
+        return self.dead_at is not None
 
     def advance(self, now):
         if self.next_poll is not None and self.next_poll < now:

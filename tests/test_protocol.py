@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, two_node_doc
-from topology_reference import (buildings, mirrored_buildings, reference_link_budget,
-                                reference_parent_table)
+from topology_reference import (buildings, mirrored_buildings, received_power,
+                                reference_link_budget, reference_parent_table)
 from wsn_pathosim import protocol
 from wsn_pathosim.engine import RngStream, ticks_from_seconds
 from wsn_pathosim.model import Position, validate_scenario
@@ -172,6 +172,13 @@ GAUGE_SENSOR = {"kind": "strain_gauge", "heat_duration_s": 120.0,
                 "signal": {"shape": "constant", "level": 5.0}}
 
 
+GUARD_TICKS = 125 * S  # the default warm-up plus response timeout
+
+
+def _step(state, stimulus, now, spec, rng):
+    return end_device_step(state, stimulus, now, spec, rng, guard_ticks=GUARD_TICKS)
+
+
 def _device(sensor=None):
     config = make_config(two_node_doc(sensor=sensor))
     spec = config.node(1)
@@ -181,13 +188,12 @@ def _device(sensor=None):
 
 def _deliver(state, spec, rng, kind, payload=b"", now=0, src=0):
     frame = MessageFrame(kind, src, state.node_id, 0, payload)
-    return end_device_step(state, DeliveredFrame(frame, -30.0), now, spec, rng)
+    return _step(state, DeliveredFrame(frame, -30.0), now, spec, rng)
 
 
 def test_external_wake_sends_awake_and_arms_guard():
     spec, state, rng = _device()
-    result = end_device_step(state, ExternalWakeStimulus(), 100 * S, spec, rng,
-                             guard_ticks=125 * S)
+    result = _step(state, ExternalWakeStimulus(), 100 * S, spec, rng)
     assert state.phase is DevicePhase.AWAKE_IDLE
     assert state.guard_until == 100 * S + 125 * S
     assert result.power_state is PowerState.AWAKE_IDLE
@@ -197,14 +203,14 @@ def test_external_wake_sends_awake_and_arms_guard():
 
 def test_external_wake_while_awake_is_ignored():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
-    result = end_device_step(state, ExternalWakeStimulus(), S, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
+    result = _step(state, ExternalWakeStimulus(), S, spec, rng)
     assert result.frames == []
 
 
 def test_sample_req_round_trip_for_plain_sensor():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     result = _deliver(state, spec, rng, MessageKind.SAMPLE_REQ, now=S)
     assert [f.kind for f in result.frames] == [MessageKind.SAMPLE_RESP]
     kind, value, sampled_at = parse_sample_resp(result.frames[0])
@@ -223,7 +229,7 @@ def test_sample_req_while_sleeping_is_illegal():
 
 def test_heat_req_on_gauge_starts_heating():
     spec, state, rng = _device(GAUGE_SENSOR)
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     result = _deliver(state, spec, rng, MessageKind.HEAT_GAUGE_REQ, now=S)
     assert state.phase is DevicePhase.HEATING
     assert [f.kind for f in result.frames] == [MessageKind.ACK]
@@ -233,7 +239,7 @@ def test_heat_req_on_gauge_starts_heating():
 
 def test_heat_req_without_gauge_reports_no_sensor():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     result = _deliver(state, spec, rng, MessageKind.HEAT_GAUGE_REQ, now=S)
     assert result.error is ErrorReason.NO_SENSOR
     assert state.phase is DevicePhase.AWAKE_IDLE
@@ -241,7 +247,7 @@ def test_heat_req_without_gauge_reports_no_sensor():
 
 def test_gauge_sampling_respects_the_heated_window():
     spec, state, rng = _device(GAUGE_SENSOR)
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     _deliver(state, spec, rng, MessageKind.HEAT_GAUGE_REQ, now=0)
     early = _deliver(state, spec, rng, MessageKind.SAMPLE_REQ,
                      now=state.gauge.heated_from - 1)
@@ -256,7 +262,7 @@ def test_gauge_sampling_respects_the_heated_window():
 
 def test_sleep_req_ends_round_and_commits_pending_period():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     staged = _deliver(state, spec, rng, MessageKind.SET_PERIOD,
                       payload=set_period_payload(900), now=S)
     assert state.pending_period_s == 900.0
@@ -299,10 +305,9 @@ def test_sleep_req_while_sleeping_just_acks():
 
 def test_guard_expiry_loses_the_round():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_ticks=125 * S)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     deadline = state.guard_until
-    result = end_device_step(state, GuardExpiredStimulus(deadline), deadline,
-                             spec, rng, guard_ticks=125 * S)
+    result = _step(state, GuardExpiredStimulus(deadline), deadline, spec, rng)
     assert state.phase is DevicePhase.SLEEPING
     assert result.round_ended and result.round_lost
     assert result.frames == []  # silent: nobody is listening
@@ -310,20 +315,19 @@ def test_guard_expiry_loses_the_round():
 
 def test_stale_guard_is_ignored_after_rearm():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng, guard_ticks=125 * S)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     old_deadline = state.guard_until
     _deliver(state, spec, rng, MessageKind.SET_PERIOD,
              payload=set_period_payload(600), now=10 * S)
     assert state.guard_until == 10 * S + 125 * S  # re-armed by the frame
-    result = end_device_step(state, GuardExpiredStimulus(old_deadline), old_deadline,
-                             spec, rng, guard_ticks=125 * S)
+    result = _step(state, GuardExpiredStimulus(old_deadline), old_deadline, spec, rng)
     assert state.phase is DevicePhase.AWAKE_IDLE
     assert not result.round_ended
 
 
 def test_err_stimulus_is_never_answered():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     result = _deliver(state, spec, rng, MessageKind.ERR,
                       payload=err_payload(ErrorReason.ILLEGAL_STIMULUS), now=S)
     assert result.frames == []
@@ -332,7 +336,7 @@ def test_err_stimulus_is_never_answered():
 
 def test_unexpected_kind_answers_illegal_stimulus():
     spec, state, rng = _device()
-    end_device_step(state, ExternalWakeStimulus(), 0, spec, rng)
+    _step(state, ExternalWakeStimulus(), 0, spec, rng)
     result = _deliver(state, spec, rng, MessageKind.AWAKE, now=S)
     assert result.error is ErrorReason.ILLEGAL_STIMULUS
 
@@ -407,8 +411,11 @@ def test_sample_resp_completes_round_and_persists():
 
 
 def test_late_sample_resp_is_still_persisted():
-    config, device, session, next_seq = _coordinator()
-    session.phase = SessionPhase.DONE  # round already closed
+    config, device, session, next_seq = _coordinator(max_retries=0)
+    coordinator_step(session, _frame_from_device(MessageKind.AWAKE),
+                     0, config, device, next_seq)
+    coordinator_step(session, ResponseTimeoutStimulus(1, 1), 5 * S, config, device, next_seq)
+    assert session.phase is SessionPhase.WAITING_AWAKE  # the round aborted
     payload = sample_resp_payload(SensorKind.DISPLACEMENT, 2.0, 0)
     result = coordinator_step(session,
                               _frame_from_device(MessageKind.SAMPLE_RESP, payload),
@@ -434,7 +441,24 @@ def test_timeout_retries_then_aborts():
     assert [f.kind for f in final.frames] == [MessageKind.SLEEP_REQ]
     assert final.round_aborted
     assert session.rounds_aborted == 1
-    assert session.phase is SessionPhase.DONE
+    assert session.phase is SessionPhase.WAITING_AWAKE
+
+
+@pytest.mark.parametrize("max_retries", [0, 1, 3])
+@pytest.mark.parametrize("sensor", [None, GAUGE_SENSOR])
+def test_a_round_sends_one_sample_request_per_retry_and_one_more(max_retries, sensor):
+    config, device, session, next_seq = _coordinator(sensor, max_retries=max_retries)
+    for round_no in (1, 2):  # the count starts afresh each round
+        result = coordinator_step(session, _frame_from_device(MessageKind.AWAKE),
+                                  0, config, device, next_seq)
+        if sensor is not None:
+            result = coordinator_step(session, result.timer, 0, config, device, next_seq)
+        requests = 0
+        while not result.round_aborted:
+            requests += [f.kind for f in result.frames] == [MessageKind.SAMPLE_REQ]
+            result = coordinator_step(session, result.timer, 0, config, device, next_seq)
+        assert requests == max_retries + 1
+        assert session.rounds_aborted == round_no
 
 
 def test_stale_timeout_attempt_is_ignored():
@@ -490,10 +514,9 @@ def test_next_round_starts_after_done():
 
 def test_parent_table_for_the_two_wall_corridor(three_node_config):
     table = build_parent_table(three_node_config)
-    assert table.root == 0
     assert table.parent == {0: None, 1: 0, 2: 1}
     assert table.unreachable == ()
-    assert table.received_power[1] == pytest.approx(-29.53)
+    assert table.links[(0, 1)] == pytest.approx(-29.53)
 
 
 def test_distant_device_is_unreachable_without_the_router(router_off_config):
@@ -578,7 +601,7 @@ def test_parent_table_matches_the_unpruned_search(config):
     assert table.parent == expected.parent
     assert table.unreachable == expected.unreachable
     # repr shows every bit of each received power
-    assert repr(table.received_power) == repr(expected.received_power)
+    assert repr(received_power(table)) == repr(received_power(expected))
 
 
 def test_parent_search_skips_budgets_the_loss_bound_rules_out(monkeypatch):
@@ -655,7 +678,7 @@ def test_a_router_budgets_only_the_candidates_that_can_still_win(monkeypatch):
     assert reference_link_budget(config, 0, 4).received_power < -40.0
     expected = reference_parent_table(config)
     assert table.parent == expected.parent
-    assert repr(table.received_power) == repr(expected.received_power)
+    assert repr(received_power(table)) == repr(received_power(expected))
 
 
 def test_a_negative_obstacle_loss_turns_the_loss_bound_off():
@@ -666,7 +689,7 @@ def test_a_negative_obstacle_loss_turns_the_loss_bound_off():
                          "to": {"x": 250.0, "y": 1.0}, "attenuation_db": -100.0}]
     table = build_parent_table(make_config(doc))
     assert table.parent == {0: None, 1: 0}
-    assert table.received_power[1] == pytest.approx(3.0 + 100.0 - free_space_loss(500.0))
+    assert table.links[(0, 1)] == pytest.approx(3.0 + 100.0 - free_space_loss(500.0))
 
 
 def test_a_router_stacked_above_the_coordinator_builds_and_runs(three_node_config):
@@ -678,6 +701,6 @@ def test_a_router_stacked_above_the_coordinator_builds_and_runs(three_node_confi
     assert validate_scenario(three_node_config) == []
     sim = Simulation(three_node_config)
     assert sim.parent_table.parent[3] == 0
-    assert sim.parent_table.received_power[3] == 3.0 - three_node_config.floor_loss_db
+    assert sim.parent_table.links[(0, 3)] == 3.0 - three_node_config.floor_loss_db
     sim.run_until(86400.0)
     assert sim.stats()["clock_s"] == 86400.0

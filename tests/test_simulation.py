@@ -154,14 +154,15 @@ def test_end_device_without_sensors_ends_its_rounds_with_no_sensor():
 def test_a_device_builds_its_sensor_stream_at_its_first_step(seed):
     doc, _ = random_scenario_doc(seed)
     sim = Simulation(make_config(doc))
-    devices = [runtime for runtime in sim.runtimes.values() if runtime.is_end_device]
+    devices = [runtime for runtime in sim.runtimes.values()
+               if runtime.device_state is not None]
     first_wake = min(runtime.sleep.period_ticks for runtime in devices)
     sim.run_until(seconds_from_ticks(first_wake - 1))
     assert all(runtime.sensor_rng is None for runtime in sim.runtimes.values())
     # past every device's first wake, each has run a round
     sim.run_until(seconds_from_ticks(max(runtime.sleep.period_ticks for runtime in devices)))
     for runtime in sim.runtimes.values():
-        if runtime.is_end_device:
+        if runtime.device_state is not None:
             assert runtime.sensor_rng.seed == derive_seed(sim.config.seed, "sensor",
                                                           runtime.spec.id)
         else:
@@ -180,7 +181,7 @@ def test_a_timer_is_built_at_its_first_arm(case):
                    for runtime in fresh.runtimes.values())
     assert fresh._timers == {}
     for node, runtime in sim.runtimes.items():
-        if not runtime.is_end_device:
+        if runtime.device_state is None:
             assert runtime.real_poll is None and runtime.guard is None
             continue
         # every device has woken, and an awake device arms its guard
@@ -491,7 +492,7 @@ def test_external_wakes_keep_the_schedule_in_ticks(run):
     doc, horizon_s, command = run
     sim = Simulation(make_config(doc), trace=True)
     schedules = {node: runtime.sleep for node, runtime in sim.runtimes.items()
-                 if runtime.is_end_device}
+                 if runtime.device_state is not None}
     if command is not None:
         device, at_s, period_s = command
         sim.run_until(at_s)

@@ -10,6 +10,7 @@ exactly, float bits and ordering included.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -43,6 +44,41 @@ def reference_obstacles_on_path(config: ScenarioConfig, a: int, b: int) -> list:
     crossings = [crossing for _, crossing in hits]
     crossings.extend((FLOOR_CROSSING_LABEL, config.floor_loss_db) for _ in range(hi - lo))
     return crossings
+
+
+def exact_crossing(ax: float, ay: float, bx: float, by: float,
+                   cx: float, cy: float, dx: float, dy: float) -> Fraction | None:
+    """The parameter along a->b of a proper crossing with segment c->d, else
+    None, in rational arithmetic on the floats as given: Cramer's rule for
+    a + t (b - a) = c + u (d - c), and a crossing when 0 < t, u < 1."""
+    ax, ay, bx, by, cx, cy, dx, dy = map(Fraction, (ax, ay, bx, by, cx, cy, dx, dy))
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    denominator = rx * sy - ry * sx
+    if denominator == 0:
+        return None
+    t = ((cx - ax) * sy - (cy - ay) * sx) / denominator
+    u = ((cx - ax) * ry - (cy - ay) * rx) / denominator
+    return t if 0 < t < 1 and 0 < u < 1 else None
+
+
+def path_and_wall(a: tuple[float, float], b: tuple[float, float], start: tuple[float, float],
+                  end: tuple[float, float], kind: ObstacleKind) -> ScenarioConfig:
+    """Two nodes at a and b on floor 0, and one wall from start to end."""
+    return ScenarioConfig(
+        nodes=(NodeSpec(0, NodeRole.COORDINATOR, Position(*a), RadioConfig(-40.0)),
+               NodeSpec(1, NodeRole.ROUTER, Position(*b), RadioConfig(-40.0))),
+        obstacles=(Obstacle(kind, Position(*start), Position(*end)),))
+
+
+# Falsifying examples of the index against the full scan when crossings were
+# decided in floats: each wall ends just outside the path's bounding box, and
+# the rounded parameters put the crossing at t = u = 0.9999999999999998.
+FLOAT_CROSSING_CASES = (
+    path_and_wall((6.0, 0.0), (0.0, 5.0), (-10.503238454750212, 0.0),
+                  (-7.306833761509982e-197, 5.0), ObstacleKind.WINDOW_OPEN_BLINDS),
+    path_and_wall((8.0, -6.0), (-7.0, 0.0), (3.795537844298938, 13.0),
+                  (-7.0, 1.5021069440635825e-137), ObstacleKind.BRICK_WALL),
+)
 
 
 def reference_link_budget(config: ScenarioConfig, a: int, b: int) -> LinkBudget:
@@ -109,8 +145,51 @@ def reference_parent_table(config: ScenarioConfig) -> ParentTable:
             continue
         best = max(options, key=lambda up: (received_at(device, up), -up.id))
         parent[device.id] = best.id
-    return ParentTable(root=coordinator.id, parent=parent,
-                       unreachable=tuple(sorted(unreachable)), links=budgets)
+    return ParentTable(parent=parent, unreachable=tuple(sorted(unreachable)), links=budgets)
+
+
+def received_power(table: ParentTable) -> dict[int, float]:
+    """Each attached node's received power from its parent, in table order."""
+    return {child: table.links[(up, child)]
+            for child, up in table.parent.items() if up is not None}
+
+
+# Magnitudes at which float products overflow or underflow.
+EXTREMES = (1e308, -1e308, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 0.0)
+
+
+@st.composite
+def near_degenerate_crossings(draw) -> tuple[float, ...]:
+    """A path a->b and a wall c->d, as the 8 coordinates _crossing_param takes.
+    Each wall end sits a few float steps from a path end, from a point
+    rounded onto the path's line, from a grid point, or at an extreme
+    magnitude, so touching, near-touching and overflowing cases are common."""
+    a = (draw(coordinates), draw(coordinates))
+    b = (draw(coordinates), draw(coordinates))
+
+    def nudged(value: float) -> float:
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            value = math.nextafter(value, math.copysign(math.inf, steps))
+        return value
+
+    def end() -> tuple[float, float]:
+        anchor = draw(st.sampled_from(["a", "b", "line", "grid", "extreme"]))
+        if anchor == "line":
+            t = draw(st.floats(-1.0, 2.0))
+            x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+        elif anchor == "grid":
+            x, y = draw(coordinates), draw(coordinates)
+        elif anchor == "extreme":
+            x, y = draw(st.sampled_from(EXTREMES)), draw(st.one_of(coordinates,
+                                                                   st.sampled_from(EXTREMES)))
+            if draw(st.booleans()):
+                x, y = y, x
+        else:
+            x, y = a if anchor == "a" else b
+        return nudged(x), nudged(y)
+
+    return (*a, *b, *end(), *end())
 
 
 # Coarse grid values make shared coordinates, touching and collinear segments
