@@ -247,8 +247,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 if event is None:
                     print("no pending events")
                 else:
-                    node = event.node if event.node is not None else "-"
-                    print(f"t={event.at / 1e6:.6f} s {event.kind.value} node={node}")
+                    print(f"t={event.at / 1e6:.6f} s {event.kind.value} node={event.node}")
             elif command == "run-until" and len(tokens) == 2:
                 sim.run_until(float(tokens[1]))
                 print(f"clock {sim.now / 1e6:.6f} s, {sim.events_processed} events processed")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterator
@@ -29,6 +29,15 @@ def has_finite_ticks(seconds: float) -> bool:
     """Whether seconds converts to ticks: its count of microseconds is a
     finite float. A duration past about 1.8e302 s is not, nor inf or nan."""
     return math.isfinite(seconds * US_PER_SECOND)
+
+
+def horizon_ticks(horizon_s: float) -> Ticks:
+    """A horizon in ticks; ValueError unless it is a finite number of seconds and of ticks."""
+    if not math.isfinite(horizon_s):
+        raise ValueError(f"horizon must be a finite number of seconds, got {horizon_s}")
+    if not has_finite_ticks(horizon_s):
+        raise ValueError(f"horizon must be a finite number of 1 us ticks, got {horizon_s} s")
+    return ticks_from_seconds(horizon_s)
 
 
 def seconds_from_ticks(ticks: Ticks) -> float:
@@ -54,14 +63,14 @@ class SimEvent:
     """A scheduled occurrence. seq is the insertion counter.
 
     payload is what the handler of the event's kind takes, or None. timer is
-    the Timer the event was armed on, or None for an event that always runs."""
+    the Timer EventQueue.arm armed it on, or None for an event that always runs."""
 
     at: Ticks
     seq: int
     kind: EventKind
     node: int | None = None
     payload: object = None
-    timer: Timer | None = None
+    timer: Timer | None = field(init=False, default=None)
 
     @property
     def live(self) -> bool:
@@ -76,7 +85,7 @@ class Timer:
     disarm supersedes stays queued; len, pending, peek_time and pop_due skip it."""
 
     rank: int | None = None
-    event: SimEvent | None = None
+    event: SimEvent | None = field(init=False, default=None)
 
 
 class SchedulingInPastError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
-from .engine import Ticks, has_finite_ticks, seconds_from_ticks, ticks_from_seconds
+from .engine import Ticks, has_finite_ticks, horizon_ticks, seconds_from_ticks, ticks_from_seconds
 
 TICKS_PER_HOUR = 3_600 * 1_000_000
 
@@ -45,20 +45,12 @@ class ConsumptionProfile:
     awake_idle_ma: float = 69.80
     transmitting_ma: float = 109.80
 
-    def current_ma(self, state: PowerState) -> float:
-        if state is SLEEPING:
-            return self.sleeping_ma
-        if state is AWAKE_IDLE:
-            return self.awake_idle_ma
-        if state is TRANSMITTING:
-            return self.transmitting_ma
-        return 0.0
-
     @cached_property
     def currents(self) -> dict[PowerState, float]:
-        """current_ma of every state, computed once per profile and shared
+        """The draw (mA) of every state, built once per profile and shared
         by the ledgers that use it."""
-        return {state: self.current_ma(state) for state in PowerState}
+        return {SLEEPING: self.sleeping_ma, AWAKE_IDLE: self.awake_idle_ma,
+                TRANSMITTING: self.transmitting_ma, DEAD: 0.0}
 
 
 class NonPositivePeriodError(ValueError):
@@ -108,7 +100,9 @@ class CyclicSleepConfig:
 
 
 def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[float], list[float]]:
-    """(poll wake times, external wake times) in seconds, within the horizon.
+    """(poll wake times, external wake times) in seconds, within the horizon,
+    which must be a finite number of seconds and of ticks (else ValueError,
+    as in Simulation.run_until).
 
     Polls land at k x poll ticks for k >= 1; every multiplier-th poll is also
     an external wake. t = 0 is not a wake. External wakes are a subset of the
@@ -122,7 +116,7 @@ def wake_timeline(config: CyclicSleepConfig, horizon_s: float) -> tuple[list[flo
     first poll that PowerLedger.first_risky_poll cannot clear is an event.
     """
     poll_ticks = config.period_ticks // config.multiplier
-    polls = range(poll_ticks, ticks_from_seconds(horizon_s) + 1, poll_ticks)
+    polls = range(poll_ticks, horizon_ticks(horizon_s) + 1, poll_ticks)
     return ([seconds_from_ticks(t) for t in polls],
             [seconds_from_ticks(t) for t in polls[config.multiplier - 1::config.multiplier]])
 
@@ -136,7 +130,7 @@ def average_current(profile: ConsumptionProfile, cycle_s: float, active_s: float
     if not 0 <= active_s <= cycle_s:  # fails a nan active_s too
         raise ActiveExceedsCycleError(
             f"active time {active_s} s does not fit in a {cycle_s} s cycle")
-    active_ma = profile.current_ma(active_state)
+    active_ma = profile.currents[active_state]
     sleep_ma = profile.sleeping_ma
     return (active_ma * active_s + sleep_ma * (cycle_s - active_s)) / cycle_s
 

@@ -29,7 +29,6 @@ from .sensors import GaugeNotHeatedError, GaugeState, SensorKind, sample
 FRAME_MAGIC = 0xA5
 FRAME_VERSION = 0x01
 FRAME_OVERHEAD = 10  # 9 header bytes + 1 checksum
-MAX_PAYLOAD = 64
 PARENT_BUFFER_CAPACITY = 16
 
 
@@ -136,8 +135,6 @@ def encode_frame(frame: MessageFrame) -> bytes:
     if len(frame.payload) != expected:
         raise PayloadLayoutMismatchError(
             f"{frame.kind.name} payload must be {expected} bytes, got {len(frame.payload)}")
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise PayloadLayoutMismatchError(f"payload exceeds {MAX_PAYLOAD} bytes")
     for label, value in (("src", frame.src), ("dst", frame.dst), ("seq", frame.seq)):
         if not 0 <= value <= 0xFFFF:
             raise ValueError(f"{label} must fit in 16 bits, got {value}")
@@ -239,14 +236,14 @@ POWER_SLEEPING, POWER_AWAKE_IDLE = PowerState.SLEEPING, PowerState.AWAKE_IDLE
 
 @dataclass
 class EndDeviceState:
-    """Mutable protocol state of one End Device."""
+    """Mutable protocol state of one End Device, asleep with nothing pending
+    at first. Its id is that of the NodeSpec end_device_step takes with it."""
 
-    node_id: int
-    phase: DevicePhase = SLEEPING
-    pending_period_s: float | None = None
-    gauge: GaugeState = field(default_factory=GaugeState)
-    guard_until: Ticks | None = None
-    frame_seq: int = 0
+    phase: DevicePhase = field(init=False, default=SLEEPING)
+    pending_period_s: float | None = field(init=False, default=None)
+    gauge: GaugeState = field(init=False, default_factory=GaugeState)
+    guard_until: Ticks | None = field(init=False, default=None)
+    frame_seq: int = field(init=False, default=0)
 
     def next_seq(self) -> int:
         seq = self.frame_seq
@@ -276,12 +273,12 @@ DeviceStimulus = ExternalWakeStimulus | GuardExpiredStimulus | DeliveredFrame
 
 @dataclass
 class DeviceStepResult:
-    frames: list[MessageFrame] = field(default_factory=list)
-    power_state: PowerState | None = None
-    round_ended: bool = False
-    round_lost: bool = False
-    applied_period_s: float | None = None
-    error: ErrorReason | None = None
+    frames: list[MessageFrame] = field(init=False, default_factory=list)
+    power_state: PowerState | None = field(init=False, default=None)
+    round_ended: bool = field(init=False, default=False)
+    round_lost: bool = field(init=False, default=False)
+    applied_period_s: float | None = field(init=False, default=None)
+    error: ErrorReason | None = field(init=False, default=None)
 
 
 def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
@@ -302,8 +299,7 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
         state.phase = AWAKE_IDLE
         state.guard_until = now + guard_ticks
         result.power_state = POWER_AWAKE_IDLE
-        result.frames.append(MessageFrame(AWAKE, state.node_id,
-                                          COORDINATOR_ID, state.next_seq()))
+        result.frames.append(MessageFrame(AWAKE, device.id, COORDINATOR_ID, state.next_seq()))
         return result
 
     if isinstance(stimulus, GuardExpiredStimulus):
@@ -324,55 +320,55 @@ def end_device_step(state: EndDeviceState, stimulus: DeviceStimulus, now: Ticks,
         # Accepted in any phase: reaches sleeping devices at their poll wakes.
         period = parse_set_period(frame)
         if period <= 0:
-            return _refuse(state, result, reply_to, BAD_PERIOD)
+            return _refuse(state, result, device.id, reply_to, BAD_PERIOD)
         state.pending_period_s = float(period)
-        result.frames.append(MessageFrame(ACK, state.node_id, reply_to, state.next_seq()))
+        result.frames.append(MessageFrame(ACK, device.id, reply_to, state.next_seq()))
         return result
 
     if kind is SLEEP_REQ:
-        result.frames.append(MessageFrame(ACK, state.node_id, reply_to, state.next_seq()))
+        result.frames.append(MessageFrame(ACK, device.id, reply_to, state.next_seq()))
         if state.phase is not SLEEPING:
             _finish_round(state, result, lost=False)
         return result
 
     if kind is HEAT_GAUGE_REQ:
         if state.phase is SLEEPING:
-            return _refuse(state, result, reply_to, ILLEGAL_STIMULUS)
+            return _refuse(state, result, device.id, reply_to, ILLEGAL_STIMULUS)
         sensor = device.primary_sensor
         if sensor is None or not sensor.requires_heating:
-            return _refuse(state, result, reply_to, NO_SENSOR)
+            return _refuse(state, result, device.id, reply_to, NO_SENSOR)
         state.phase = HEATING
         state.gauge.begin_heating(now, sensor.heat_duration_ticks)
-        result.frames.append(MessageFrame(ACK, state.node_id, reply_to, state.next_seq()))
+        result.frames.append(MessageFrame(ACK, device.id, reply_to, state.next_seq()))
         return result
 
     if kind is SAMPLE_REQ:
         if state.phase is SLEEPING:
-            return _refuse(state, result, reply_to, ILLEGAL_STIMULUS)
+            return _refuse(state, result, device.id, reply_to, ILLEGAL_STIMULUS)
         sensor = device.primary_sensor
         if sensor is None:
-            return _refuse(state, result, reply_to, NO_SENSOR)
+            return _refuse(state, result, device.id, reply_to, NO_SENSOR)
         try:
             value = sample(sensor, state.gauge, now, rng)
         except GaugeNotHeatedError:
-            return _refuse(state, result, reply_to, GAUGE_NOT_HEATED)
+            return _refuse(state, result, device.id, reply_to, GAUGE_NOT_HEATED)
         state.phase = AWAKE_IDLE
         result.frames.append(MessageFrame(
-            SAMPLE_RESP, state.node_id, reply_to, state.next_seq(),
+            SAMPLE_RESP, device.id, reply_to, state.next_seq(),
             sample_resp_payload(sensor.kind, value, now)))
         return result
 
     if kind is ERR:
         return result  # never answer an error with an error
 
-    return _refuse(state, result, reply_to, ILLEGAL_STIMULUS)
+    return _refuse(state, result, device.id, reply_to, ILLEGAL_STIMULUS)
 
 
-def _refuse(state: EndDeviceState, result: DeviceStepResult, reply_to: int,
+def _refuse(state: EndDeviceState, result: DeviceStepResult, device: int, reply_to: int,
             reason: ErrorReason) -> DeviceStepResult:
-    """Answer the frame from reply_to with ERR."""
+    """Answer the frame from reply_to with the device's ERR."""
     result.error = reason
-    result.frames.append(MessageFrame(ERR, state.node_id, reply_to, state.next_seq(),
+    result.frames.append(MessageFrame(ERR, device, reply_to, state.next_seq(),
                                       err_payload(reason)))
     return result
 
@@ -407,14 +403,15 @@ class CoordinatorSession:
     counts them, and attempt counts the round's SAMPLE_REQs, so the round has
     retries left while attempt <= config.max_retries. The phases advance
     monotonically through a round, and the session returns to WAITING_AWAKE
-    when the round completes or aborts."""
+    when the round completes or aborts. Its device is the NodeSpec that
+    coordinator_step takes with it, and the simulation keeps the session on
+    that device's NodeRuntime."""
 
-    device: int
-    phase: SessionPhase = WAITING_AWAKE
-    round_no: int = 0
-    attempt: int = 0
-    rounds_completed: int = 0
-    rounds_aborted: int = 0
+    phase: SessionPhase = field(init=False, default=WAITING_AWAKE)
+    round_no: int = field(init=False, default=0)
+    attempt: int = field(init=False, default=0)
+    rounds_completed: int = field(init=False, default=0)
+    rounds_aborted: int = field(init=False, default=0)
 
 
 class WarmupDoneStimulus(NamedTuple):
@@ -435,14 +432,14 @@ CoordinatorStimulus = DeliveredFrame | WarmupDoneStimulus | ResponseTimeoutStimu
 
 @dataclass
 class CoordinatorStepResult:
-    frames: list[MessageFrame] = field(default_factory=list)
-    records: list[SampleRecord] = field(default_factory=list)
+    frames: list[MessageFrame] = field(init=False, default_factory=list)
+    records: list[SampleRecord] = field(init=False, default_factory=list)
     # The stimulus to hand back once the warm-up or the response timeout has
     # run out, from now; the caller knows how long each lasts.
-    timer: WarmupDoneStimulus | ResponseTimeoutStimulus | None = None
-    round_completed: bool = False
-    round_aborted: bool = False
-    error_seen: ErrorReason | None = None
+    timer: WarmupDoneStimulus | ResponseTimeoutStimulus | None = field(init=False, default=None)
+    round_completed: bool = field(init=False, default=False)
+    round_aborted: bool = field(init=False, default=False)
+    error_seen: ErrorReason | None = field(init=False, default=None)
 
 
 def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
@@ -459,7 +456,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
 
     if isinstance(stimulus, WarmupDoneStimulus):
         if session.phase is HEAT_REQUESTED and stimulus.round_no == session.round_no:
-            _request_sample(session, result, next_seq)
+            _request_sample(session, result, device.id, next_seq)
         return result
 
     if isinstance(stimulus, ResponseTimeoutStimulus):
@@ -468,10 +465,9 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
                 or stimulus.attempt != session.attempt):
             return result  # stale timer
         if session.attempt <= config.max_retries:
-            _request_sample(session, result, next_seq)
+            _request_sample(session, result, device.id, next_seq)
         else:
-            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
-                                              next_seq()))
+            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, device.id, next_seq()))
             session.phase = WAITING_AWAKE
             session.rounds_aborted += 1
             result.round_aborted = True
@@ -488,11 +484,11 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
         sensor = device.primary_sensor
         if sensor is not None and sensor.requires_heating:
             session.phase = HEAT_REQUESTED
-            result.frames.append(MessageFrame(HEAT_GAUGE_REQ, COORDINATOR_ID, session.device,
+            result.frames.append(MessageFrame(HEAT_GAUGE_REQ, COORDINATOR_ID, device.id,
                                               next_seq()))
             result.timer = WarmupDoneStimulus(session.round_no)
         else:
-            _request_sample(session, result, next_seq)
+            _request_sample(session, result, device.id, next_seq)
         return result
 
     if kind is SAMPLE_RESP:
@@ -502,8 +498,7 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
                                            value=value, sampled_at=sampled_at,
                                            received_at=now, rssi_dbm=stimulus.rssi_dbm))
         if session.phase is WAITING_SAMPLE:
-            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, session.device,
-                                              next_seq()))
+            result.frames.append(MessageFrame(SLEEP_REQ, COORDINATOR_ID, device.id, next_seq()))
             session.phase = WAITING_AWAKE
             session.rounds_completed += 1
             result.round_completed = True
@@ -517,12 +512,12 @@ def coordinator_step(session: CoordinatorSession, stimulus: CoordinatorStimulus,
     return result
 
 
-def _request_sample(session: CoordinatorSession, result: CoordinatorStepResult,
+def _request_sample(session: CoordinatorSession, result: CoordinatorStepResult, device: int,
                     next_seq) -> None:
-    """Send the round's next SAMPLE_REQ and arm its response timeout."""
+    """Send the device the round's next SAMPLE_REQ and arm its response timeout."""
     session.attempt += 1
     session.phase = WAITING_SAMPLE
-    result.frames.append(MessageFrame(SAMPLE_REQ, COORDINATOR_ID, session.device, next_seq()))
+    result.frames.append(MessageFrame(SAMPLE_REQ, COORDINATOR_ID, device, next_seq()))
     result.timer = ResponseTimeoutStimulus(session.round_no, session.attempt)
 
 
@@ -546,7 +541,7 @@ class ParentTable:
     parent: dict[int, int | None]
     unreachable: tuple[int, ...]
     links: dict[tuple[int, int], float]
-    buffers: dict[int, deque[MessageFrame]] = field(default_factory=dict)
+    buffers: dict[int, deque[MessageFrame]] = field(init=False, default_factory=dict)
 
     def buffer_for(self, child: int) -> deque[MessageFrame]:
         buffer = self.buffers.get(child)

@@ -7,7 +7,7 @@ temperature catheters degrees Celsius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import RngStream, Ticks, seconds_from_ticks, ticks_from_seconds
@@ -92,8 +92,8 @@ class GaugeState:
     (both ends inclusive).
     """
 
-    heated_from: Ticks | None = None
-    heated_until: Ticks | None = None
+    heated_from: Ticks | None = field(init=False, default=None)
+    heated_until: Ticks | None = field(init=False, default=None)
 
     def begin_heating(self, now: Ticks, duration: Ticks) -> None:
         self.heated_from = now + duration

@@ -19,6 +19,10 @@ hops few. Its conventions:
 - A fact is read where it is kept, not from a copy or a property: a node
   is an End Device when `device_state is not None`, and a ledger's death
   is read as `dead_at is not None`.
+- An end device's protocol state, the coordinator's session with it, that
+  session's timer and its count of received samples live on its
+  NodeRuntime, not in dicts keyed by node id (the frames its parent holds
+  for it are the parent table's). Its id is kept once, in runtime.spec.id.
 - Records built per event (frames, delivered frames, stimuli, timers,
   samples) are NamedTuples or plain slotted classes, never frozen
   dataclasses, and events are built positionally: a frozen dataclass sets
@@ -48,14 +52,13 @@ hops few. Its conventions:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .engine import (EventKind, EventQueue, RngStream, SimEvent, Ticks, Timer, derive_seed,
-                     has_finite_ticks, seconds_from_ticks, ticks_from_seconds)
+                     horizon_ticks, seconds_from_ticks, ticks_from_seconds)
 from .model import (COORDINATOR_ID, NodeRole, NodeSpec, ScenarioConfig, ScenarioError,
                     UnknownNodeError, Violation, validate_scenario)
 from .power import CyclicSleepConfig, PowerLedger, PowerState
@@ -145,13 +148,16 @@ def check_scenario(config: ScenarioConfig) -> ScenarioConfig:
 @dataclass(slots=True)
 class NodeRuntime:
     """One node's state. airtime maps a frame's wire length to the ticks the
-    node takes to send it. Only an End Device has a device_state. Its ledger
+    node takes to send it. Only an End Device has a device_state and a
+    session: the coordinator's collection session with it. Its ledger
     carries its poll grid; the device also carries its wake schedule
     (sleep), the tick of its last scheduled external wake, the rank that
     places its polls among the polls of a tick (after every other event of
-    it), the timer of its one poll that is a real event and the guard timer
-    of its round. Its timers are built at their first arm (poll_timer,
-    guard_timer) and its sensor stream at its first step
+    it), the timer of its one poll that is a real event, the guard timer of
+    its round, its session's WARMUP_DONE/TIMEOUT timer (session_timer) and
+    the count of its samples the coordinator has received (samples). Its
+    timers are built at their first arm (poll_timer, guard_timer,
+    Simulation._session_step) and its sensor stream at its first step
     (Simulation._device_step), so a router or the coordinator holds none,
     and a device only those it has used."""
 
@@ -159,14 +165,17 @@ class NodeRuntime:
     ledger: PowerLedger
     airtime: dict[int, Ticks]
     device_state: EndDeviceState | None = None
-    sensor_rng: RngStream | None = None
+    session: CoordinatorSession | None = None
     sleep: CyclicSleepConfig | None = None
-    rounds_lost: int = 0
-    death_logged: bool = False
     next_wake: Ticks | None = None
-    poll_rank: int = 0
-    real_poll: Timer | None = None
-    guard: Timer | None = None
+    sensor_rng: RngStream | None = field(init=False, default=None)
+    rounds_lost: int = field(init=False, default=0)
+    death_logged: bool = field(init=False, default=False)
+    poll_rank: int = field(init=False, default=0)
+    real_poll: Timer | None = field(init=False, default=None)
+    guard: Timer | None = field(init=False, default=None)
+    session_timer: Timer | None = field(init=False, default=None)
+    samples: int = field(init=False, default=0)
 
     def poll_timer(self) -> Timer:
         """The real poll's timer, built at its first arm."""
@@ -194,7 +203,8 @@ class Hops(NamedTuple):
 
 
 class Simulation:
-    """One runnable world built from a validated scenario.
+    """One runnable world built from a validated scenario. runtimes holds each
+    node's state, an end device's coordinator session and sample count included.
 
     End Devices poll their parents on a fixed grid. A poll that finds the
     device awake, or asleep with nothing buffered for it, only books energy,
@@ -214,9 +224,9 @@ class Simulation:
     tick, so only a command injected between step() calls is scheduled at t
     while the polls of t run: it runs before the polls left, after those done.
 
-    Only timers that can still act are dispatched. A device's guard and real
-    poll (NodeRuntime) and each coordinator session's WARMUP_DONE or TIMEOUT
-    are engine Timers, each built at its first arm: each step re-arms or
+    Only timers that can still act are dispatched. A device's guard, real
+    poll and coordinator session's WARMUP_DONE or TIMEOUT (NodeRuntime) are
+    engine Timers, each built at its first arm: each step re-arms or
     disarms them, and an event its timer no longer holds could only have
     been found stale, so no state machine would act on it; it is no event
     and leaves no trace line.
@@ -229,7 +239,6 @@ class Simulation:
         self.channel: int | None = (select_channel(config.channels)
                                     if config.channels else None)
         self.records: list[SampleRecord] = []
-        self._samples_per_node: dict[int, int] = {}  # records per node
         self.trace_enabled = trace
         self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
         self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
@@ -284,7 +293,7 @@ class Simulation:
                                      poll_window=window)
                 runtime = NodeRuntime(
                     spec=node, ledger=ledger, airtime=airtimes[bitrate],
-                    device_state=EndDeviceState(node_id=node.id),
+                    device_state=EndDeviceState(), session=CoordinatorSession(),
                     sleep=sleep, next_wake=sleep.period_ticks)
                 self.queue.schedule(sleep.period_ticks, EXTERNAL_WAKE, node.id, WAKE_STIMULUS)
             else:
@@ -297,11 +306,6 @@ class Simulation:
         for rank, runtime in enumerate(sorted(self._devices,
                                               key=lambda rt: -rt.ledger.poll_ticks)):
             runtime.poll_rank = rank
-
-        self.sessions: dict[int, CoordinatorSession] = {
-            device.id: CoordinatorSession(device=device.id)
-            for device in config.end_devices()}
-        self._timers: dict[int, Timer] = {}  # WARMUP_DONE/TIMEOUT, built at a session's first arm
 
         for runtime in self._devices:
             self._plan_poll(runtime)
@@ -317,11 +321,7 @@ class Simulation:
     def run_until(self, horizon_s: float) -> None:
         """Process every event up to the horizon (virtual seconds), then
         advance the clock to it; stats() reads the run's figures."""
-        if not math.isfinite(horizon_s):
-            raise ValueError(f"horizon must be a finite number of seconds, got {horizon_s}")
-        if not has_finite_ticks(horizon_s):
-            raise ValueError(f"horizon must be a finite number of 1 us ticks, got {horizon_s} s")
-        limit = ticks_from_seconds(horizon_s)
+        limit = horizon_ticks(horizon_s)
         if limit < self.queue.now:
             raise ValueError(f"horizon {horizon_s} s is before the current clock")
         pop_due, dispatch = self.queue.pop_due, self._dispatch
@@ -372,6 +372,7 @@ class Simulation:
         rounds: dict[str, dict[str, int]] = {}
         cyclic: dict[str, dict[str, Any]] = {}
         power: dict[str, dict[str, Any]] = {}
+        samples: dict[str, int] = {}  # devices the coordinator has a sample of
         for node_id, runtime in sorted(self.runtimes.items()):
             key = str(node_id)
             ledger = runtime.ledger
@@ -393,7 +394,8 @@ class Simulation:
                     entry["projected_lifetime_h"] = capacity / average
             power[key] = entry
             if runtime.device_state is not None:
-                session = self.sessions[node_id]
+                session = runtime.session
+                assert session is not None
                 rounds[key] = {"completed": session.rounds_completed,
                                "aborted": session.rounds_aborted,
                                "lost": runtime.rounds_lost}
@@ -403,6 +405,8 @@ class Simulation:
                                "poll_period_s": sleep.poll_period_s,
                                "multiplier": sleep.multiplier,
                                "effective_period_s": sleep.effective_period_s}
+                if runtime.samples:
+                    samples[key] = runtime.samples
         return {
             "seed": self.config.seed,
             "clock_s": clock_s,
@@ -422,8 +426,7 @@ class Simulation:
                                         for buffer in self.parent_table.buffers.values()),
                 "in_flight": self.frames_in_flight,
             },
-            "samples_per_node": {str(node): count
-                                 for node, count in sorted(self._samples_per_node.items())},
+            "samples_per_node": samples,
             "errors_seen": dict(sorted(self.errors_seen.items())),
             "rounds": rounds,
             "cyclic_sleep": cyclic,
@@ -525,10 +528,10 @@ class Simulation:
         if runtime.device_state is not None:
             self._device_step(runtime, delivered, now)
         else:
-            self._session_step(self.runtimes[delivered.frame.src].spec, delivered, now)
+            self._session_step(self.runtimes[delivered.frame.src], delivered, now)
 
     def _on_session_timer(self, runtime: NodeRuntime, timer: SessionTimer, now: Ticks) -> None:
-        self._session_step(self.runtimes[timer.device].spec, timer.stimulus, now)
+        self._session_step(self.runtimes[timer.device], timer.stimulus, now)
 
     def _on_command(self, runtime: NodeRuntime, command: SetPeriodCommand, now: Ticks) -> None:
         self._send_frame(MessageFrame(SET_PERIOD, COORDINATOR_ID,
@@ -561,34 +564,34 @@ class Simulation:
         runtime.next_wake = next_wake
         self.queue.schedule(next_wake, EXTERNAL_WAKE, runtime.spec.id, WAKE_STIMULUS)
 
-    def _session_step(self, device: NodeSpec, stimulus: CoordinatorStimulus, now: Ticks) -> None:
-        """Step the device's coordinator session and carry its result out."""
-        device_id = device.id
-        session = self.sessions[device_id]
-        result = coordinator_step(session, stimulus, now, self.config, device,
+    def _session_step(self, device: NodeRuntime, stimulus: CoordinatorStimulus,
+                      now: Ticks) -> None:
+        """Step the coordinator's session with the device and carry its result out."""
+        session = device.session
+        assert session is not None
+        device_id = device.spec.id
+        result = coordinator_step(session, stimulus, now, self.config, device.spec,
                                   self._next_coord_seq)
         if result.error_seen is not None:
             self.errors_seen[f"coordinator_saw_{result.error_seen.name.lower()}"] += 1
-        if result.records:
+        if result.records:  # each from the device: its SAMPLE_RESP
             self.records.extend(result.records)
-            counts = self._samples_per_node
-            for record in result.records:
-                counts[record.node] = counts.get(record.node, 0) + 1
+            device.samples += len(result.records)
         for frame in result.frames:
             self._send_frame(frame, now)
         if result.timer is not None:
             kind, delay = self._session_timers[type(result.timer)]
-            timer = self._timers.get(device_id)
+            timer = device.session_timer
             if timer is None:
-                timer = self._timers[device_id] = Timer()
+                timer = device.session_timer = Timer()
             self.queue.arm(timer, now + delay, kind, COORDINATOR_ID,
                            SessionTimer(device_id, result.timer))
         elif result.round_completed or result.round_aborted:
-            self.queue.disarm(self._timers.get(device_id))  # the round it serves is over
+            self.queue.disarm(device.session_timer)  # the round it serves is over
         if result.round_completed:
-            self._trace_action("round", session.device, "outcome=completed", now)
+            self._trace_action("round", device_id, "outcome=completed", now)
         if result.round_aborted:
-            self._trace_action("round", session.device, "outcome=aborted", now)
+            self._trace_action("round", device_id, "outcome=aborted", now)
 
     # ------------------------------------------------------------------
     # Radio transport
@@ -745,8 +748,7 @@ class Simulation:
     def _trace_event(self, event: SimEvent) -> None:
         """Trace line of a dispatched event other than a frame delivery (its
         line is _dispatch's own); the caller checks trace_enabled."""
-        node = event.node if event.node is not None else "-"
-        self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{node}\t"
+        self._trace(f"{event.at}\t{event.seq}\t{_EVENT_NAME[event.kind]}\t{event.node}\t"
                     f"{_EVENT_DETAIL[event.kind](event.payload)}\n")
 
     def _trace_action(self, kind: str, node: int, detail: str, now: Ticks) -> None:

@@ -21,10 +21,10 @@ def test_profile_default_currents():
     assert PROFILE.sleeping_ma == 21.10
     assert PROFILE.awake_idle_ma == 69.80
     assert PROFILE.transmitting_ma == 109.80
-    assert PROFILE.current_ma(PowerState.SLEEPING) == 21.10
-    assert PROFILE.current_ma(PowerState.AWAKE_IDLE) == 69.80
-    assert PROFILE.current_ma(PowerState.TRANSMITTING) == 109.80
-    assert PROFILE.current_ma(PowerState.DEAD) == 0.0
+    assert PROFILE.currents[PowerState.SLEEPING] == 21.10
+    assert PROFILE.currents[PowerState.AWAKE_IDLE] == 69.80
+    assert PROFILE.currents[PowerState.TRANSMITTING] == 109.80
+    assert PROFILE.currents[PowerState.DEAD] == 0.0
 
 
 @pytest.mark.parametrize("sample,poll,multiplier,effective", [
@@ -87,6 +87,13 @@ def test_wake_timeline_polls_and_externals():
     assert polls[0] == 28.0            # t = 0 is not a wake
     assert externals == [112.0 * k for k in range(1, 33)]
     assert set(externals) <= set(polls)
+
+
+@pytest.mark.parametrize("horizon_s", [math.inf, math.nan])
+def test_wake_timeline_refuses_a_horizon_that_is_not_finite(horizon_s):
+    config = CyclicSleepConfig.from_periods(120.0, 28.0)
+    with pytest.raises(ValueError, match="horizon must be a finite number of seconds"):
+        wake_timeline(config, horizon_s)
 
 
 def test_average_current_closed_form():
@@ -303,7 +310,7 @@ def test_the_charge_depends_only_on_the_tick_totals(totals, profile, headroom):
     """Ledgers that book the same tick total per state, their first
     bookings in any order, report the same consumed and remaining charge
     to the bit. A battery, when there is one, outlasts the totals."""
-    drawn = sum(profile.current_ma(state) * ticks / TICKS_PER_HOUR
+    drawn = sum(profile.currents[state] * ticks / TICKS_PER_HOUR
                 for state, ticks in zip(LIVE_STATES, totals))
     capacity = None if headroom is None else headroom * drawn + 1.0
     seen = set()
@@ -371,7 +378,7 @@ def grid_cases(draw):
     stops = [cursor + span for span in sorted(spans)]
     if draw(st.booleans()):  # tight: lasts `spare` ticks at the bound's current
         spare = draw(st.integers(0, stops[-1] - cursor + window))
-        top = max(profile.current_ma(state), profile.awake_idle_ma)
+        top = max(profile.currents[state], profile.awake_idle_ma)
         capacity = top * spare / TICKS_PER_HOUR
     else:
         capacity = draw(st.one_of(st.none(), st.floats(0.0, 0.05), st.floats(0.0, 5.0),
@@ -577,7 +584,7 @@ def shifted_ledgers(draw):
         spare = draw(st.one_of(  # ticks the battery lasts after the cursor
             st.integers(0, ahead + 8 * poll),
             st.integers(ahead, max(ahead, probe.cursor - cursor) + window)))
-        top = max(profile.current_ma(state), profile.awake_idle_ma)
+        top = max(profile.currents[state], profile.awake_idle_ma)
         capacity = consumed + top * spare / TICKS_PER_HOUR
     else:
         capacity = draw(st.one_of(st.none(), st.floats(0.0, 1e-6), st.floats(0.0, 5.0)))

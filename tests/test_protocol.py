@@ -182,12 +182,12 @@ def _step(state, stimulus, now, spec, rng):
 def _device(sensor=None):
     config = make_config(two_node_doc(sensor=sensor))
     spec = config.node(1)
-    state = EndDeviceState(node_id=1)
+    state = EndDeviceState()
     return spec, state, RngStream(0)
 
 
 def _deliver(state, spec, rng, kind, payload=b"", now=0, src=0):
-    frame = MessageFrame(kind, src, state.node_id, 0, payload)
+    frame = MessageFrame(kind, src, spec.id, 0, payload)
     return _step(state, DeliveredFrame(frame, -30.0), now, spec, rng)
 
 
@@ -349,7 +349,7 @@ def test_unexpected_kind_answers_illegal_stimulus():
 def _coordinator(sensor=None, max_retries=2):
     config = make_config(two_node_doc(
         sensor=sensor, defaults={"max_retries": max_retries}))
-    session = CoordinatorSession(device=1)
+    session = CoordinatorSession()
     counter = iter(range(10_000))
     return config, config.node(1), session, lambda: next(counter)
 

@@ -179,19 +179,19 @@ def test_a_timer_is_built_at_its_first_arm(case):
     if case.startswith("random"):
         assert all(runtime.real_poll is None and runtime.guard is None
                    for runtime in fresh.runtimes.values())
-    assert fresh._timers == {}
-    for node, runtime in sim.runtimes.items():
+    assert all(runtime.session_timer is None for runtime in fresh.runtimes.values())
+    for runtime in sim.runtimes.values():
         if runtime.device_state is None:
-            assert runtime.real_poll is None and runtime.guard is None
+            assert (runtime.real_poll is None and runtime.guard is None
+                    and runtime.session_timer is None)
             continue
         # every device has woken, and an awake device arms its guard
         assert runtime.guard is not None and runtime.guard.rank is None
         if runtime.real_poll is not None:
             assert runtime.real_poll.rank == runtime.poll_rank
-        session = sim.sessions[node]
+        session = runtime.session
         if session.rounds_completed or session.rounds_aborted:
-            assert node in sim._timers
-    assert set(sim._timers) <= set(sim.sessions)
+            assert runtime.session_timer is not None and runtime.session_timer.rank is None
     if case.startswith("drain"):  # dying devices make real polls
         assert any(runtime.real_poll is not None for runtime in sim.runtimes.values())
 
@@ -550,7 +550,7 @@ def _watch_timers(sim: Simulation) -> list[tuple[str, bool]]:
         seen.append(("timer_fired", runtime.rounds_lost == lost + 1))
 
     def timeout(runtime, timer, now):
-        session = sim.sessions[timer.device]
+        session = sim.runtimes[timer.device].session
         attempt, aborted = session.attempt, session.rounds_aborted
         on_timeout(runtime, timer, now)
         seen.append(("timeout", session.attempt == attempt + 1
@@ -607,7 +607,7 @@ def test_no_tick_holds_more_events_than_one_round_of_every_device(family, seed):
         stages = [6.0 * stage for stage in range(1, 8)]
     config = make_config(doc)
     sim = Simulation(config)
-    devices = len(sim.sessions)
+    devices = len(config.end_devices())
     commands = 0
     limit = ticks_from_seconds(horizon)
     tick, count = -1, 0

@@ -123,7 +123,7 @@ def counted_run(monkeypatch, doc: dict, horizon_s: float) -> tuple[Simulation, i
 def test_stepped_polls_and_round_ends_are_bounded_per_event(name, monkeypatch):
     doc, horizon_s = EDGE_CASES[name]
     sim, steps, most_lines = counted_run(monkeypatch, doc, horizon_s)
-    devices = len(sim.sessions)
+    devices = len(sim.config.end_devices())
     assert steps <= STEPS_PER_EVENT * (sim.events_processed + devices)
     assert most_lines <= ROUND_END_LINES
     if name.startswith("lifetime"):
@@ -172,7 +172,7 @@ def test_edge_scenarios_do_bounded_work_and_match_the_every_poll_run(case):
     doc, horizon_s = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         sim, steps, most_lines = counted_run(monkeypatch, doc, horizon_s)
-    assert steps <= STEPS_PER_EVENT * (sim.events_processed + len(sim.sessions))
+    assert steps <= STEPS_PER_EVENT * (sim.events_processed + len(sim.config.end_devices()))
     assert most_lines <= ROUND_END_LINES
     traced, every = Simulation(make_config(doc), trace=True), EveryPollSimulation(
         make_config(doc), trace=True)
