@@ -38,8 +38,8 @@ hops few. Its conventions:
   both delivery paths, in flight (_send_frame) and handed over at a poll
   (_on_poll_wake), draw its RSSI from that power.
 - A trace line is formatted only when tracing is on, and kept by a bare
-  list.append (Simulation._trace): _dispatch joins the kept lines into a
-  block once there are TRACE_BLOCK_LINES of them. The send and
+  list.append (Simulation._trace): _dispatch appends the kept lines to the
+  one trace text once there are TRACE_BLOCK_LINES of them. The send and
   frame_delivered lines, one per frame each, are each one f-string over
   the frame's fields.
 - stats() reads the frames in flight from a counter: +1 when a delivery is
@@ -75,7 +75,7 @@ DROP_NO_ROUTE = "no_route"
 DROP_NODE_DEAD = "node_dead"
 DROP_BUFFER_FULL = "buffer_full"
 
-TRACE_BLOCK_LINES = 1024  # trace lines joined into one block of text
+TRACE_BLOCK_LINES = 1024  # trace lines kept before they join the trace text
 
 # Enum members read on the per-event path, bound once. On CPython 3.10 and
 # 3.11 the Enum metaclass defines __getattr__, which turns every
@@ -240,9 +240,9 @@ class Simulation:
                                     if config.channels else None)
         self.records: list[SampleRecord] = []
         self.trace_enabled = trace
-        self._trace_blocks: list[str] = []  # joined text of the earlier trace lines
+        self._trace_text = ""  # the earlier trace lines, joined
         self._trace_pending: list[str] = []  # the lines since, each ending in "\n"
-        self._trace = self._trace_pending.append  # keep a line; _dispatch joins the blocks
+        self._trace = self._trace_pending.append  # keep a line; _dispatch joins them
         self.events_processed = 0
         self.dead_skips = 0
         self.frames_sent = 0
@@ -756,22 +756,25 @@ class Simulation:
             self._trace(f"{now}\t-\t{kind}\t{node}\t{detail}\n")
 
     def _join_trace_block(self) -> None:
-        """Join the lines kept since the last block into one block, which
+        """Append the lines kept since the last join to the trace text, which
         holds them in far less memory than one string each. _dispatch joins
         them once TRACE_BLOCK_LINES have been kept, before an event's line."""
-        self._trace_blocks.append("".join(self._trace_pending))
+        # CPython 3.10-3.13 grow a str in place under `+=` to a local that
+        # holds its only reference, which an attribute is not; a text that
+        # trace_text handed out has another and is copied. Without that path
+        # (PEP 8 warns not to rely on it) each join copies: slower, same text.
+        text, self._trace_text = self._trace_text, ""
+        text += "".join(self._trace_pending)
+        self._trace_text = text
         self._trace_pending.clear()
 
     def trace_text(self) -> str:
         """The trace so far, one line per event or action, each ending in a
-        newline. The joined text is kept as the only block, so asking again
-        joins nothing."""
-        blocks = self._trace_blocks
+        newline: the one trace text, once the lines still kept have joined
+        it, so asking again joins nothing and returns the same str."""
         if self._trace_pending:
             self._join_trace_block()
-        if len(blocks) > 1:
-            blocks[:] = ["".join(blocks)]
-        return blocks[0] if blocks else ""
+        return self._trace_text
 
     @property
     def trace_lines(self) -> list[str]:

@@ -2,30 +2,30 @@
 
 cProfile counts every call into a function of the wsn_pathosim package over
 the run phase of a golden case (construction excluded), and the count per
-processed event must stay within a budget about 10% above the figure when
-each frame's route was resolved once into hops that carry the last hop's
-power, so that a frame handed over at a poll draws its RSSI without a
-helper call, a mains ledger booked a slice in place, the send and
-frame_delivered trace lines were each one f-string and each trace line was
-kept by a bare list.append. The figures below are CPython 3.11's, and
-"before" is the count before the last hop's power moved into the hops.
-3.12 and 3.13 inline comprehensions, which the older interpreters count as
-calls, and read lower: 0.01 lower on random/9, 1.14 lower on drain/0.3,
-as measured against the "before" figures.
+processed event must stay within a budget about 10% above its figure. The
+figures below are CPython 3.11.7's, measured once each frame's route was
+resolved into hops that carry the last hop's power (a frame handed over at a
+poll draws its RSSI without a helper call), a mains ledger booked a slice in
+place, the send and frame_delivered trace lines were each one f-string, each
+trace line was kept by a bare list.append and the kept lines joined one
+trace text. CPython 3.10 reads the same; 3.12 and 3.13 inline
+comprehensions, which the older interpreters count as calls, and read 0.01
+lower on random/9 and 0.11 lower on drain/0.3.
 
-    case         trace   figure   budget   before
-    random/9     on      20.38    22.4     20.40
-    random/9     off     20.03    22.0     20.05
-    drain/0.3    on      33.51    36.9     34.47
+    case         trace   figure   budget
+    random/9     on      20.39    22.4
+    random/9     off     20.04    22.0
+    drain/0.3    on      26.32    29.0
 
 Setup is counted per node, over parse_scenario and Simulation(config) of a
-207-node building generated here (campus_text). The figure is the count
-once the readers add a refusal's path only as it unwinds, the parent search
-places its candidates as plain tuples, and nodes share their radio and
-sleep configs; "before" is the count without those.
+207-node building generated here (campus_text), with the same 10% budget.
+The figure is the count once the readers add a refusal's path only as it
+unwinds, the parent search places its candidates as plain tuples, and nodes
+share their radio and sleep configs; "before" is the count without those.
+3.12 and 3.13 read 98.97.
 
     case         figure   budget   before
-    setup        105.33   116.0    130.55
+    setup        101.17   111.3    130.55
 """
 
 import cProfile
@@ -71,7 +71,7 @@ def calls_per_event(case: str, trace: bool) -> float:
 @pytest.mark.parametrize("case, trace, budget", [
     ("random/9", True, 22.4),  # two routers: frames relayed over two hops
     ("random/9", False, 22.0),
-    ("drain/0.3", True, 36.9),  # deaths, drops and staged SET_PERIOD frames
+    ("drain/0.3", True, 29.0),  # deaths, drops and staged SET_PERIOD frames
 ])
 def test_python_calls_per_event_stay_within_budget(case, trace, budget):
     assert calls_per_event(case, trace) <= budget
@@ -126,4 +126,4 @@ def setup_calls_per_node() -> float:
 
 
 def test_python_calls_per_node_in_setup_stay_within_budget():
-    assert setup_calls_per_node() <= 116.0
+    assert setup_calls_per_node() <= 111.3
